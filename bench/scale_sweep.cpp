@@ -45,13 +45,10 @@
 //                 figure is cumulative across earlier sizes).
 //   clique_tN_s   full clique enumeration with the store's thread budget
 //                 set to N (default curve 2/4/8; --threads overrides) —
-//                 id-identical output, only wall-clock moves.
-//   sim_tN_s      the packet sim under SimConfig::sim_threads = N (the
-//                 conservative parallel engine); the RunResult is checked
-//                 bit-identical against the serial run as a free parity
-//                 spot-check. On a full default sweep the 10k point must
-//                 show a >= 2x combined speedup at 4 threads — enforced
-//                 only when the machine has >= 4 hardware threads.
+//                 id-identical output, only wall-clock moves. On a full
+//                 default sweep the 10k point must show clique_s /
+//                 clique_t4_s >= 2 — enforced only when the machine has
+//                 >= 4 hardware threads.
 //
 // Guard (same idiom as micro_events / micro_ctrl): at the default sizes,
 // the 1k-node point's scalable-path total (neighbor_s + contention_s +
@@ -119,10 +116,9 @@ constexpr int kDeltaRounds = 5;
 constexpr int kSolveSample = 8;
 
 // Thread counts for the multi-core scaling curve: the clique build re-runs
-// with the store's enumeration budget set to each count, and the packet
-// sim re-runs with SimConfig::sim_threads (the conservative parallel
-// engine; bit-identical results, only wall-clock moves). --threads
-// overrides, "0" disables the curve.
+// with the store's enumeration budget set to each count (id-identical
+// results, only wall-clock moves). --threads overrides, "0" disables the
+// curve.
 constexpr int kDefaultThreadCurve[] = {2, 4, 8};
 
 struct Options {
@@ -149,8 +145,7 @@ struct Options {
                "  --tolerance F     max allowed regression vs baseline "
                "(default 0.10)\n"
                "  --threads LIST    comma-separated thread counts for the\n"
-               "                    clique/sim scaling curve (default "
-               "2,4,8;\n"
+               "                    clique scaling curve (default 2,4,8;\n"
                "                    0 disables)\n"
                "  --out PATH        JSON output (default BENCH_scale.json)\n",
                prog, kSolveSample);
@@ -241,12 +236,12 @@ struct PointResult {
   double sim_s = 0.0;
   double rss_mb = 0.0;
   /// Multi-core scaling curve: (threads, wall-clock seconds) per measured
-  /// thread count, for the full clique enumeration and the packet sim.
-  /// The t = 1 references are clique_s / sim_s above.
+  /// thread count for the full clique enumeration. The t = 1 reference is
+  /// clique_s above.
   std::vector<std::pair<int, double>> clique_threads_s;
-  std::vector<std::pair<int, double>> sim_threads_s;
-  /// False when a multi-threaded sim diverged from the serial result — the
-  /// engine's bit-identity contract, spot-checked here for free.
+  /// False when a multi-threaded enumeration found a different clique
+  /// count than the serial one — the store's id-identity contract,
+  /// spot-checked here for free.
   bool thread_parity_ok = true;
   /// The layers the scaling rework owns: grid-backed neighbor build,
   /// sparse contention graph, from-scratch clique enumeration, and the
@@ -448,21 +443,6 @@ PointResult measure(const SizeSpec& spec, int solve_sample,
   r.sim_s = now_s() - t0;
   phase_done("sim", r.sim_s);
   if (run.sim_seconds <= 0.0) std::abort();
-
-  // Thread curve for the packet sim: same scenario and seed under the
-  // conservative parallel engine. The RunResult must be bit-identical —
-  // checked here as a free parity spot-check on a topology far larger
-  // than the unit suite's.
-  for (const int t : threads) {
-    SimConfig par = cfg;
-    par.sim_threads = t;
-    t0 = now_s();
-    const RunResult pr = run_scenario(sc, Protocol::k80211, par);
-    r.sim_threads_s.emplace_back(t, now_s() - t0);
-    if (!(pr == run)) r.thread_parity_ok = false;
-    std::printf("  sim@%dt %.3fs", t, r.sim_threads_s.back().second);
-    std::fflush(stdout);
-  }
   std::printf("\n");
 
   r.rss_mb = peak_rss_mb();
@@ -530,14 +510,13 @@ int main(int argc, char** argv) {
         r.solve_flows, r.solve_per_flow_s, r.sim_seconds, r.sim_s, r.rss_mb);
     for (const auto& [t, s] : r.clique_threads_s)
       std::fprintf(f, ", \"clique_t%d_s\": %.6f", t, s);
-    for (const auto& [t, s] : r.sim_threads_s)
-      std::fprintf(f, ", \"sim_t%d_s\": %.6f", t, s);
     std::fprintf(f, "},\n");
     std::fflush(f);
     if (!r.thread_parity_ok) {
       std::fprintf(stderr,
-                   "FAIL: %d-node point: multi-threaded run diverged from "
-                   "the serial result (bit-identity contract broken)\n",
+                   "FAIL: %d-node point: multi-threaded clique enumeration "
+                   "diverged from the serial result (id-identity contract "
+                   "broken)\n",
                    r.nodes);
       failed = true;
     }
@@ -559,29 +538,26 @@ int main(int argc, char** argv) {
   }
 
   // --- Multi-core speedup guard (full sweep, multi-core hardware only). --
-  // The acceptance point: at 10k nodes the parallelizable phases (full
-  // clique enumeration + packet sim) must run >= 2x faster at 4 threads
-  // than serially. Only enforceable where 4 hardware threads exist — on
-  // smaller machines the curve is still emitted but the guard is skipped
-  // with an honest note (a 1-core box legitimately runs threads *slower*).
+  // The acceptance point: at 10k nodes the full clique enumeration must
+  // run >= 2x faster at 4 threads than serially. Only enforceable where 4
+  // hardware threads exist — on smaller machines the curve is still
+  // emitted but the guard is skipped with an honest note (a 1-core box
+  // legitimately runs threads *slower*).
   const unsigned hw = std::thread::hardware_concurrency();
   if (guard && !opt.quick) {
     const PointResult& top = results.back();
-    double clique_t4 = 0.0, sim_t4 = 0.0;
+    double clique_t4 = 0.0;
     for (const auto& [t, s] : top.clique_threads_s)
       if (t == 4) clique_t4 = s;
-    for (const auto& [t, s] : top.sim_threads_s)
-      if (t == 4) sim_t4 = s;
-    if (clique_t4 > 0.0 && sim_t4 > 0.0) {
-      const double speedup =
-          (top.clique_s + top.sim_s) / (clique_t4 + sim_t4);
-      std::printf("10k-node parallel-phase speedup at 4 threads: %.2fx "
-                  "(clique %.1fs -> %.1fs, sim %.1fs -> %.1fs)\n",
-                  speedup, top.clique_s, clique_t4, top.sim_s, sim_t4);
+    if (clique_t4 > 0.0) {
+      const double speedup = top.clique_s / clique_t4;
+      std::printf("10k-node clique enumeration speedup at 4 threads: %.2fx "
+                  "(%.1fs -> %.1fs)\n",
+                  speedup, top.clique_s, clique_t4);
       if (hw >= 4 && speedup < 2.0) {
         std::fprintf(stderr,
-                     "FAIL: 4-thread speedup %.2fx at the %d-node point is "
-                     "below the required 2x (%u hardware threads)\n",
+                     "FAIL: 4-thread clique speedup %.2fx at the %d-node "
+                     "point is below the required 2x (%u hardware threads)\n",
                      speedup, top.nodes, hw);
         failed = true;
       } else if (hw < 4) {

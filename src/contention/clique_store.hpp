@@ -46,11 +46,16 @@ class CliqueStore {
   /// across a transient thread pool, one CliqueEnumerator per worker, and
   /// commit the results in seed order — so clique ids, slab layout and every
   /// UpdateStats field are byte-identical to the serial path at any thread
-  /// count. Small deltas (< kParallelSeedThreshold seeds) stay serial: the
-  /// per-epoch steady-state update is neighborhood-sized and spawning
+  /// count. Small deltas (< 2 * kParallelSeedThreshold seeds) stay serial:
+  /// the per-epoch steady-state update is neighborhood-sized and spawning
   /// threads for it would cost more than the enumeration.
   void set_threads(int threads) { threads_ = threads > 1 ? threads : 1; }
   int threads() const { return threads_; }
+
+  /// Dirty seeds per worker: an update fans out to
+  /// min(threads, seeds / kParallelSeedThreshold) workers, so it runs
+  /// threaded only from 2 * kParallelSeedThreshold seeds on.
+  static constexpr std::size_t kParallelSeedThreshold = 64;
 
   const ContentionGraph& graph() const { return *g_; }
   bool is_active(int v) const { return active_[static_cast<std::size_t>(v)] != 0; }
@@ -93,9 +98,6 @@ class CliqueStore {
   /// calls in parallel when the thread budget and seed count warrant it.
   /// Returns the number of cliques added.
   int enumerate_seeds(const std::vector<int>& seeds, bool all_seeds);
-
-  /// Minimum seed count before enumerate_seeds spawns threads.
-  static constexpr std::size_t kParallelSeedThreshold = 64;
 
   const ContentionGraph* g_;
   std::vector<char> active_;

@@ -120,7 +120,7 @@ void DcfMac::arm_step() {
   if (start > sim_.now()) step_is_first_ = true;
   const TimeNs required = step_is_first_ ? cfg_.difs + cfg_.slot : cfg_.slot;
   step_time_ = start + required;
-  step_event_ = sim_.schedule_at_owned(step_time_, self_, [this] { on_step(); });
+  step_event_ = sim_.schedule_at(step_time_, [this] { on_step(); });
 }
 
 void DcfMac::on_step() {
@@ -192,14 +192,14 @@ void DcfMac::send_rts() {
   const int cts_budget =
       cfg_.sizes.cts + (piggyback_ != nullptr ? cfg_.ctrl_piggyback_max : 0);
   const TimeNs deadline = end + cfg_.sifs + dur(cts_budget) + 2 * cfg_.slot;
-  timeout_event_ = sim_.schedule_at_owned(deadline, self_, [this] { on_timeout(); });
+  timeout_event_ = sim_.schedule_at(deadline, [this] { on_timeout(); });
 }
 
 void DcfMac::on_cts(const Frame&) {
   sim_.cancel(timeout_event_);
   timeout_event_ = Simulator::kInvalidEvent;
   state_ = State::kSendData;
-  sim_.schedule_in_owned(cfg_.sifs, self_, [this] { send_data(); });
+  sim_.schedule_in(cfg_.sifs, [this] { send_data(); });
 }
 
 void DcfMac::send_data() {
@@ -216,7 +216,7 @@ void DcfMac::send_data() {
   ++stats_.data_sent;
   state_ = State::kWaitAck;
   const TimeNs deadline = end + cfg_.sifs + dur(cfg_.sizes.ack) + 2 * cfg_.slot;
-  timeout_event_ = sim_.schedule_at_owned(deadline, self_, [this] { on_timeout(); });
+  timeout_event_ = sim_.schedule_at(deadline, [this] { on_timeout(); });
 }
 
 void DcfMac::on_ack(const Frame& f) {
@@ -275,7 +275,7 @@ void DcfMac::send_ctrl_frame() {
   ++stats_.ctrl_sent;
   state_ = State::kTxCtrl;
   backoff_drawn_ = false;
-  sim_.schedule_at_owned(end, self_, [this] {
+  sim_.schedule_at(end, [this] {
     if (state_ != State::kTxCtrl) return;
     state_ = State::kIdle;
     if (has_work()) start_access(/*redraw=*/true);
@@ -296,7 +296,7 @@ void DcfMac::on_rts(const Frame& f) {
   rx_tag_subflow_ = f.tag_subflow;
   rx_nav_remaining_ = f.nav;
 
-  sim_.schedule_in_owned(cfg_.sifs, self_, [this] {
+  sim_.schedule_in(cfg_.sifs, [this] {
     if (state_ != State::kRxExchange) return;
     Frame cts;
     cts.type = FrameType::kCts;
@@ -313,7 +313,7 @@ void DcfMac::on_rts(const Frame& f) {
     ++stats_.cts_sent;
     // If the DATA never materializes, abandon the exchange.
     const TimeNs deadline = end + cts.nav + cfg_.slot;
-    timeout_event_ = sim_.schedule_at_owned(deadline, self_, [this] {
+    timeout_event_ = sim_.schedule_at(deadline, [this] {
       timeout_event_ = Simulator::kInvalidEvent;
       end_rx_exchange();
     });
@@ -348,11 +348,11 @@ void DcfMac::on_data(const Frame& f) {
     ack.has_service_tag = true;
   }
   if (tags_ != nullptr) ack.ack_backoff_r = tags_->r_slots_for(f.packet->subflow, sim_.now());
-  sim_.schedule_in_owned(cfg_.sifs, self_, [this, ack] {
+  sim_.schedule_in(cfg_.sifs, [this, ack] {
     if (state_ != State::kRxExchange) return;
     const TimeNs end = channel_.transmit(self_, ack);
     ++stats_.ack_sent;
-    sim_.schedule_at_owned(end, self_, [this] { end_rx_exchange(); });
+    sim_.schedule_at(end, [this] { end_rx_exchange(); });
   });
 }
 

@@ -27,7 +27,6 @@ BatchRunner::BatchRunner(int jobs) : jobs_(jobs) {
   if (jobs_ <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     jobs_ = hw > 0 ? static_cast<int>(hw) : 1;
-    auto_jobs_ = true;
   }
 }
 
@@ -39,17 +38,8 @@ std::vector<RunResult> BatchRunner::run(const std::vector<Job>& jobs) const {
     results[i] = run_scenario(*jobs[i].scenario, jobs[i].protocol, jobs[i].config);
   };
 
-  // Compose the two parallelism axes: when the pool size was auto-selected,
-  // budget hardware threads across seeds × threads-per-sim instead of
-  // oversubscribing by their product.
-  int pool_cap = jobs_;
-  if (auto_jobs_) {
-    int per_job = 1;
-    for (const Job& j : jobs) per_job = std::max(per_job, j.config.sim_threads);
-    pool_cap = std::max(1, jobs_ / per_job);
-  }
   const std::size_t workers =
-      std::min(static_cast<std::size_t>(pool_cap), jobs.size());
+      std::min(static_cast<std::size_t>(jobs_), jobs.size());
   if (workers <= 1) {
     for (std::size_t i = 0; i < jobs.size(); ++i) run_one(i);
     return results;

@@ -33,14 +33,6 @@ class BatchRunner {
 
   /// jobs <= 0 selects std::thread::hardware_concurrency(); jobs == 1 runs
   /// inline on the calling thread (no pool).
-  ///
-  /// Thread budget composition: each job may itself parallelize its
-  /// simulation (SimConfig::sim_threads). With an auto-selected pool
-  /// (jobs <= 0), `run` divides the hardware budget by the largest
-  /// sim_threads among the submitted jobs, so seeds × threads-per-sim stays
-  /// at about hardware_concurrency. An explicit jobs count is taken
-  /// literally — the caller owns the multiplication. Results are identical
-  /// either way; only wall-clock changes.
   explicit BatchRunner(int jobs = 1);
 
   int jobs() const { return jobs_; }
@@ -74,7 +66,6 @@ class BatchRunner {
 
  private:
   int jobs_;
-  bool auto_jobs_ = false;  ///< jobs_ came from hardware_concurrency.
 };
 
 }  // namespace e2efa

@@ -39,9 +39,9 @@ std::string cli_usage() {
       "  --alpha A       2PA tag-backoff strictness (default 1e-4)\n"
       "  --seed N        RNG seed (default 1)\n"
       "  --queue N       per-queue capacity (default 50)\n"
-      "  --sim-threads N executor threads inside the simulation (conservative\n"
-      "                  parallel DES; default 1 = serial). Any value yields a\n"
-      "                  bit-identical result; threads only change wall-clock\n"
+      "  --sim-threads N threads for phase-1 clique enumeration (centralized\n"
+      "                  protocols; default 1 = serial). The packet simulation\n"
+      "                  stays serial; any value yields a bit-identical result\n"
       "  --loss P        default per-link packet-error rate in [0,1] (default 0)\n"
       "  --shares        also print phase-1 target shares\n"
       "  --check         arm every invariant oracle (src/check); violations\n"

@@ -90,16 +90,12 @@ struct SimConfig {
   /// Elastic-transport tuning (used when Scenario::transport != kCbr; the
   /// `kind` member is ignored — the scenario decides the source model).
   TransportConfig transport;
-  /// Executor threads *inside* this one simulation (conservative parallel
-  /// DES over interference-disjoint event batches; see
-  /// Simulator::enable_parallel). 1 (default) keeps the serial drain loop —
-  /// byte-identical to every run before this knob existed — and any value
-  /// produces a bit-identical RunResult; threads only change wall-clock.
-  /// Scenarios that install order-sensitive shared observers (tracing,
-  /// invariant checks, profiling, fault plans, the in-band control plane,
-  /// elastic transport) are automatically run serially regardless of this
-  /// setting. Also forwarded to the incremental clique store, whose epoch
-  /// rebuilds parallelize over enumeration seeds.
+  /// Threads for phase-1 clique enumeration inside this one run: forwarded
+  /// to the centralized family's incremental clique store, whose epoch
+  /// rebuilds fan out over enumeration seeds (CliqueStore::set_threads).
+  /// The threaded path is id-identical to serial, so any value produces a
+  /// bit-identical RunResult; threads only change wall-clock. The packet
+  /// simulation itself always runs on the calling thread.
   int sim_threads = 1;
 };
 
@@ -250,7 +246,7 @@ struct RunResult {
   /// Whole-result equality, bitwise on every double. This is the
   /// determinism contract in one operator: same scenario + same seed (at
   /// any SimConfig::sim_threads) must compare equal. The fuzzer's
-  /// serial-vs-parallel differential and the parity tests rely on it.
+  /// differentials and the parity tests rely on it.
   bool operator==(const RunResult&) const = default;
 
   /// Measured share of subflow s in units of B:

@@ -79,15 +79,11 @@ void Channel::release_tx_slot(std::uint32_t slot) {
 TimeNs Channel::transmit(NodeId sender, Frame frame) {
   E2EFA_ASSERT_MSG(!transmitting(sender), "node is already transmitting");
   E2EFA_ASSERT(frame.bytes > 0);
-  sim_.note_touch(static_cast<std::int32_t>(sender));
   frame.tx = sender;
   const TimeNs now = sim_.now();
   const TimeNs duration = frame_duration(frame.bytes);
   const TimeNs end = now + duration;
-  // Atomic: concurrent footprint-disjoint transmits each get a unique id.
-  // The values may differ between thread counts, but ids are only ever
-  // compared for equality within one transmission's lifetime.
-  const std::uint64_t tx_id = __atomic_fetch_add(&next_tx_id_, 1, __ATOMIC_RELAXED);
+  const std::uint64_t tx_id = next_tx_id_++;
 
   // A crashed sender's radio deposits no energy anywhere: the frame occupies
   // the node's own transmitter (so its MAC state machine runs as usual and
@@ -125,7 +121,6 @@ TimeNs Channel::transmit(NodeId sender, Frame frame) {
 
   if (!silent) {
     for (NodeId r : topo_.interference_neighbors(sender)) {
-      sim_.note_touch(static_cast<std::int32_t>(r));
       NodeState& s = state(r);
       bool decodable = topo_.has_link(sender, r);
       if (decodable && faults_ != nullptr &&
@@ -154,9 +149,6 @@ TimeNs Channel::transmit(NodeId sender, Frame frame) {
 
   // One end-of-frame event for the whole transmission; it visits the sender
   // and then the neighbors in the same order the per-neighbor events fired.
-  // The event is owned by the sender: its synchronous reach is exactly
-  // {sender} ∪ I(sender), the footprint the parallel plan declares.
-  lock_tx_pool();
   const std::uint32_t slot = acquire_tx_slot();
   Transmission& t = tx_pool_[slot];
   t.frame = std::move(frame);
@@ -164,9 +156,7 @@ TimeNs Channel::transmit(NodeId sender, Frame frame) {
   t.tx_id = tx_id;
   t.silent = silent;
   t.span = tx_span;
-  unlock_tx_pool();
-  sim_.schedule_at_owned(end, static_cast<std::int32_t>(sender),
-                         [this, slot] { finish_transmission(slot); });
+  sim_.schedule_at(end, [this, slot] { finish_transmission(slot); });
   return end;
 }
 
@@ -174,21 +164,17 @@ void Channel::finish_transmission(std::uint32_t slot) {
   Profiler::Scope prof(profiler_, Profiler::Phase::kPhy);
   // Move the record out before any listener runs: a listener could (in
   // principle) transmit, growing the pool and invalidating references.
-  lock_tx_pool();
   const Frame frame = std::move(tx_pool_[slot].frame);
   const std::uint64_t tx_id = tx_pool_[slot].tx_id;
   const TimeNs end = tx_pool_[slot].end;
   const bool silent = tx_pool_[slot].silent;
   const std::uint32_t tx_span = tx_pool_[slot].span;
   release_tx_slot(slot);
-  unlock_tx_pool();
   const NodeId sender = frame.tx;
 
-  sim_.note_touch(static_cast<std::int32_t>(sender));
   update_busy(sender);
   if (silent) return;  // no energy was deposited; nothing to undo
   for (NodeId r : topo_.interference_neighbors(sender)) {
-    sim_.note_touch(static_cast<std::int32_t>(r));
     NodeState& s = state(r);
     --s.interferers;
     E2EFA_ASSERT(s.interferers >= 0);

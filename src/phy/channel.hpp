@@ -12,7 +12,6 @@
 // and collide, exactly as in slotted CSMA.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -64,10 +63,6 @@ class FaultModel {
   virtual bool draw_loss(NodeId a, NodeId b) = 0;
 };
 
-// Counter fields stay plain uint64 (so the struct remains trivially
-// copyable into RunResult) but are bumped with relaxed atomic adds: in
-// parallel mode footprint-disjoint events increment them concurrently, and
-// addition commutes, so totals are independent of thread count.
 struct ChannelStats {
   std::uint64_t frames_transmitted = 0;
   std::uint64_t frames_delivered = 0;   ///< Clean receptions (all hearers).
@@ -174,13 +169,8 @@ class Channel {
   void finish_transmission(std::uint32_t slot);
 
   static void bump(std::uint64_t& counter, std::uint64_t delta = 1) {
-    __atomic_fetch_add(&counter, delta, __ATOMIC_RELAXED);
+    counter += delta;
   }
-
-  void lock_tx_pool() {
-    while (tx_lock_.test_and_set(std::memory_order_acquire)) {}
-  }
-  void unlock_tx_pool() { tx_lock_.clear(std::memory_order_release); }
 
   Simulator& sim_;
   const Topology& topo_;
@@ -191,10 +181,6 @@ class Channel {
   std::int64_t bps_;
   std::vector<NodeState> nodes_;
   std::uint64_t next_tx_id_ = 1;
-  // The in-flight pool is the one piece of channel state shared across
-  // owners; a spinlock covers slot acquire/init and the end-of-frame
-  // move-out. Uncontended in serial runs.
-  std::atomic_flag tx_lock_ = ATOMIC_FLAG_INIT;
   std::vector<Transmission> tx_pool_;
   std::uint32_t tx_free_ = kNilTxSlot;
   static constexpr std::uint32_t kNilTxSlot = 0xffffffffu;

@@ -19,7 +19,7 @@ CbrSource::CbrSource(Simulator& sim, double packets_per_second, int payload_byte
 
 void CbrSource::start(TimeNs until) {
   until_ = until;
-  sim_.schedule_at_owned(sim_.now() + phase_, owner_, [this] { tick(); });
+  sim_.schedule_at(sim_.now() + phase_, [this] { tick(); });
 }
 
 void CbrSource::tick() {
@@ -30,7 +30,7 @@ void CbrSource::tick() {
   p.payload_bytes = payload_bytes_;
   p.created = sim_.now();
   emit_(p);
-  sim_.schedule_in_owned(interval_, owner_, [this] { tick(); });
+  sim_.schedule_in(interval_, [this] { tick(); });
 }
 
 }  // namespace e2efa

@@ -123,8 +123,6 @@ class CbrTransport final : public TransportSource {
       : cbr_(sim, packets_per_second, payload_bytes, std::move(emit), phase_rng) {}
 
   void start(TimeNs until) override { cbr_.start(until); }
-  /// Owner node for tick events (see CbrSource::set_owner).
-  void set_owner(std::int32_t owner) { cbr_.set_owner(owner); }
   void on_ack(std::int64_t, std::int64_t, TimeNs, std::uint32_t) override {}
   std::int64_t generated() const override { return cbr_.generated(); }
   TransportTelemetry telemetry() const override { return {}; }

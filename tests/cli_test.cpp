@@ -74,6 +74,16 @@ TEST(Cli, RejectsBadValues) {
   EXPECT_FALSE(parse({"--protocol", "tcp"}, &err).has_value());
 }
 
+TEST(Cli, ParsesSimThreads) {
+  std::string err;
+  const auto opt = parse({"--sim-threads", "4"}, &err);
+  ASSERT_TRUE(opt.has_value()) << err;
+  EXPECT_EQ(opt->config.sim_threads, 4);
+  EXPECT_EQ(parse({}, &err)->config.sim_threads, 1);
+  EXPECT_FALSE(parse({"--sim-threads", "0"}, &err).has_value());
+  EXPECT_NE(err.find("--sim-threads"), std::string::npos);
+}
+
 TEST(Cli, ParsesObservabilityOptions) {
   std::string err;
   const auto opt = parse({"--trace", "run.jsonl", "--trace-filter", "phy,backoff",

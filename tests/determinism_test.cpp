@@ -107,8 +107,8 @@ TEST(Determinism, MatchesSeedEngineGoldens) {
 }
 
 // Full-field equality, including bitwise-compared doubles, lives in
-// run_result_testing.hpp (shared with fault/churn/transport/parallel
-// tests): determinism means *identical*, not merely close.
+// run_result_testing.hpp (shared with fault/churn/transport tests):
+// determinism means *identical*, not merely close.
 
 TEST(Determinism, SameSeedSameResultAllProtocols) {
   const Scenario sc = scenario1();
@@ -122,29 +122,6 @@ TEST(Determinism, SameSeedSameResultAllProtocols) {
     const RunResult a = run_scenario(sc, p, cfg);
     const RunResult b = run_scenario(sc, p, cfg);
     expect_identical(a, b);
-  }
-}
-
-// Intra-sim thread sweep: SimConfig::sim_threads parallelizes event
-// execution *inside* one simulation (conservative batching over
-// interference-disjoint owners) and must be invisible in the results —
-// the golden trajectories above stay bit-identical at any thread count.
-// tests/parallel_engine_test.cpp is the full parity suite; this folds the
-// sweep into the golden table itself.
-TEST(Determinism, GoldensHoldAtAnySimThreadCount) {
-  const Scenario sc = scenario1();
-  for (int threads : {2, 8}) {
-    SimConfig cfg = golden_config();
-    cfg.sim_threads = threads;
-    for (const Golden& g : kGolden) {
-      SCOPED_TRACE(testing::Message()
-                   << to_string(g.protocol) << " sim_threads=" << threads);
-      const RunResult r = run_scenario(sc, g.protocol, cfg);
-      EXPECT_EQ(r.delivered_per_subflow, g.delivered_per_subflow);
-      EXPECT_EQ(r.end_to_end_per_flow, g.end_to_end_per_flow);
-      EXPECT_EQ(r.total_end_to_end, g.total_end_to_end);
-      EXPECT_EQ(r.channel.frames_transmitted, g.frames_transmitted);
-    }
   }
 }
 

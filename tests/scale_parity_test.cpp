@@ -3,7 +3,9 @@
 // incremental clique store are exact replacements for the quadratic /
 // from-scratch code they displaced. Every suite sweeps >= 50 seeds and
 // asserts element-wise equality against an independent brute-force or
-// from-scratch oracle, including under fault-driven activity deltas.
+// from-scratch oracle, including under fault-driven activity deltas. A
+// threaded clique store (set_threads(4)) must also match the serial one id
+// for id, through updates large enough to take the threaded path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -90,7 +92,7 @@ bool brute_contend(const Topology& topo, const Subflow& a, const Subflow& b) {
   return false;
 }
 
-Scenario random_scenario(std::uint64_t seed) {
+GenConfig random_gen() {
   GenConfig gen;
   gen.min_nodes = 8;
   gen.max_nodes = 40;
@@ -101,6 +103,22 @@ Scenario random_scenario(std::uint64_t seed) {
   gen.density_m = 150.0;
   gen.p_faults = 0.0;  // faults are injected by hand below
   gen.p_loss = 0.0;
+  return gen;
+}
+
+Scenario random_scenario(std::uint64_t seed) {
+  return generate_scenario(seed, random_gen());
+}
+
+/// random_scenario with many more flows: 155-335 subflows over seeds
+/// 1-55, so activating the whole set dirties at least
+/// 2 * CliqueStore::kParallelSeedThreshold seeds and a threaded store
+/// takes its parallel enumeration path.
+Scenario many_flow_scenario(std::uint64_t seed) {
+  GenConfig gen = random_gen();
+  gen.min_nodes = 16;
+  gen.min_flows = 80;
+  gen.max_flows = 100;
   return generate_scenario(seed, gen);
 }
 
@@ -148,8 +166,25 @@ std::vector<std::vector<int>> scratch_cliques(const ContentionGraph& g,
   return maximal_cliques_in_subset(g, verts);
 }
 
+/// Same clique ids with the same members, and the same per-vertex id
+/// lists in the same order — the slab layout, not just the clique set.
+void expect_same_layout(const CliqueStore& a, const CliqueStore& b) {
+  ASSERT_EQ(a.clique_count(), b.clique_count());
+  for (int v = 0; v < a.graph().vertex_count(); ++v) {
+    ASSERT_EQ(a.cliques_of(v), b.cliques_of(v)) << "vertex " << v;
+    for (int id : a.cliques_of(v)) ASSERT_EQ(a.clique(id), b.clique(id)) << "id " << id;
+  }
+}
+
+void expect_same_stats(const CliqueStore::UpdateStats& a,
+                       const CliqueStore::UpdateStats& b) {
+  EXPECT_EQ(a.removed, b.removed);
+  EXPECT_EQ(a.added, b.added);
+  EXPECT_EQ(a.seeds, b.seeds);
+}
+
 TEST_P(ScaleParity, CliqueStoreMatchesFromScratchUnderRandomDeltas) {
-  const Scenario sc = random_scenario(GetParam());
+  const Scenario sc = many_flow_scenario(GetParam());
   FlowSet flows(sc.topo, sc.flow_specs);
   ContentionGraph g(sc.topo, flows);
   const int m = flows.subflow_count();
@@ -159,6 +194,15 @@ TEST_P(ScaleParity, CliqueStoreMatchesFromScratchUnderRandomDeltas) {
   CliqueStore store(g, active);
   EXPECT_EQ(store.cliques(), scratch_cliques(g, active)) << "seed " << GetParam();
 
+  // Threaded twin, built the way the runner builds it: all-inactive, then
+  // one update activates everything. Its clique ids, members and stats
+  // must match the serial store after every delta.
+  CliqueStore threaded(g, std::vector<char>(static_cast<std::size_t>(m), 0));
+  threaded.set_threads(4);
+  CliqueStore::UpdateStats ts = threaded.set_active(active);
+  int max_seeds = ts.seeds;
+  expect_same_layout(store, threaded);
+
   for (int round = 0; round < 8; ++round) {
     // Random batch of subflow-level toggles (flow churn).
     const int toggles = 1 + static_cast<int>(rng.uniform_u64(4));
@@ -166,10 +210,17 @@ TEST_P(ScaleParity, CliqueStoreMatchesFromScratchUnderRandomDeltas) {
       const int v = static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(m)));
       active[static_cast<std::size_t>(v)] ^= 1;
     }
-    store.set_active(active);
+    const CliqueStore::UpdateStats ss = store.set_active(active);
     ASSERT_EQ(store.cliques(), scratch_cliques(g, active))
         << "seed " << GetParam() << " round " << round;
+    ts = threaded.set_active(active);
+    max_seeds = std::max(max_seeds, ts.seeds);
+    SCOPED_TRACE(testing::Message() << "seed " << GetParam() << " round " << round);
+    expect_same_stats(ss, ts);
+    expect_same_layout(store, threaded);
   }
+  // At least one update was large enough to run on two or more workers.
+  EXPECT_GE(max_seeds, static_cast<int>(2 * CliqueStore::kParallelSeedThreshold));
 }
 
 TEST_P(ScaleParity, CliqueStoreMatchesFromScratchUnderFaultDeltas) {

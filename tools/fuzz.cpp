@@ -23,10 +23,6 @@
 //   differential:admission  the distributed admission gate admits an
 //                           arrival the centralized oracle twin rejects
 //                           (the gate must be as strict or stricter)
-//   differential:threads    the conservative parallel engine
-//                           (SimConfig::sim_threads > 1) produces a
-//                           RunResult that is not bit-identical to the
-//                           serial engine on the same scenario + seed
 //   crash            any unexpected exception out of run_scenario
 //
 // A failing scenario is greedily shrunk (drop flows, truncate paths, drop
@@ -106,9 +102,6 @@ struct Options {
   /// Elastic transports (AIMD / BBR) are drawn for a share of scenarios by
   /// default; --no-transport pins every source back to open-loop CBR.
   bool no_transport = false;
-  /// Intra-sim executor threads for the serial-vs-parallel differential
-  /// (differential:threads). 0 disables the axis entirely.
-  int sim_threads = 4;
   std::string out_dir = ".";
   std::string repro;  ///< When set, replay this file instead of fuzzing.
 };
@@ -125,10 +118,6 @@ struct CaseConfig {
   /// oversubscription exceeds the paper-scale calibration (worst observed
   /// at 1k-2k nodes: ~2.13 vs 1.46 at paper scale).
   double clique_envelope = 0.0;
-  /// Threads for the serial-vs-parallel engine differential. 1 disables it
-  /// (there is nothing to compare); checked runs are serial regardless,
-  /// because an armed CheckContext gates the parallel path off.
-  int sim_threads = 1;
 };
 
 struct Failure {
@@ -178,30 +167,6 @@ CheckConfig make_check_config(const CaseConfig& cc) {
 double flow_pps(const RunResult& r, int f) {
   return static_cast<double>(r.end_to_end_per_flow[f]) /
          std::max(r.sim_seconds, 1e-9);
-}
-
-/// Names the first diverging headline counter of two runs that failed
-/// whole-RunResult equality, for the failure message. The counters cover
-/// the usual suspects (event order, deliveries, channel activity); a
-/// divergence confined to some other field still reports, just generically.
-std::string divergence_summary(const RunResult& serial,
-                               const RunResult& parallel) {
-  if (serial.events_processed != parallel.events_processed)
-    return strformat("events_processed %llu vs %llu",
-                     static_cast<unsigned long long>(serial.events_processed),
-                     static_cast<unsigned long long>(parallel.events_processed));
-  if (serial.total_end_to_end != parallel.total_end_to_end)
-    return strformat("total_end_to_end %lld vs %lld",
-                     static_cast<long long>(serial.total_end_to_end),
-                     static_cast<long long>(parallel.total_end_to_end));
-  if (serial.channel.frames_transmitted != parallel.channel.frames_transmitted)
-    return strformat(
-        "frames_transmitted %llu vs %llu",
-        static_cast<unsigned long long>(serial.channel.frames_transmitted),
-        static_cast<unsigned long long>(parallel.channel.frames_transmitted));
-  if (serial.delivered_per_subflow != parallel.delivered_per_subflow)
-    return "delivered_per_subflow vectors differ";
-  return "RunResults differ outside the headline counters";
 }
 
 /// Runs one scenario under all protocols + differential oracles. Returns
@@ -285,41 +250,6 @@ std::optional<Failure> run_case(const Scenario& sc, const CaseConfig& cc,
                   ? "unknown"
                   : to_string(check.violations().front().category);
       return Failure{std::move(kind), proto, check.report()};
-    }
-  }
-
-  // Parallel-engine differential: re-run under the conservative parallel
-  // executor and demand a bit-identical RunResult. The serial baseline is
-  // the checked run above — observers are passive by contract, so a checked
-  // serial run equals an unchecked one (a hit here that no invariant oracle
-  // caught can therefore also mean a non-passive observer; the shrunk repro
-  // disambiguates). Scenarios whose features gate the engine serial anyway
-  // (fault plans, mobility, elastic transport) are skipped — there the pair
-  // would compare the serial engine against itself. Flow churn does NOT
-  // gate, so churn scenarios keep this axis. 2pa-dctrl always gates (the
-  // in-band control plane is order-sensitive), so only the oracle-pushed
-  // protocols are paired.
-  if (cc.sim_threads > 1 && sc.faults.empty() && sc.mobility.empty() &&
-      sc.transport == TransportKind::kCbr) {
-    for (Protocol proto :
-         {Protocol::k2paCentralized, Protocol::k2paDistributed}) {
-      const auto serial = results.find(proto);
-      if (serial == results.end()) continue;  // infeasible centralized solve
-      SimConfig sim = make_sim_config(cc, nullptr);
-      sim.sim_threads = cc.sim_threads;
-      try {
-        const RunResult parallel = run_scenario(sc, proto, sim);
-        if (!(serial->second == parallel))
-          return Failure{
-              "differential:threads", proto,
-              strformat("sim_threads=%d diverges from serial: %s",
-                        cc.sim_threads,
-                        divergence_summary(serial->second, parallel).c_str())};
-      } catch (const std::exception& e) {
-        return Failure{"crash", proto,
-                       strformat("sim_threads=%d: %s", cc.sim_threads,
-                                 e.what())};
-      }
     }
   }
 
@@ -538,22 +468,6 @@ ShrinkResult shrink_case(Scenario sc, CaseConfig cc, const Failure& orig) {
   while (progress) {
     progress = false;
 
-    // Drop the parallel executor first: every oracle but the threads
-    // differential runs the engine serially anyway, so when the failure
-    // survives at sim_threads=1 all remaining shrink runs skip the
-    // serial-vs-parallel pair (halving their cost) and the repro records
-    // that threads were irrelevant. A differential:threads failure rejects
-    // this edit by construction — disabling the axis loses the signature.
-    if (cc.sim_threads > 1) {
-      CaseConfig cand = cc;
-      cand.sim_threads = 1;
-      if (still_fails(sc, cand)) {
-        cc = cand;
-        progress = true;
-        continue;
-      }
-    }
-
     // Drop one flow (keep at least one); its activity window goes with it.
     for (std::size_t i = 0; sc.flow_specs.size() > 1 && i < sc.flow_specs.size();
          ++i) {
@@ -663,10 +577,9 @@ ShrinkResult shrink_case(Scenario sc, CaseConfig cc, const Failure& orig) {
 std::string repro_text(const Scenario& sc, const CaseConfig& cc,
                        const Failure& f) {
   std::string out = strformat(
-      "# fuzz: sim-seed=%llu seconds=%.17g warmup=%.17g inject-bug=%d "
-      "sim-threads=%d\n",
+      "# fuzz: sim-seed=%llu seconds=%.17g warmup=%.17g inject-bug=%d\n",
       static_cast<unsigned long long>(cc.sim_seed), cc.seconds, cc.warmup,
-      cc.inject_bug ? 1 : 0, cc.sim_threads);
+      cc.inject_bug ? 1 : 0);
   out += strformat("# fuzz: failure=%s protocol=%s\n", f.kind.c_str(),
                    to_string(f.protocol));
   // Only one line of the (possibly multi-line) report, for context.
@@ -693,8 +606,6 @@ CaseConfig parse_repro_header(const std::string& text) {
       else if (key == "seconds") cc.seconds = std::strtod(val.c_str(), nullptr);
       else if (key == "warmup") cc.warmup = std::strtod(val.c_str(), nullptr);
       else if (key == "inject-bug") cc.inject_bug = val != "0";
-      else if (key == "sim-threads")
-        cc.sim_threads = std::max(1, std::atoi(val.c_str()));
     }
   }
   return cc;
@@ -740,8 +651,6 @@ int usage() {
       "  --flows N        synthetic scale: exactly N flows per scenario\n"
       "  --no-churn       disable flow-churn / mobility generation\n"
       "  --no-transport   pin every scenario to open-loop CBR sources\n"
-      "  --sim-threads N  intra-sim threads for the serial-vs-parallel\n"
-      "                   engine differential (default 4; 0 disables)\n"
       "  --inject-bug     arm the off-by-one queue-capacity oracle\n"
       "  --expect-violation  exit 0 iff a violation was found (self-test)\n"
       "  --repro FILE     replay one repro file and exit\n"
@@ -756,7 +665,6 @@ int run(const Options& opt) {
   cc.seconds = opt.seconds;
   cc.warmup = opt.warmup;
   cc.inject_bug = opt.inject_bug;
-  cc.sim_threads = std::max(1, opt.sim_threads);
   if (opt.nodes > 100) cc.clique_envelope = 3.0;
 
   GenConfig gen;
@@ -901,10 +809,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage();
       opt.flows = std::atoi(v);
-    } else if (arg == "--sim-threads") {
-      const char* v = next();
-      if (!v) return usage();
-      opt.sim_threads = std::atoi(v);
     } else if (arg == "--max-failures") {
       const char* v = next();
       if (!v) return usage();
@@ -938,7 +842,7 @@ int main(int argc, char** argv) {
     }
   }
   if (opt.iters <= 0 || opt.seconds <= 0 || opt.warmup < 0 ||
-      opt.max_failures <= 0 || opt.sim_threads < 0) {
+      opt.max_failures <= 0) {
     std::fprintf(stderr, "fuzz: invalid numeric option\n");
     return usage();
   }
