@@ -4,7 +4,9 @@
 #include "alloc/centralized.hpp"
 #include "alloc/distributed.hpp"
 #include "alloc/two_tier.hpp"
+#include "contention/cliques.hpp"
 #include "lp/simplex.hpp"
+#include "net/scenario_gen.hpp"
 #include "net/scenarios.hpp"
 #include "util/rng.hpp"
 
@@ -58,6 +60,37 @@ void BM_DistributedAllocateScenario2(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(distributed_allocate(sc.topo, flows, g));
 }
 BENCHMARK(BM_DistributedAllocateScenario2);
+
+/// Network 0 of perfbench's cold_start batch: 300 nodes, 40 flows of at
+/// most three hops. Its LPs (a 40-variable centralized problem, 40 local
+/// ones) are where the balanced refinement's cost shows.
+Scenario cold_start_network() {
+  GenConfig gen;
+  gen.min_nodes = gen.max_nodes = 300;
+  gen.min_flows = gen.max_flows = 40;
+  gen.max_hops = 3;
+  gen.p_faults = 0.0;
+  gen.p_loss = 0.0;
+  gen.density_m = 160.0;
+  return generate_scenario(0, gen);
+}
+
+void BM_CentralizedAllocateColdStart(benchmark::State& state) {
+  const Scenario sc = cold_start_network();
+  FlowSet flows(sc.topo, sc.flow_specs);
+  ContentionGraph g(sc.topo, flows);
+  const auto cliques = maximal_cliques(g);
+  for (auto _ : state) benchmark::DoNotOptimize(centralized_allocate(g, &cliques));
+}
+BENCHMARK(BM_CentralizedAllocateColdStart)->Unit(benchmark::kMillisecond);
+
+void BM_DistributedAllocateColdStart(benchmark::State& state) {
+  const Scenario sc = cold_start_network();
+  FlowSet flows(sc.topo, sc.flow_specs);
+  ContentionGraph g(sc.topo, flows);
+  for (auto _ : state) benchmark::DoNotOptimize(distributed_allocate(sc.topo, flows, g));
+}
+BENCHMARK(BM_DistributedAllocateColdStart)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace e2efa

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 
 #include "util/assert.hpp"
 
@@ -11,14 +13,16 @@ namespace {
 
 constexpr double kTol = 1e-7;
 
-/// Builds the base problem: n share variables (+1 trailing variable for the
-/// max-min passes when with_t). Capacity rows and x_i <= 1 safety rows.
-LpProblem base_problem(const ShareLp& lp, double min_scale, bool with_t) {
+}  // namespace
+
+namespace detail {
+
+LpProblem base_problem(const ShareLp& lp, double scale, bool with_t) {
   const int n = static_cast<int>(lp.weights.size());
   const int nv = n + (with_t ? 1 : 0);
   LpProblem p(nv);
   for (int i = 0; i < n; ++i)
-    p.set_lower_bound(i, lp.lower_bounds[static_cast<std::size_t>(i)] * min_scale);
+    p.set_lower_bound(i, lp.lower_bounds[static_cast<std::size_t>(i)] * scale);
   for (const auto& row : lp.capacity_rows) {
     E2EFA_ASSERT(static_cast<int>(row.size()) == n);
     std::vector<double> coeffs(static_cast<std::size_t>(nv), 0.0);
@@ -34,32 +38,44 @@ LpProblem base_problem(const ShareLp& lp, double min_scale, bool with_t) {
   return p;
 }
 
-bool feasible_at_scale(const ShareLp& lp, double scale) {
-  LpProblem p = base_problem(lp, scale, /*with_t=*/false);
-  // Any objective; we only care about feasibility.
-  LpSolution s = solve_lp(p);
-  return s.status == LpStatus::kOptimal;
+bool floors_fit_at_scale(const ShareLp& lp, double scale) {
+  const std::size_t n = lp.lower_bounds.size();
+  // The tableau's shifted rhs b = 1 − Σ c·lb, subtracted in column order;
+  // a row with b < 0 gets an artificial of value −b, summed in row order.
+  double artificial_sum = 0.0;
+  for (const auto& row : lp.capacity_rows) {
+    double b = 1.0;
+    for (std::size_t i = 0; i < n; ++i) b -= row[i] * (lp.lower_bounds[i] * scale);
+    if (b < 0) artificial_sum += -b;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const double b = 1.0 - lp.lower_bounds[i] * scale;
+    if (b < 0) artificial_sum += -b;
+  }
+  return !(artificial_sum > SimplexOptions{}.epsilon);
 }
 
-}  // namespace
-
-ShareLpResult solve_share_lp(const ShareLp& lp) {
+ShareLpResult solve_share_lp(const ShareLp& lp, const SkippedHeadroomFn& on_skip) {
   const int n = static_cast<int>(lp.weights.size());
   E2EFA_ASSERT(n >= 1);
   E2EFA_ASSERT(lp.lower_bounds.size() == lp.weights.size());
   for (double w : lp.weights) E2EFA_ASSERT(w > 0.0);
+  for (const auto& row : lp.capacity_rows) {
+    E2EFA_ASSERT(static_cast<int>(row.size()) == n);
+    for (double c : row) E2EFA_ASSERT_MSG(c >= 0.0, "capacity coefficients must be non-negative");
+  }
 
   ShareLpResult out;
 
   // Relax the lower bounds if they are jointly infeasible (possible in the
   // distributed algorithm where a node over-estimates local basic shares).
+  // At scale 0 every row has slack 1, so lo stays feasible throughout.
   double scale = 1.0;
-  if (!feasible_at_scale(lp, 1.0)) {
+  if (!floors_fit_at_scale(lp, 1.0)) {
     double lo = 0.0, hi = 1.0;
-    E2EFA_ASSERT_MSG(feasible_at_scale(lp, 0.0), "capacity rows alone infeasible");
     for (int it = 0; it < 50; ++it) {
       const double mid = 0.5 * (lo + hi);
-      (feasible_at_scale(lp, mid) ? lo : hi) = mid;
+      (floors_fit_at_scale(lp, mid) ? lo : hi) = mid;
     }
     scale = lo;
   }
@@ -113,43 +129,86 @@ ShareLpResult solve_share_lp(const ShareLp& lp) {
 
   int free_count = n;
   std::vector<double> x = best.x;
+  // Per level: the largest x_i among the witness points, and the measured
+  // headroom of each free variable (NaN when its test was skipped).
+  std::vector<double> witness(static_cast<std::size_t>(n));
+  std::vector<double> headroom(static_cast<std::size_t>(n));
+  constexpr double kUnmeasured = std::numeric_limits<double>::quiet_NaN();
   while (free_count > 0) {
     // Maximize the minimum weighted share t among free variables.
     LpProblem q = build_refine_problem(/*with_t=*/true, 0.0);
     q.set_objective(n, 1.0);
     LpSolution st = solve_lp(q);
-    if (st.status != LpStatus::kOptimal) break;  // keep current x (tolerances)
+    if (st.status != LpStatus::kOptimal) {  // keep current x (tolerances)
+      ++out.refine_failures;
+      break;
+    }
     const double t_star = st.x[static_cast<std::size_t>(n)];
+    std::copy_n(st.x.begin(), n, witness.begin());
+
+    // The level's headroom LP, rebuilt only after a fix changes the face.
+    // Its objective is x_i while variable i is tested, zero otherwise.
+    std::optional<LpProblem> face;
+    auto headroom_lp = [&](int i) -> LpProblem& {
+      if (!face) face.emplace(build_refine_problem(/*with_t=*/false, t_star));
+      face->set_objective(i, 1.0);
+      return *face;
+    };
+    auto measure = [&](int i) {
+      const LpSolution si = solve_lp(headroom_lp(i));
+      face->set_objective(i, 0.0);
+      if (si.status != LpStatus::kOptimal) {
+        ++out.refine_failures;
+        return 0.0;
+      }
+      for (int j = 0; j < n; ++j)
+        witness[static_cast<std::size_t>(j)] =
+            std::max(witness[static_cast<std::size_t>(j)], si.x[static_cast<std::size_t>(j)]);
+      return si.objective - lp.weights[static_cast<std::size_t>(i)] * t_star;
+    };
+    auto fix = [&](int i) {
+      fixed[static_cast<std::size_t>(i)] = true;
+      fixed_value[static_cast<std::size_t>(i)] = lp.weights[static_cast<std::size_t>(i)] * t_star;
+      --free_count;
+      face.reset();
+    };
 
     // Fix every free variable that cannot rise above w_i * t_star.
     int newly_fixed = 0;
-    int argmin = -1;
-    double argmin_head = std::numeric_limits<double>::infinity();
     for (int i = 0; i < n; ++i) {
       if (fixed[static_cast<std::size_t>(i)]) continue;
-      LpProblem qi = build_refine_problem(/*with_t=*/false, t_star);
-      qi.set_objective(i, 1.0);
-      LpSolution si = solve_lp(qi);
       const double target = lp.weights[static_cast<std::size_t>(i)] * t_star;
-      const double headroom =
-          si.status == LpStatus::kOptimal ? si.objective - target : 0.0;
-      if (headroom <= 10 * kTol) {
-        fixed[static_cast<std::size_t>(i)] = true;
-        fixed_value[static_cast<std::size_t>(i)] = target;
+      if (witness[static_cast<std::size_t>(i)] - target > 100 * kTol) {
+        headroom[static_cast<std::size_t>(i)] = kUnmeasured;
+        if (on_skip) {
+          on_skip(headroom_lp(i), i, target);
+          face->set_objective(i, 0.0);
+        }
+        continue;
+      }
+      headroom[static_cast<std::size_t>(i)] = measure(i);
+      if (headroom[static_cast<std::size_t>(i)] <= 10 * kTol) {
+        fix(i);
         ++newly_fixed;
-        --free_count;
-      } else if (headroom < argmin_head) {
-        argmin_head = headroom;
-        argmin = i;
       }
     }
     if (newly_fixed == 0) {
       // Numerical guard: force progress by fixing the tightest variable.
+      // Nothing was fixed, so the face is unchanged and the skipped tests
+      // can be measured now.
+      int argmin = -1;
+      double argmin_head = std::numeric_limits<double>::infinity();
+      for (int i = 0; i < n; ++i) {
+        if (fixed[static_cast<std::size_t>(i)]) continue;
+        double& h = headroom[static_cast<std::size_t>(i)];
+        if (std::isnan(h)) h = measure(i);
+        if (h < argmin_head) {
+          argmin_head = h;
+          argmin = i;
+        }
+      }
       E2EFA_ASSERT(argmin >= 0);
-      fixed[static_cast<std::size_t>(argmin)] = true;
-      fixed_value[static_cast<std::size_t>(argmin)] =
-          lp.weights[static_cast<std::size_t>(argmin)] * t_star;
-      --free_count;
+      fix(argmin);
     }
     x = st.x;
     x.resize(static_cast<std::size_t>(n));
@@ -163,6 +222,8 @@ ShareLpResult solve_share_lp(const ShareLp& lp) {
     if (sf.status == LpStatus::kOptimal) {
       x = sf.x;
       x.resize(static_cast<std::size_t>(n));
+    } else {
+      ++out.refine_failures;
     }
   }
 
@@ -172,5 +233,9 @@ ShareLpResult solve_share_lp(const ShareLp& lp) {
   for (double v : out.shares) out.total += v;
   return out;
 }
+
+}  // namespace detail
+
+ShareLpResult solve_share_lp(const ShareLp& lp) { return detail::solve_share_lp(lp, {}); }
 
 }  // namespace e2efa

@@ -20,9 +20,10 @@ const char* to_string(LpStatus s) {
 
 namespace {
 
-/// Dense tableau with Bland's rule. Columns: [structural | slack/surplus |
-/// artificial | rhs]. The objective row stores negated reduced costs; a
-/// column enters while its entry is < -eps.
+/// Dense tableau with Bland's rule, stored row-major in one contiguous
+/// array. Columns: [structural | slack/surplus | artificial | rhs]. The
+/// objective row stores negated reduced costs; a column enters while its
+/// entry is < -eps.
 class Tableau {
  public:
   Tableau(const LpProblem& p, const SimplexOptions& opt) : opt_(opt) {
@@ -34,59 +35,62 @@ class Tableau {
     obj_shift_ = 0.0;
     for (int i = 0; i < n; ++i) obj_shift_ += p.objective()[i] * lb[i];
 
+    // Shifted right-hand sides, normalized to be nonnegative: a row with a
+    // negative rhs is negated and its relation flipped.
     struct Row {
-      std::vector<double> a;
       Relation rel;
       double b;
+      bool negated;
     };
+    const auto& cons = p.constraints();
     std::vector<Row> rows;
-    rows.reserve(p.constraints().size());
-    for (const auto& c : p.constraints()) {
+    rows.reserve(cons.size());
+    int n_slack = 0, n_art = 0;
+    for (const auto& c : cons) {
       E2EFA_ASSERT_MSG(static_cast<int>(c.coeffs.size()) == n, "constraint arity mismatch");
-      Row r{c.coeffs, c.rel, c.rhs};
+      Row r{c.rel, c.rhs, false};
       for (int i = 0; i < n; ++i) r.b -= c.coeffs[i] * lb[i];
-      if (r.b < 0) {  // Normalize to nonnegative rhs.
-        for (double& a : r.a) a = -a;
+      if (r.b < 0) {
         r.b = -r.b;
+        r.negated = true;
         r.rel = r.rel == Relation::kLessEq    ? Relation::kGreaterEq
                 : r.rel == Relation::kGreaterEq ? Relation::kLessEq
                                                 : Relation::kEqual;
       }
-      rows.push_back(std::move(r));
+      if (r.rel != Relation::kEqual) ++n_slack;
+      if (r.rel != Relation::kLessEq) ++n_art;
+      rows.push_back(r);
     }
 
     m_ = static_cast<int>(rows.size());
     n_struct_ = n;
-    int n_slack = 0, n_art = 0;
-    for (const auto& r : rows) {
-      if (r.rel != Relation::kEqual) ++n_slack;
-      if (r.rel != Relation::kLessEq) ++n_art;
-    }
     n_slack_ = n_slack;
     n_art_ = n_art;
     cols_ = n_struct_ + n_slack_ + n_art_ + 1;  // + rhs
-    t_.assign(static_cast<std::size_t>(m_ + 1), std::vector<double>(static_cast<std::size_t>(cols_), 0.0));
+    t_.assign(static_cast<std::size_t>(m_ + 1) * static_cast<std::size_t>(cols_), 0.0);
     basis_.assign(static_cast<std::size_t>(m_), -1);
 
     int slack_at = n_struct_;
     int art_at = n_struct_ + n_slack_;
     for (int i = 0; i < m_; ++i) {
-      auto& row = t_[static_cast<std::size_t>(i)];
-      for (int j = 0; j < n_struct_; ++j) row[static_cast<std::size_t>(j)] = rows[static_cast<std::size_t>(i)].a[static_cast<std::size_t>(j)];
-      row[static_cast<std::size_t>(cols_ - 1)] = rows[static_cast<std::size_t>(i)].b;
-      switch (rows[static_cast<std::size_t>(i)].rel) {
+      const Row& r = rows[static_cast<std::size_t>(i)];
+      const auto& a = cons[static_cast<std::size_t>(i)].coeffs;
+      double* row = row_at(i);
+      for (int j = 0; j < n_struct_; ++j) row[j] = r.negated ? -a[static_cast<std::size_t>(j)] : a[static_cast<std::size_t>(j)];
+      row[cols_ - 1] = r.b;
+      switch (r.rel) {
         case Relation::kLessEq:
-          row[static_cast<std::size_t>(slack_at)] = 1.0;
+          row[slack_at] = 1.0;
           basis_[static_cast<std::size_t>(i)] = slack_at++;
           break;
         case Relation::kGreaterEq:
-          row[static_cast<std::size_t>(slack_at)] = -1.0;
+          row[slack_at] = -1.0;
           ++slack_at;
-          row[static_cast<std::size_t>(art_at)] = 1.0;
+          row[art_at] = 1.0;
           basis_[static_cast<std::size_t>(i)] = art_at++;
           break;
         case Relation::kEqual:
-          row[static_cast<std::size_t>(art_at)] = 1.0;
+          row[art_at] = 1.0;
           basis_[static_cast<std::size_t>(i)] = art_at++;
           break;
       }
@@ -95,31 +99,28 @@ class Tableau {
 
   /// Runs both phases. Returns the status; fills x/objective on optimal.
   LpStatus solve(const LpProblem& p, LpSolution& out) {
+    double* obj = row_at(m_);
     // ---- Phase 1: minimize the sum of artificials. ----
     if (n_art_ > 0) {
-      auto& obj = t_[static_cast<std::size_t>(m_)];
-      std::fill(obj.begin(), obj.end(), 0.0);
-      for (int j = art_begin(); j < art_end(); ++j) obj[static_cast<std::size_t>(j)] = 1.0;
+      std::fill(obj, obj + cols_, 0.0);
+      for (int j = art_begin(); j < art_end(); ++j) obj[j] = 1.0;
       // Zero out reduced costs of the (artificial) basis.
       for (int i = 0; i < m_; ++i) {
         if (is_artificial(basis_[static_cast<std::size_t>(i)])) subtract_row(m_, i, 1.0);
       }
       const LpStatus s = pivot_loop(out);
       if (s != LpStatus::kOptimal) return s;  // iteration limit (phase 1 can't be unbounded)
-      const double art_sum = -t_[static_cast<std::size_t>(m_)][static_cast<std::size_t>(cols_ - 1)];
+      const double art_sum = -obj[cols_ - 1];
       if (art_sum > opt_.epsilon) return LpStatus::kInfeasible;
       drive_out_artificials();
     }
 
     // ---- Phase 2: maximize the real objective. ----
-    auto& obj = t_[static_cast<std::size_t>(m_)];
-    std::fill(obj.begin(), obj.end(), 0.0);
-    for (int j = 0; j < n_struct_; ++j) obj[static_cast<std::size_t>(j)] = -p.objective()[static_cast<std::size_t>(j)];
+    std::fill(obj, obj + cols_, 0.0);
+    for (int j = 0; j < n_struct_; ++j) obj[j] = -p.objective()[static_cast<std::size_t>(j)];
     for (int i = 0; i < m_; ++i) {
       const int b = basis_[static_cast<std::size_t>(i)];
-      if (b >= 0 && std::abs(obj[static_cast<std::size_t>(b)]) > 0.0) {
-        subtract_row(m_, i, obj[static_cast<std::size_t>(b)]);
-      }
+      if (b >= 0 && std::abs(obj[b]) > 0.0) subtract_row(m_, i, obj[b]);
     }
     const LpStatus s = pivot_loop(out);
     if (s != LpStatus::kOptimal) return s;
@@ -127,12 +128,11 @@ class Tableau {
     out.x.assign(static_cast<std::size_t>(n_struct_), 0.0);
     for (int i = 0; i < m_; ++i) {
       const int b = basis_[static_cast<std::size_t>(i)];
-      if (b >= 0 && b < n_struct_)
-        out.x[static_cast<std::size_t>(b)] = t_[static_cast<std::size_t>(i)][static_cast<std::size_t>(cols_ - 1)];
+      if (b >= 0 && b < n_struct_) out.x[static_cast<std::size_t>(b)] = row_at(i)[cols_ - 1];
     }
     // Undo the lower-bound shift.
     for (int j = 0; j < n_struct_; ++j) out.x[static_cast<std::size_t>(j)] += p.lower_bounds()[static_cast<std::size_t>(j)];
-    out.objective = t_[static_cast<std::size_t>(m_)][static_cast<std::size_t>(cols_ - 1)] + obj_shift_;
+    out.objective = obj[cols_ - 1] + obj_shift_;
     return LpStatus::kOptimal;
   }
 
@@ -141,21 +141,31 @@ class Tableau {
   int art_end() const { return n_struct_ + n_slack_ + n_art_; }
   bool is_artificial(int col) const { return col >= art_begin() && col < art_end(); }
 
+  double* row_at(int i) { return t_.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(cols_); }
+  double at(int i, int j) const { return t_[static_cast<std::size_t>(i) * static_cast<std::size_t>(cols_) + static_cast<std::size_t>(j)]; }
+
   /// row[target] -= factor * row[src]
   void subtract_row(int target, int src, double factor) {
-    auto& tr = t_[static_cast<std::size_t>(target)];
-    const auto& sr = t_[static_cast<std::size_t>(src)];
-    for (int j = 0; j < cols_; ++j) tr[static_cast<std::size_t>(j)] -= factor * sr[static_cast<std::size_t>(j)];
+    double* tr = row_at(target);
+    const double* sr = row_at(src);
+    for (int j = 0; j < cols_; ++j) tr[j] -= factor * sr[j];
   }
 
+  /// Eliminates `col` from every other row. Only the pivot row's nonzero
+  /// columns are touched: subtracting f·0 leaves an entry's value as is.
   void pivot(int row, int col) {
-    auto& pr = t_[static_cast<std::size_t>(row)];
-    const double pv = pr[static_cast<std::size_t>(col)];
-    for (int j = 0; j < cols_; ++j) pr[static_cast<std::size_t>(j)] /= pv;
+    double* pr = row_at(row);
+    const double pv = pr[col];
+    for (int j = 0; j < cols_; ++j) pr[j] /= pv;
+    nonzero_.clear();
+    for (int j = 0; j < cols_; ++j)
+      if (pr[j] != 0.0) nonzero_.push_back(j);
     for (int i = 0; i <= m_; ++i) {
       if (i == row) continue;
-      const double f = t_[static_cast<std::size_t>(i)][static_cast<std::size_t>(col)];
-      if (std::abs(f) > 0.0) subtract_row(i, row, f);
+      double* r = row_at(i);
+      const double f = r[col];
+      if (std::abs(f) > 0.0)
+        for (int j : nonzero_) r[j] -= f * pr[j];
     }
     basis_[static_cast<std::size_t>(row)] = col;
   }
@@ -164,14 +174,14 @@ class Tableau {
   bool column_blocked(int col) const { return phase2_block_artificials_ && is_artificial(col); }
 
   LpStatus pivot_loop(LpSolution& out) {
-    const auto& obj = t_[static_cast<std::size_t>(m_)];
+    const double* obj = row_at(m_);
     for (;;) {
       if (out.iterations >= opt_.max_iterations) return LpStatus::kIterationLimit;
       // Bland's rule: entering column = smallest index with negative cost.
       int enter = -1;
       for (int j = 0; j < cols_ - 1; ++j) {
         if (column_blocked(j)) continue;
-        if (obj[static_cast<std::size_t>(j)] < -opt_.epsilon) {
+        if (obj[j] < -opt_.epsilon) {
           enter = j;
           break;
         }
@@ -182,9 +192,9 @@ class Tableau {
       int leave = -1;
       double best_ratio = std::numeric_limits<double>::infinity();
       for (int i = 0; i < m_; ++i) {
-        const double a = t_[static_cast<std::size_t>(i)][static_cast<std::size_t>(enter)];
+        const double a = at(i, enter);
         if (a > opt_.epsilon) {
-          const double ratio = t_[static_cast<std::size_t>(i)][static_cast<std::size_t>(cols_ - 1)] / a;
+          const double ratio = at(i, cols_ - 1) / a;
           if (ratio < best_ratio - opt_.epsilon ||
               (ratio < best_ratio + opt_.epsilon &&
                (leave == -1 || basis_[static_cast<std::size_t>(i)] < basis_[static_cast<std::size_t>(leave)]))) {
@@ -208,7 +218,7 @@ class Tableau {
       if (!is_artificial(basis_[static_cast<std::size_t>(i)])) continue;
       int col = -1;
       for (int j = 0; j < art_begin(); ++j) {
-        if (std::abs(t_[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]) > opt_.epsilon) {
+        if (std::abs(at(i, j)) > opt_.epsilon) {
           col = j;
           break;
         }
@@ -225,7 +235,8 @@ class Tableau {
   int n_art_ = 0;
   int cols_ = 0;  ///< Total columns incl. rhs.
   double obj_shift_ = 0.0;
-  std::vector<std::vector<double>> t_;  ///< m_+1 rows (last = objective).
+  std::vector<double> t_;  ///< (m_+1) x cols_, row-major (last row = objective).
+  std::vector<int> nonzero_;  ///< The pivot row's nonzero columns (reused buffer).
   std::vector<int> basis_;
   bool phase2_block_artificials_ = false;
 };

@@ -4,8 +4,10 @@
 // with the Simplex algorithm"; this is that solver, built from scratch:
 // a tableau implementation with Bland's anti-cycling rule, artificial
 // variables for >= / == rows (phase 1), and explicit infeasible/unbounded
-// detection. Problem sizes here are tiny (tens of variables), so the dense
-// O(m·n) pivots are more than fast enough — see bench/micro_simplex.
+// detection. The tableau is one contiguous row-major array; a pivot touches
+// only the pivot row's nonzero columns, but each pivot is still O(m·n) and
+// Bland's rule needs many of them, so the balanced refinement's LPs
+// (alloc/refine.hpp) dominate phase-1 time — see bench/micro_simplex.
 #pragma once
 
 #include <string>

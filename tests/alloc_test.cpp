@@ -305,7 +305,9 @@ TEST(Distributed, Scenario1IsConservative) {
   const auto d = distributed_allocate(b.sc.topo, b.flows, b.graph);
   EXPECT_NEAR(d.allocation.flow_share[0], 1.0 / 3.0, kTol);
   EXPECT_NEAR(d.allocation.flow_share[1], 1.0 / 4.0, kTol);
-  EXPECT_NEAR(d.locals[0].min_relaxation, 2.0 / 3.0, 1e-4);
+  // The 50-step bisection's last feasible midpoint, bit for bit: the
+  // phase-1 tolerance (1e-9) lets it sit just above 2/3.
+  EXPECT_EQ(d.locals[0].min_relaxation, 0x1.5555555b0f59p-1);
   EXPECT_NEAR(d.locals[1].min_relaxation, 1.0, kTol);
   // Still globally feasible and basic-fair.
   EXPECT_TRUE(satisfies_clique_capacity(b.graph, d.allocation.subflow_share));
