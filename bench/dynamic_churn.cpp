@@ -13,7 +13,7 @@ using namespace e2efa;
 int main(int argc, char** argv) {
   auto args = benchutil::parse_args(argc, argv);
   if (args.seconds == 1000.0) args.seconds = 180.0;
-  const Scenario sc = scenario1();
+  Scenario sc = scenario1();
 
   SimConfig cfg;
   cfg.sim_seconds = args.seconds;
@@ -22,13 +22,13 @@ int main(int argc, char** argv) {
   cfg.sample_interval_seconds = args.seconds / 18.0;
 
   const double t1 = args.seconds / 3.0, t2 = 2.0 * args.seconds / 3.0;
-  const std::vector<FlowActivity> act{{0.0, 1e300}, {t1, t2}};
+  sc.activity = {{0.0, 1e300}, {t1, t2}};
 
   std::cout << "Dynamic churn — scenario 1, F2 active only in [" << t1 << ", " << t2
             << ") s of " << args.seconds << " s\n\n";
 
   for (Protocol p : {Protocol::k2paCentralized, Protocol::k80211}) {
-    const RunResult r = run_scenario(sc, p, cfg, act);
+    const RunResult r = run_scenario(sc, p, cfg);
     std::cout << to_string(p) << ":\n";
     if (r.has_target || !r.epoch_starts_s.empty()) {
       std::cout << "  epochs:";

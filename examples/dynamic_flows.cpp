@@ -15,18 +15,18 @@
 using namespace e2efa;
 
 int main() {
-  const Scenario sc = scenario1();
+  Scenario sc = scenario1();
 
   SimConfig cfg;
   cfg.sim_seconds = 120.0;
   cfg.sample_interval_seconds = 10.0;
 
-  const std::vector<FlowActivity> activity{
+  sc.activity = {
       {0.0, 1e300},   // F1: always on
       {40.0, 80.0},   // F2: joins at 40 s, leaves at 80 s
   };
 
-  const RunResult r = run_scenario(sc, Protocol::k2paCentralized, cfg, activity);
+  const RunResult r = run_scenario(sc, Protocol::k2paCentralized, cfg);
 
   std::cout << "Dynamic flows on the Fig.-1 topology (F2 active in [40, 80) s)\n\n";
   std::cout << "Re-computed allocations:\n";

@@ -100,7 +100,7 @@ void AllocAgent::reconfigure(TimeNs now) {
     // managed lanes bootstrap from the local basic estimate until a RATE
     // (or an own solve) arrives.
     for (const auto& [f, fc] : flows_ctrl_)
-      if (next.find(f) == next.end()) set_lane(f, fc.hop, cfg_.inactive_share);
+      if (next.find(f) == next.end()) set_lane(f, fc.hop, TagScheduler::kInactiveShare);
     for (const auto& [f, fc] : next)
       if (flows_ctrl_.find(f) == flows_ctrl_.end())
         set_lane(f, fc.hop, local_basic_estimate(f));

@@ -65,9 +65,6 @@ struct CtrlConfig {
   int piggyback_max_ids = 8;
   /// Skip optional sends while this many control frames are still queued.
   int max_backlog = 16;
-  /// Share applied to lanes of flows that went inactive (matches the
-  /// runner's kInactiveShare floor; TagScheduler shares must stay > 0).
-  double inactive_share = 1e-6;
   /// Loss-hardened mode. Off (default) the control plane is exactly the
   /// PR 4 fire-and-forget protocol (bit-identical goldens); on — the runner
   /// enables it automatically for runs with faults, churn, or mobility —

@@ -368,7 +368,8 @@ std::string format_run_result(const Scenario& sc, const RunResult& r,
   os << "\ntotal end-to-end " << r.total_end_to_end << " pkts, lost "
      << r.lost_packets << " (ratio " << strformat("%.4f", r.loss_ratio) << "), "
      << r.channel.frames_transmitted << " frames on air, "
-     << r.channel.frames_corrupted << " corrupted\n";
+     << r.channel.frames_corrupted << " corrupted, " << r.events_processed
+     << " events\n";
 
   if (r.protocol == Protocol::k2paDistributedCtrl) {
     os << "\nin-band control plane: " << r.ctrl.ctrl_frames << " ctrl frames ("

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "alloc/centralized.hpp"
@@ -51,186 +52,264 @@ double RunResult::measured_subflow_share(int s, std::int64_t bps, int payload_by
 
 namespace {
 
-/// Share given to lanes of flows that are currently inactive (they carry no
-/// traffic; a tiny positive value keeps the scheduler's invariants).
-constexpr double kInactiveShare = 1e-6;
+using std::size_t;
 
-/// Phase-1 dispatch over an arbitrary flow set. Sets *has_target false for
-/// plain 802.11 (no allocation). For the centralized family a solve whose
-/// basic-share floors had to be relaxed (min_relaxation < 1: the clique
-/// rows cannot carry every flow's basic share) reports kInfeasible — the
-/// distributed form keeps its by-design local relaxations.
-LpStatus compute_allocation(Protocol proto, const Topology& topo, const FlowSet& flows,
-                            const TopologyMask* mask, Allocation* out,
-                            bool* has_target,
-                            const std::vector<std::vector<int>>* cliques = nullptr) {
-  *has_target = false;
-  if (proto == Protocol::k80211) return LpStatus::kOptimal;
-  ContentionGraph graph(topo, flows);
-  switch (proto) {
-    case Protocol::kTwoTier: {
-      const TwoTierResult r = two_tier_allocate(graph, cliques);
-      if (r.status != LpStatus::kOptimal) return r.status;
-      if (r.min_relaxation < 1.0 - 1e-9) return LpStatus::kInfeasible;
-      *out = r.allocation;
-      *has_target = true;
-      return LpStatus::kOptimal;
-    }
-    case Protocol::kTwoTierBalanced:
-      *out = maxmin_allocate_subflows(graph, {}, cliques).allocation;
-      *has_target = true;
-      return LpStatus::kOptimal;
-    case Protocol::kMaxMin:
-      *out = maxmin_allocate(graph, {}, cliques).allocation;
-      *has_target = true;
-      return LpStatus::kOptimal;
-    case Protocol::k2paCentralized:
-    case Protocol::k2paStaticCw: {
-      const CentralizedResult r = centralized_allocate(graph, cliques);
-      if (r.status != LpStatus::kOptimal) return r.status;
-      if (r.min_relaxation < 1.0 - 1e-9) return LpStatus::kInfeasible;
-      *out = r.allocation;
-      *has_target = true;
-      return LpStatus::kOptimal;
-    }
-    case Protocol::k2paDistributed:
-      *out = distributed_allocate(topo, flows, graph).allocation;
-      *has_target = true;
-      return LpStatus::kOptimal;
-    case Protocol::k2paDistributedCtrl:
-      // The oracle the in-band agents are measured against: identical
-      // distributed algorithm, with the neighbor exchange restricted to the
-      // epoch's surviving topology (a dead neighbor's HELLOs go unheard).
-      *out = distributed_allocate(topo, flows, graph, mask).allocation;
-      *has_target = true;
-      return LpStatus::kOptimal;
-    case Protocol::k80211:
-      break;
-  }
-  return LpStatus::kOptimal;
+// ---- Protocol predicates. ----
+
+/// Every protocol but plain 802.11 runs phase 1 and schedules by tags.
+bool allocates(Protocol p) { return p != Protocol::k80211; }
+/// Phase 1 runs in-band over control frames; the runner's own solve is
+/// only the oracle the per-node agents are measured against.
+bool in_band(Protocol p) { return p == Protocol::k2paDistributedCtrl; }
+/// Phase 1 runs per source over neighborhood knowledge.
+bool distributed(Protocol p) {
+  return p == Protocol::k2paDistributed || p == Protocol::k2paDistributedCtrl;
+}
+/// Phase 1 runs over the global cliques.
+bool centralized(Protocol p) { return allocates(p) && !distributed(p); }
+/// Only centralized 2PA rejects solves whose flow-level basic-share floors
+/// had to be relaxed, so only it promises the floor (two-tier floors
+/// per-subflow shares — the end-to-end gap is the paper's critique of it).
+bool keeps_flow_floor(Protocol p) {
+  return p == Protocol::k2paCentralized || p == Protocol::k2paStaticCw;
 }
 
-/// Global-index allocation for one epoch: flows inactive in the epoch get
-/// share 0 (lanes get kInactiveShare). Indices are over the *sim* flow set
-/// (provisioned flows plus repair-route variants).
-struct EpochAllocation {
-  double start_s = 0.0;
-  bool has_target = false;
-  LpStatus status = LpStatus::kOptimal;
-  std::vector<double> flow_share;     ///< Sim flow ids; 0 when inactive.
-  std::vector<double> subflow_share;  ///< Sim subflow ids; kInactiveShare
-                                      ///< when inactive.
+/// Running difference of a monotone counter: each call returns how far the
+/// counter moved since the previous call.
+template <class T>
+struct Delta {
+  T prev{};
+  T operator()(T cur) {
+    const T d = cur - prev;
+    prev = cur;
+    return d;
+  }
 };
 
-EpochAllocation allocate_epoch(Protocol proto, const Topology& topo,
-                               const FlowSet& all_flows,
-                               const std::vector<FlowId>& active, double start_s,
-                               const TopologyMask* mask, CheckContext* check,
-                               CliqueStore* store, Profiler* profile) {
-  EpochAllocation out;
-  out.start_s = start_s;
-  out.flow_share.assign(static_cast<std::size_t>(all_flows.flow_count()), 0.0);
-  out.subflow_share.assign(static_cast<std::size_t>(all_flows.subflow_count()),
-                           kInactiveShare);
-  if (active.empty() || proto == Protocol::k80211) return out;
-
-  std::vector<Flow> specs;
-  specs.reserve(active.size());
-  for (FlowId f : active) specs.push_back(all_flows.flow(f));
-  FlowSet sub(topo, specs);
-
-  // Incremental clique path (centralized family): the store maintains the
-  // maximal cliques of the *sim* contention graph restricted to the
-  // epoch's active subflows, so an epoch boundary re-derives only the
-  // cliques around the flows that toggled. The epoch's subgraph is
-  // vertex-for-vertex the graph over `sub` (contention is pure geometry of
-  // the unchanged endpoints), so relabeling the snapshot into sub ids and
-  // re-canonicalizing yields exactly what from-scratch enumeration on
-  // `sub` would — downstream LP rows are bit-identical.
-  std::vector<std::vector<int>> epoch_cliques;
-  const std::vector<std::vector<int>>* cliques = nullptr;
-  if (store != nullptr) {
-    Profiler::Scope prof(profile, Profiler::Phase::kClique);
-    std::vector<char> want(static_cast<std::size_t>(all_flows.subflow_count()), 0);
-    std::vector<int> sub_id(static_cast<std::size_t>(all_flows.subflow_count()), -1);
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const FlowId g = active[i];
-      for (int h = 0; h < all_flows.flow(g).length(); ++h) {
-        const int full = all_flows.subflow_index(g, h);
-        want[static_cast<std::size_t>(full)] = 1;
-        sub_id[static_cast<std::size_t>(full)] =
-            sub.subflow_index(static_cast<FlowId>(i), h);
-      }
-    }
-    store->set_active(want);
-    epoch_cliques = store->cliques();
-    for (auto& c : epoch_cliques) {
-      for (int& v : c) v = sub_id[static_cast<std::size_t>(v)];
-      std::sort(c.begin(), c.end());
-    }
-    std::sort(epoch_cliques.begin(), epoch_cliques.end());
-    cliques = &epoch_cliques;
-  }
-
-  Allocation a;
-  {
-    Profiler::Scope prof(profile, Profiler::Phase::kSolve);
-    out.status =
-        compute_allocation(proto, topo, sub, mask, &a, &out.has_target, cliques);
-  }
-  E2EFA_ASSERT_MSG(out.status == LpStatus::kOptimal,
-                   "phase-1 allocation infeasible: basic shares exceed clique capacity");
-  if (!out.has_target) return out;
-  if (check != nullptr) {
-    // Post-solve oracle. Only centralized 2PA *rejects* solves whose
-    // flow-level basic-share floors had to be relaxed, so only it promises
-    // the floor (two-tier floors per-subflow shares — the end-to-end gap is
-    // the paper's critique of it — and the distributed variants keep their
-    // by-design local relaxations); everything else is held to clique
-    // feasibility alone.
-    const bool expect_floor = proto == Protocol::k2paCentralized ||
-                              proto == Protocol::k2paStaticCw;
-    // The distributed family's per-source local solves may mildly
-    // oversubscribe a clique (partial knowledge); they get the documented
-    // envelope instead of the strict bound.
-    const bool strict_clique = proto != Protocol::k2paDistributed &&
-                               proto != Protocol::k2paDistributedCtrl;
-    ContentionGraph graph(topo, sub);
-    check->check_allocation(graph, a, expect_floor, strict_clique, start_s);
-  }
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const FlowId g = active[i];
-    out.flow_share[static_cast<std::size_t>(g)] = a.flow_share[i];
-    for (int h = 0; h < all_flows.flow(g).length(); ++h) {
-      out.subflow_share[static_cast<std::size_t>(all_flows.subflow_index(g, h))] =
-          a.subflow_share[static_cast<std::size_t>(sub.subflow_index(static_cast<FlowId>(i), h))];
-    }
-  }
-  return out;
+/// Calls `tick` at `first` and then every `period`, for as long as the next
+/// call still falls within `horizon`.
+template <class Tick>
+void run_every(Simulator& sim, TimeNs first, TimeNs period, TimeNs horizon, Tick tick) {
+  sim.schedule_at(first, [&sim, period, horizon, tick] {
+    tick();
+    if (sim.now() + period <= horizon)
+      run_every(sim, sim.now() + period, period, horizon, tick);
+  });
 }
+
+// ---- Stage 1: the run plan. ----
+
+/// Everything fixed before phase 1 runs. "Logical" flows are the
+/// scenario's own (what the RunResult reports on); "sim" flows are one flow
+/// per (logical flow, route variant). All provisioned variants come first,
+/// so sim ids are a prefix extension of the logical ids.
+struct RunPlan {
+  RunPlan(FaultPlan fault_plan, FlowSet logical_flows)
+      : faults(std::move(fault_plan)), logical(std::move(logical_flows)), flows(logical) {}
+
+  FaultPlan faults;  ///< Scripted faults plus compiled mobility link churn.
+  FlowSet logical;
+  FlowSet flows;  ///< Sim flows (the logical set until route_flows adds repairs).
+  FlowId F = 0;   ///< Logical flow count.
+  bool dynamic = false;               ///< The scenario has activity windows.
+  std::vector<FlowActivity> windows;  ///< Per logical flow (always-on if static).
+  double total_s = 0.0;               ///< Warm-up plus measured seconds.
+  TimeNs horizon = 0;
+  std::vector<double> boundaries;   ///< Epoch start times (s); the first is 0.
+  std::vector<TopologyMask> masks;  ///< Surviving topology per epoch.
+  /// variant[e][f]: route variant of logical flow f in epoch e (-1 = suspended).
+  std::vector<std::vector<int>> variant;
+  std::vector<std::vector<FlowId>> sim_flow_of;  ///< [logical][variant] -> sim.
+  std::vector<FlowId> logical_of;                ///< sim -> logical.
+  std::vector<char> admitted;                    ///< Per logical flow.
+  std::vector<RunResult::Admission> admissions;
+  /// active_of[e][f]: sim flow carrying logical flow f in epoch e (-1 when
+  /// suspended — the destination is unreachable under the epoch's mask).
+  std::vector<std::vector<FlowId>> active_of;
+  /// active_flows[e]: sim flows offering traffic in epoch e (admitted,
+  /// inside their window, routable), in logical flow order.
+  std::vector<std::vector<FlowId>> active_flows;
+
+  int epochs() const { return static_cast<int>(boundaries.size()); }
+  bool multi() const { return dynamic || epochs() > 1; }
+  bool active_at(FlowId f, double t) const {
+    const FlowActivity& w = windows[static_cast<size_t>(f)];
+    return w.start_s <= t && t < w.stop_s;
+  }
+  /// Epoch in force at time t_s.
+  size_t epoch_at(double t_s) const {
+    const auto it = std::upper_bound(boundaries.begin(), boundaries.end(), t_s + 1e-12);
+    return static_cast<size_t>(it - boundaries.begin()) - 1;
+  }
+  /// Epoch e's activity bitmap over sim flows, or over sim subflows.
+  std::vector<char> active_bitmap(size_t e, bool over_subflows) const {
+    std::vector<char> b(static_cast<size_t>(over_subflows ? flows.subflow_count()
+                                                          : flows.flow_count()));
+    for (FlowId g : active_flows[e]) {
+      if (!over_subflows) {
+        b[static_cast<size_t>(g)] = 1;
+        continue;
+      }
+      for (int h = 0; h < flows.flow(g).length(); ++h)
+        b[static_cast<size_t>(flows.subflow_index(g, h))] = 1;
+    }
+    return b;
+  }
+  /// End-to-end deliveries of logical flow f over every route variant.
+  std::int64_t deliveries(const TrafficStats& stats, size_t f) const {
+    std::int64_t sum = 0;
+    for (FlowId g : sim_flow_of[f]) sum += stats.end_to_end(g);
+    return sum;
+  }
+};
+
+/// Per-logical-flow end-to-end deliveries since the previous take().
+class DeliveryDelta {
+ public:
+  explicit DeliveryDelta(FlowId flows) : last_(static_cast<size_t>(flows)) {}
+  std::vector<std::int64_t> take(const RunPlan& plan, const TrafficStats& stats) {
+    std::vector<std::int64_t> d(last_.size());
+    for (size_t f = 0; f < last_.size(); ++f) d[f] = last_[f](plan.deliveries(stats, f));
+    return d;
+  }
+
+ private:
+  std::vector<Delta<std::int64_t>> last_;
+};
 
 /// True when every node and link of `path` survives under `mask`.
 bool path_alive(const std::vector<NodeId>& path, const TopologyMask& mask) {
-  for (std::size_t i = 0; i < path.size(); ++i) {
+  for (size_t i = 0; i < path.size(); ++i) {
     if (!mask.node_alive(path[i])) return false;
     if (i + 1 < path.size() && !mask.link_alive(path[i], path[i + 1])) return false;
   }
   return true;
 }
 
-}  // namespace
-
-RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg) {
-  return run_scenario(sc, proto, cfg, sc.activity);
+/// Epoch boundaries: activity changes ∪ fault event times, from 0.
+std::vector<double> epoch_boundaries(const RunPlan& plan) {
+  std::set<double> boundary_set{0.0};
+  for (const FlowActivity& w : plan.windows) {
+    E2EFA_ASSERT_MSG(w.start_s >= 0.0 && w.stop_s > w.start_s, "bad activity window");
+    if (w.start_s > 0.0 && w.start_s < plan.total_s) boundary_set.insert(w.start_s);
+    if (w.stop_s > 0.0 && w.stop_s < plan.total_s) boundary_set.insert(w.stop_s);
+  }
+  // Events at t == 0 fold into the initial mask; events past the horizon
+  // never fire.
+  for (double t : plan.faults.event_times())
+    if (t > 0.0 && t < plan.total_s) boundary_set.insert(t);
+  return {boundary_set.begin(), boundary_set.end()};
 }
 
-RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg,
-                       const std::vector<FlowActivity>& activity_arg) {
-  // Everything before the event loop — topology prep, clique enumeration,
-  // precomputed solves, stack wiring — accrues to the setup phase; the scope
-  // is released just before the simulator starts running.
-  auto setup_prof = std::make_unique<Profiler::Scope>(cfg.profile,
-                                                      Profiler::Phase::kSetup);
+/// Route repair per epoch, then the sim flow set; fills plan.variant,
+/// sim_flow_of and logical_of. The provisioned route (variant 0) is kept
+/// whenever it is still alive (route stability); otherwise min-hop routing
+/// re-runs on the surviving graph.
+FlowSet route_flows(const Topology& topo, RunPlan& plan) {
+  const size_t F = static_cast<size_t>(plan.F);
+  std::vector<Flow> specs = plan.logical.flows();
+  std::vector<std::vector<std::vector<NodeId>>> variants(F);
+  for (size_t f = 0; f < F; ++f) variants[f].push_back(specs[f].path);
+  plan.variant.assign(plan.masks.size(), std::vector<int>(F, 0));
+  for (size_t e = 0; e < plan.masks.size(); ++e) {
+    if (plan.masks[e].all_up()) continue;  // everything on its provisioned route
+    for (size_t f = 0; f < F; ++f) {
+      auto& vars = variants[f];
+      if (path_alive(vars[0], plan.masks[e])) continue;
+      auto repaired = shortest_path(topo, vars[0].front(), vars[0].back(), plan.masks[e]);
+      if (!repaired.has_value()) {
+        plan.variant[e][f] = -1;
+        continue;
+      }
+      auto it = std::find(vars.begin(), vars.end(), *repaired);
+      if (it == vars.end()) it = vars.insert(vars.end(), std::move(*repaired));
+      plan.variant[e][f] = static_cast<int>(it - vars.begin());
+    }
+  }
+  for (size_t f = 0; f < F; ++f) {
+    plan.sim_flow_of.push_back({static_cast<FlowId>(f)});
+    plan.logical_of.push_back(static_cast<FlowId>(f));
+  }
+  for (size_t f = 0; f < F; ++f) {
+    for (size_t v = 1; v < variants[f].size(); ++v) {
+      Flow repaired;
+      repaired.path = variants[f][v];
+      repaired.weight = specs[f].weight;
+      plan.sim_flow_of[f].push_back(static_cast<FlowId>(specs.size()));
+      plan.logical_of.push_back(static_cast<FlowId>(f));
+      specs.push_back(std::move(repaired));
+    }
+  }
+  return FlowSet(topo, std::move(specs));
+}
+
+/// Latches the run parameters into the invariant oracles before any hook
+/// can fire (the phase-1 post-solve checks and every packet-sim hook).
+void begin_check_run(CheckContext* check, const Scenario& sc, Protocol proto,
+                     const SimConfig& cfg, const FlowSet& flows) {
+  if (check == nullptr) return;
+  CheckRunInfo info;
+  info.node_count = sc.topo.node_count();
+  info.cw_min = cfg.cw_min;
+  info.cw_max = cfg.cw_max;
+  info.use_rts_cts = cfg.use_rts_cts;
+  info.scaled_cw = proto == Protocol::k2paStaticCw;
+  info.queue_capacity = cfg.queue_capacity;
+  const MacConfig mac_defaults;
+  info.ctrl_cw = mac_defaults.ctrl_cw;
+  info.slot = mac_defaults.slot;
+  info.sifs = mac_defaults.sifs;
+  info.transport_dupack_threshold = cfg.transport.dupack_threshold;
+  for (const Subflow& sf : flows.subflows())
+    info.subflows.push_back({sf.flow, sf.hop, sf.src, sf.dst,
+                             sf.hop + 1 >= flows.flow(sf.flow).length(),
+                             sf.hop > 0 ? flows.subflow_index(sf.flow, sf.hop - 1) : -1});
+  check->begin_run(info);
+}
+
+/// Admission control over open-loop arrivals. A flow whose window starts
+/// mid-run is a *candidate*: it enters only if every clique its subflows
+/// touch keeps all admitted flows' basic shares feasible (Ganesan's clique
+/// bound). The founding population (start_s == 0) is the scenario's own
+/// responsibility. Decisions are made in arrival order against the flows
+/// admitted so far, on provisioned routes; the distributed protocols use
+/// the distributed gate (per-node partial knowledge under the arrival
+/// instant's mask — as strict or stricter than the oracle), the centralized
+/// family the centralized twin, and plain 802.11 admits everything (it
+/// allocates nothing).
+void admit_arrivals(const Topology& topo, Protocol proto, CheckContext* check,
+                    RunPlan& plan) {
+  plan.admitted.assign(static_cast<size_t>(plan.F), 1);
+  if (!allocates(proto)) return;
+  std::vector<std::pair<double, FlowId>> arrivals;
+  for (FlowId f = 0; f < plan.F; ++f) {
+    const double t = plan.windows[static_cast<size_t>(f)].start_s;
+    if (t > 0.0 && t < plan.total_s) arrivals.emplace_back(t, f);
+  }
+  if (arrivals.empty()) return;
+  std::sort(arrivals.begin(), arrivals.end());
+  const ContentionGraph gate_graph(topo, plan.logical);
+  for (const auto& [t, f] : arrivals) {
+    std::vector<char> present(static_cast<size_t>(plan.F), 0);
+    for (FlowId j = 0; j < plan.F; ++j)
+      present[static_cast<size_t>(j)] =
+          j != f && plan.admitted[static_cast<size_t>(j)] && plan.active_at(j, t);
+    AdmissionDecision d;
+    if (distributed(proto)) {
+      const TopologyMask gate_mask = plan.faults.mask_at(t, topo.node_count());
+      d = admission_check_distributed(topo, plan.logical, gate_graph, present, f,
+                                      gate_mask.all_up() ? nullptr : &gate_mask);
+    } else {
+      d = admission_check_centralized(plan.logical, gate_graph, present, f);
+    }
+    plan.admitted[static_cast<size_t>(f)] = d.admitted ? 1 : 0;
+    plan.admissions.push_back({f, t, d.admitted, static_cast<int>(d.reason), d.worst_load, -1});
+    if (check != nullptr)
+      check->on_admission(f, d.admitted, d.worst_load, distributed(proto), from_seconds(t));
+  }
+}
+
+RunPlan plan_run(const Scenario& sc, Protocol proto, const SimConfig& cfg) {
   // Structural validation up front, with messages naming the actual defect
   // (FlowSet would reject these too, but less helpfully).
   for (const Flow& spec : sc.flow_specs) {
@@ -238,342 +317,320 @@ RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg,
     E2EFA_ASSERT_MSG(spec.path.front() != spec.path.back(),
                      "flow source equals destination");
   }
-  // An explicit activity argument overrides the scenario's embedded windows
-  // (callers that predate Scenario::activity keep their behavior).
-  const std::vector<FlowActivity>& activity =
-      activity_arg.empty() ? sc.activity : activity_arg;
   // The effective fault schedule: scripted faults plus whatever link churn
   // the mobility walks compile down to. With no mobility this is an exact
   // copy of sc.faults, so fault-free and scripted-fault runs are untouched.
-  FaultPlan plan = sc.faults;
-  if (!sc.mobility.empty())
-    compile_mobility(sc.topo, sc.mobility,
-                     cfg.warmup_seconds + cfg.sim_seconds, plan);
-  plan.validate(sc.topo.node_count());
-
-  // The scenario's own flows ("logical" flows: what the caller asked for and
-  // what the RunResult reports on).
-  FlowSet logical(sc.topo, sc.flow_specs);
-  const FlowId F = logical.flow_count();
-  const bool dynamic = !activity.empty();
-  E2EFA_ASSERT_MSG(!dynamic || static_cast<FlowId>(activity.size()) == F,
-                   "one FlowActivity per flow required");
-
-  RunResult out;
-  out.protocol = proto;
-  out.sim_seconds = cfg.sim_seconds;
+  FaultPlan faults = sc.faults;
   const double total_s = cfg.warmup_seconds + cfg.sim_seconds;
-  const TimeNs horizon = from_seconds(total_s);
+  if (!sc.mobility.empty()) compile_mobility(sc.topo, sc.mobility, total_s, faults);
+  faults.validate(sc.topo.node_count());
 
-  auto window_of = [&](FlowId f) {
-    return dynamic ? activity[static_cast<std::size_t>(f)]
-                   : FlowActivity{0.0, 1e300};
-  };
+  RunPlan plan(std::move(faults), FlowSet(sc.topo, sc.flow_specs));
+  plan.F = plan.logical.flow_count();
+  plan.dynamic = !sc.activity.empty();
+  E2EFA_ASSERT_MSG(!plan.dynamic || static_cast<FlowId>(sc.activity.size()) == plan.F,
+                   "one FlowActivity per flow required");
+  plan.windows = plan.dynamic ? sc.activity
+                              : std::vector<FlowActivity>(static_cast<size_t>(plan.F));
+  plan.total_s = total_s;
+  plan.horizon = from_seconds(total_s);
+  plan.boundaries = epoch_boundaries(plan);
+  for (double t : plan.boundaries)
+    plan.masks.push_back(plan.faults.mask_at(t, sc.topo.node_count()));
+  plan.flows = route_flows(sc.topo, plan);
 
-  // ---- Epoch boundaries: activity changes ∪ fault event times. ----
-  std::set<double> boundary_set{0.0};
-  for (FlowId f = 0; f < F; ++f) {
-    const FlowActivity w = window_of(f);
-    E2EFA_ASSERT_MSG(w.start_s >= 0.0 && w.stop_s > w.start_s, "bad activity window");
-    if (w.start_s > 0.0 && w.start_s < total_s) boundary_set.insert(w.start_s);
-    if (w.stop_s > 0.0 && w.stop_s < total_s) boundary_set.insert(w.stop_s);
-  }
-  for (double t : plan.event_times()) {
-    // Events at t == 0 fold into the initial mask; events past the horizon
-    // never fire.
-    if (t > 0.0 && t < total_s) boundary_set.insert(t);
-  }
-  const std::vector<double> boundaries(boundary_set.begin(), boundary_set.end());
-  const int E = static_cast<int>(boundaries.size());
+  begin_check_run(cfg.check, sc, proto, cfg, plan.flows);
+  admit_arrivals(sc.topo, proto, cfg.check, plan);
 
-  // ---- Per-epoch surviving topology and route repair. ----
-  std::vector<TopologyMask> masks;
-  masks.reserve(static_cast<std::size_t>(E));
-  for (double t : boundaries) masks.push_back(plan.mask_at(t, sc.topo.node_count()));
-
-  // Route variants per logical flow; variant 0 is the provisioned path.
-  // Repair keeps the provisioned route whenever it is still alive (route
-  // stability) and otherwise re-runs min-hop routing on the surviving graph.
-  std::vector<std::vector<std::vector<NodeId>>> variants(static_cast<std::size_t>(F));
-  for (FlowId f = 0; f < F; ++f)
-    variants[static_cast<std::size_t>(f)].push_back(logical.flow(f).path);
-  // epoch_variant[e][f]: variant index active in epoch e, -1 = suspended.
-  std::vector<std::vector<int>> epoch_variant(
-      static_cast<std::size_t>(E), std::vector<int>(static_cast<std::size_t>(F), 0));
-  for (int e = 0; e < E; ++e) {
-    const TopologyMask& mask = masks[static_cast<std::size_t>(e)];
-    if (mask.all_up()) continue;  // everything on its provisioned route
-    for (FlowId f = 0; f < F; ++f) {
-      auto& vars = variants[static_cast<std::size_t>(f)];
-      if (path_alive(vars[0], mask)) continue;
-      auto repaired = shortest_path(sc.topo, vars[0].front(), vars[0].back(), mask);
-      if (!repaired.has_value()) {
-        epoch_variant[static_cast<std::size_t>(e)][static_cast<std::size_t>(f)] = -1;
-        continue;
-      }
-      auto it = std::find(vars.begin(), vars.end(), *repaired);
-      if (it == vars.end()) {
-        vars.push_back(std::move(*repaired));
-        it = vars.end() - 1;
-      }
-      epoch_variant[static_cast<std::size_t>(e)][static_cast<std::size_t>(f)] =
-          static_cast<int>(it - vars.begin());
+  const size_t E = plan.boundaries.size();
+  plan.active_of.assign(E, std::vector<FlowId>(static_cast<size_t>(plan.F)));
+  plan.active_flows.resize(E);
+  for (size_t e = 0; e < E; ++e) {
+    for (FlowId f = 0; f < plan.F; ++f) {
+      const size_t uf = static_cast<size_t>(f);
+      const int v = plan.variant[e][uf];
+      const FlowId g = v < 0 ? -1 : plan.sim_flow_of[uf][static_cast<size_t>(v)];
+      plan.active_of[e][uf] = g;
+      if (g >= 0 && plan.admitted[uf] && plan.active_at(f, plan.boundaries[e]))
+        plan.active_flows[e].push_back(g);
     }
   }
+  return plan;
+}
 
-  // ---- The sim flow set: one flow per (logical flow, route variant). All
-  // provisioned variants come first, so sim flow/subflow ids are a prefix
-  // extension of the logical ids (fault-free runs: identical sets). ----
-  std::vector<Flow> sim_specs;
-  std::vector<FlowId> logical_of;                 // sim flow -> logical flow
-  std::vector<std::vector<FlowId>> sim_flow_of(   // [logical][variant] -> sim
-      static_cast<std::size_t>(F));
-  for (FlowId f = 0; f < F; ++f) {
-    sim_specs.push_back(logical.flow(f));
-    logical_of.push_back(f);
-    sim_flow_of[static_cast<std::size_t>(f)].push_back(f);
+// ---- Stage 2: per-epoch phase-1 allocations. ----
+
+/// Sim-flow-indexed allocation for one epoch: flows inactive in the epoch
+/// get share 0 and their lanes the inactive floor.
+struct EpochAllocation {
+  LpStatus status = LpStatus::kOptimal;
+  std::vector<double> flow_share;     ///< Per sim flow.
+  std::vector<double> subflow_share;  ///< Per sim subflow.
+};
+
+/// Epoch e's sim-flow shares folded onto logical flows (0 = inactive or
+/// suspended in that epoch).
+std::vector<double> logical_shares(const RunPlan& plan,
+                                   const std::vector<EpochAllocation>& epochs, size_t e) {
+  std::vector<double> share(static_cast<size_t>(plan.F), 0.0);
+  for (size_t f = 0; f < share.size(); ++f) {
+    const FlowId g = plan.active_of[e][f];
+    if (g >= 0) share[f] = epochs[e].flow_share[static_cast<size_t>(g)];
   }
-  for (FlowId f = 0; f < F; ++f) {
-    const auto& vars = variants[static_cast<std::size_t>(f)];
-    for (std::size_t v = 1; v < vars.size(); ++v) {
-      Flow repaired;
-      repaired.path = vars[v];
-      repaired.weight = logical.flow(f).weight;
-      sim_flow_of[static_cast<std::size_t>(f)].push_back(
-          static_cast<FlowId>(sim_specs.size()));
-      sim_specs.push_back(std::move(repaired));
-      logical_of.push_back(f);
+  return share;
+}
+
+/// Accepts a solve only when it kept every basic-share floor: a relaxed one
+/// (min_relaxation < 1: the clique rows cannot carry every flow's basic
+/// share) reports kInfeasible.
+template <class Result>
+LpStatus accept_unrelaxed(const Result& r, Allocation* out) {
+  if (r.status != LpStatus::kOptimal) return r.status;
+  if (r.min_relaxation < 1.0 - 1e-9) return LpStatus::kInfeasible;
+  *out = r.allocation;
+  return LpStatus::kOptimal;
+}
+
+/// Phase-1 dispatch over an arbitrary flow set. The centralized LP family
+/// rejects relaxed solves; the distributed form keeps its by-design local
+/// relaxations.
+LpStatus compute_allocation(Protocol proto, const FlowSet& flows, const ContentionGraph& graph,
+                            const TopologyMask* mask,
+                            const std::vector<std::vector<int>>* cliques, Allocation* out) {
+  switch (proto) {
+    case Protocol::kTwoTier:
+      return accept_unrelaxed(two_tier_allocate(graph, cliques), out);
+    case Protocol::k2paCentralized:
+    case Protocol::k2paStaticCw:
+      return accept_unrelaxed(centralized_allocate(graph, cliques), out);
+    case Protocol::kTwoTierBalanced:
+      *out = maxmin_allocate_subflows(graph, {}, cliques).allocation;
+      break;
+    case Protocol::kMaxMin:
+      *out = maxmin_allocate(graph, {}, cliques).allocation;
+      break;
+    case Protocol::k2paDistributed:
+    case Protocol::k2paDistributedCtrl:
+      // The in-band oracle restricts the neighbor exchange to the epoch's
+      // surviving topology (a dead neighbor's HELLOs go unheard).
+      *out = distributed_allocate(flows.topology(), flows, graph, mask).allocation;
+      break;
+    case Protocol::k80211:
+      break;
+  }
+  return LpStatus::kOptimal;
+}
+
+/// The store's cliques over the `active` sim flows, relabeled into the
+/// subflow ids of `sub` (the flow set made of just those flows). The
+/// epoch's subgraph is vertex-for-vertex the graph over `sub` (contention
+/// is pure geometry of the unchanged endpoints), so the re-canonicalized
+/// result is exactly what from-scratch enumeration on `sub` would give.
+std::vector<std::vector<int>> epoch_cliques(CliqueStore& store, const FlowSet& all_flows,
+                                            const FlowSet& sub,
+                                            const std::vector<FlowId>& active) {
+  std::vector<char> want(static_cast<size_t>(all_flows.subflow_count()), 0);
+  std::vector<int> sub_id(static_cast<size_t>(all_flows.subflow_count()), -1);
+  for (size_t i = 0; i < active.size(); ++i) {
+    for (int h = 0; h < all_flows.flow(active[i]).length(); ++h) {
+      const int full = all_flows.subflow_index(active[i], h);
+      want[static_cast<size_t>(full)] = 1;
+      sub_id[static_cast<size_t>(full)] = sub.subflow_index(static_cast<FlowId>(i), h);
     }
   }
-  FlowSet flows(sc.topo, sim_specs);
-
-  // Invariant oracles: latch the run parameters before any hook can fire
-  // (the phase-1 post-solve checks below and every packet-sim hook).
-  CheckContext* const check = cfg.check;
-  if (check != nullptr) {
-    CheckRunInfo info;
-    info.node_count = sc.topo.node_count();
-    info.cw_min = cfg.cw_min;
-    info.cw_max = cfg.cw_max;
-    info.use_rts_cts = cfg.use_rts_cts;
-    info.scaled_cw = proto == Protocol::k2paStaticCw;
-    info.queue_capacity = cfg.queue_capacity;
-    const MacConfig mac_defaults;
-    info.ctrl_cw = mac_defaults.ctrl_cw;
-    info.slot = mac_defaults.slot;
-    info.sifs = mac_defaults.sifs;
-    info.transport_dupack_threshold = cfg.transport.dupack_threshold;
-    info.subflows.resize(static_cast<std::size_t>(flows.subflow_count()));
-    for (int s = 0; s < flows.subflow_count(); ++s) {
-      const Subflow& sf = flows.subflow(s);
-      CheckRunInfo::SubflowInfo& m = info.subflows[static_cast<std::size_t>(s)];
-      m.flow = sf.flow;
-      m.hop = sf.hop;
-      m.src = sf.src;
-      m.dst = sf.dst;
-      m.last_hop = sf.hop + 1 >= flows.flow(sf.flow).length();
-      m.prev_subflow =
-          sf.hop > 0 ? flows.subflow_index(sf.flow, sf.hop - 1) : -1;
-    }
-    check->begin_run(info);
+  store.set_active(want);
+  std::vector<std::vector<int>> cliques = store.cliques();
+  for (auto& c : cliques) {
+    for (int& v : c) v = sub_id[static_cast<size_t>(v)];
+    std::sort(c.begin(), c.end());
   }
+  std::sort(cliques.begin(), cliques.end());
+  return cliques;
+}
 
-  // ---- Admission control over open-loop arrivals. A flow whose window
-  // starts mid-run is a *candidate*: it enters only if every clique its
-  // subflows touch keeps all admitted flows' basic shares feasible
-  // (Ganesan's clique bound). The founding population (start_s == 0) is the
-  // scenario's own responsibility. Decisions are made in arrival order
-  // against the flows admitted so far, on provisioned routes; the
-  // distributed protocols use the distributed gate (per-node partial
-  // knowledge under the arrival instant's mask — as strict or stricter than
-  // the oracle), the centralized family the centralized twin, and plain
-  // 802.11 admits everything (it allocates nothing). ----
-  std::vector<char> admitted_flag(static_cast<std::size_t>(F), 1);
-  if (dynamic && proto != Protocol::k80211) {
-    std::vector<std::pair<double, FlowId>> arrivals;
-    for (FlowId f = 0; f < F; ++f) {
-      const double t = window_of(f).start_s;
-      if (t > 0.0 && t < total_s) arrivals.emplace_back(t, f);
-    }
-    std::sort(arrivals.begin(), arrivals.end());
-    if (!arrivals.empty()) {
-      ContentionGraph gate_graph(sc.topo, logical);
-      const bool dist_gate = proto == Protocol::k2paDistributed ||
-                             proto == Protocol::k2paDistributedCtrl;
-      for (const auto& [t, f] : arrivals) {
-        std::vector<char> present(static_cast<std::size_t>(F), 0);
-        for (FlowId j = 0; j < F; ++j) {
-          if (j == f || !admitted_flag[static_cast<std::size_t>(j)]) continue;
-          const FlowActivity w = window_of(j);
-          if (w.start_s <= t && t < w.stop_s) present[static_cast<std::size_t>(j)] = 1;
-        }
-        AdmissionDecision d;
-        if (dist_gate) {
-          const TopologyMask gate_mask = plan.mask_at(t, sc.topo.node_count());
-          d = admission_check_distributed(sc.topo, logical, gate_graph, present,
-                                          f, gate_mask.all_up() ? nullptr : &gate_mask);
-        } else {
-          d = admission_check_centralized(logical, gate_graph, present, f);
-        }
-        admitted_flag[static_cast<std::size_t>(f)] = d.admitted ? 1 : 0;
-        out.admissions.push_back({f, t, d.admitted, static_cast<int>(d.reason),
-                                  d.worst_load, -1});
-        if (check != nullptr)
-          check->on_admission(f, d.admitted, d.worst_load, dist_gate,
-                              from_seconds(t));
-      }
-    }
+EpochAllocation allocate_epoch(const RunPlan& plan, size_t e, Protocol proto,
+                               const SimConfig& cfg, CliqueStore* store) {
+  const FlowSet& all_flows = plan.flows;
+  const std::vector<FlowId>& active = plan.active_flows[e];
+  EpochAllocation out;
+  out.flow_share.assign(static_cast<size_t>(all_flows.flow_count()), 0.0);
+  out.subflow_share.assign(static_cast<size_t>(all_flows.subflow_count()),
+                           TagScheduler::kInactiveShare);
+  if (active.empty() || !allocates(proto)) return out;
+
+  std::vector<Flow> specs;
+  for (FlowId f : active) specs.push_back(all_flows.flow(f));
+  const FlowSet sub(all_flows.topology(), specs);
+  std::optional<std::vector<std::vector<int>>> cliques;
+  if (store != nullptr) {
+    Profiler::Scope prof(cfg.profile, Profiler::Phase::kClique);
+    cliques = epoch_cliques(*store, all_flows, sub, active);
   }
-
-  // active_of[e][f]: sim flow carrying logical flow f in epoch e (-1 when
-  // suspended — the destination is unreachable under the epoch's mask).
-  std::vector<std::vector<FlowId>> active_of(
-      static_cast<std::size_t>(E), std::vector<FlowId>(static_cast<std::size_t>(F)));
-  for (int e = 0; e < E; ++e) {
-    for (FlowId f = 0; f < F; ++f) {
-      const int v = epoch_variant[static_cast<std::size_t>(e)][static_cast<std::size_t>(f)];
-      active_of[static_cast<std::size_t>(e)][static_cast<std::size_t>(f)] =
-          v < 0 ? -1 : sim_flow_of[static_cast<std::size_t>(f)][static_cast<std::size_t>(v)];
-    }
+  Allocation a;
+  std::optional<ContentionGraph> graph;
+  {
+    Profiler::Scope prof(cfg.profile, Profiler::Phase::kSolve);
+    graph.emplace(all_flows.topology(), sub);
+    out.status = compute_allocation(proto, sub, *graph, in_band(proto) ? &plan.masks[e] : nullptr,
+                                    cliques ? &*cliques : nullptr, &a);
   }
+  E2EFA_ASSERT_MSG(out.status == LpStatus::kOptimal,
+                   "phase-1 allocation infeasible: basic shares exceed clique capacity");
+  // Post-solve oracle: the floor only where the protocol promises it; the
+  // distributed family's per-source local solves may mildly oversubscribe
+  // a clique (partial knowledge) and get the documented envelope instead
+  // of the strict bound.
+  if (cfg.check != nullptr)
+    cfg.check->check_allocation(*graph, a, keeps_flow_floor(proto), !distributed(proto),
+                                plan.boundaries[e]);
+  for (size_t i = 0; i < active.size(); ++i) {
+    const FlowId g = active[i];
+    out.flow_share[static_cast<size_t>(g)] = a.flow_share[i];
+    for (int h = 0; h < all_flows.flow(g).length(); ++h)
+      out.subflow_share[static_cast<size_t>(all_flows.subflow_index(g, h))] =
+          a.subflow_share[static_cast<size_t>(sub.subflow_index(static_cast<FlowId>(i), h))];
+  }
+  return out;
+}
 
-  // ---- Per-epoch phase-1 allocations over the reachable active flows.
-  // For the in-band protocol this allocation is the *oracle*: the sim's
-  // AllocAgents must converge to it on their own, so it is computed against
-  // the epoch's surviving topology but never pushed into the schedulers. ----
-  const bool dctrl = proto == Protocol::k2paDistributedCtrl;
-  // The centralized family solves over global cliques; maintain them
-  // incrementally across epochs (the distributed variants enumerate
-  // per-node local cliques instead, which are already neighborhood-sized).
-  const bool centralized_family =
-      proto == Protocol::kTwoTier || proto == Protocol::kTwoTierBalanced ||
-      proto == Protocol::kMaxMin || proto == Protocol::k2paCentralized ||
-      proto == Protocol::k2paStaticCw;
-  std::unique_ptr<ContentionGraph> sim_graph;
-  std::unique_ptr<CliqueStore> clique_store;
-  if (centralized_family) {
-    sim_graph = std::make_unique<ContentionGraph>(sc.topo, flows);
+/// Phase 1 over every epoch's reachable active flows. For the in-band
+/// protocol this is the *oracle*: the AllocAgents must converge to it on
+/// their own, so it is solved against the epoch's surviving topology but
+/// never pushed into the schedulers.
+std::vector<EpochAllocation> allocate_epochs(const RunPlan& plan, Protocol proto,
+                                             const SimConfig& cfg) {
+  // The centralized family maintains its global cliques incrementally
+  // across epochs, so a boundary re-derives only the cliques around the
+  // flows that toggled (the distributed variants enumerate
+  // neighborhood-sized local cliques instead).
+  std::unique_ptr<ContentionGraph> graph;
+  std::unique_ptr<CliqueStore> store;
+  if (centralized(proto)) {
+    graph = std::make_unique<ContentionGraph>(plan.flows.topology(), plan.flows);
     // Start all-inactive: epoch 0's set_active seeds the first enumeration.
-    clique_store = std::make_unique<CliqueStore>(
-        *sim_graph, std::vector<char>(static_cast<std::size_t>(flows.subflow_count()), 0));
-    // The thread budget goes to clique enumeration: the store's threaded
-    // path is id-identical to serial, so this never changes results (see
-    // CliqueStore::set_threads).
-    clique_store->set_threads(cfg.sim_threads);
+    store = std::make_unique<CliqueStore>(
+        *graph, std::vector<char>(static_cast<size_t>(plan.flows.subflow_count()), 0));
+    // The store's threaded path is id-identical to serial, so the thread
+    // budget never changes results (see CliqueStore::set_threads).
+    store->set_threads(cfg.sim_threads);
   }
   std::vector<EpochAllocation> epochs;
-  std::vector<std::vector<FlowId>> epoch_active_flows;
-  for (int e = 0; e < E; ++e) {
-    const double t = boundaries[static_cast<std::size_t>(e)];
-    std::vector<FlowId> active;
-    for (FlowId f = 0; f < F; ++f) {
-      if (!admitted_flag[static_cast<std::size_t>(f)]) continue;
-      const FlowActivity w = window_of(f);
-      if (!(w.start_s <= t && t < w.stop_s)) continue;
-      const FlowId g = active_of[static_cast<std::size_t>(e)][static_cast<std::size_t>(f)];
-      if (g >= 0) active.push_back(g);
-    }
-    epochs.push_back(allocate_epoch(proto, sc.topo, flows, active, t,
-                                    dctrl ? &masks[static_cast<std::size_t>(e)]
-                                          : nullptr,
-                                    cfg.check, clique_store.get(), cfg.profile));
-    epoch_active_flows.push_back(std::move(active));
-    if (proto != Protocol::k80211) out.epoch_lp_status.push_back(epochs.back().status);
-  }
+  for (size_t e = 0; e < plan.boundaries.size(); ++e)
+    epochs.push_back(allocate_epoch(plan, e, proto, cfg, store.get()));
+  return epochs;
+}
 
-  out.has_target = epochs.front().has_target;
-  if (out.has_target) {
-    out.target_subflow_share = epochs.front().subflow_share;
-    out.target_flow_share.assign(static_cast<std::size_t>(F), 0.0);
-    for (FlowId f = 0; f < F; ++f) {
-      const FlowId g = active_of[0][static_cast<std::size_t>(f)];
-      if (g >= 0)
-        out.target_flow_share[static_cast<std::size_t>(f)] =
-            epochs.front().flow_share[static_cast<std::size_t>(g)];
-    }
-  }
-  const bool multi = dynamic || E > 1;
-  if (multi) {
-    for (int e = 0; e < E; ++e) {
-      out.epoch_starts_s.push_back(boundaries[static_cast<std::size_t>(e)]);
-      std::vector<double> share(static_cast<std::size_t>(F), 0.0);
-      for (FlowId f = 0; f < F; ++f) {
-        const FlowId g =
-            active_of[static_cast<std::size_t>(e)][static_cast<std::size_t>(f)];
-        if (g >= 0)
-          share[static_cast<std::size_t>(f)] =
-              epochs[static_cast<std::size_t>(e)].flow_share[static_cast<std::size_t>(g)];
-      }
-      out.epoch_flow_share.push_back(std::move(share));
-    }
-  }
+// ---- Stage 3: the packet-level network. ----
 
-  // ---- Phase 2: packet-level simulation. ----
-  Simulator sim;
-  Channel channel(sim, sc.topo, cfg.channel_bps);
-  TrafficStats stats(flows);
-  stats.set_warmup(from_seconds(cfg.warmup_seconds));
-  Rng master(cfg.seed);
+/// The simulated network of one run and the live state its scheduled
+/// events share. Events capture its address, so it lives on the heap and
+/// is never moved.
+struct Network {
+  Network(const Scenario& s, const RunPlan& p, const std::vector<EpochAllocation>& a,
+          Protocol pr, const SimConfig& c)
+      : sc(s), plan(p), epochs(a), proto(pr), cfg(c) {
+    stats.set_warmup(from_seconds(cfg.warmup_seconds));
+    for (size_t f = 0; f < active_now.size(); ++f)
+      if (active_now[f] < 0) pending_fault_s[f] = 0.0;
+  }
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
-  // Observability: one sink pointer threaded through every layer. Null —
-  // the default — keeps all hot paths on their pre-observability branch.
+  void wire_channel();
+  void trace_epoch(size_t e);
+  void build_stacks();
+  void start_control_plane();
+  void track_deliveries();
+  void enter_epoch(size_t e);
+  void start_sources();
+  /// Closes the running epoch's goodput window.
+  void close_epoch() { epoch_e2e.push_back(epoch_delta.take(plan, stats)); }
+
+  const Scenario& sc;
+  const RunPlan& plan;
+  const std::vector<EpochAllocation>& epochs;
+  const Protocol proto;
+  const SimConfig& cfg;
   TraceSink* const trace = cfg.trace;
+  CheckContext* const check = cfg.check;
+
+  Simulator sim;
+  Channel channel{sim, sc.topo, cfg.channel_bps};
+  TrafficStats stats{plan.flows};
+  Rng master{cfg.seed};
+  std::unique_ptr<FaultRuntime> faults;
+  std::vector<std::unique_ptr<NodeStack>> stacks;
+  std::vector<TagScheduler*> tag_scheds =  // per node; null under 802.11
+      std::vector<TagScheduler*>(static_cast<size_t>(sc.topo.node_count()), nullptr);
+  std::int64_t link_failures = 0;
+  std::unique_ptr<ContentionGraph> ctrl_graph;
+  std::vector<std::unique_ptr<AllocAgent>> agents;
+  /// In-band ADMIT round of one admission-gated arrival: at the arrival's
+  /// boundary the candidate's source (of sim `flow`) runs the hop-by-hop round.
+  struct InbandRound { size_t admission, epoch; FlowId flow; };
+  std::vector<InbandRound> inband_rounds;
+
+  // Fault bookkeeping, indexed by logical flow.
+  std::vector<FlowId> active_now = plan.active_of[0];  ///< Carrying sim flow; -1 = suspended.
+  /// Earliest unhealed disruption (-1 = none pending).
+  std::vector<double> pending_fault_s = std::vector<double>(static_cast<size_t>(plan.F), -1.0);
+  std::vector<RunResult::Recovery> recoveries;
+  DeliveryDelta epoch_delta{plan.F};
+  std::vector<std::vector<std::int64_t>> epoch_e2e;
+
+  bool elastic = sc.transport != TransportKind::kCbr;
+  std::unique_ptr<AckPlane> ack;
+  std::vector<std::unique_ptr<TransportSource>> sources;  ///< Per logical flow.
+};
+
+/// Observability wiring, epoch 0's phase-1 record, and the live fault
+/// state for the PHY — installed only when the plan does anything, so
+/// fault-free runs keep the exact pre-fault channel path.
+void Network::wire_channel() {
   channel.set_trace(trace);
   channel.set_check(check);
   channel.set_profiler(cfg.profile);
   if (trace != nullptr) {
     trace->record<TraceCat::kMeta>(
-        0, TraceEvent::kRunMeta, -1, sc.topo.node_count(), F,
+        0, TraceEvent::kRunMeta, -1, sc.topo.node_count(), plan.F,
         static_cast<double>(cfg.channel_bps), static_cast<double>(cfg.payload_bytes));
-    for (int s = 0; s < flows.subflow_count(); ++s) {
-      const Subflow& sf = flows.subflow(s);
+    for (int s = 0; s < plan.flows.subflow_count(); ++s) {
+      const Subflow& sf = plan.flows.subflow(s);
       trace->record<TraceCat::kMeta>(
           0, TraceEvent::kSubflowMeta, static_cast<std::int16_t>(sf.src), s,
-          logical_of[static_cast<std::size_t>(sf.flow)],
-          static_cast<double>(sf.hop));
+          plan.logical_of[static_cast<size_t>(sf.flow)], static_cast<double>(sf.hop));
     }
   }
-  // Phase-1 emission for one epoch: the solve record, then the resulting
-  // per-logical-flow targets (0 = inactive or suspended in that epoch).
-  auto trace_epoch_allocation = [&](int e, TimeNs t) {
-    if (trace == nullptr) return;
-    const EpochAllocation& epoch = epochs[static_cast<std::size_t>(e)];
-    trace->record<TraceCat::kLp>(t, TraceEvent::kLpResolve, -1, e,
-                                 static_cast<std::int32_t>(epoch.status),
-                                 epoch.start_s);
-    for (FlowId f = 0; f < F; ++f) {
-      const FlowId g = active_of[static_cast<std::size_t>(e)][static_cast<std::size_t>(f)];
-      const double share =
-          g >= 0 && epoch.has_target
-              ? epoch.flow_share[static_cast<std::size_t>(g)]
-              : 0.0;
-      trace->record<TraceCat::kLp>(t, TraceEvent::kFlowTarget, -1, f, -1, share);
-    }
-  };
-  trace_epoch_allocation(0, 0);
-
-  // Live fault state for the PHY. Installed only when the plan does
-  // anything, so fault-free runs keep the exact pre-fault channel path.
-  std::unique_ptr<FaultRuntime> faults;
-  if (!plan.empty()) {
-    faults = std::make_unique<FaultRuntime>(plan, sc.topo.node_count(), cfg.seed);
+  trace_epoch(0);
+  if (!plan.faults.empty()) {
+    faults = std::make_unique<FaultRuntime>(plan.faults, sc.topo.node_count(), cfg.seed);
     channel.set_faults(faults.get());
   }
+}
 
+/// Phase-1 emission for epoch e: the solve record, then the resulting
+/// per-logical-flow targets.
+void Network::trace_epoch(size_t e) {
+  if (trace == nullptr) return;
+  trace->record<TraceCat::kLp>(sim.now(), TraceEvent::kLpResolve, -1,
+                               static_cast<std::int32_t>(e),
+                               static_cast<std::int32_t>(epochs[e].status), plan.boundaries[e]);
+  const std::vector<double> share = logical_shares(plan, epochs, e);
+  for (FlowId f = 0; f < plan.F; ++f)
+    trace->record<TraceCat::kLp>(sim.now(), TraceEvent::kFlowTarget, -1, f, -1,
+                                 share[static_cast<size_t>(f)]);
+}
+
+void Network::build_stacks() {
   MacConfig mac_cfg;
   mac_cfg.retry_limit = cfg.retry_limit;
   mac_cfg.use_rts_cts = cfg.use_rts_cts;
-
-  std::vector<std::unique_ptr<NodeStack>> stacks;
-  std::vector<TagScheduler*> tag_scheds(static_cast<std::size_t>(sc.topo.node_count()),
-                                        nullptr);
-  std::int64_t link_failures = 0;
-  stacks.reserve(static_cast<std::size_t>(sc.topo.node_count()));
+  stacks.reserve(static_cast<size_t>(sc.topo.node_count()));
   for (NodeId n = 0; n < sc.topo.node_count(); ++n) {
     std::unique_ptr<TxQueue> queue;
     std::unique_ptr<BackoffPolicy> backoff;
     TagAgent* tags = nullptr;
-    if (proto == Protocol::k80211) {
+    if (!allocates(proto)) {
       auto fifo = std::make_unique<FifoQueue>(cfg.queue_capacity);
       fifo->set_check(check, n);
       queue = std::move(fifo);
@@ -582,15 +639,14 @@ RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg,
       std::vector<TagScheduler::SubflowConfig> lanes;
       // In-band runs must not start from the oracle's answer: lanes begin
       // at the inactive floor and the agents bootstrap them locally.
-      for (int s : flows.sourced_at(n))
-        lanes.push_back(
-            {s, dctrl ? kInactiveShare
-                      : epochs.front().subflow_share[static_cast<std::size_t>(s)]});
+      for (int s : plan.flows.sourced_at(n))
+        lanes.push_back({s, in_band(proto) ? TagScheduler::kInactiveShare
+                                           : epochs[0].subflow_share[static_cast<size_t>(s)]});
       auto sched = std::make_unique<TagScheduler>(std::move(lanes), cfg.queue_capacity,
                                                   cfg.channel_bps, cfg.alpha);
       sched->set_trace(trace, static_cast<std::int16_t>(n));
       sched->set_check(check, n);
-      tag_scheds[static_cast<std::size_t>(n)] = sched.get();
+      tag_scheds[static_cast<size_t>(n)] = sched.get();
       if (proto == Protocol::k2paStaticCw) {
         // Ablation: weighted queueing, but no tag feedback over the air.
         backoff = std::make_unique<ScaledCwBackoff>(
@@ -601,223 +657,151 @@ RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg,
       }
       queue = std::move(sched);
     }
-    stacks.push_back(std::make_unique<NodeStack>(sim, channel, n, flows, stats, mac_cfg,
+    stacks.push_back(std::make_unique<NodeStack>(sim, channel, n, plan.flows, stats, mac_cfg,
                                                  std::move(queue), std::move(backoff),
                                                  master.split(), tags));
     stacks.back()->set_trace(trace);
     stacks.back()->set_check(check);
-    stacks.back()->set_link_failure_listener([&link_failures](const Packet&,
-                                                              TimeNs) {
-      ++link_failures;
-    });
+    stacks.back()->set_link_failure_listener(
+        [this](const Packet&, TimeNs) { ++link_failures; });
   }
+}
 
-  // ---- In-band control plane: one AllocAgent per node, wired into its
-  // MAC. Everything in this branch (including the extra RNG splits) only
-  // happens for k2paDistributedCtrl, so every other protocol's trajectory
-  // is untouched. ----
-  std::unique_ptr<ContentionGraph> ctrl_graph;
-  std::vector<std::unique_ptr<AllocAgent>> agents;
-  // Activity bitmap over sim subflows for epoch e (what the agents may
-  // hear: inactive subflows carry no traffic and leave every Own set).
-  auto active_bitmap_of = [&](int e) {
-    std::vector<char> b(static_cast<std::size_t>(flows.subflow_count()), 0);
-    for (FlowId g : epoch_active_flows[static_cast<std::size_t>(e)])
-      for (int h = 0; h < flows.flow(g).length(); ++h)
-        b[static_cast<std::size_t>(flows.subflow_index(g, h))] = 1;
-    return b;
-  };
-  // Per-sim-flow activity bitmap for epoch e (the admission oracle's view).
-  auto flow_bitmap_of = [&](int e) {
-    std::vector<char> b(static_cast<std::size_t>(flows.flow_count()), 0);
-    for (FlowId g : epoch_active_flows[static_cast<std::size_t>(e)])
-      b[static_cast<std::size_t>(g)] = 1;
-    return b;
-  };
-  if (check != nullptr) check->note_active_flows(flow_bitmap_of(0), 0);
-  if (dctrl) {
-    // Any dynamics — scripted faults, churn windows, or mobility — turn on
-    // the loss-hardened control plane (retransmits, generation stamps,
-    // staleness degradation); a plain static run keeps the lean protocol so
-    // its trajectory is byte-identical to earlier builds.
-    CtrlConfig ctrl_cfg = cfg.ctrl;
-    if (!plan.empty() || dynamic || !sc.mobility.empty()) ctrl_cfg.hardened = true;
-    ctrl_graph = std::make_unique<ContentionGraph>(sc.topo, flows);
-    Rng ctrl_master = master.split();
-    for (NodeId n = 0; n < sc.topo.node_count(); ++n) {
-      agents.push_back(std::make_unique<AllocAgent>(
-          sim, stacks[static_cast<std::size_t>(n)]->mac(), sc.topo, flows,
-          *ctrl_graph, tag_scheds[static_cast<std::size_t>(n)], ctrl_cfg,
-          ctrl_master.split(), trace));
-      agents.back()->set_check(check);
-      agents.back()->set_profiler(cfg.profile);
-    }
-    const std::vector<char> b0 = active_bitmap_of(0);
-    for (auto& a : agents) a->note_active_set(b0);
-    for (auto& a : agents) a->start();
+/// In-band control plane: one AllocAgent per node, wired into its MAC.
+/// Only k2paDistributedCtrl gets here (including the extra RNG splits), so
+/// every other protocol's trajectory is untouched.
+void Network::start_control_plane() {
+  // Any dynamics — scripted faults, churn windows, or mobility — turn on
+  // the loss-hardened control plane (retransmits, generation stamps,
+  // staleness degradation); a plain static run keeps the lean protocol so
+  // its trajectory is byte-identical to earlier builds.
+  CtrlConfig ctrl_cfg = cfg.ctrl;
+  if (!plan.faults.empty() || plan.dynamic || !sc.mobility.empty()) ctrl_cfg.hardened = true;
+  ctrl_graph = std::make_unique<ContentionGraph>(sc.topo, plan.flows);
+  Rng ctrl_master = master.split();
+  for (NodeId n = 0; n < sc.topo.node_count(); ++n) {
+    agents.push_back(std::make_unique<AllocAgent>(
+        sim, stacks[static_cast<size_t>(n)]->mac(), sc.topo, plan.flows, *ctrl_graph,
+        tag_scheds[static_cast<size_t>(n)], ctrl_cfg, ctrl_master.split(), trace));
+    agents.back()->set_check(check);
+    agents.back()->set_profiler(cfg.profile);
   }
+  const std::vector<char> b0 = plan.active_bitmap(0, true);
+  for (auto& a : agents) a->note_active_set(b0);
+  for (auto& a : agents) a->start();
 
-  // In-band ADMIT rounds: at each admission-gated arrival's boundary the
-  // candidate's source runs the hop-by-hop ADMIT_REQ/ADMIT_RSP round over
-  // the live control plane. The verdict is diagnostic (the offline gate
-  // above already decided); RunResult::Admission::inband records what the
-  // network itself concluded, for differential comparison.
-  std::vector<std::vector<std::size_t>> inband_at(static_cast<std::size_t>(E));
-  std::vector<FlowId> inband_sim_flow(out.admissions.size(), -1);
-  if (dctrl) {
-    for (std::size_t i = 0; i < out.admissions.size(); ++i) {
-      const double t = out.admissions[i].at_s;
-      const auto it = std::lower_bound(boundaries.begin(), boundaries.end(), t);
-      if (it == boundaries.end() || *it != t) continue;
-      const int e = static_cast<int>(it - boundaries.begin());
-      const FlowId f = out.admissions[i].flow;
-      const int v = std::max(
-          epoch_variant[static_cast<std::size_t>(e)][static_cast<std::size_t>(f)], 0);
-      inband_sim_flow[i] =
-          sim_flow_of[static_cast<std::size_t>(f)][static_cast<std::size_t>(v)];
-      inband_at[static_cast<std::size_t>(e)].push_back(i);
-    }
+  // The rounds' verdicts are diagnostic (the offline gate already decided);
+  // RunResult::Admission::inband records what the network itself
+  // concluded, for differential comparison.
+  for (size_t i = 0; i < plan.admissions.size(); ++i) {
+    const double t = plan.admissions[i].at_s;
+    const auto it = std::lower_bound(plan.boundaries.begin(), plan.boundaries.end(), t);
+    if (it == plan.boundaries.end() || *it != t) continue;
+    const size_t e = static_cast<size_t>(it - plan.boundaries.begin());
+    const size_t f = static_cast<size_t>(plan.admissions[i].flow);
+    const int v = std::max(plan.variant[e][f], 0);
+    inband_rounds.push_back({i, e, plan.sim_flow_of[f][static_cast<size_t>(v)]});
   }
+}
 
-  // ---- Fault bookkeeping shared by the scheduled epoch events. ----
-  // Which sim flow carries each logical flow *right now* (-1 = suspended);
-  // read by the traffic sources at injection time.
-  std::vector<FlowId> active_now = active_of[0];
-  // Earliest unhealed disruption per logical flow (-1 = none pending).
-  std::vector<double> pending_fault_s(static_cast<std::size_t>(F), -1.0);
-  for (FlowId f = 0; f < F; ++f)
-    if (active_now[static_cast<std::size_t>(f)] < 0)
-      pending_fault_s[static_cast<std::size_t>(f)] = 0.0;
-  std::vector<RunResult::Recovery> recoveries;
-  std::vector<std::vector<std::int64_t>> epoch_e2e;
-  std::vector<std::int64_t> epoch_prev(static_cast<std::size_t>(F), 0);
+/// Recovery detection (the first end-to-end delivery on the *current*
+/// route of a disrupted flow heals it — stale in-flight packets on a
+/// pre-fault route do not count) composed with delivery tracing; both ride
+/// the same TrafficStats listener slot.
+void Network::track_deliveries() {
+  const bool want_recovery = !plan.faults.events().empty();
+  if (!want_recovery && trace == nullptr) return;
+  stats.set_delivery_listener([this, want_recovery](FlowId g, TimeNs now, TimeNs delay) {
+    const FlowId f = plan.logical_of[static_cast<size_t>(g)];
+    if (trace != nullptr)
+      trace->record<TraceCat::kFlow>(
+          now, TraceEvent::kDelivery,
+          static_cast<std::int16_t>(plan.flows.flow(g).destination()), f, g,
+          to_seconds(delay));
+    double& pending = pending_fault_s[static_cast<size_t>(f)];
+    if (!want_recovery || pending < 0.0 || active_now[static_cast<size_t>(f)] != g) return;
+    recoveries.push_back({f, pending, to_seconds(now)});
+    pending = -1.0;
+  });
+}
 
-  auto logical_e2e = [&](FlowId f) {
-    std::int64_t sum = 0;
-    for (FlowId g : sim_flow_of[static_cast<std::size_t>(f)]) sum += stats.end_to_end(g);
-    return sum;
-  };
-  auto snapshot_epoch = [&] {
-    std::vector<std::int64_t> row(static_cast<std::size_t>(F));
-    for (FlowId f = 0; f < F; ++f) {
-      const std::int64_t cur = logical_e2e(f);
-      row[static_cast<std::size_t>(f)] = cur - epoch_prev[static_cast<std::size_t>(f)];
-      epoch_prev[static_cast<std::size_t>(f)] = cur;
-    }
-    epoch_e2e.push_back(std::move(row));
-  };
-
-  // Recovery detection (the first end-to-end delivery on the *current*
-  // route of a disrupted flow heals it — stale in-flight packets on a
-  // pre-fault route do not count) composed with delivery tracing; both ride
-  // the same TrafficStats listener slot.
-  const bool want_recovery = !plan.events().empty();
-  if (want_recovery || trace != nullptr) {
-    stats.set_delivery_listener([&, want_recovery](FlowId g, TimeNs now,
-                                                   TimeNs delay) {
-      const FlowId f = logical_of[static_cast<std::size_t>(g)];
-      if (trace != nullptr)
-        trace->record<TraceCat::kFlow>(
-            now, TraceEvent::kDelivery,
-            static_cast<std::int16_t>(flows.flow(g).destination()), f, g,
-            to_seconds(delay));
-      if (!want_recovery) return;
-      if (pending_fault_s[static_cast<std::size_t>(f)] < 0.0) return;
-      if (active_now[static_cast<std::size_t>(f)] != g) return;
-      recoveries.push_back(
-          {f, pending_fault_s[static_cast<std::size_t>(f)], to_seconds(now)});
-      pending_fault_s[static_cast<std::size_t>(f)] = -1.0;
-    });
-  }
-
-  // One event per later epoch boundary: close the ending epoch's goodput
-  // window, apply the new surviving topology, push the re-converged shares
-  // into the live schedulers, and switch every flow to its epoch route.
-  // Scheduled at setup, so it precedes all same-instant packet events.
-  for (int e = 1; e < E; ++e) {
-    sim.schedule_at(from_seconds(boundaries[static_cast<std::size_t>(e)]), [&, e] {
-      if (multi) snapshot_epoch();
-      if (faults) faults->apply(masks[static_cast<std::size_t>(e)]);
-      if (trace != nullptr && !plan.empty())
-        trace->record<TraceCat::kFault>(sim.now(), TraceEvent::kFaultEpoch, -1, e,
-                                        -1, boundaries[static_cast<std::size_t>(e)]);
-      trace_epoch_allocation(e, sim.now());
-      // The admission/stale-rate oracle learns the new population before the
-      // control plane reacts, so every lane update at or after the boundary
-      // is judged against the current flow set.
-      if (check != nullptr) check->note_active_flows(flow_bitmap_of(e), sim.now());
-      if (dctrl) {
-        // No oracle push: tell the agents what went (in)active and let the
-        // network re-converge through its own HELLO/CONSTRAINT/RATE cycle.
-        const std::vector<char> b = active_bitmap_of(e);
-        for (auto& a : agents) a->note_active_set(b);
-        for (std::size_t i : inband_at[static_cast<std::size_t>(e)]) {
-          const FlowId g = inband_sim_flow[i];
-          agents[static_cast<std::size_t>(flows.flow(g).source())]
-              ->request_admission(g);
-        }
-      } else {
-        const EpochAllocation& epoch = epochs[static_cast<std::size_t>(e)];
-        for (int s = 0; s < flows.subflow_count(); ++s) {
-          TagScheduler* sched =
-              tag_scheds[static_cast<std::size_t>(flows.subflow(s).src)];
-          if (sched != nullptr) {
-            sched->note_time(sim.now());
-            sched->update_share(s, epoch.subflow_share[static_cast<std::size_t>(s)]);
-          }
-        }
+/// Epoch boundary e: close the ending epoch's goodput window, apply the
+/// new surviving topology, push the re-converged shares into the live
+/// schedulers, and switch every flow to its epoch route.
+void Network::enter_epoch(size_t e) {
+  if (plan.multi()) close_epoch();
+  if (faults) faults->apply(plan.masks[e]);
+  if (trace != nullptr && !plan.faults.empty())
+    trace->record<TraceCat::kFault>(sim.now(), TraceEvent::kFaultEpoch, -1,
+                                    static_cast<std::int32_t>(e), -1, plan.boundaries[e]);
+  trace_epoch(e);
+  // The admission/stale-rate oracle learns the new population before the
+  // control plane reacts, so every lane update at or after the boundary is
+  // judged against the current flow set.
+  if (check != nullptr) check->note_active_flows(plan.active_bitmap(e, false), sim.now());
+  if (in_band(proto)) {
+    // No oracle push: tell the agents what went (in)active and let the
+    // network re-converge through its own HELLO/CONSTRAINT/RATE cycle.
+    const std::vector<char> b = plan.active_bitmap(e, true);
+    for (auto& a : agents) a->note_active_set(b);
+    for (const InbandRound& r : inband_rounds)
+      if (r.epoch == e)
+        agents[static_cast<size_t>(plan.flows.flow(r.flow).source())]->request_admission(
+            r.flow);
+  } else {
+    for (int s = 0; s < plan.flows.subflow_count(); ++s) {
+      TagScheduler* sched = tag_scheds[static_cast<size_t>(plan.flows.subflow(s).src)];
+      if (sched != nullptr) {
+        sched->note_time(sim.now());
+        sched->update_share(s, epochs[e].subflow_share[static_cast<size_t>(s)]);
       }
-      for (FlowId f = 0; f < F; ++f) {
-        const FlowId prev = active_now[static_cast<std::size_t>(f)];
-        const FlowId next =
-            active_of[static_cast<std::size_t>(e)][static_cast<std::size_t>(f)];
-        if (next == prev) continue;
-        active_now[static_cast<std::size_t>(f)] = next;
-        // A reroute or suspension is a disruption; a resume keeps the
-        // original fault time so the recovery spans the whole outage.
-        if (pending_fault_s[static_cast<std::size_t>(f)] < 0.0 &&
-            (next < 0 || prev >= 0))
-          pending_fault_s[static_cast<std::size_t>(f)] =
-              boundaries[static_cast<std::size_t>(e)];
-      }
-    });
+    }
   }
+  for (size_t f = 0; f < active_now.size(); ++f) {
+    const FlowId prev = active_now[f];
+    const FlowId next = plan.active_of[e][f];
+    if (next == prev) continue;
+    active_now[f] = next;
+    // A reroute or suspension is a disruption; a resume keeps the original
+    // fault time so the recovery spans the whole outage.
+    if (pending_fault_s[f] < 0.0 && (next < 0 || prev >= 0))
+      pending_fault_s[f] = plan.boundaries[e];
+  }
+}
 
-  // Traffic sources at each flow's origin, gated by the activity windows.
-  // Packets of a suspended flow are suppressed at the source (and counted):
-  // there is no route to put them on.
-  //
-  // Elastic runs additionally stand up the ACK plane: every node may relay
-  // returning kTransAck frames, every stack's last-hop deliveries route
-  // through the plane's freshness gate, and each flow's controller hangs
-  // off its provisioned path. CBR runs construct none of this — their
-  // trajectory (and RNG stream) is byte-identical to pre-transport builds.
-  const bool elastic = sc.transport != TransportKind::kCbr;
+/// Traffic sources at each flow's origin, gated by the activity windows.
+/// Packets of a suspended flow are suppressed at the source (and counted):
+/// there is no route to put them on.
+///
+/// Elastic runs additionally stand up the ACK plane: every node may relay
+/// returning kTransAck frames, every stack's last-hop deliveries route
+/// through the plane's freshness gate, and each flow's controller hangs off
+/// its provisioned path. CBR runs construct none of this — their trajectory
+/// (and RNG stream) is byte-identical to pre-transport builds.
+void Network::start_sources() {
   TransportConfig tcfg = cfg.transport;
   tcfg.kind = sc.transport;
-  std::unique_ptr<AckPlane> ack;
   if (elastic) {
     ack = std::make_unique<AckPlane>(sim, tcfg, trace, check);
     for (NodeId n = 0; n < sc.topo.node_count(); ++n) {
-      NodeStack* stack = stacks[static_cast<std::size_t>(n)].get();
+      NodeStack* stack = stacks[static_cast<size_t>(n)].get();
       ack->register_mac(n, &stack->mac());
       stack->mac().set_transport_listener(
           [a = ack.get(), n](const Frame& fr) { a->on_ctrl_frame(n, fr); });
       // The plane keys state by *logical* flow: a repaired route variant's
       // deliveries fold onto the same cumulative-ack stream.
-      stack->set_transport_sink(
-          [a = ack.get(), &logical_of](const Packet& p, TimeNs now) {
-            Packet q = p;
-            q.flow = logical_of[static_cast<std::size_t>(p.flow)];
-            return a->on_final_delivery(q, now);
-          });
+      stack->set_transport_sink([a = ack.get(), this](const Packet& p, TimeNs now) {
+        Packet q = p;
+        q.flow = plan.logical_of[static_cast<size_t>(p.flow)];
+        return a->on_final_delivery(q, now);
+      });
     }
   }
-  std::vector<std::unique_ptr<TransportSource>> sources;
-  for (FlowId f = 0; f < F; ++f) {
-    NodeStack* stack = stacks[static_cast<std::size_t>(logical.flow(f).source())].get();
-    auto emit = [stack, f, &active_now, &stats](Packet p) {
-      const FlowId g = active_now[static_cast<std::size_t>(f)];
+  for (FlowId f = 0; f < plan.F; ++f) {
+    const Flow& flow = plan.logical.flow(f);
+    NodeStack* stack = stacks[static_cast<size_t>(flow.source())].get();
+    auto emit = [this, stack, f](Packet p) {
+      const FlowId g = active_now[static_cast<size_t>(f)];
       if (g < 0) {
         stats.count_suspended(f);
         return;
@@ -829,271 +813,309 @@ RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg,
       src = std::make_unique<CbrTransport>(sim, cfg.cbr_pps, cfg.payload_bytes,
                                            std::move(emit), master);
     } else if (sc.transport == TransportKind::kAimd) {
-      src = std::make_unique<AimdTransport>(sim, tcfg, cfg.payload_bytes,
-                                            std::move(emit), master, f,
-                                            logical.flow(f).source(), trace, check);
+      src = std::make_unique<AimdTransport>(sim, tcfg, cfg.payload_bytes, std::move(emit),
+                                            master, f, flow.source(), trace, check);
     } else {
-      src = std::make_unique<BbrTransport>(sim, tcfg, cfg.payload_bytes,
-                                           std::move(emit), master, f,
-                                           logical.flow(f).source(), trace, check);
+      src = std::make_unique<BbrTransport>(sim, tcfg, cfg.payload_bytes, std::move(emit),
+                                           master, f, flow.source(), trace, check);
     }
-    if (elastic) ack->add_flow(f, logical.flow(f).path, src.get());
-    const FlowActivity w = window_of(f);
-    const TimeNs until = std::min(horizon, from_seconds(std::min(w.stop_s, total_s)));
+    if (elastic) ack->add_flow(f, flow.path, src.get());
+    const FlowActivity& w = plan.windows[static_cast<size_t>(f)];
+    const TimeNs until = std::min(plan.horizon, from_seconds(std::min(w.stop_s, plan.total_s)));
     TransportSource* raw = src.get();
     // A rejected arrival's source never starts (the flow offers no traffic);
     // the source object is still constructed so the RNG stream layout is
     // identical whichever way the gate decided.
-    if (admitted_flag[static_cast<std::size_t>(f)])
-      sim.schedule_at(from_seconds(std::min(w.start_s, total_s)),
+    if (plan.admitted[static_cast<size_t>(f)])
+      sim.schedule_at(from_seconds(std::min(w.start_s, plan.total_s)),
                       [raw, until] { raw->start(until); });
     sources.push_back(std::move(src));
   }
+}
 
-  // ---- Re-convergence probe (in-band protocol, multi-epoch runs): poll the
-  // applied lane shares on a fixed grid and record, per epoch, how long the
-  // network took to bring every active lane within 10% + 0.02 of the epoch's
-  // oracle target. Pure reads — the probe never perturbs the trajectory. ----
-  std::vector<double> reconv(static_cast<std::size_t>(E), -1.0);
-  std::function<void()> reconv_sample;
-  if (dctrl && E > 1) {
-    const TimeNs reconv_period = from_seconds(0.1);
-    reconv_sample = [&, reconv_period, horizon] {
-      const double now_s = to_seconds(sim.now());
-      auto it = std::upper_bound(boundaries.begin(), boundaries.end(),
-                                 now_s + 1e-12);
-      const std::size_t e = static_cast<std::size_t>(it - boundaries.begin()) - 1;
-      if (reconv[e] < 0.0) {
-        bool converged = true;
-        for (FlowId g : epoch_active_flows[e]) {
-          for (int h = 0; converged && h < flows.flow(g).length(); ++h) {
-            const int s = flows.subflow_index(g, h);
-            const TagScheduler* sched =
-                tag_scheds[static_cast<std::size_t>(flows.subflow(s).src)];
-            const double target =
-                epochs[e].subflow_share[static_cast<std::size_t>(s)];
-            const double applied = sched != nullptr ? sched->share_of(s) : 0.0;
-            if (std::abs(applied - target) > 0.10 * target + 0.02)
-              converged = false;
-          }
-          if (!converged) break;
-        }
-        if (converged) {
-          reconv[e] = now_s - boundaries[e];
-          if (trace != nullptr)
-            trace->record<TraceCat::kCtrl>(
-                sim.now(), TraceEvent::kCtrlReconv, -1,
-                static_cast<std::int32_t>(e), -1, reconv[e], boundaries[e]);
-        }
-      }
-      if (sim.now() + reconv_period <= horizon)
-        sim.schedule_in(reconv_period, reconv_sample);
-    };
-    sim.schedule_at(reconv_period, reconv_sample);
+/// Builds the network in the order the trajectory depends on: RNG splits
+/// for the stacks in node order, then the control plane, then the sources
+/// in flow order; epoch events are scheduled before the source starts.
+std::unique_ptr<Network> build_network(const Scenario& sc, const RunPlan& plan,
+                                       const std::vector<EpochAllocation>& epochs,
+                                       Protocol proto, const SimConfig& cfg) {
+  auto net = std::make_unique<Network>(sc, plan, epochs, proto, cfg);
+  net->wire_channel();
+  net->build_stacks();
+  if (net->check != nullptr) net->check->note_active_flows(plan.active_bitmap(0, false), 0);
+  if (in_band(proto)) net->start_control_plane();
+  net->track_deliveries();
+  // Scheduled at setup, so each boundary precedes all same-instant packet
+  // events.
+  for (size_t e = 1; e < plan.boundaries.size(); ++e)
+    net->sim.schedule_at(from_seconds(plan.boundaries[e]),
+                         [n = net.get(), e] { n->enter_epoch(e); });
+  net->start_sources();
+  return net;
+}
+
+// ---- Stage 4: observers. ----
+
+/// Periodic read-only probes hung off a built network and scheduled after
+/// its own events: the in-band re-convergence probe, the short-term
+/// fairness windows, and the metrics sampler. None perturbs the trajectory.
+/// Events capture this object's address, so it is never moved.
+class Observers {
+ public:
+  explicit Observers(Network& net);
+  Observers(const Observers&) = delete;
+  Observers& operator=(const Observers&) = delete;
+  /// Moves what the observers gathered into `out`.
+  void collect(RunResult& out);
+
+ private:
+  void probe_reconvergence();
+  void sample_window() { windows_.push_back(window_delta_.take(net_.plan, net_.stats)); }
+  void register_metrics();
+  void sample_metrics();
+
+  Network& net_;
+  std::vector<double> reconv_;
+  DeliveryDelta window_delta_;
+  std::vector<std::vector<std::int64_t>> windows_;
+  MetricsRegistry registry_;
+  MetricsTimeSeries metrics_;
+  DeliveryDelta metrics_delta_;
+  Delta<double> timeouts_, attempts_, airtime_, ctrl_bytes_, retransmits_, seq_gaps_;
+};
+
+Observers::Observers(Network& net)
+    : net_(net),
+      reconv_(net.plan.boundaries.size(), -1.0),
+      window_delta_(net.plan.F),
+      metrics_delta_(net.plan.F) {
+  const SimConfig& cfg = net.cfg;
+  const TimeNs horizon = net.plan.horizon;
+  if (in_band(net.proto) && net.plan.epochs() > 1) {
+    const TimeNs period = from_seconds(0.1);
+    run_every(net.sim, period, period, horizon, [this] { probe_reconvergence(); });
   }
-
-  // Optional short-term fairness sampling: snapshot per-flow end-to-end
-  // deliveries at fixed intervals and report the deltas. All sampler state
-  // lives at function scope: the scheduled events reference it while
-  // run_until executes below.
-  std::vector<std::vector<std::int64_t>> windows;
-  std::vector<std::int64_t> window_prev(static_cast<std::size_t>(F), 0);
-  std::function<void()> sample;
   if (cfg.sample_interval_seconds > 0.0) {
     const TimeNs interval = from_seconds(cfg.sample_interval_seconds);
     E2EFA_ASSERT(interval > 0);
-    sample = [&sim, &logical_e2e, &windows, &window_prev, &sample, interval, horizon,
-              F] {
-      std::vector<std::int64_t> now(static_cast<std::size_t>(F));
-      for (FlowId f = 0; f < F; ++f) {
-        const std::int64_t total = logical_e2e(f);
-        now[static_cast<std::size_t>(f)] = total - window_prev[static_cast<std::size_t>(f)];
-        window_prev[static_cast<std::size_t>(f)] = total;
-      }
-      windows.push_back(std::move(now));
-      if (sim.now() + interval <= horizon) sim.schedule_in(interval, sample);
-    };
-    sim.schedule_at(from_seconds(cfg.warmup_seconds) + interval, sample);
+    run_every(net.sim, from_seconds(cfg.warmup_seconds) + interval, interval, horizon,
+              [this] { sample_window(); });
   }
-
-  // ---- Metrics registry + periodic sampler (enabled by metrics_period).
-  // Components expose their live counters by address; the registry is only
-  // read at sample instants, so runs without metrics pay nothing and runs
-  // with metrics stay bit-identical (sampling never mutates sim state). ----
-  MetricsRegistry registry;
-  MetricsTimeSeries metrics_ts;
-  std::vector<std::int64_t> metrics_prev_e2e(static_cast<std::size_t>(F), 0);
-  double metrics_prev_timeouts = 0.0, metrics_prev_attempts = 0.0;
-  double metrics_prev_airtime = 0.0, metrics_prev_ctrl_bytes = 0.0;
-  double metrics_prev_retransmits = 0.0, metrics_prev_seq_gaps = 0.0;
-  std::function<void()> metrics_sample;
   if (cfg.metrics_period_seconds > 0.0) {
-    metrics_ts.period_s = cfg.metrics_period_seconds;
-    const ChannelStats& ch = channel.stats();
-    registry.add_counter("frames_transmitted", -1, -1, &ch.frames_transmitted);
-    registry.add_counter("frames_delivered", -1, -1, &ch.frames_delivered);
-    registry.add_counter("frames_corrupted", -1, -1, &ch.frames_corrupted);
-    registry.add_counter("frames_faulted_dead", -1, -1, &ch.faulted_dead);
-    registry.add_counter("frames_faulted_loss", -1, -1, &ch.faulted_loss);
-    registry.add_counter("airtime_ns", -1, -1, &ch.airtime_ns);
-    for (NodeId n = 0; n < sc.topo.node_count(); ++n) {
-      const NodeStack* stack = stacks[static_cast<std::size_t>(n)].get();
-      const DcfMac::Stats& ms = stack->mac().stats();
-      const std::int16_t node = static_cast<std::int16_t>(n);
-      registry.add_counter("mac_rts_sent", node, -1, &ms.rts_sent);
-      registry.add_counter("mac_data_sent", node, -1, &ms.data_sent);
-      registry.add_counter("mac_timeouts", node, -1, &ms.timeouts);
-      registry.add_counter("mac_retry_drops", node, -1, &ms.retry_drops);
-      registry.add_gauge("queue_depth", node, -1, [stack] {
-        return static_cast<double>(stack->backlog());
-      });
-      TagScheduler* sched = tag_scheds[static_cast<std::size_t>(n)];
-      if (sched != nullptr)
-        registry.add_gauge("virtual_clock", node, -1,
-                           [sched] { return sched->virtual_clock(); });
-    }
-    for (int s = 0; s < flows.subflow_count(); ++s) {
-      const SubflowCounters& c = stats.subflow(s);
-      registry.add_counter("subflow_delivered",
-                           static_cast<std::int16_t>(flows.subflow(s).src), s,
-                           &c.delivered);
-      registry.add_counter("subflow_dropped_queue",
-                           static_cast<std::int16_t>(flows.subflow(s).src), s,
-                           &c.dropped_queue);
-    }
-    if (dctrl)
-      for (NodeId n = 0; n < sc.topo.node_count(); ++n) {
-        const CtrlAgentStats& as = agents[static_cast<std::size_t>(n)]->stats();
-        const std::int16_t node = static_cast<std::int16_t>(n);
-        registry.add_counter("ctrl_bytes", node, -1, &as.ctrl_bytes_sent);
-        registry.add_counter("ctrl_retransmits", node, -1, &as.retransmits);
-        registry.add_counter("ctrl_seq_gaps", node, -1, &as.seq_gaps);
-      }
-
-    // Targets of the epoch in force at time t_s, folded onto logical flows.
-    auto targets_at = [&](double t_s) {
-      auto it = std::upper_bound(boundaries.begin(), boundaries.end(), t_s + 1e-12);
-      const std::size_t e = static_cast<std::size_t>(it - boundaries.begin()) - 1;
-      std::vector<double> tg(static_cast<std::size_t>(F), 0.0);
-      if (!epochs[e].has_target) return tg;
-      for (FlowId f = 0; f < F; ++f) {
-        const FlowId g = active_of[e][static_cast<std::size_t>(f)];
-        if (g >= 0)
-          tg[static_cast<std::size_t>(f)] =
-              epochs[e].flow_share[static_cast<std::size_t>(g)];
-      }
-      return tg;
-    };
-
+    metrics_.period_s = cfg.metrics_period_seconds;
+    register_metrics();
     const TimeNs period = from_seconds(cfg.metrics_period_seconds);
     E2EFA_ASSERT(period > 0);
-    const double period_s = cfg.metrics_period_seconds;
-    // `targets_at` is local to this block, so it must ride along by value
-    // (its own captures are frame-lifetime locals that outlive the run).
-    metrics_sample = [&, period, period_s, horizon, targets_at] {
-      MetricsSample samp;
-      samp.t_s = to_seconds(sim.now());
-      std::vector<double> share(static_cast<std::size_t>(F), 0.0);
-      for (FlowId f = 0; f < F; ++f) {
-        const std::int64_t total = logical_e2e(f);
-        const std::int64_t delta = total - metrics_prev_e2e[static_cast<std::size_t>(f)];
-        metrics_prev_e2e[static_cast<std::size_t>(f)] = total;
-        samp.flow_goodput_pps.push_back(static_cast<double>(delta) / period_s);
-        share[static_cast<std::size_t>(f)] =
-            static_cast<double>(delta) * 8.0 * cfg.payload_bytes /
-            (period_s * static_cast<double>(cfg.channel_bps));
-      }
-      // Share-normalized fairness against the epoch targets in force at the
-      // window midpoint; raw rates when there is no allocation (802.11).
-      const std::vector<double> tg = targets_at(samp.t_s - 0.5 * period_s);
-      const std::vector<double> normalized = normalized_by(share, tg);
-      samp.jain = normalized.empty() ? jain_fairness_index(samp.flow_goodput_pps)
-                                     : jain_fairness_index(normalized);
-      const std::vector<double> depths = registry.values("queue_depth");
-      samp.queue_depth_p50 = percentile(depths, 50.0);
-      samp.queue_depth_p95 = percentile(depths, 95.0);
-      samp.queue_depth_max = percentile(depths, 100.0);
-      const double timeouts = registry.sum("mac_timeouts");
-      const double attempts = registry.sum("mac_rts_sent") +
-                              registry.sum("mac_data_sent");
-      const double d_timeouts = timeouts - metrics_prev_timeouts;
-      const double d_attempts = attempts - metrics_prev_attempts;
-      metrics_prev_timeouts = timeouts;
-      metrics_prev_attempts = attempts;
-      samp.mac_retry_rate = d_attempts > 0.0 ? d_timeouts / d_attempts : 0.0;
-      const double airtime = registry.sum("airtime_ns");
-      samp.channel_utilization =
-          (airtime - metrics_prev_airtime) / static_cast<double>(period);
-      metrics_prev_airtime = airtime;
-      if (dctrl) {
-        const double cbytes = registry.sum("ctrl_bytes");
-        samp.ctrl_bytes = cbytes - metrics_prev_ctrl_bytes;
-        metrics_prev_ctrl_bytes = cbytes;
-        const double data_bytes = registry.sum("mac_data_sent") *
-                                  static_cast<double>(cfg.payload_bytes);
-        samp.ctrl_overhead = data_bytes > 0.0 ? cbytes / data_bytes : 0.0;
-        const double retx = registry.sum("ctrl_retransmits");
-        samp.ctrl_retransmits = retx - metrics_prev_retransmits;
-        metrics_prev_retransmits = retx;
-        const double gaps = registry.sum("ctrl_seq_gaps");
-        samp.ctrl_seq_gaps = gaps - metrics_prev_seq_gaps;
-        metrics_prev_seq_gaps = gaps;
-      }
-      if (elastic) {
-        for (FlowId f = 0; f < F; ++f) {
-          const TransportTelemetry tel =
-              sources[static_cast<std::size_t>(f)]->telemetry();
-          samp.flow_cwnd.push_back(tel.cwnd);
-          samp.flow_srtt_s.push_back(tel.srtt_s);
-          samp.flow_delivery_pps.push_back(tel.delivery_rate_pps);
-        }
-      }
-      metrics_ts.samples.push_back(std::move(samp));
-      if (sim.now() + period <= horizon) sim.schedule_in(period, metrics_sample);
-    };
-    sim.schedule_at(period, metrics_sample);
+    run_every(net.sim, period, period, horizon, [this] { sample_metrics(); });
   }
+}
 
-  setup_prof.reset();  // everything below run_until accrues to the sim phase
-
-  {
-    Profiler::Scope prof(cfg.profile, Profiler::Phase::kSim);
-    sim.run_until(horizon);
+/// Records, per epoch, how long the network took to bring every active
+/// lane's applied share within 10% + 0.02 of the epoch's oracle target.
+void Observers::probe_reconvergence() {
+  const RunPlan& plan = net_.plan;
+  const double now_s = to_seconds(net_.sim.now());
+  const size_t e = plan.epoch_at(now_s);
+  if (reconv_[e] >= 0.0) return;
+  for (FlowId g : plan.active_flows[e]) {
+    for (int h = 0; h < plan.flows.flow(g).length(); ++h) {
+      const int s = plan.flows.subflow_index(g, h);
+      const TagScheduler* sched = net_.tag_scheds[static_cast<size_t>(plan.flows.subflow(s).src)];
+      const double target = net_.epochs[e].subflow_share[static_cast<size_t>(s)];
+      const double applied = sched != nullptr ? sched->share_of(s) : 0.0;
+      if (std::abs(applied - target) > 0.10 * target + 0.02) return;
+    }
   }
-  if (multi) snapshot_epoch();  // close the final epoch
+  reconv_[e] = now_s - plan.boundaries[e];
+  if (net_.trace != nullptr)
+    net_.trace->record<TraceCat::kCtrl>(net_.sim.now(), TraceEvent::kCtrlReconv, -1,
+                                        static_cast<std::int32_t>(e), -1, reconv_[e],
+                                        plan.boundaries[e]);
+}
 
-  // Close the conservation ledger against what is still buffered.
-  if (check != nullptr) {
-    std::vector<int> backlog;
-    backlog.reserve(stacks.size());
-    for (const auto& stack : stacks) backlog.push_back(stack->backlog());
-    check->finalize(backlog, sim.now());
+/// Components expose their live counters by address; the registry is only
+/// read at sample instants.
+void Observers::register_metrics() {
+  const ChannelStats& ch = net_.channel.stats();
+  registry_.add_counter("frames_transmitted", -1, -1, &ch.frames_transmitted);
+  registry_.add_counter("frames_delivered", -1, -1, &ch.frames_delivered);
+  registry_.add_counter("frames_corrupted", -1, -1, &ch.frames_corrupted);
+  registry_.add_counter("frames_faulted_dead", -1, -1, &ch.faulted_dead);
+  registry_.add_counter("frames_faulted_loss", -1, -1, &ch.faulted_loss);
+  registry_.add_counter("airtime_ns", -1, -1, &ch.airtime_ns);
+  for (size_t n = 0; n < net_.stacks.size(); ++n) {
+    const NodeStack* stack = net_.stacks[n].get();
+    const DcfMac::Stats& ms = stack->mac().stats();
+    const std::int16_t node = static_cast<std::int16_t>(n);
+    registry_.add_counter("mac_rts_sent", node, -1, &ms.rts_sent);
+    registry_.add_counter("mac_data_sent", node, -1, &ms.data_sent);
+    registry_.add_counter("mac_timeouts", node, -1, &ms.timeouts);
+    registry_.add_counter("mac_retry_drops", node, -1, &ms.retry_drops);
+    registry_.add_gauge("queue_depth", node, -1,
+                        [stack] { return static_cast<double>(stack->backlog()); });
+    if (const TagScheduler* sched = net_.tag_scheds[n])
+      registry_.add_gauge("virtual_clock", node, -1, [sched] { return sched->virtual_clock(); });
   }
-
-  // ---- Collect. Per-flow figures aggregate every route variant back onto
-  // the scenario flow; per-subflow figures stay at sim granularity (their
-  // logical prefix matches the scenario's own subflows). ----
-  out.delivered_per_subflow.resize(static_cast<std::size_t>(flows.subflow_count()));
-  for (int s = 0; s < flows.subflow_count(); ++s)
-    out.delivered_per_subflow[static_cast<std::size_t>(s)] = stats.subflow(s).delivered;
-  out.end_to_end_per_flow.resize(static_cast<std::size_t>(F));
-  for (FlowId f = 0; f < F; ++f)
-    out.end_to_end_per_flow[static_cast<std::size_t>(f)] = logical_e2e(f);
-  out.total_end_to_end = stats.total_end_to_end();
+  const FlowSet& flows = net_.plan.flows;
   for (int s = 0; s < flows.subflow_count(); ++s) {
+    const SubflowCounters& c = net_.stats.subflow(s);
+    const std::int16_t src = static_cast<std::int16_t>(flows.subflow(s).src);
+    registry_.add_counter("subflow_delivered", src, s, &c.delivered);
+    registry_.add_counter("subflow_dropped_queue", src, s, &c.dropped_queue);
+  }
+  for (size_t n = 0; n < net_.agents.size(); ++n) {
+    const CtrlAgentStats& as = net_.agents[n]->stats();
+    const std::int16_t node = static_cast<std::int16_t>(n);
+    registry_.add_counter("ctrl_bytes", node, -1, &as.ctrl_bytes_sent);
+    registry_.add_counter("ctrl_retransmits", node, -1, &as.retransmits);
+    registry_.add_counter("ctrl_seq_gaps", node, -1, &as.seq_gaps);
+  }
+}
+
+void Observers::sample_metrics() {
+  const SimConfig& cfg = net_.cfg;
+  const RunPlan& plan = net_.plan;
+  const double period_s = cfg.metrics_period_seconds;
+  MetricsSample samp;
+  samp.t_s = to_seconds(net_.sim.now());
+  const std::vector<std::int64_t> delta = metrics_delta_.take(plan, net_.stats);
+  std::vector<double> share(delta.size(), 0.0);
+  for (size_t f = 0; f < delta.size(); ++f) {
+    samp.flow_goodput_pps.push_back(static_cast<double>(delta[f]) / period_s);
+    share[f] = static_cast<double>(delta[f]) * 8.0 * cfg.payload_bytes /
+               (period_s * static_cast<double>(cfg.channel_bps));
+  }
+  // Share-normalized fairness against the epoch targets in force at the
+  // window midpoint; raw rates when there is no allocation (802.11).
+  const std::vector<double> normalized = normalized_by(
+      share, logical_shares(plan, net_.epochs, plan.epoch_at(samp.t_s - 0.5 * period_s)));
+  samp.jain = normalized.empty() ? jain_fairness_index(samp.flow_goodput_pps)
+                                 : jain_fairness_index(normalized);
+  const std::vector<double> depths = registry_.values("queue_depth");
+  samp.queue_depth_p50 = percentile(depths, 50.0);
+  samp.queue_depth_p95 = percentile(depths, 95.0);
+  samp.queue_depth_max = percentile(depths, 100.0);
+  const double d_timeouts = timeouts_(registry_.sum("mac_timeouts"));
+  const double d_attempts =
+      attempts_(registry_.sum("mac_rts_sent") + registry_.sum("mac_data_sent"));
+  samp.mac_retry_rate = d_attempts > 0.0 ? d_timeouts / d_attempts : 0.0;
+  samp.channel_utilization =
+      airtime_(registry_.sum("airtime_ns")) / static_cast<double>(from_seconds(period_s));
+  if (in_band(net_.proto)) {
+    const double cbytes = registry_.sum("ctrl_bytes");
+    samp.ctrl_bytes = ctrl_bytes_(cbytes);
+    const double data_bytes =
+        registry_.sum("mac_data_sent") * static_cast<double>(cfg.payload_bytes);
+    samp.ctrl_overhead = data_bytes > 0.0 ? cbytes / data_bytes : 0.0;
+    samp.ctrl_retransmits = retransmits_(registry_.sum("ctrl_retransmits"));
+    samp.ctrl_seq_gaps = seq_gaps_(registry_.sum("ctrl_seq_gaps"));
+  }
+  if (net_.elastic) {
+    for (const auto& src : net_.sources) {
+      const TransportTelemetry tel = src->telemetry();
+      samp.flow_cwnd.push_back(tel.cwnd);
+      samp.flow_srtt_s.push_back(tel.srtt_s);
+      samp.flow_delivery_pps.push_back(tel.delivery_rate_pps);
+    }
+  }
+  metrics_.samples.push_back(std::move(samp));
+}
+
+void Observers::collect(RunResult& out) {
+  out.window_end_to_end = std::move(windows_);
+  out.metrics = std::move(metrics_);
+  if (in_band(net_.proto) && net_.plan.epochs() > 1) {
+    out.reconv_s = std::move(reconv_);
+    // Surface the per-epoch samples in the metrics artifact as well, so a
+    // JSONL dump carries the control-plane health story on its own.
+    if (net_.cfg.metrics_period_seconds > 0.0) out.metrics.reconv_s = out.reconv_s;
+  }
+}
+
+// ---- Stage 5: collect. Per-flow figures aggregate every route variant
+// back onto the scenario flow; per-subflow figures stay at sim granularity
+// (their logical prefix matches the scenario's own subflows). ----
+
+/// Phase-1 targets: RunResult::target_* reflect the first epoch; epoch_*
+/// record the full history of multi-epoch runs.
+void collect_targets(const RunPlan& plan, const std::vector<EpochAllocation>& epochs,
+                     Protocol proto, RunResult& out) {
+  out.has_target = allocates(proto) && !plan.active_flows[0].empty();
+  if (out.has_target) {
+    out.target_subflow_share = epochs[0].subflow_share;
+    out.target_flow_share = logical_shares(plan, epochs, 0);
+  }
+  if (plan.multi()) {
+    out.epoch_starts_s = plan.boundaries;
+    for (size_t e = 0; e < epochs.size(); ++e)
+      out.epoch_flow_share.push_back(logical_shares(plan, epochs, e));
+  }
+  if (allocates(proto))
+    for (const EpochAllocation& epoch : epochs) out.epoch_lp_status.push_back(epoch.status);
+  out.admissions = plan.admissions;
+}
+
+void collect_ctrl(const Network& net, RunResult& out) {
+  for (size_t n = 0; n < net.agents.size(); ++n) {
+    const CtrlAgentStats& as = net.agents[n]->stats();
+    out.ctrl.hello_sent += as.hello_sent;
+    out.ctrl.constraint_sent += as.constraint_sent;
+    out.ctrl.rate_sent += as.rate_sent;
+    out.ctrl.msgs_received += as.msgs_received;
+    out.ctrl.solves += as.solves;
+    out.ctrl.ctrl_bytes += as.ctrl_bytes_sent;
+    out.ctrl.admit_req_sent += as.admit_req_sent;
+    out.ctrl.admit_rsp_sent += as.admit_rsp_sent;
+    out.ctrl.retransmits += as.retransmits;
+    out.ctrl.seq_gaps += as.seq_gaps;
+    out.ctrl.stale_dropped += as.stale_dropped;
+    out.ctrl.forced_solves += as.forced_solves;
+    out.ctrl.ctrl_frames += net.stacks[n]->mac().stats().ctrl_sent;
+  }
+  const FlowSet& flows = net.plan.flows;
+  for (const Network::InbandRound& r : net.inband_rounds)
+    out.admissions[r.admission].inband =
+        net.agents[static_cast<size_t>(flows.flow(r.flow).source())]->inband_admission(r.flow);
+  out.ctrl.applied_subflow_share.resize(static_cast<size_t>(flows.subflow_count()));
+  for (int s = 0; s < flows.subflow_count(); ++s) {
+    const TagScheduler* sched = net.tag_scheds[static_cast<size_t>(flows.subflow(s).src)];
+    out.ctrl.applied_subflow_share[static_cast<size_t>(s)] =
+        sched != nullptr ? sched->share_of(s) : 0.0;
+  }
+}
+
+RunResult collect(Network& net, Observers& observers) {
+  const RunPlan& plan = net.plan;
+  const TrafficStats& stats = net.stats;
+  if (plan.multi()) net.close_epoch();  // close the final epoch
+  // Close the conservation ledger against what is still buffered.
+  if (net.check != nullptr) {
+    std::vector<int> backlog;
+    for (const auto& stack : net.stacks) backlog.push_back(stack->backlog());
+    net.check->finalize(backlog, net.sim.now());
+  }
+
+  RunResult out;
+  out.protocol = net.proto;
+  out.sim_seconds = net.cfg.sim_seconds;
+  collect_targets(plan, net.epochs, net.proto, out);
+  for (int s = 0; s < plan.flows.subflow_count(); ++s) {
+    out.delivered_per_subflow.push_back(stats.subflow(s).delivered);
     out.dropped_queue += stats.subflow(s).dropped_queue;
     out.dropped_mac += stats.subflow(s).dropped_mac;
   }
+  out.total_end_to_end = stats.total_end_to_end();
   out.lost_packets = stats.total_lost();
   out.loss_ratio = stats.loss_ratio();
-  out.channel = channel.stats();
-  out.mean_delay_s.resize(static_cast<std::size_t>(F));
-  out.max_delay_s.resize(static_cast<std::size_t>(F));
-  for (FlowId f = 0; f < F; ++f) {
-    const auto& vs = sim_flow_of[static_cast<std::size_t>(f)];
+  out.channel = net.channel.stats();
+  for (FlowId f = 0; f < plan.F; ++f) {
+    out.end_to_end_per_flow.push_back(plan.deliveries(stats, static_cast<size_t>(f)));
+    out.suspended_per_flow.push_back(stats.suspended(f));
+    out.suspended_packets += stats.suspended(f);
+    const auto& vs = plan.sim_flow_of[static_cast<size_t>(f)];
     if (vs.size() == 1) {
-      out.mean_delay_s[static_cast<std::size_t>(f)] = stats.delay(f).mean();
-      out.max_delay_s[static_cast<std::size_t>(f)] = stats.delay(f).max();
+      out.mean_delay_s.push_back(stats.delay(f).mean());
+      out.max_delay_s.push_back(stats.delay(f).max());
       continue;
     }
     double sum = 0.0, mx = 0.0;
@@ -1104,68 +1126,41 @@ RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg,
       n += d.count();
       mx = std::max(mx, d.max());
     }
-    out.mean_delay_s[static_cast<std::size_t>(f)] = n > 0 ? sum / static_cast<double>(n) : 0.0;
-    out.max_delay_s[static_cast<std::size_t>(f)] = mx;
+    out.mean_delay_s.push_back(n > 0 ? sum / static_cast<double>(n) : 0.0);
+    out.max_delay_s.push_back(mx);
   }
-  out.window_end_to_end = std::move(windows);
-  out.suspended_per_flow.resize(static_cast<std::size_t>(F));
-  for (FlowId f = 0; f < F; ++f) {
-    out.suspended_per_flow[static_cast<std::size_t>(f)] = stats.suspended(f);
-    out.suspended_packets += stats.suspended(f);
+  out.link_failures = net.link_failures;
+  out.events_processed = net.sim.events_processed();
+  if (net.elastic) {
+    out.transport.acks_sent = net.ack->acks_sent();
+    out.transport.acks_relayed = net.ack->acks_relayed();
+    out.transport.acks_delivered = net.ack->acks_delivered();
+    for (const auto& src : net.sources) out.transport.flows.push_back(src->telemetry());
   }
-  out.link_failures = link_failures;
-  out.events_processed = sim.events_processed();
-  if (elastic) {
-    out.transport.acks_sent = ack->acks_sent();
-    out.transport.acks_relayed = ack->acks_relayed();
-    out.transport.acks_delivered = ack->acks_delivered();
-    for (FlowId f = 0; f < F; ++f)
-      out.transport.flows.push_back(
-          sources[static_cast<std::size_t>(f)]->telemetry());
-  }
-  out.epoch_end_to_end = std::move(epoch_e2e);
-  out.recoveries = std::move(recoveries);
-  out.metrics = std::move(metrics_ts);
-  if (dctrl) {
-    for (NodeId n = 0; n < sc.topo.node_count(); ++n) {
-      const CtrlAgentStats& as = agents[static_cast<std::size_t>(n)]->stats();
-      out.ctrl.hello_sent += as.hello_sent;
-      out.ctrl.constraint_sent += as.constraint_sent;
-      out.ctrl.rate_sent += as.rate_sent;
-      out.ctrl.msgs_received += as.msgs_received;
-      out.ctrl.solves += as.solves;
-      out.ctrl.ctrl_bytes += as.ctrl_bytes_sent;
-      out.ctrl.admit_req_sent += as.admit_req_sent;
-      out.ctrl.admit_rsp_sent += as.admit_rsp_sent;
-      out.ctrl.retransmits += as.retransmits;
-      out.ctrl.seq_gaps += as.seq_gaps;
-      out.ctrl.stale_dropped += as.stale_dropped;
-      out.ctrl.forced_solves += as.forced_solves;
-      out.ctrl.ctrl_frames +=
-          stacks[static_cast<std::size_t>(n)]->mac().stats().ctrl_sent;
-    }
-    for (std::size_t i = 0; i < out.admissions.size(); ++i) {
-      const FlowId g = inband_sim_flow[i];
-      if (g < 0) continue;
-      out.admissions[i].inband =
-          agents[static_cast<std::size_t>(flows.flow(g).source())]
-              ->inband_admission(g);
-    }
-    if (E > 1) {
-      out.reconv_s = std::move(reconv);
-      // Surface the per-epoch samples in the metrics artifact as well, so a
-      // JSONL dump carries the control-plane health story on its own.
-      if (cfg.metrics_period_seconds > 0.0) out.metrics.reconv_s = out.reconv_s;
-    }
-    out.ctrl.applied_subflow_share.resize(
-        static_cast<std::size_t>(flows.subflow_count()));
-    for (int s = 0; s < flows.subflow_count(); ++s) {
-      TagScheduler* sched = tag_scheds[static_cast<std::size_t>(flows.subflow(s).src)];
-      out.ctrl.applied_subflow_share[static_cast<std::size_t>(s)] =
-          sched != nullptr ? sched->share_of(s) : 0.0;
-    }
-  }
+  out.epoch_end_to_end = std::move(net.epoch_e2e);
+  out.recoveries = std::move(net.recoveries);
+  observers.collect(out);
+  if (in_band(net.proto)) collect_ctrl(net, out);
   return out;
+}
+
+}  // namespace
+
+RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg) {
+  // Everything before the event loop — planning, clique enumeration, the
+  // phase-1 solves, stack wiring — accrues to the setup phase; the scope is
+  // released just before the simulator starts running.
+  auto setup_prof = std::make_unique<Profiler::Scope>(cfg.profile, Profiler::Phase::kSetup);
+  const RunPlan plan = plan_run(sc, proto, cfg);
+  const std::vector<EpochAllocation> epochs = allocate_epochs(plan, proto, cfg);
+  const std::unique_ptr<Network> net = build_network(sc, plan, epochs, proto, cfg);
+  Observers observers(*net);
+  setup_prof.reset();
+  {
+    Profiler::Scope prof(cfg.profile, Profiler::Phase::kSim);
+    net->sim.run_until(plan.horizon);
+  }
+  return collect(*net, observers);
 }
 
 }  // namespace e2efa

@@ -1,5 +1,6 @@
 // End-to-end scenario runner: phase 1 (allocation) + phase 2 (packet-level
-// simulation) for one of the four protocols the paper evaluates.
+// simulation) for one of the eight protocols below — the paper's 802.11,
+// two-tier, 2PA-C and 2PA-D, plus variants and extensions.
 #pragma once
 
 #include <cstdint>
@@ -266,8 +267,14 @@ struct RunResult {
 /// epoch's reachable flow set, pushing the fresh shares into the live
 /// schedulers at the epoch boundary.
 ///
-/// When the scenario carries a FlowActivity schedule (sc.activity) this
-/// overload runs the dynamic variant below with it; when it carries
+/// When the scenario carries a FlowActivity schedule (sc.activity, one
+/// entry per flow), flows come and go: the phase-1 allocation is recomputed
+/// over the *active* flow set at every epoch boundary and pushed into the
+/// running tag schedulers. RunResult::target_* reflect the first epoch;
+/// epoch_* record the full history. Arrivals (start_s > 0) pass through
+/// admission control under the allocating protocols: a flow whose
+/// clique-bound check fails never sources packets and is reported in
+/// RunResult::admissions with a typed reason. When the scenario carries
 /// MobilitySpecs, each mobile node's random waypoint walk is compiled into
 /// link events merged with the fault plan (src/net/mobility.hpp).
 ///
@@ -278,16 +285,5 @@ struct RunResult {
 /// an unknown node, or a phase-1 solve with infeasible basic shares
 /// (over-constrained clique).
 RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg);
-
-/// Dynamic variant: flows come and go per `activity` (one entry per flow).
-/// The phase-1 allocation is recomputed over the *active* flow set at every
-/// epoch boundary and pushed into the running tag schedulers — the paper's
-/// algorithm applied to backlogged-flow churn. RunResult::target_* reflect
-/// the first epoch; epoch_* record the full history. Arrivals (start_s > 0)
-/// pass through admission control under the allocating protocols: a flow
-/// whose clique-bound check fails never sources packets and is reported in
-/// RunResult::admissions with a typed reason.
-RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg,
-                       const std::vector<FlowActivity>& activity);
 
 }  // namespace e2efa

@@ -143,10 +143,16 @@ Packet TagScheduler::pop_success(TimeNs now) {
   select_head();
   // Advance the virtual clock by the external service time of the packet
   // just sent (step (4) of the algorithm): every successful transmission
-  // consumes L/c of node-level virtual time.
-  Lane& lane = lanes_[static_cast<std::size_t>(selected_)];
-  set_vclock(std::max(vclock_ + packet_vtime(lane.q.front()) / node_share_,
-                      lane.external_finish));
+  // consumes L/c of node-level virtual time — except while every lane is
+  // parked at the inactive floor (see kInactiveShare).
+  const bool parked = std::all_of(lanes_.begin(), lanes_.end(), [](const Lane& l) {
+    return l.cfg.share <= kInactiveShare;
+  });
+  if (!parked) {
+    const Lane& lane = lanes_[static_cast<std::size_t>(selected_)];
+    set_vclock(std::max(vclock_ + packet_vtime(lane.q.front()) / node_share_,
+                        lane.external_finish));
+  }
   last_busy_ = now;
   return pop_selected();
 }

@@ -40,6 +40,15 @@ class TagScheduler : public TxQueue, public TagAgent {
     double share = 0.0;         ///< Allocated share c^j in units of B (> 0).
   };
 
+  /// Share of a lane whose flow is inactive (departed, suspended or moved
+  /// to another route): it carries no new traffic, and a tiny positive
+  /// value keeps the share > 0 invariant. A node whose lanes all sit at
+  /// this floor drains its stranded packets without advancing its virtual
+  /// clock — each one would otherwise cost L/kInactiveShare of virtual
+  /// time and leave the node hopelessly ahead of its neighbors once one of
+  /// its routes comes back.
+  static constexpr double kInactiveShare = 1e-6;
+
   /// `bits_per_second` is the channel rate B (tag units are µs of airtime
   /// at B); `alpha` is the paper's short-term fairness strictness knob;
   /// `tag_horizon` ages neighbor-table entries (a flow-churn extension:

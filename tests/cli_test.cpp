@@ -239,6 +239,9 @@ TEST(Cli, FormatRunResultContainsEssentials) {
   EXPECT_NE(s.find("A-B-C"), std::string::npos);
   EXPECT_NE(s.find("target share"), std::string::npos);
   EXPECT_NE(s.find("F2.2"), std::string::npos);  // share listing present
+  EXPECT_GT(r.events_processed, 0u);
+  EXPECT_NE(s.find(" corrupted, " + std::to_string(r.events_processed) + " events\n"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -14,8 +14,9 @@ TEST(Dynamic, AlwaysOnActivityMatchesStaticRun) {
   SimConfig cfg;
   cfg.sim_seconds = 20.0;
   const RunResult a = run_scenario(sc, Protocol::k2paCentralized, cfg);
-  const RunResult b = run_scenario(sc, Protocol::k2paCentralized, cfg,
-                                   {FlowActivity{}, FlowActivity{}});
+  Scenario dyn = sc;
+  dyn.activity = {FlowActivity{}, FlowActivity{}};
+  const RunResult b = run_scenario(dyn, Protocol::k2paCentralized, cfg);
   EXPECT_EQ(a.delivered_per_subflow, b.delivered_per_subflow);
   EXPECT_EQ(a.lost_packets, b.lost_packets);
 }
@@ -23,11 +24,11 @@ TEST(Dynamic, AlwaysOnActivityMatchesStaticRun) {
 TEST(Dynamic, EpochSharesRecomputed) {
   // F2 joins at t = 30: F1 alone gets B/2 (its 2-hop chain), then the
   // Fig.-1 allocation (1/2, 1/4) once F2 contends.
-  const Scenario sc = scenario1();
+  Scenario sc = scenario1();
   SimConfig cfg;
   cfg.sim_seconds = 60.0;
-  const std::vector<FlowActivity> act{{0.0, 1e300}, {30.0, 1e300}};
-  const RunResult r = run_scenario(sc, Protocol::k2paCentralized, cfg, act);
+  sc.activity = {{0.0, 1e300}, {30.0, 1e300}};
+  const RunResult r = run_scenario(sc, Protocol::k2paCentralized, cfg);
   ASSERT_EQ(r.epoch_starts_s.size(), 2u);
   EXPECT_DOUBLE_EQ(r.epoch_starts_s[0], 0.0);
   EXPECT_DOUBLE_EQ(r.epoch_starts_s[1], 30.0);
@@ -38,12 +39,12 @@ TEST(Dynamic, EpochSharesRecomputed) {
 }
 
 TEST(Dynamic, LateFlowDeliversOnlyAfterStart) {
-  const Scenario sc = scenario1();
+  Scenario sc = scenario1();
   SimConfig cfg;
   cfg.sim_seconds = 60.0;
   cfg.sample_interval_seconds = 5.0;
-  const std::vector<FlowActivity> act{{0.0, 1e300}, {30.0, 1e300}};
-  const RunResult r = run_scenario(sc, Protocol::k2paCentralized, cfg, act);
+  sc.activity = {{0.0, 1e300}, {30.0, 1e300}};
+  const RunResult r = run_scenario(sc, Protocol::k2paCentralized, cfg);
   ASSERT_EQ(r.window_end_to_end.size(), 12u);
   // Windows before t = 30: F2 silent; after: flowing.
   for (std::size_t w = 0; w < 5; ++w) EXPECT_EQ(r.window_end_to_end[w][1], 0);
@@ -53,12 +54,12 @@ TEST(Dynamic, LateFlowDeliversOnlyAfterStart) {
 TEST(Dynamic, DepartedFlowFreesBandwidth) {
   // F2 leaves at t = 30: F1's windowed rate should rise afterwards (it
   // re-gains the whole bottleneck clique).
-  const Scenario sc = scenario1();
+  Scenario sc = scenario1();
   SimConfig cfg;
   cfg.sim_seconds = 60.0;
   cfg.sample_interval_seconds = 5.0;
-  const std::vector<FlowActivity> act{{0.0, 1e300}, {0.0, 30.0}};
-  const RunResult r = run_scenario(sc, Protocol::k2paCentralized, cfg, act);
+  sc.activity = {{0.0, 1e300}, {0.0, 30.0}};
+  const RunResult r = run_scenario(sc, Protocol::k2paCentralized, cfg);
   // Mean F1 window rate in [5, 30) vs [35, 60).
   double before = 0, after = 0;
   for (std::size_t w = 1; w < 6; ++w) before += static_cast<double>(r.window_end_to_end[w][0]);
@@ -73,11 +74,11 @@ TEST(Dynamic, DepartedFlowFreesBandwidth) {
 }
 
 TEST(Dynamic, WorksFor80211) {
-  const Scenario sc = scenario1();
+  Scenario sc = scenario1();
   SimConfig cfg;
   cfg.sim_seconds = 20.0;
-  const std::vector<FlowActivity> act{{0.0, 10.0}, {5.0, 1e300}};
-  const RunResult r = run_scenario(sc, Protocol::k80211, cfg, act);
+  sc.activity = {{0.0, 10.0}, {5.0, 1e300}};
+  const RunResult r = run_scenario(sc, Protocol::k80211, cfg);
   EXPECT_FALSE(r.has_target);
   EXPECT_GT(r.end_to_end_per_flow[0], 0);
   EXPECT_GT(r.end_to_end_per_flow[1], 0);
@@ -86,12 +87,12 @@ TEST(Dynamic, WorksFor80211) {
 }
 
 TEST(Dynamic, DistributedReallocates) {
-  const Scenario sc = scenario2();
+  Scenario sc = scenario2();
   SimConfig cfg;
   cfg.sim_seconds = 30.0;
-  std::vector<FlowActivity> act(5);
-  act[2] = {10.0, 20.0};  // F3 active only in the middle
-  const RunResult r = run_scenario(sc, Protocol::k2paDistributed, cfg, act);
+  sc.activity.resize(5);
+  sc.activity[2] = {10.0, 20.0};  // F3 active only in the middle
+  const RunResult r = run_scenario(sc, Protocol::k2paDistributed, cfg);
   ASSERT_EQ(r.epoch_starts_s.size(), 3u);
   // Without F3, F2 and F4 gain (F3 was their main contender).
   EXPECT_GT(r.epoch_flow_share[0][1], r.epoch_flow_share[1][1] - kTol);
@@ -100,23 +101,22 @@ TEST(Dynamic, DistributedReallocates) {
 }
 
 TEST(Dynamic, RejectsBadActivity) {
-  const Scenario sc = scenario1();
+  Scenario sc = scenario1();
   SimConfig cfg;
   cfg.sim_seconds = 10.0;
-  EXPECT_THROW(run_scenario(sc, Protocol::k80211, cfg, {FlowActivity{}}),
-               ContractViolation);
-  EXPECT_THROW(run_scenario(sc, Protocol::k80211, cfg,
-                            {FlowActivity{5.0, 2.0}, FlowActivity{}}),
-               ContractViolation);
+  sc.activity = {FlowActivity{}};  // one window for two flows
+  EXPECT_THROW(run_scenario(sc, Protocol::k80211, cfg), ContractViolation);
+  sc.activity = {FlowActivity{5.0, 2.0}, FlowActivity{}};  // stops before it starts
+  EXPECT_THROW(run_scenario(sc, Protocol::k80211, cfg), ContractViolation);
 }
 
 TEST(Dynamic, AllFlowsInactiveEpochIsSafe) {
-  const Scenario sc = scenario1();
+  Scenario sc = scenario1();
   SimConfig cfg;
   cfg.sim_seconds = 30.0;
   // Nobody active until t = 10.
-  const std::vector<FlowActivity> act{{10.0, 1e300}, {20.0, 1e300}};
-  const RunResult r = run_scenario(sc, Protocol::k2paCentralized, cfg, act);
+  sc.activity = {{10.0, 1e300}, {20.0, 1e300}};
+  const RunResult r = run_scenario(sc, Protocol::k2paCentralized, cfg);
   EXPECT_GT(r.total_end_to_end, 0);
   EXPECT_NEAR(r.epoch_flow_share[0][0], 0.0, kTol);
   EXPECT_NEAR(r.epoch_flow_share[0][1], 0.0, kTol);

@@ -229,6 +229,33 @@ TEST(Fault, LinkCutAndRecovery) {
   EXPECT_LT(r.recoveries[1].recovered_s, 18.0);
 }
 
+// A flapping link switches the flow between its provisioned and repair
+// routes every 10 s. Each switch parks the abandoned route's lanes at the
+// inactive floor; a relay whose lanes all sit there drains its stranded
+// packets without its virtual clock racing ahead, so when the route comes
+// back the relay is not throttled by an enormous tag lead. Every epoch
+// must deliver at least half of what the first one did.
+TEST(Fault, FlappingLinkNeverStarvesAReactivatedRoute) {
+  Scenario sc = diamond_scenario();
+  for (double t = 10.0; t < 60.0; t += 20.0) {
+    sc.faults.link_down(0, 1, t);
+    sc.faults.link_up(0, 1, t + 10.0);
+  }
+
+  SimConfig cfg;
+  cfg.sim_seconds = 60.0;
+  cfg.seed = 3;
+  for (Protocol p : {Protocol::k2paCentralized, Protocol::k2paDistributedCtrl}) {
+    const RunResult r = run_scenario(sc, p, cfg);
+    ASSERT_EQ(r.epoch_end_to_end.size(), 6u) << to_string(p);
+    const std::int64_t first = r.epoch_end_to_end[0][0];
+    EXPECT_GT(first, 1000) << to_string(p);
+    for (std::size_t e = 1; e < r.epoch_end_to_end.size(); ++e)
+      EXPECT_GE(2 * r.epoch_end_to_end[e][0], first)
+          << to_string(p) << " epoch " << e;
+  }
+}
+
 // Lossy channels corrupt frames per the configured packet-error rate; DCF
 // retries absorb moderate loss (degraded goodput, traffic still flows).
 TEST(Fault, LossyChannelDegradesButDelivers) {

@@ -205,13 +205,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DistributedAllocProperty,
 class DynamicDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DynamicDeterminism, IdenticalConfigsIdenticalResults) {
-  const Scenario sc = scenario1();
+  Scenario sc = scenario1();
+  sc.activity = {{0.0, 1e300}, {5.0, 12.0}};
   SimConfig cfg;
   cfg.sim_seconds = 15.0;
   cfg.seed = GetParam();
-  const std::vector<FlowActivity> act{{0.0, 1e300}, {5.0, 12.0}};
-  const RunResult a = run_scenario(sc, Protocol::k2paDistributed, cfg, act);
-  const RunResult b = run_scenario(sc, Protocol::k2paDistributed, cfg, act);
+  const RunResult a = run_scenario(sc, Protocol::k2paDistributed, cfg);
+  const RunResult b = run_scenario(sc, Protocol::k2paDistributed, cfg);
   EXPECT_EQ(a.delivered_per_subflow, b.delivered_per_subflow);
   EXPECT_EQ(a.lost_packets, b.lost_packets);
   EXPECT_EQ(a.epoch_flow_share, b.epoch_flow_share);

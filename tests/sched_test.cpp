@@ -123,6 +123,28 @@ TEST(TagScheduler, VirtualClockAdvancesByExternalFinishTag) {
   EXPECT_DOUBLE_EQ(s.head_tag(), 4096.0);  // S = v at head arrival
 }
 
+TEST(TagScheduler, ParkedNodeDrainsWithoutAdvancingVirtualClock) {
+  // Every lane at the inactive floor: stranded packets still drain, but
+  // each would otherwise cost L/kInactiveShare (~2e9 µs) of virtual time.
+  TagScheduler s({{0, 0.5}, {1, 0.25}}, 10, kBps, 1e-4);
+  s.enqueue(make_packet(0, 1), 0);
+  s.pop_success(0);
+  const double before = s.virtual_clock();
+  s.update_share(0, TagScheduler::kInactiveShare);
+  s.update_share(1, TagScheduler::kInactiveShare);
+  s.enqueue(make_packet(0, 2), 0);
+  s.enqueue(make_packet(1, 1), 0);
+  s.pop_success(0);
+  s.pop_success(0);
+  EXPECT_FALSE(s.has_packet());
+  EXPECT_DOUBLE_EQ(s.virtual_clock(), before);
+  // One live lane is enough for the clock to move again.
+  s.update_share(1, 0.25);
+  s.enqueue(make_packet(0, 3), 0);
+  s.pop_success(0);
+  EXPECT_GT(s.virtual_clock(), before);
+}
+
 TEST(TagScheduler, DropDoesNotAdvanceClock) {
   TagScheduler s({{0, 0.5}}, 10, kBps, 1e-4);
   s.enqueue(make_packet(0, 1), 0);
