@@ -1,16 +1,14 @@
 // Shared helpers for the paper-reproduction bench binaries.
 #pragma once
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "net/runner.hpp"
+#include "util/options.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -27,67 +25,19 @@ struct BenchArgs {
   int jobs = 1;
 };
 
-[[noreturn]] inline void usage(const char* prog, const std::string& error) {
-  if (!error.empty()) std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
-  std::fprintf(stderr,
-               "usage: %s [--seconds T] [--seed N] [--alpha A] [--jobs J]\n"
-               "  --seconds T  simulated seconds per run (T > 0; default 1000)\n"
-               "  --seed N     RNG seed (default 1)\n"
-               "  --alpha A    tag-feedback step size (A > 0; default 1e-4)\n"
-               "  --jobs J     parallel runs; 0 = hardware threads (default 1)\n",
-               prog);
-  std::exit(2);
-}
-
-inline double parse_double(const char* prog, const std::string& key,
-                           const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (errno != 0 || end == text || *end != '\0')
-    usage(prog, key + ": malformed number '" + text + "'");
-  return v;
-}
-
-inline long long parse_int(const char* prog, const std::string& key,
-                           const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0')
-    usage(prog, key + ": malformed integer '" + text + "'");
-  return v;
-}
-
-/// Strict flag parsing: every flag takes exactly one value; unknown keys,
-/// malformed numbers, missing values, and out-of-range settings all abort
-/// with a usage message instead of being silently ignored.
+/// Strict flag parsing through the shared option table: unknown flags,
+/// malformed numbers, missing values and out-of-range settings exit 2 with
+/// the usage instead of being silently ignored; --help exits 0.
 inline BenchArgs parse_args(int argc, char** argv) {
-  const char* prog = argc > 0 ? argv[0] : "bench";
+  const std::string prog = argc > 0 ? argv[0] : "bench";
   BenchArgs a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (key == "--help" || key == "-h") usage(prog, "");
-    if (i + 1 >= argc) usage(prog, key + ": missing value");
-    const char* val = argv[++i];
-    if (key == "--seconds") {
-      a.seconds = parse_double(prog, key, val);
-      if (a.seconds <= 0.0) usage(prog, "--seconds must be > 0");
-    } else if (key == "--seed") {
-      const long long s = parse_int(prog, key, val);
-      if (s < 0) usage(prog, "--seed must be >= 0");
-      a.seed = static_cast<std::uint64_t>(s);
-    } else if (key == "--alpha") {
-      a.alpha = parse_double(prog, key, val);
-      if (a.alpha <= 0.0) usage(prog, "--alpha must be > 0");
-    } else if (key == "--jobs") {
-      const long long j = parse_int(prog, key, val);
-      if (j < 0 || j > 1024) usage(prog, "--jobs must be in [0, 1024]");
-      a.jobs = static_cast<int>(j);
-    } else {
-      usage(prog, "unknown flag '" + key + "'");
-    }
-  }
+  OptionTable t(prog, "usage: " + prog + " [options]\n");
+  t.positive("--seconds", "T", "simulated seconds per run (default 1000)", &a.seconds)
+      .u64("--seed", "N", "RNG seed (default 1)", &a.seed)
+      .positive("--alpha", "A", "tag-feedback step size (default 1e-4)", &a.alpha)
+      .integer("--jobs", "J", "parallel runs; 0 = hardware threads (default 1)",
+               &a.jobs, 0, 1024);
+  t.parse_or_exit(argc, argv);
   return a;
 }
 

@@ -30,7 +30,6 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -38,6 +37,8 @@
 #include "net/runner.hpp"
 #include "net/scenarios.hpp"
 #include "obs/trace.hpp"
+#include "util/options.hpp"
+#include "util/strings.hpp"
 #include "util/time.hpp"
 
 using namespace e2efa;
@@ -52,46 +53,18 @@ struct Options {
   std::string out = "BENCH_ctrl.json";
 };
 
-[[noreturn]] void usage(const char* prog, const std::string& error) {
-  if (!error.empty()) std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
-  std::fprintf(stderr,
-               "usage: %s [--seconds T] [--tolerance F] [--out PATH]\n"
-               "  --seconds T    simulated seconds per run (default %.0f;\n"
-               "                 non-default skips the baseline guard)\n"
-               "  --tolerance F  max allowed regression vs baseline (default 0.10)\n"
-               "  --out PATH     JSON output (default BENCH_ctrl.json)\n",
-               prog, kDefaultSeconds);
-  std::exit(2);
-}
-
-double parse_positive_double(const char* prog, const std::string& key,
-                             const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (errno != 0 || end == text || *end != '\0' || v <= 0.0)
-    usage(prog, key + ": expected a positive number, got '" + text + "'");
-  return v;
-}
-
 Options parse_options(int argc, char** argv) {
-  const char* prog = argc > 0 ? argv[0] : "micro_ctrl";
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (key == "--help" || key == "-h") usage(prog, "");
-    if (i + 1 >= argc) usage(prog, key + ": missing value");
-    const char* val = argv[++i];
-    if (key == "--seconds") {
-      o.seconds = parse_positive_double(prog, key, val);
-    } else if (key == "--tolerance") {
-      o.tolerance = parse_positive_double(prog, key, val);
-    } else if (key == "--out") {
-      o.out = val;
-    } else {
-      usage(prog, "unknown flag '" + key + "'");
-    }
-  }
+  OptionTable t("micro_ctrl", "usage: micro_ctrl [options]\n");
+  t.positive("--seconds", "T",
+             strformat("simulated seconds per run (default %.0f;\n"
+                       "non-default skips the baseline guard)",
+                       kDefaultSeconds),
+             &o.seconds)
+      .positive("--tolerance", "F",
+                "max allowed regression vs baseline (default 0.10)", &o.tolerance)
+      .text("--out", "PATH", "JSON output (default BENCH_ctrl.json)", &o.out);
+  t.parse_or_exit(argc, argv);
   return o;
 }
 

@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <queue>
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "util/options.hpp"
 #include "util/time.hpp"
 
 namespace seedengine {
@@ -235,37 +235,17 @@ struct Options {
   std::string out = "BENCH_events.json";
 };
 
-[[noreturn]] void usage(const char* prog, const std::string& error) {
-  if (!error.empty()) std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
-  std::fprintf(stderr,
-               "usage: %s [--events N] [--reps N] [--rounds N] [--out PATH]\n",
-               prog);
-  std::exit(2);
-}
-
-int parse_positive(const char* prog, const std::string& key, const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0' || v <= 0 || v > 100'000'000)
-    usage(prog, key + ": expected a positive integer, got '" + text + "'");
-  return static_cast<int>(v);
-}
-
 Options parse_options(int argc, char** argv) {
-  const char* prog = argc > 0 ? argv[0] : "micro_events";
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (key == "--help" || key == "-h") usage(prog, "");
-    if (i + 1 >= argc) usage(prog, key + ": missing value");
-    const char* val = argv[++i];
-    if (key == "--events") o.events = parse_positive(prog, key, val);
-    else if (key == "--reps") o.reps = parse_positive(prog, key, val);
-    else if (key == "--rounds") o.rounds = parse_positive(prog, key, val);
-    else if (key == "--out") o.out = val;
-    else usage(prog, "unknown flag '" + key + "'");
-  }
+  e2efa::OptionTable t("micro_events", "usage: micro_events [options]\n");
+  t.integer("--events", "N", "events per run (default 10000)", &o.events, 1,
+            100'000'000)
+      .integer("--reps", "N", "runs per timed sample (default 150)", &o.reps, 1,
+               100'000'000)
+      .integer("--rounds", "N", "rounds, best kept per workload (default 5)",
+               &o.rounds, 1, 100'000'000)
+      .text("--out", "PATH", "JSON output (default BENCH_events.json)", &o.out);
+  t.parse_or_exit(argc, argv);
   return o;
 }
 

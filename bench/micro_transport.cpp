@@ -22,9 +22,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -32,6 +32,7 @@
 #include "net/runner.hpp"
 #include "net/scenarios.hpp"
 #include "transport/transport.hpp"
+#include "util/options.hpp"
 
 using namespace e2efa;
 
@@ -46,48 +47,16 @@ struct Options {
   std::string out = "BENCH_transport.json";
 };
 
-[[noreturn]] void usage(const char* prog, const std::string& error) {
-  if (!error.empty()) std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
-  std::fprintf(stderr,
-               "usage: %s [--seconds T] [--rounds N] [--tolerance F] [--out PATH]\n"
-               "  --seconds T    simulated seconds per run (default 30)\n"
-               "  --rounds N     A/B rounds, best kept per mode (default 8)\n"
-               "  --tolerance F  max allowed events/sec drop vs cbr (default 0.1)\n"
-               "  --out PATH     JSON output (default BENCH_transport.json)\n",
-               prog);
-  std::exit(2);
-}
-
-double parse_positive_double(const char* prog, const std::string& key,
-                             const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (errno != 0 || end == text || *end != '\0' || v <= 0.0)
-    usage(prog, key + ": expected a positive number, got '" + text + "'");
-  return v;
-}
-
 Options parse_options(int argc, char** argv) {
-  const char* prog = argc > 0 ? argv[0] : "micro_transport";
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (key == "--help" || key == "-h") usage(prog, "");
-    if (i + 1 >= argc) usage(prog, key + ": missing value");
-    const char* val = argv[++i];
-    if (key == "--seconds") {
-      o.seconds = parse_positive_double(prog, key, val);
-    } else if (key == "--rounds") {
-      o.rounds = static_cast<int>(parse_positive_double(prog, key, val));
-    } else if (key == "--tolerance") {
-      o.tolerance = parse_positive_double(prog, key, val);
-    } else if (key == "--out") {
-      o.out = val;
-    } else {
-      usage(prog, "unknown flag '" + key + "'");
-    }
-  }
+  OptionTable t("micro_transport", "usage: micro_transport [options]\n");
+  t.positive("--seconds", "T", "simulated seconds per run (default 30)", &o.seconds)
+      .integer("--rounds", "N", "A/B rounds, best kept per mode (default 8)",
+               &o.rounds, 1, INT_MAX)
+      .positive("--tolerance", "F",
+                "max allowed events/sec drop vs cbr (default 0.1)", &o.tolerance)
+      .text("--out", "PATH", "JSON output (default BENCH_transport.json)", &o.out);
+  t.parse_or_exit(argc, argv);
   return o;
 }
 

@@ -61,13 +61,14 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -79,6 +80,8 @@
 #include "lp/simplex.hpp"
 #include "net/runner.hpp"
 #include "net/scenario_gen.hpp"
+#include "util/options.hpp"
+#include "util/strings.hpp"
 
 using namespace e2efa;
 
@@ -131,68 +134,40 @@ struct Options {
   std::string out = "BENCH_scale.json";
 };
 
-[[noreturn]] void usage(const char* prog, const std::string& error) {
-  if (!error.empty()) std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
-  std::fprintf(stderr,
-               "usage: %s [--quick] [--nodes N] [--solve-sample N]\n"
-               "          [--tolerance F] [--threads LIST] [--out PATH]\n"
-               "  --quick           stop after the 1k-node point (CI mode;\n"
-               "                    the 1k guard still runs)\n"
-               "  --nodes N         single custom point with N nodes and\n"
-               "                    10 N flows (baseline guard skipped)\n"
-               "  --solve-sample N  sources sampled by the solve phase\n"
-               "                    (default %d)\n"
-               "  --tolerance F     max allowed regression vs baseline "
-               "(default 0.10)\n"
-               "  --threads LIST    comma-separated thread counts for the\n"
-               "                    clique scaling curve (default 2,4,8;\n"
-               "                    0 disables)\n"
-               "  --out PATH        JSON output (default BENCH_scale.json)\n",
-               prog, kSolveSample);
-  std::exit(2);
-}
-
 Options parse_options(int argc, char** argv) {
-  const char* prog = argc > 0 ? argv[0] : "scale_sweep";
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (key == "--help" || key == "-h") usage(prog, "");
-    if (key == "--quick") {
-      o.quick = true;
-      continue;
-    }
-    if (i + 1 >= argc) usage(prog, key + ": missing value");
-    const char* val = argv[++i];
-    if (key == "--nodes") {
-      o.nodes = std::atoi(val);
-      if (o.nodes < 10) usage(prog, "--nodes: expected an integer >= 10");
-    } else if (key == "--solve-sample") {
-      o.solve_sample = std::atoi(val);
-      if (o.solve_sample < 1)
-        usage(prog, "--solve-sample: expected an integer >= 1");
-    } else if (key == "--tolerance") {
-      errno = 0;
-      char* end = nullptr;
-      o.tolerance = std::strtod(val, &end);
-      if (errno != 0 || end == val || *end != '\0' || o.tolerance <= 0.0)
-        usage(prog, "--tolerance: expected a positive number");
-    } else if (key == "--threads") {
-      o.threads.clear();
-      std::string list = val;
-      for (std::size_t pos = 0; pos < list.size();) {
-        const std::size_t comma = list.find(',', pos);
-        const int t = std::atoi(list.substr(pos, comma - pos).c_str());
-        if (t > 1) o.threads.push_back(t);
-        else if (t != 0) usage(prog, "--threads: expected counts > 1, or 0");
-        pos = comma == std::string::npos ? list.size() : comma + 1;
-      }
-    } else if (key == "--out") {
-      o.out = val;
-    } else {
-      usage(prog, "unknown flag '" + key + "'");
-    }
-  }
+  OptionTable t("scale_sweep", "usage: scale_sweep [options]\n");
+  t.flag("--quick",
+         "stop after the 1k-node point (CI mode;\nthe 1k guard still runs)",
+         &o.quick)
+      .integer("--nodes", "N",
+               "single custom point with N nodes and\n"
+               "10 N flows (baseline guard skipped)",
+               &o.nodes, 10, INT_MAX)
+      .integer("--solve-sample", "N",
+               strformat("sources sampled by the solve phase\n(default %d)",
+                         kSolveSample),
+               &o.solve_sample, 1, INT_MAX)
+      .positive("--tolerance", "F",
+                "max allowed regression vs baseline (default 0.10)", &o.tolerance)
+      .add("--threads", "LIST",
+           "comma-separated thread counts for the\n"
+           "clique scaling curve (default 2,4,8;\n"
+           "0 disables)",
+           [&o](const std::string& list) {
+             o.threads.clear();
+             for (std::string_view rest = list;;) {
+               const auto split = split_pair(rest, ',');
+               const auto t = parse_int(split ? split->first : rest);
+               if (!t || (*t != 0 && *t < 2))
+                 return "expected counts > 1, or 0, got '" + list + "'";
+               if (*t > 1) o.threads.push_back(*t);
+               if (!split) return std::string();
+               rest = split->second;
+             }
+           })
+      .text("--out", "PATH", "JSON output (default BENCH_scale.json)", &o.out);
+  t.parse_or_exit(argc, argv);
   return o;
 }
 

@@ -28,7 +28,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -37,6 +36,7 @@
 #include "net/runner.hpp"
 #include "net/scenarios.hpp"
 #include "transport/transport.hpp"
+#include "util/options.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 
@@ -50,40 +50,13 @@ struct Options {
   std::string out = "elastic_fairness.jsonl";
 };
 
-[[noreturn]] void usage(const char* prog, const std::string& error) {
-  if (!error.empty()) std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
-  std::fprintf(stderr,
-               "usage: %s [--seconds T] [--seed N] [--out PATH]\n"
-               "  --seconds T  simulated seconds per cell (default 90)\n"
-               "  --seed N     simulation seed (default 1)\n"
-               "  --out PATH   JSONL artifact (default elastic_fairness.jsonl)\n",
-               prog);
-  std::exit(2);
-}
-
 Options parse_options(int argc, char** argv) {
-  const char* prog = argc > 0 ? argv[0] : "elastic_fairness";
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (key == "--help" || key == "-h") usage(prog, "");
-    if (i + 1 >= argc) usage(prog, key + ": missing value");
-    const char* val = argv[++i];
-    errno = 0;
-    char* end = nullptr;
-    if (key == "--seconds") {
-      o.seconds = std::strtod(val, &end);
-      if (errno != 0 || *end != '\0' || o.seconds <= 0.0)
-        usage(prog, "--seconds: expected a positive number");
-    } else if (key == "--seed") {
-      o.seed = std::strtoull(val, &end, 10);
-      if (errno != 0 || *end != '\0') usage(prog, "--seed: expected an integer");
-    } else if (key == "--out") {
-      o.out = val;
-    } else {
-      usage(prog, "unknown flag '" + key + "'");
-    }
-  }
+  OptionTable t("elastic_fairness", "usage: elastic_fairness [options]\n");
+  t.positive("--seconds", "T", "simulated seconds per cell (default 90)", &o.seconds)
+      .u64("--seed", "N", "simulation seed (default 1)", &o.seed)
+      .text("--out", "PATH", "JSONL artifact (default elastic_fairness.jsonl)", &o.out);
+  t.parse_or_exit(argc, argv);
   return o;
 }
 

@@ -29,21 +29,19 @@
 #include "net/scenarios.hpp"
 #include "obs/trace.hpp"
 #include "route/routing.hpp"
+#include "util/options.hpp"
 #include "util/strings.hpp"
 
 using namespace e2efa;
 
 int main(int argc, char** argv) {
   std::string trace_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (key == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else {
-      std::cerr << "usage: " << argv[0] << " [--trace PATH]\n";
-      return 2;
-    }
-  }
+  OptionTable("partition_heal", "usage: partition_heal [options]\n")
+      .text("--trace", "PATH",
+            "also write a structured trace of the run\n"
+            "(binary unless PATH ends in .jsonl)",
+            &trace_path)
+      .parse_or_exit(argc, argv);
   Scenario sc{"partition-heal",
               Topology({{0, 0}, {200, 150}, {200, -150}, {400, 0}}, 250.0),
               {},

@@ -10,6 +10,7 @@
 #include "net/runner.hpp"
 #include "route/routing.hpp"
 #include "topology/builders.hpp"
+#include "util/options.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -17,7 +18,15 @@
 using namespace e2efa;
 
 int main(int argc, char** argv) {
-  const int trials = argc > 1 ? std::atoi(argv[1]) : 3;
+  int trials = 3;
+  if (argc > 1) {
+    const auto n = parse_int(argv[1]);
+    if (!n || *n < 1 || argc > 2) {
+      std::cerr << "usage: " << argv[0] << " [TRIALS]  (TRIALS >= 1, default 3)\n";
+      return 2;
+    }
+    trials = *n;
+  }
   Rng rng(2026);
 
   struct Agg {

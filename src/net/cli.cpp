@@ -1,7 +1,8 @@
 #include "net/cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <climits>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "route/routing.hpp"
 #include "topology/builders.hpp"
 #include "util/assert.hpp"
+#include "util/options.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -27,44 +29,150 @@ std::optional<Protocol> parse_protocol(const std::string& s) {
   return std::nullopt;
 }
 
+namespace {
+
+// The e2efa-sim option table in three groups, bound to the fields of *opt.
+
+void add_run_options(OptionTable& t, CliOptions* opt) {
+  SimConfig& cfg = opt->config;
+  t.text("--scenario", "S",
+         "1 | 2 | chain:N | grid:RxC | random:N | file:PATH (default 1)",
+         &opt->scenario);
+  t.add("--protocol", "P",
+        "802.11 | two-tier | two-tier-mm | 2pa-c | 2pa-d |\n"
+        "2pa-dctrl (phase 1 in-band over control frames) | maxmin",
+        [opt](const std::string& v) {
+          const auto p = parse_protocol(v);
+          if (!p) return "unknown protocol: " + v;
+          opt->protocol = *p;
+          return std::string();
+        });
+  t.positive("--seconds", "T", "measured simulation horizon (default 60)",
+             &cfg.sim_seconds);
+  t.real("--warmup", "T", "excluded transient seconds (default 0)",
+         &cfg.warmup_seconds, 0.0, std::numeric_limits<double>::max());
+  t.positive("--pps", "N", "CBR packets per second per flow (default 200)",
+             &cfg.cbr_pps);
+  t.positive("--alpha", "A", "2PA tag-backoff strictness (default 1e-4)",
+             &cfg.alpha);
+  t.u64("--seed", "N", "RNG seed (default 1)", &cfg.seed);
+  t.integer("--queue", "N", "per-queue capacity (default 50)",
+            &cfg.queue_capacity, 1, INT_MAX);
+  t.integer("--sim-threads", "N",
+            "threads for phase-1 clique enumeration (centralized\n"
+            "protocols; default 1 = serial). The packet simulation\n"
+            "stays serial; any value yields a bit-identical result",
+            &cfg.sim_threads, 1, 1024);
+  t.real("--loss", "P", "default per-link packet-error rate in [0,1] (default 0)",
+         &opt->default_loss, 0.0, 1.0);
+  t.flag("--shares", "also print phase-1 target shares", &opt->list_shares);
+  t.flag("--check",
+         "arm every invariant oracle (src/check); violations\n"
+         "are reported after the table and exit nonzero",
+         &opt->check);
+}
+
+void add_observability_options(OptionTable& t, CliOptions* opt) {
+  t.text("--trace", "PATH",
+         "write a structured event trace (.jsonl suffix = text,\n"
+         "anything else = compact binary for trace-tool)",
+         &opt->trace_path);
+  t.add("--trace-filter", "C",
+        "comma-separated trace categories (meta, phy, mac,\n"
+        "backoff, tag, vclock, queue, fault, lp, flow, ctrl,\n"
+        "all); requires --trace; ctrl needs --protocol 2pa-dctrl",
+        [opt](const std::string& v) {
+          std::uint32_t mask = 0;
+          std::string error;
+          if (!parse_trace_filter(v, &mask, &error)) return error;
+          opt->trace_filter = v;
+          return std::string();
+        });
+  t.text("--metrics-out", "PATH", "write periodic metrics samples as JSONL",
+         &opt->metrics_out);
+  t.positive("--metrics-period", "T",
+             "metrics sampling period in seconds (default 1;\n"
+             "requires --metrics-out)",
+             &opt->config.metrics_period_seconds);
+  t.text("--profile", "PATH",
+         "write self-profiler phase accounting as JSON\n"
+         "(setup/clique/solve/sim/phy/ctrl wall seconds)",
+         &opt->profile_out);
+  t.text("--flight-out", "PATH",
+         "with --check: dump the flight recorder (recent\n"
+         "trace records, binary) when a violation trips",
+         &opt->flight_out);
+}
+
+void add_dynamics_options(OptionTable& t, CliOptions* opt) {
+  t.add("--churn", "R:L",
+        "open-loop flow churn: flow 0 founds the network,\n"
+        "later flows arrive at mean rate R/s and live L s on\n"
+        "average; arrivals pass the admission gate",
+        [opt](const std::string& v) {
+          const auto rl = split_pair(v, ':');
+          const auto rate = rl ? parse_double(rl->first) : std::nullopt;
+          const auto life = rl ? parse_double(rl->second) : std::nullopt;
+          if (!rate || !life || *rate <= 0 || *life <= 0)
+            return "expected RATE:LIFE, both positive, got '" + v + "'";
+          opt->churn_rate = *rate;
+          opt->churn_life = *life;
+          return std::string();
+        });
+  t.add("--mobility", "K:S", "K random-waypoint walkers moving at S m/s",
+        [opt](const std::string& v) {
+          const auto ks = split_pair(v, ':');
+          const auto k = ks ? parse_int(ks->first) : std::nullopt;
+          const auto speed = ks ? parse_double(ks->second) : std::nullopt;
+          if (!k || !speed || *k < 1 || *speed <= 0)
+            return "expected K:SPEED, K >= 1 walkers and a positive speed, got '" +
+                   v + "'";
+          opt->mobility_walkers = *k;
+          opt->mobility_speed = *speed;
+          return std::string();
+        });
+  t.add("--transport", "K",
+        "source model: cbr (open-loop, default) | aimd | bbr\n"
+        "(closed-loop elastic sources over end-to-end ACKs)",
+        [opt](const std::string& v) {
+          if (!parse_transport_kind(v))
+            return "unknown transport kind: " + v + " (cbr | aimd | bbr)";
+          opt->transport = v;
+          return std::string();
+        });
+}
+
+OptionTable cli_table(CliOptions* opt) {
+  OptionTable t("e2efa-sim", "usage: e2efa-sim [options]\n");
+  add_run_options(t, opt);
+  add_observability_options(t, opt);
+  add_dynamics_options(t, opt);
+  return t;
+}
+
+/// Cross-option rules the table cannot see one option at a time; "" = ok.
+std::string check_cli(const CliOptions& opt) {
+  if (!opt.trace_filter.empty() && opt.trace_path.empty())
+    return "--trace-filter requires --trace";
+  // Naming the ctrl category without the in-band protocol would produce a
+  // silently-empty trace/metrics stream — no agent ever emits; fail loudly.
+  // (Token scan is exact: no other category name contains "ctrl".)
+  if (opt.trace_filter.find("ctrl") != std::string::npos &&
+      opt.protocol != Protocol::k2paDistributedCtrl)
+    return std::string("--trace-filter names the ctrl category, but --protocol ") +
+           to_string(opt.protocol) + " has no control plane (use --protocol 2pa-dctrl)";
+  if (opt.config.metrics_period_seconds > 0 && opt.metrics_out.empty())
+    return "--metrics-period requires --metrics-out";
+  if (!opt.flight_out.empty() && !opt.check)
+    return "--flight-out requires --check (the dump triggers on a violation)";
+  return "";
+}
+
+}  // namespace
+
 std::string cli_usage() {
-  return
-      "usage: e2efa_sim [options]\n"
-      "  --scenario S    1 | 2 | chain:N | grid:RxC | random:N | file:PATH (default 1)\n"
-      "  --protocol P    802.11 | two-tier | two-tier-mm | 2pa-c | 2pa-d |\n"
-      "                  2pa-dctrl (phase 1 in-band over control frames) | maxmin\n"
-      "  --seconds T     measured simulation horizon (default 60)\n"
-      "  --warmup T      excluded transient seconds (default 0)\n"
-      "  --pps N         CBR packets per second per flow (default 200)\n"
-      "  --alpha A       2PA tag-backoff strictness (default 1e-4)\n"
-      "  --seed N        RNG seed (default 1)\n"
-      "  --queue N       per-queue capacity (default 50)\n"
-      "  --sim-threads N threads for phase-1 clique enumeration (centralized\n"
-      "                  protocols; default 1 = serial). The packet simulation\n"
-      "                  stays serial; any value yields a bit-identical result\n"
-      "  --loss P        default per-link packet-error rate in [0,1] (default 0)\n"
-      "  --shares        also print phase-1 target shares\n"
-      "  --check         arm every invariant oracle (src/check); violations\n"
-      "                  are reported after the table and exit nonzero\n"
-      "  --trace PATH    write a structured event trace (.jsonl suffix = text,\n"
-      "                  anything else = compact binary for trace-tool)\n"
-      "  --trace-filter C  comma-separated trace categories (meta, phy, mac,\n"
-      "                  backoff, tag, vclock, queue, fault, lp, flow, ctrl,\n"
-      "                  all); requires --trace; ctrl needs --protocol 2pa-dctrl\n"
-      "  --metrics-out PATH  write periodic metrics samples as JSONL\n"
-      "  --metrics-period T  metrics sampling period in seconds (default 1;\n"
-      "                  requires --metrics-out)\n"
-      "  --profile PATH  write self-profiler phase accounting as JSON\n"
-      "                  (setup/clique/solve/sim/phy/ctrl wall seconds)\n"
-      "  --flight-out PATH  with --check: dump the flight recorder (recent\n"
-      "                  trace records, binary) when a violation trips\n"
-      "  --churn R:L     open-loop flow churn: flow 0 founds the network,\n"
-      "                  later flows arrive at mean rate R/s and live L s on\n"
-      "                  average; arrivals pass the admission gate\n"
-      "  --mobility K:S  K random-waypoint walkers moving at S m/s\n"
-      "  --transport K   source model: cbr (open-loop, default) | aimd | bbr\n"
-      "                  (closed-loop elastic sources over end-to-end ACKs)\n"
-      "  --help          this text\n";
+  CliOptions scratch;
+  return cli_table(&scratch).usage();
 }
 
 std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
@@ -72,183 +180,14 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
   E2EFA_ASSERT(error != nullptr);
   CliOptions opt;
   opt.config.sim_seconds = 60.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::optional<std::string> {
-      if (i + 1 >= argc) return std::nullopt;
-      return std::string(argv[++i]);
-    };
-    if (arg == "--help" || arg == "-h") {
-      error->clear();
-      return std::nullopt;
-    }
-    if (arg == "--shares") {
-      opt.list_shares = true;
-      continue;
-    }
-    if (arg == "--check") {
-      opt.check = true;
-      continue;
-    }
-    const auto value = next();
-    if (!value) {
-      *error = "missing value for " + arg;
-      return std::nullopt;
-    }
-    if (arg == "--scenario") {
-      opt.scenario = *value;
-    } else if (arg == "--protocol") {
-      const auto p = parse_protocol(*value);
-      if (!p) {
-        *error = "unknown protocol: " + *value;
-        return std::nullopt;
-      }
-      opt.protocol = *p;
-    } else if (arg == "--seconds") {
-      opt.config.sim_seconds = std::atof(value->c_str());
-      if (opt.config.sim_seconds <= 0) {
-        *error = "--seconds must be positive";
-        return std::nullopt;
-      }
-    } else if (arg == "--warmup") {
-      opt.config.warmup_seconds = std::atof(value->c_str());
-      if (opt.config.warmup_seconds < 0) {
-        *error = "--warmup must be non-negative";
-        return std::nullopt;
-      }
-    } else if (arg == "--pps") {
-      opt.config.cbr_pps = std::atof(value->c_str());
-      if (opt.config.cbr_pps <= 0) {
-        *error = "--pps must be positive";
-        return std::nullopt;
-      }
-    } else if (arg == "--alpha") {
-      opt.config.alpha = std::atof(value->c_str());
-    } else if (arg == "--sim-threads") {
-      opt.config.sim_threads = std::atoi(value->c_str());
-      if (opt.config.sim_threads < 1) {
-        *error = "--sim-threads must be >= 1";
-        return std::nullopt;
-      }
-    } else if (arg == "--seed") {
-      opt.config.seed = static_cast<std::uint64_t>(std::atoll(value->c_str()));
-    } else if (arg == "--queue") {
-      opt.config.queue_capacity = std::atoi(value->c_str());
-      if (opt.config.queue_capacity < 1) {
-        *error = "--queue must be >= 1";
-        return std::nullopt;
-      }
-    } else if (arg == "--loss") {
-      opt.default_loss = std::atof(value->c_str());
-      if (opt.default_loss < 0.0 || opt.default_loss > 1.0) {
-        *error = "--loss must be within [0, 1]";
-        return std::nullopt;
-      }
-    } else if (arg == "--trace") {
-      if (value->empty()) {
-        *error = "--trace needs a path";
-        return std::nullopt;
-      }
-      opt.trace_path = *value;
-    } else if (arg == "--trace-filter") {
-      std::uint32_t mask = 0;
-      if (!parse_trace_filter(*value, &mask, error)) return std::nullopt;
-      opt.trace_filter = *value;
-    } else if (arg == "--metrics-out") {
-      if (value->empty()) {
-        *error = "--metrics-out needs a path";
-        return std::nullopt;
-      }
-      opt.metrics_out = *value;
-    } else if (arg == "--profile") {
-      if (value->empty()) {
-        *error = "--profile needs a path";
-        return std::nullopt;
-      }
-      opt.profile_out = *value;
-    } else if (arg == "--flight-out") {
-      if (value->empty()) {
-        *error = "--flight-out needs a path";
-        return std::nullopt;
-      }
-      opt.flight_out = *value;
-    } else if (arg == "--metrics-period") {
-      opt.config.metrics_period_seconds = std::atof(value->c_str());
-      if (opt.config.metrics_period_seconds <= 0) {
-        *error = "--metrics-period must be positive";
-        return std::nullopt;
-      }
-    } else if (arg == "--churn") {
-      const auto colon = value->find(':');
-      if (colon == std::string::npos) {
-        *error = "--churn needs RATE:LIFE";
-        return std::nullopt;
-      }
-      opt.churn_rate = std::atof(value->substr(0, colon).c_str());
-      opt.churn_life = std::atof(value->substr(colon + 1).c_str());
-      if (opt.churn_rate <= 0 || opt.churn_life <= 0) {
-        *error = "--churn RATE and LIFE must both be positive";
-        return std::nullopt;
-      }
-    } else if (arg == "--transport") {
-      if (!parse_transport_kind(*value)) {
-        *error = "unknown transport kind: " + *value + " (cbr | aimd | bbr)";
-        return std::nullopt;
-      }
-      opt.transport = *value;
-    } else if (arg == "--mobility") {
-      const auto colon = value->find(':');
-      if (colon == std::string::npos) {
-        *error = "--mobility needs K:SPEED";
-        return std::nullopt;
-      }
-      opt.mobility_walkers = std::atoi(value->substr(0, colon).c_str());
-      opt.mobility_speed = std::atof(value->substr(colon + 1).c_str());
-      if (opt.mobility_walkers < 1 || opt.mobility_speed <= 0) {
-        *error = "--mobility needs K >= 1 walkers and a positive speed";
-        return std::nullopt;
-      }
-    } else {
-      *error = "unknown option: " + arg;
-      return std::nullopt;
-    }
-  }
-  if (!opt.trace_filter.empty() && opt.trace_path.empty()) {
-    *error = "--trace-filter requires --trace";
+  if (cli_table(&opt).parse(argc, argv, error) != OptionTable::Status::kOk)
     return std::nullopt;
-  }
-  // Naming the ctrl category without the in-band protocol would produce a
-  // silently-empty trace/metrics stream — no agent ever emits; fail loudly.
-  // (Token scan is exact: no other category name contains "ctrl".)
-  if (!opt.trace_filter.empty() &&
-      opt.trace_filter.find("ctrl") != std::string::npos &&
-      opt.protocol != Protocol::k2paDistributedCtrl) {
-    *error = std::string("--trace-filter names the ctrl category, but --protocol ") +
-             to_string(opt.protocol) +
-             " has no control plane (use --protocol 2pa-dctrl)";
-    return std::nullopt;
-  }
-  if (opt.config.metrics_period_seconds > 0 && opt.metrics_out.empty()) {
-    *error = "--metrics-period requires --metrics-out";
-    return std::nullopt;
-  }
-  if (!opt.flight_out.empty() && !opt.check) {
-    *error = "--flight-out requires --check (the dump triggers on a violation)";
-    return std::nullopt;
-  }
+  *error = check_cli(opt);
+  if (!error->empty()) return std::nullopt;
   if (!opt.metrics_out.empty() && opt.config.metrics_period_seconds <= 0)
     opt.config.metrics_period_seconds = 1.0;
   return opt;
 }
-
-namespace {
-/// Splits "chain:5" into ("chain", "5"); tag empty when no colon.
-std::pair<std::string, std::string> split_spec(const std::string& spec) {
-  const auto pos = spec.find(':');
-  if (pos == std::string::npos) return {spec, ""};
-  return {spec.substr(0, pos), spec.substr(pos + 1)};
-}
-}  // namespace
 
 void apply_cli_dynamics(Scenario& sc, const CliOptions& opt) {
   if (!opt.transport.empty()) {
@@ -290,7 +229,16 @@ void apply_cli_dynamics(Scenario& sc, const CliOptions& opt) {
 }
 
 Scenario make_named_scenario(const std::string& spec, Rng& rng) {
-  const auto [kind, param] = split_spec(spec);
+  const auto split = split_pair(spec, ':');
+  const std::string kind(split ? split->first : spec);
+  const std::string param(split ? split->second : "");
+  // A strict integer parameter in [lo, hi]; anything else names the spec.
+  const auto count = [&](std::string_view tok, int lo, int hi, const char* rule) {
+    const auto v = parse_int(tok);
+    if (!v || *v < lo || *v > hi)
+      throw ContractViolation("bad scenario spec '" + spec + "': " + rule);
+    return *v;
+  };
   if (kind == "1") return scenario1();
   if (kind == "2") return scenario2();
   if (kind == "file") {
@@ -298,19 +246,16 @@ Scenario make_named_scenario(const std::string& spec, Rng& rng) {
     return load_scenario_file(param);
   }
   if (kind == "chain") {
-    const int hops = std::atoi(param.c_str());
-    E2EFA_ASSERT_MSG(hops >= 1 && hops <= 64, "chain:N needs 1 <= N <= 64");
+    const int hops = count(param, 1, 64, "chain:N needs 1 <= N <= 64");
     Scenario sc{spec, make_chain(hops + 1), {}, {}};
     sc.flow_specs.push_back(make_routed_flow(sc.topo, 0, hops));
     return sc;
   }
   if (kind == "grid") {
-    const auto x = param.find('x');
-    E2EFA_ASSERT_MSG(x != std::string::npos, "grid spec needs RxC");
-    const int rows = std::atoi(param.substr(0, x).c_str());
-    const int cols = std::atoi(param.substr(x + 1).c_str());
-    E2EFA_ASSERT_MSG(rows >= 2 && cols >= 2 && rows <= 16 && cols <= 16,
-                     "grid:RxC needs 2..16 per side");
+    const auto rc = split_pair(param, 'x');
+    const char* rule = "grid:RxC needs 2..16 per side";
+    const int rows = count(rc ? rc->first : "", 2, 16, rule);
+    const int cols = count(rc ? rc->second : "", 2, 16, rule);
     Scenario sc{spec, make_grid(rows, cols), {}, {}};
     const NodeId n = static_cast<NodeId>(rows * cols);
     // Four corner-crossing flows.
@@ -321,8 +266,7 @@ Scenario make_named_scenario(const std::string& spec, Rng& rng) {
     return sc;
   }
   if (kind == "random") {
-    const int nodes = std::atoi(param.c_str());
-    E2EFA_ASSERT_MSG(nodes >= 4 && nodes <= 128, "random:N needs 4 <= N <= 128");
+    const int nodes = count(param, 4, 128, "random:N needs 4 <= N <= 128");
     const double side = 200.0 * std::sqrt(static_cast<double>(nodes));
     Scenario sc{spec, make_random(nodes, side, side, rng), {}, {}};
     const int nf = std::max(2, nodes / 3);

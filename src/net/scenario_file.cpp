@@ -7,6 +7,7 @@
 
 #include "route/routing.hpp"
 #include "util/assert.hpp"
+#include "util/options.hpp"
 #include "util/strings.hpp"
 
 namespace e2efa {
@@ -57,189 +58,225 @@ struct MobSpec {
   int line = 0;
 };
 
-}  // namespace
+/// One non-blank line: its number, directive and argument tokens.
+struct Line {
+  int no = 0;
+  std::string cmd;
+  std::vector<std::string> args;
 
-Scenario parse_scenario_text(const std::string& text, std::string name) {
+  /// Fails unless there are exactly n arguments: with `usage` when fewer,
+  /// as an unexpected token when more.
+  void expect(std::size_t n, const std::string& usage) const {
+    if (args.size() < n) fail(no, usage);
+    if (args.size() > n) fail(no, "unexpected token after " + cmd);
+  }
+  /// Argument i as a strict finite number; fails with `usage` otherwise.
+  double number(std::size_t i, const std::string& usage) const {
+    const auto v = i < args.size() ? parse_double(args[i]) : std::nullopt;
+    if (!v) fail(no, usage);
+    return *v;
+  }
+};
+
+/// Everything the directives declare, with labels and flow ordinals still
+/// unresolved (a directive may name a node or flow defined further down).
+struct Draft {
   std::vector<Point> positions;
   std::vector<std::string> labels;
   std::map<std::string, NodeId> by_label;
-  std::vector<FlowSpec> flow_specs;
-  std::vector<FaultSpec> fault_specs;
-  std::vector<LossSpec> loss_specs;
-  std::vector<ChurnSpec> churn_specs;
-  std::vector<MobSpec> mob_specs;
+  std::vector<FlowSpec> flows;
+  std::vector<FaultSpec> faults;
+  std::vector<LossSpec> losses;
+  std::vector<ChurnSpec> churn;
+  std::vector<MobSpec> mobility;
   double range = 250.0;
   double irange = -1.0;
   TransportKind transport = TransportKind::kCbr;
   int transport_line = 0;
 
-  std::istringstream in(text);
-  std::string raw;
-  int lineno = 0;
-  while (std::getline(in, raw)) {
-    ++lineno;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    std::istringstream line(raw);
-    std::string cmd;
-    if (!(line >> cmd)) continue;  // blank / comment-only
+  NodeId node(const std::string& label, int line) const {
+    const auto it = by_label.find(label);
+    if (it == by_label.end()) fail(line, "unknown node label " + label);
+    return it->second;
+  }
+};
 
-    if (cmd == "range" || cmd == "irange") {
-      double v;
-      if (!(line >> v) || v <= 0) fail(lineno, cmd + " needs a positive number");
-      (cmd == "range" ? range : irange) = v;
-    } else if (cmd == "node") {
-      std::string label;
-      double x, y;
-      if (!(line >> label >> x >> y)) fail(lineno, "node needs: label x y");
-      if (by_label.contains(label)) fail(lineno, "duplicate node label " + label);
-      by_label[label] = static_cast<NodeId>(positions.size());
-      positions.push_back({x, y});
-      labels.push_back(label);
-    } else if (cmd == "flow") {
-      FlowSpec spec;
-      spec.line = lineno;
-      std::string tok;
-      while (line >> tok) {
-        if (tok == "weight") {
-          if (!(line >> spec.weight) || spec.weight <= 0)
-            fail(lineno, "weight needs a positive number");
-          std::string extra;
-          if (line >> extra) fail(lineno, "unexpected token after weight");
-          break;
-        }
-        spec.nodes.push_back(tok);
-      }
-      if (spec.nodes.size() < 2) fail(lineno, "flow needs at least two nodes");
-      flow_specs.push_back(std::move(spec));
-    } else if (cmd == "fault" || cmd == "recover") {
-      FaultSpec spec;
-      spec.recover = cmd == "recover";
-      spec.line = lineno;
-      std::string kind;
-      if (!(line >> kind) || (kind != "node" && kind != "link"))
-        fail(lineno, cmd + " needs: " + cmd + " node|link ...");
-      spec.link = kind == "link";
-      const std::string usage =
-          cmd + (spec.link ? " link needs: two node labels and a time"
-                           : " node needs: a node label and a time");
-      if (!(line >> spec.a)) fail(lineno, usage);
-      if (spec.link && !(line >> spec.b)) fail(lineno, usage);
-      if (!(line >> spec.at_s)) fail(lineno, usage);
-      if (spec.at_s < 0) fail(lineno, cmd + " time must not be negative");
-      std::string extra;
-      if (line >> extra) fail(lineno, "unexpected token after " + cmd);
-      fault_specs.push_back(std::move(spec));
-    } else if (cmd == "loss") {
-      LossSpec spec;
-      spec.line = lineno;
-      if (!(line >> spec.a)) fail(lineno, "loss needs: a b rate, or: default rate");
-      if (spec.a == "default") {
-        spec.is_default = true;
-        if (!(line >> spec.per)) fail(lineno, "loss default needs a rate");
-      } else {
-        if (!(line >> spec.b >> spec.per))
-          fail(lineno, "loss needs: a b rate, or: default rate");
-      }
-      if (spec.per < 0.0 || spec.per > 1.0)
-        fail(lineno, "loss rate must be within [0, 1]");
-      std::string extra;
-      if (line >> extra) fail(lineno, "unexpected token after loss");
-      loss_specs.push_back(std::move(spec));
-    } else if (cmd == "flow_arrive" || cmd == "flow_depart") {
-      ChurnSpec spec;
-      spec.depart = cmd == "flow_depart";
-      spec.line = lineno;
-      if (!(line >> spec.flow >> spec.at_s))
-        fail(lineno, cmd + " needs: flow-index time");
-      if (spec.flow < 0) fail(lineno, cmd + " flow index must not be negative");
-      if (spec.at_s < 0) fail(lineno, cmd + " time must not be negative");
-      std::string extra;
-      if (line >> extra) fail(lineno, "unexpected token after " + cmd);
-      churn_specs.push_back(spec);
-    } else if (cmd == "mobility") {
-      MobSpec spec;
-      spec.line = lineno;
-      if (!(line >> spec.label))
-        fail(lineno, "mobility needs: label speed v [pause p] [seed k]");
-      bool have_speed = false;
-      std::string key;
-      while (line >> key) {
-        if (key == "speed") {
-          if (!(line >> spec.speed)) fail(lineno, "mobility speed needs a number");
-          have_speed = true;
-        } else if (key == "pause") {
-          if (!(line >> spec.pause)) fail(lineno, "mobility pause needs a number");
-        } else if (key == "seed") {
-          if (!(line >> spec.seed)) fail(lineno, "mobility seed needs an integer");
-        } else {
-          fail(lineno, "unknown mobility option '" + key + "'");
-        }
-      }
-      if (!have_speed || spec.speed <= 0)
-        fail(lineno, "mobility needs a positive speed");
-      if (spec.pause < 0) fail(lineno, "mobility pause must not be negative");
-      mob_specs.push_back(std::move(spec));
-    } else if (cmd == "transport") {
-      std::string kind;
-      if (!(line >> kind)) fail(lineno, "transport needs: cbr|aimd|bbr");
-      if (transport_line != 0)
-        fail(lineno, strformat("duplicate transport directive (line %d)",
-                               transport_line));
-      transport_line = lineno;
-      const auto parsed = parse_transport_kind(kind);
-      if (!parsed) fail(lineno, "unknown transport kind '" + kind + "'");
-      transport = *parsed;
-      std::string extra;
-      if (line >> extra) fail(lineno, "unexpected token after transport");
+// ---- Directive handlers ------------------------------------------------
+
+void read_range(Draft& d, const Line& l) {
+  const std::string usage = l.cmd + " needs a positive number";
+  l.expect(1, usage);
+  const double v = l.number(0, usage);
+  if (v <= 0) fail(l.no, usage);
+  (l.cmd == "range" ? d.range : d.irange) = v;
+}
+
+void read_node(Draft& d, const Line& l) {
+  const std::string usage = "node needs: label x y";
+  l.expect(3, usage);
+  const Point p{l.number(1, usage), l.number(2, usage)};
+  const std::string& label = l.args[0];
+  if (d.by_label.contains(label)) fail(l.no, "duplicate node label " + label);
+  d.by_label[label] = static_cast<NodeId>(d.positions.size());
+  d.positions.push_back(p);
+  d.labels.push_back(label);
+}
+
+void read_flow(Draft& d, const Line& l) {
+  FlowSpec spec;
+  spec.line = l.no;
+  const auto weight = std::find(l.args.begin(), l.args.end(), "weight");
+  spec.nodes.assign(l.args.begin(), weight);
+  if (weight != l.args.end()) {
+    const auto i = static_cast<std::size_t>(weight - l.args.begin()) + 1;
+    spec.weight = l.number(i, "weight needs a positive number");
+    if (spec.weight <= 0) fail(l.no, "weight needs a positive number");
+    if (i + 1 < l.args.size()) fail(l.no, "unexpected token after weight");
+  }
+  if (spec.nodes.size() < 2) fail(l.no, "flow needs at least two nodes");
+  d.flows.push_back(std::move(spec));
+}
+
+void read_fault(Draft& d, const Line& l) {
+  FaultSpec spec;
+  spec.recover = l.cmd == "recover";
+  spec.line = l.no;
+  const std::string kind = l.args.empty() ? "" : l.args[0];
+  if (kind != "node" && kind != "link")
+    fail(l.no, l.cmd + " needs: " + l.cmd + " node|link ...");
+  spec.link = kind == "link";
+  const std::string usage =
+      l.cmd + (spec.link ? " link needs: two node labels and a time"
+                         : " node needs: a node label and a time");
+  l.expect(spec.link ? 4 : 3, usage);
+  spec.a = l.args[1];
+  if (spec.link) spec.b = l.args[2];
+  spec.at_s = l.number(l.args.size() - 1, usage);
+  if (spec.at_s < 0) fail(l.no, l.cmd + " time must not be negative");
+  d.faults.push_back(std::move(spec));
+}
+
+void read_loss(Draft& d, const Line& l) {
+  LossSpec spec;
+  spec.line = l.no;
+  spec.is_default = !l.args.empty() && l.args[0] == "default";
+  const std::string usage = spec.is_default
+                                ? "loss default needs a rate"
+                                : "loss needs: a b rate, or: default rate";
+  l.expect(spec.is_default ? 2 : 3, usage);
+  if (!spec.is_default) {
+    spec.a = l.args[0];
+    spec.b = l.args[1];
+  }
+  spec.per = l.number(l.args.size() - 1, usage);
+  if (spec.per < 0.0 || spec.per > 1.0)
+    fail(l.no, "loss rate must be within [0, 1]");
+  d.losses.push_back(std::move(spec));
+}
+
+void read_churn(Draft& d, const Line& l) {
+  ChurnSpec spec;
+  spec.depart = l.cmd == "flow_depart";
+  spec.line = l.no;
+  const std::string usage = l.cmd + " needs: flow-index time";
+  l.expect(2, usage);
+  const auto flow = parse_int(l.args[0]);
+  if (!flow) fail(l.no, usage);
+  spec.flow = *flow;
+  spec.at_s = l.number(1, usage);
+  if (spec.flow < 0) fail(l.no, l.cmd + " flow index must not be negative");
+  if (spec.at_s < 0) fail(l.no, l.cmd + " time must not be negative");
+  d.churn.push_back(spec);
+}
+
+void read_mobility(Draft& d, const Line& l) {
+  MobSpec spec;
+  spec.line = l.no;
+  if (l.args.empty()) fail(l.no, "mobility needs: label speed v [pause p] [seed k]");
+  spec.label = l.args[0];
+  bool have_speed = false;
+  for (std::size_t i = 1; i < l.args.size(); i += 2) {
+    const std::string& key = l.args[i];
+    if (key == "speed") {
+      spec.speed = l.number(i + 1, "mobility speed needs a number");
+      have_speed = true;
+    } else if (key == "pause") {
+      spec.pause = l.number(i + 1, "mobility pause needs a number");
+    } else if (key == "seed") {
+      const auto seed = i + 1 < l.args.size() ? parse_uint64(l.args[i + 1])
+                                              : std::nullopt;
+      if (!seed) fail(l.no, "mobility seed needs an integer");
+      spec.seed = *seed;
     } else {
-      fail(lineno, "unknown directive '" + cmd + "'");
+      fail(l.no, "unknown mobility option '" + key + "'");
     }
   }
-  if (positions.empty()) throw ContractViolation("scenario file defines no nodes");
-  if (flow_specs.empty()) throw ContractViolation("scenario file defines no flows");
+  if (!have_speed || spec.speed <= 0) fail(l.no, "mobility needs a positive speed");
+  if (spec.pause < 0) fail(l.no, "mobility pause must not be negative");
+  d.mobility.push_back(std::move(spec));
+}
 
-  Topology topo(std::move(positions), range,
-                irange > 0 ? std::optional<double>(irange) : std::nullopt);
-  topo.set_labels(labels);
+void read_transport(Draft& d, const Line& l) {
+  l.expect(1, "transport needs: cbr|aimd|bbr");
+  if (d.transport_line != 0)
+    fail(l.no, strformat("duplicate transport directive (line %d)", d.transport_line));
+  d.transport_line = l.no;
+  const auto parsed = parse_transport_kind(l.args[0]);
+  if (!parsed) fail(l.no, "unknown transport kind '" + l.args[0] + "'");
+  d.transport = *parsed;
+}
 
-  Scenario sc{std::move(name), std::move(topo), {}, {}};
-  sc.transport = transport;
-  for (const FlowSpec& spec : flow_specs) {
-    std::vector<NodeId> ids;
-    for (const std::string& label : spec.nodes) {
-      const auto it = by_label.find(label);
-      if (it == by_label.end()) fail(spec.line, "unknown node label " + label);
-      ids.push_back(it->second);
-    }
-    if (ids.size() == 2) {
-      const auto path = shortest_path(sc.topo, ids[0], ids[1]);
+using Handler = void (*)(Draft&, const Line&);
+constexpr std::pair<std::string_view, Handler> kDirectives[] = {
+    {"range", read_range},         {"irange", read_range},
+    {"node", read_node},           {"flow", read_flow},
+    {"fault", read_fault},         {"recover", read_fault},
+    {"loss", read_loss},           {"flow_arrive", read_churn},
+    {"flow_depart", read_churn},   {"mobility", read_mobility},
+    {"transport", read_transport}};
+
+Draft read_directives(const std::string& text) {
+  Draft d;
+  std::istringstream in(text);
+  std::string raw;
+  for (int no = 1; std::getline(in, raw); ++no) {
+    raw.erase(std::min(raw.find('#'), raw.size()));
+    std::istringstream words(raw);
+    Line l{no, "", {}};
+    if (!(words >> l.cmd)) continue;  // blank / comment-only
+    for (std::string w; words >> w;) l.args.push_back(std::move(w));
+    const auto it = std::find_if(std::begin(kDirectives), std::end(kDirectives),
+                                 [&](const auto& e) { return e.first == l.cmd; });
+    if (it == std::end(kDirectives)) fail(no, "unknown directive '" + l.cmd + "'");
+    it->second(d, l);
+  }
+  return d;
+}
+
+// ---- Resolve stage -----------------------------------------------------
+
+void resolve_flows(const Draft& d, Scenario& sc) {
+  for (const FlowSpec& spec : d.flows) {
+    Flow f;
+    f.weight = spec.weight;
+    for (const std::string& label : spec.nodes) f.path.push_back(d.node(label, spec.line));
+    if (f.path.size() == 2) {
+      const auto path = shortest_path(sc.topo, f.path[0], f.path[1]);
       if (!path)
         fail(spec.line, "no route from " + spec.nodes[0] + " to " + spec.nodes[1]);
-      Flow f;
       f.path = *path;
-      f.weight = spec.weight;
-      sc.flow_specs.push_back(std::move(f));
     } else {
-      Flow f;
-      f.path = std::move(ids);
-      f.weight = spec.weight;
       for (std::size_t h = 0; h + 1 < f.path.size(); ++h) {
         if (!sc.topo.has_link(f.path[h], f.path[h + 1]))
           fail(spec.line, "hop " + spec.nodes[h] + " -> " + spec.nodes[h + 1] +
                               " is not a link");
       }
-      sc.flow_specs.push_back(std::move(f));
     }
+    sc.flow_specs.push_back(std::move(f));
   }
+}
 
-  // Resolve fault/loss directives (labels may be defined anywhere in the
-  // file, so this has to run after all nodes are known).
-  auto resolve = [&](const std::string& label, int line) {
-    const auto it = by_label.find(label);
-    if (it == by_label.end()) fail(line, "unknown node label " + label);
-    return it->second;
-  };
+void resolve_faults(const Draft& d, Scenario& sc) {
   // Per-target monotonicity: the FaultPlan applies events in file order, so
   // a fault/recover whose time precedes an earlier directive for the same
   // node or link would silently be overridden — reject it at the source.
@@ -253,76 +290,72 @@ Scenario parse_scenario_text(const std::string& text, std::string name) {
                            t, it->second.second, it->second.first));
     last_event[key] = {t, line};
   };
-  for (const FaultSpec& spec : fault_specs) {
-    const NodeId a = resolve(spec.a, spec.line);
+  for (const FaultSpec& spec : d.faults) {
+    const NodeId a = d.node(spec.a, spec.line);
     if (!spec.link) {
       check_order(a, kInvalidNode, spec.at_s, spec.line);
       spec.recover ? sc.faults.node_up(a, spec.at_s)
                    : sc.faults.node_down(a, spec.at_s);
       continue;
     }
-    const NodeId b = resolve(spec.b, spec.line);
+    const NodeId b = d.node(spec.b, spec.line);
     if (a == b) fail(spec.line, "link fault endpoints must differ");
     check_order(a, b, spec.at_s, spec.line);
     spec.recover ? sc.faults.link_up(a, b, spec.at_s)
                  : sc.faults.link_down(a, b, spec.at_s);
   }
-  for (const LossSpec& spec : loss_specs) {
+  for (const LossSpec& spec : d.losses) {
     if (spec.is_default) {
       sc.faults.set_default_loss(spec.per);
       continue;
     }
-    const NodeId a = resolve(spec.a, spec.line);
-    const NodeId b = resolve(spec.b, spec.line);
+    const NodeId a = d.node(spec.a, spec.line);
+    const NodeId b = d.node(spec.b, spec.line);
     if (a == b) fail(spec.line, "loss endpoints must differ");
     sc.faults.set_loss(a, b, spec.per);
   }
+}
 
-  // Flow churn windows. Ordinals index the flow list in file order; an
-  // all-default window vector is normalized away so churn-free files stay
-  // non-dynamic (and serialization is a fixed point).
-  if (!churn_specs.empty()) {
-    const int FC = static_cast<int>(sc.flow_specs.size());
-    sc.activity.assign(sc.flow_specs.size(), FlowActivity{});
-    std::vector<int> arrive_line(sc.flow_specs.size(), 0);
-    std::vector<int> depart_line(sc.flow_specs.size(), 0);
-    for (const ChurnSpec& spec : churn_specs) {
-      if (spec.flow >= FC)
-        fail(spec.line, strformat("flow index %d out of range (%d flows defined)",
-                                  spec.flow, FC));
-      const auto f = static_cast<std::size_t>(spec.flow);
-      if (spec.depart) {
-        if (depart_line[f] != 0)
-          fail(spec.line, strformat("duplicate flow_depart for flow %d (line %d)",
-                                    spec.flow, depart_line[f]));
-        depart_line[f] = spec.line;
-        sc.activity[f].stop_s = spec.at_s;
-      } else {
-        if (arrive_line[f] != 0)
-          fail(spec.line, strformat("duplicate flow_arrive for flow %d (line %d)",
-                                    spec.flow, arrive_line[f]));
-        arrive_line[f] = spec.line;
-        sc.activity[f].start_s = spec.at_s;
-      }
-    }
-    for (std::size_t f = 0; f < sc.activity.size(); ++f) {
-      if (depart_line[f] != 0 && sc.activity[f].stop_s <= sc.activity[f].start_s)
-        fail(depart_line[f],
-             strformat("flow_depart at or before flow %d's arrival (t=%g)",
-                       static_cast<int>(f), sc.activity[f].start_s));
-    }
-    if (all_default_activity(sc.activity)) sc.activity.clear();
+// Flow churn windows. Ordinals index the flow list in file order; an
+// all-default window vector is normalized away so churn-free files stay
+// non-dynamic (and serialization is a fixed point).
+void resolve_churn(const Draft& d, Scenario& sc) {
+  if (d.churn.empty()) return;
+  const int FC = static_cast<int>(sc.flow_specs.size());
+  sc.activity.assign(sc.flow_specs.size(), FlowActivity{});
+  std::vector<int> arrive_line(sc.flow_specs.size(), 0);
+  std::vector<int> depart_line(sc.flow_specs.size(), 0);
+  for (const ChurnSpec& spec : d.churn) {
+    if (spec.flow >= FC)
+      fail(spec.line, strformat("flow index %d out of range (%d flows defined)",
+                                spec.flow, FC));
+    const auto f = static_cast<std::size_t>(spec.flow);
+    std::vector<int>& seen = spec.depart ? depart_line : arrive_line;
+    if (seen[f] != 0)
+      fail(spec.line, strformat("duplicate %s for flow %d (line %d)",
+                                spec.depart ? "flow_depart" : "flow_arrive",
+                                spec.flow, seen[f]));
+    seen[f] = spec.line;
+    (spec.depart ? sc.activity[f].stop_s : sc.activity[f].start_s) = spec.at_s;
   }
+  for (std::size_t f = 0; f < sc.activity.size(); ++f) {
+    if (depart_line[f] != 0 && sc.activity[f].stop_s <= sc.activity[f].start_s)
+      fail(depart_line[f],
+           strformat("flow_depart at or before flow %d's arrival (t=%g)",
+                     static_cast<int>(f), sc.activity[f].start_s));
+  }
+  if (all_default_activity(sc.activity)) sc.activity.clear();
+}
 
-  // Mobility walks (labels resolved now; one walk per node).
+// Mobility walks (labels resolved now; one walk per node).
+void resolve_mobility(const Draft& d, Scenario& sc) {
   std::map<NodeId, int> mob_line;
-  for (const MobSpec& spec : mob_specs) {
-    const NodeId n = resolve(spec.label, spec.line);
+  for (const MobSpec& spec : d.mobility) {
+    const NodeId n = d.node(spec.label, spec.line);
     const auto it = mob_line.find(n);
     if (it != mob_line.end())
-      fail(spec.line,
-           strformat("duplicate mobility for node %s (line %d)",
-                     spec.label.c_str(), it->second));
+      fail(spec.line, strformat("duplicate mobility for node %s (line %d)",
+                                spec.label.c_str(), it->second));
     mob_line[n] = spec.line;
     MobilitySpec m;
     m.node = n;
@@ -331,6 +364,24 @@ Scenario parse_scenario_text(const std::string& text, std::string name) {
     m.seed = spec.seed;
     sc.mobility.push_back(m);
   }
+}
+
+}  // namespace
+
+Scenario parse_scenario_text(const std::string& text, std::string name) {
+  Draft d = read_directives(text);
+  if (d.positions.empty()) throw ContractViolation("scenario file defines no nodes");
+  if (d.flows.empty()) throw ContractViolation("scenario file defines no flows");
+
+  Topology topo(std::move(d.positions), d.range,
+                d.irange > 0 ? std::optional<double>(d.irange) : std::nullopt);
+  topo.set_labels(d.labels);
+  Scenario sc{std::move(name), std::move(topo), {}, {}};
+  sc.transport = d.transport;
+  resolve_flows(d, sc);
+  resolve_faults(d, sc);
+  resolve_churn(d, sc);
+  resolve_mobility(d, sc);
   return sc;
 }
 

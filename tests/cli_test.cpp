@@ -72,6 +72,17 @@ TEST(Cli, RejectsBadValues) {
   EXPECT_FALSE(parse({"--pps", "0"}, &err).has_value());
   EXPECT_FALSE(parse({"--queue", "0"}, &err).has_value());
   EXPECT_FALSE(parse({"--protocol", "tcp"}, &err).has_value());
+  // Malformed numbers are rejected whole, never truncated, and name the flag.
+  const std::vector<std::vector<const char*>> malformed = {
+      {"--seconds", "0.1x"},  {"--seconds", "nan"},  {"--seconds", "1e400"},
+      {"--warmup", "inf"},    {"--alpha", "nan"},    {"--seed", "7q"},
+      {"--seed", "-5"},       {"--seed", "18446744073709551616"},
+      {"--sim-threads", "2abc"}, {"--queue", "5z"},  {"--loss", "0.1.2"},
+      {"--churn", "1x:2y"},   {"--mobility", "2.5:3"}};
+  for (const auto& args : malformed) {
+    EXPECT_FALSE(parse(args, &err).has_value()) << args[0] << " " << args[1];
+    EXPECT_NE(err.find(args[0]), std::string::npos) << err;
+  }
 }
 
 TEST(Cli, ParsesSimThreads) {
@@ -226,6 +237,9 @@ TEST(NamedScenario, RejectsBadSpecs) {
   EXPECT_THROW(make_named_scenario("grid:4", rng), ContractViolation);
   EXPECT_THROW(make_named_scenario("random:1", rng), ContractViolation);
   EXPECT_THROW(make_named_scenario("torus:3", rng), ContractViolation);
+  EXPECT_THROW(make_named_scenario("chain:3x", rng), ContractViolation);
+  EXPECT_THROW(make_named_scenario("grid:3x3y", rng), ContractViolation);
+  EXPECT_THROW(make_named_scenario("random:10x", rng), ContractViolation);
 }
 
 TEST(Cli, FormatRunResultContainsEssentials) {

@@ -113,6 +113,17 @@ TEST(ScenarioFile, RejectsMalformedInput) {
                ContractViolation);
   EXPECT_THROW(parse_scenario_text("node A 0 0\nnode B 10 0\nflow A B weight 1 x\n"),
                ContractViolation);
+  // Trailing or partial tokens, each rejected with its line number.
+  for (const char* bad : {"range 250x", "irange 300y", "node b 200 0 junk",
+                          "flow_arrive 1.5"}) {
+    try {
+      parse_scenario_text(
+          std::string("node A 0 0\nnode B 200 0\nflow A B\nflow B A\n") + bad);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("line 5"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(ScenarioFile, FaultDirectivesRoundTrip) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/options.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -276,6 +277,79 @@ TEST(Strings, FormatShareOfB) {
 TEST(Strings, FormatShareFallsBackToDecimal) {
   const std::string s = format_share_of_b(0.123456789, 8);
   EXPECT_NE(s.find("0.1235"), std::string::npos);
+}
+
+// ---------- options ----------
+
+TEST(Options, StrictGrammarAndGeneratedUsage) {
+  // The whole token is one number; %.17g output and a leading '+' read back.
+  EXPECT_EQ(parse_double("0.1"), 0.1);
+  EXPECT_EQ(parse_double("+2.5"), 2.5);
+  EXPECT_EQ(parse_double("1.0000000000000002"), 1.0000000000000002);
+  EXPECT_EQ(parse_double("4.9406564584124654e-324"), 4.9406564584124654e-324);
+  EXPECT_EQ(parse_int("-7"), -7);
+  EXPECT_EQ(parse_uint64("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"0.1x", "1.2.3", " 5", "5 ", "", "+", "+-1", "0x10"})
+    EXPECT_FALSE(parse_double(bad).has_value()) << "'" << bad << "'";
+  for (const char* bad : {"inf", "-inf", "nan", "1e400", "-1e400", "1e-400"})
+    EXPECT_FALSE(parse_double(bad).has_value()) << bad;
+  for (const char* bad : {"2abc", "", "1.5", "2147483648", "-2147483649"})
+    EXPECT_FALSE(parse_int(bad).has_value()) << "'" << bad << "'";
+  for (const char* bad : {"-5", "-0", "7q", "18446744073709551616", ""})
+    EXPECT_FALSE(parse_uint64(bad).has_value()) << "'" << bad << "'";
+  ASSERT_TRUE(split_pair("3:4.5", ':').has_value());
+  EXPECT_EQ(split_pair("3:4.5", ':')->second, "4.5");
+  EXPECT_FALSE(split_pair("34.5", ':').has_value());
+
+  // Range bounds are inclusive; every error names its option.
+  int n = 0;
+  double x = 0.0, p = 0.0;
+  std::uint64_t seed = 0;
+  bool quiet = false;
+  std::string out;
+  OptionTable t("prog", "usage: prog [options]\n");
+  t.integer("--n", "N", "count", &n, 1, 3)
+      .real("--x", "X", "fraction\nsecond line", &x, 0.0, 1.0)
+      .positive("--p", "P", "rate", &p)
+      .u64("--seed", "S", "seed", &seed)
+      .flag("--quiet", "quiet", &quiet)
+      .text("--out", "PATH", "output", &out);
+  const auto run = [&](std::vector<const char*> args, std::string* err) {
+    args.insert(args.begin(), "prog");
+    return t.parse(static_cast<int>(args.size()), args.data(), err);
+  };
+  std::string err;
+  EXPECT_EQ(run({"--n", "1", "--x", "0", "--p", "1e-9", "--seed", "0"}, &err),
+            OptionTable::Status::kOk);
+  EXPECT_EQ(run({"--n", "3", "--x", "1", "--quiet", "--out", "o"}, &err),
+            OptionTable::Status::kOk);
+  EXPECT_EQ(n, 3);
+  EXPECT_EQ(x, 1.0);
+  EXPECT_DOUBLE_EQ(p, 1e-9);
+  EXPECT_TRUE(quiet);
+  EXPECT_EQ(out, "o");
+  const std::vector<std::vector<const char*>> rejected = {
+      {"--n", "0"},     {"--n", "4"},   {"--x", "-0.1"}, {"--x", "1.01"},
+      {"--p", "0"},     {"--p", "-1"},  {"--seed", "-1"}, {"--out", ""},
+      {"--n", "2abc"}, {"--x", "nan"}};
+  for (const auto& args : rejected) {
+    EXPECT_EQ(run(args, &err), OptionTable::Status::kError) << args[0] << " " << args[1];
+    EXPECT_EQ(err.rfind(std::string(args[0]) + ": ", 0), 0u) << err;
+  }
+  EXPECT_EQ(run({"--n"}, &err), OptionTable::Status::kError);
+  EXPECT_NE(err.find("missing value for --n"), std::string::npos);
+  EXPECT_EQ(run({"--bogus"}, &err), OptionTable::Status::kError);
+  EXPECT_NE(err.find("unknown option: --bogus"), std::string::npos);
+  EXPECT_EQ(run({"--x", "0.5", "--help", "--bogus"}, &err), OptionTable::Status::kHelp);
+
+  // The generated usage lists every entry, continuation lines aligned.
+  const std::string usage = t.usage();
+  EXPECT_EQ(usage.rfind("usage: prog [options]\n", 0), 0u);
+  for (const char* entry : {"--n N ", "--x X ", "--p P ", "--seed S ", "--quiet ",
+                            "--out PATH ", "--help "})
+    EXPECT_NE(usage.find(std::string("  ") + entry), std::string::npos) << entry;
+  EXPECT_NE(usage.find("fraction\n              second line\n"), std::string::npos)
+      << usage;
 }
 
 // ---------- TextTable ----------

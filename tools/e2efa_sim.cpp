@@ -28,9 +28,12 @@ int main(int argc, char** argv) {
   std::string error;
   const auto opt = parse_cli(argc, argv, &error);
   if (!opt) {
-    if (!error.empty()) std::cerr << "error: " << error << "\n\n";
-    std::cout << cli_usage();
-    return error.empty() ? 0 : 2;
+    if (error.empty()) {
+      std::cout << cli_usage();
+      return 0;
+    }
+    std::cerr << "e2efa-sim: " << error << "\n\n" << cli_usage();
+    return 2;
   }
   try {
     Rng rng(opt->config.seed);

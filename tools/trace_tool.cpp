@@ -22,61 +22,20 @@
 // `chrome` converts the trace to Chrome trace-event JSON (load in Perfetto
 // or chrome://tracing): one track per node, frame airtime as slices, span
 // edges as flow arrows.
-#include <cerrno>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "obs/trace.hpp"
 #include "obs/trace_analysis.hpp"
+#include "util/options.hpp"
 #include "util/strings.hpp"
 
 using namespace e2efa;
 
 namespace {
-
-[[noreturn]] void usage(const std::string& error) {
-  if (!error.empty()) std::fprintf(stderr, "trace-tool: %s\n", error.c_str());
-  std::fprintf(stderr,
-               "usage: trace-tool COMMAND TRACE [options]\n"
-               "commands:\n"
-               "  summary      per-event-type record counts\n"
-               "  jsonl        dump the binary trace as JSONL on stdout\n"
-               "  timeline     per-flow delivery/milestone timeline\n"
-               "                 --flow F   only flow F (default: all flows)\n"
-               "                 --limit N  at most N rows (default 50)\n"
-               "  convergence  windowed shares, Jain trajectory, and per-epoch\n"
-               "               convergence times against the Phase-1 targets\n"
-               "                 --window W  window seconds (W > 0; default 1)\n"
-               "                 --eps E     relative tolerance (default 0.2)\n"
-               "  follow       causal-chain report from span/parent ids\n"
-               "                 --flow F   only chains touching flow F\n"
-               "                 --limit N  at most N chains (default 50)\n"
-               "  chrome       Chrome trace-event JSON on stdout (Perfetto /\n"
-               "               chrome://tracing; per-node tracks, span arrows)\n");
-  std::exit(2);
-}
-
-double parse_double(const std::string& key, const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (errno != 0 || end == text || *end != '\0')
-    usage(key + ": malformed number '" + std::string(text) + "'");
-  return v;
-}
-
-long long parse_int(const std::string& key, const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0')
-    usage(key + ": malformed integer '" + std::string(text) + "'");
-  return v;
-}
 
 void print_convergence(const ConvergenceReport& rep) {
   std::printf("flows %d, channel %.0f bps, payload %.0f bytes, window %g s\n",
@@ -109,46 +68,49 @@ void print_convergence(const ConvergenceReport& rep) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && (std::strcmp(argv[1], "--help") == 0 ||
-                    std::strcmp(argv[1], "-h") == 0))
-    usage("");
-  if (argc < 3) usage("need a command and a trace file");
-  const std::string command = argv[1];
+  const std::string command = argc >= 2 ? argv[1] : "";
+  int flow = -1;
+  int limit = 50;
+  double window_s = 1.0;
+  double eps = 0.2;
+  OptionTable table(
+      "trace-tool",
+      "usage: trace-tool COMMAND TRACE [options]\n"
+      "commands:\n"
+      "  summary      per-event-type record counts\n"
+      "  jsonl        dump the binary trace as JSONL on stdout\n"
+      "  timeline     per-flow delivery/milestone timeline (--flow, --limit)\n"
+      "  convergence  windowed shares, Jain trajectory, and per-epoch\n"
+      "               convergence times against the Phase-1 targets\n"
+      "               (--window, --eps)\n"
+      "  follow       causal-chain report from span/parent ids (--flow, --limit)\n"
+      "  chrome       Chrome trace-event JSON on stdout (Perfetto /\n"
+      "               chrome://tracing; per-node tracks, span arrows)\n"
+      "options:\n");
+  table.integer("--flow", "F", "only flow F, or chains touching it (default: all)",
+                &flow, 0, INT_MAX)
+      .integer("--limit", "N", "at most N rows or chains (default 50)", &limit, 1,
+               INT_MAX)
+      .positive("--window", "W", "window seconds (default 1)", &window_s)
+      .positive("--eps", "E", "relative tolerance (default 0.2)", &eps);
+  if (command == "--help" || command == "-h") {
+    std::fputs(table.usage().c_str(), stdout);
+    return 0;
+  }
+  if (argc < 3) table.fail("need a command and a trace file");
   const std::string path = argv[2];
   if (command != "summary" && command != "jsonl" && command != "timeline" &&
       command != "convergence" && command != "follow" && command != "chrome")
-    usage("unknown command: " + command);
-
-  int flow = -1;
-  long long limit = 50;
-  double window_s = 1.0;
-  double eps = 0.2;
+    table.fail("unknown command: " + command);
+  table.parse_or_exit(argc, argv, 3);
+  // Which command an option applies to is this tool's rule, not the table's.
+  const bool per_flow = command == "timeline" || command == "follow";
   for (int i = 3; i < argc; ++i) {
     const std::string key = argv[i];
-    if (key == "--help" || key == "-h") usage("");
-    if (i + 1 >= argc) usage(key + ": missing value");
-    const char* val = argv[++i];
-    if (key == "--flow") {
-      if (command != "timeline" && command != "follow")
-        usage("--flow only applies to timeline and follow");
-      flow = static_cast<int>(parse_int(key, val));
-      if (flow < 0) usage("--flow must be >= 0");
-    } else if (key == "--limit") {
-      if (command != "timeline" && command != "follow")
-        usage("--limit only applies to timeline and follow");
-      limit = parse_int(key, val);
-      if (limit < 1) usage("--limit must be >= 1");
-    } else if (key == "--window") {
-      if (command != "convergence") usage("--window only applies to convergence");
-      window_s = parse_double(key, val);
-      if (window_s <= 0.0) usage("--window must be > 0");
-    } else if (key == "--eps") {
-      if (command != "convergence") usage("--eps only applies to convergence");
-      eps = parse_double(key, val);
-      if (eps <= 0.0) usage("--eps must be > 0");
-    } else {
-      usage("unknown option: " + key);
-    }
+    if (!per_flow && (key == "--flow" || key == "--limit"))
+      table.fail(key + " only applies to timeline and follow");
+    if (command != "convergence" && (key == "--window" || key == "--eps"))
+      table.fail(key + " only applies to convergence");
   }
 
   std::vector<TraceRecord> records;
