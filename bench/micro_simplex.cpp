@@ -3,6 +3,7 @@
 
 #include "alloc/centralized.hpp"
 #include "alloc/distributed.hpp"
+#include "alloc/maxmin.hpp"
 #include "alloc/two_tier.hpp"
 #include "contention/cliques.hpp"
 #include "lp/simplex.hpp"
@@ -91,6 +92,18 @@ void BM_DistributedAllocateColdStart(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(distributed_allocate(sc.topo, flows, g));
 }
 BENCHMARK(BM_DistributedAllocateColdStart)->Unit(benchmark::kMillisecond);
+
+/// Subflow-level weighted max-min (the two-tier-mm target) on the same
+/// network: 91 variables, 32 refinement levels, two of which fix nothing by
+/// the headroom test and so fix only their tightest variable.
+void BM_MaxMinSubflowsColdStart(benchmark::State& state) {
+  const Scenario sc = cold_start_network();
+  FlowSet flows(sc.topo, sc.flow_specs);
+  ContentionGraph g(sc.topo, flows);
+  const auto cliques = maximal_cliques(g);
+  for (auto _ : state) benchmark::DoNotOptimize(maxmin_allocate_subflows(g, {}, &cliques));
+}
+BENCHMARK(BM_MaxMinSubflowsColdStart)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace e2efa

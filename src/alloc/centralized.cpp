@@ -4,30 +4,19 @@ namespace e2efa {
 
 CentralizedResult centralized_allocate(const ContentionGraph& g,
                                        const std::vector<std::vector<int>>* cliques) {
-  const FlowSet& flows = g.flows();
-  const int n = flows.flow_count();
-
   CentralizedResult out;
-  out.constraint_rows = cliques != nullptr ? clique_constraint_rows(g, *cliques)
-                                           : clique_constraint_rows(g);
+  ShareLp lp = graph_share_lp(g, Granularity::kFlow, cliques);
+  for (const auto& row : lp.capacity_rows) out.constraint_rows.emplace_back(row.begin(), row.end());
   out.basic = basic_shares(g);  // group-aware (Sec. II-D defines the basic
                                 // share within a contending flow group)
-
-  ShareLp lp;
   lp.lower_bounds = out.basic;
-  lp.weights.resize(static_cast<std::size_t>(n));
-  for (FlowId f = 0; f < n; ++f)
-    lp.weights[static_cast<std::size_t>(f)] = flows.flow(f).weight;
-  for (const auto& row : out.constraint_rows) {
-    std::vector<double> coeffs(row.begin(), row.end());
-    lp.capacity_rows.push_back(std::move(coeffs));
-  }
 
   ShareLpResult r = solve_share_lp(lp);
   out.status = r.status;
   out.min_relaxation = r.min_relaxation;
+  out.refine_failures = r.refine_failures;
   if (r.status == LpStatus::kOptimal)
-    out.allocation = make_equalized_allocation(flows, std::move(r.shares));
+    out.allocation = make_equalized_allocation(g.flows(), std::move(r.shares));
   return out;
 }
 

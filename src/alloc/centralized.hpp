@@ -26,6 +26,7 @@ struct CentralizedResult {
   /// Basic shares used as lower bounds (units of B).
   std::vector<double> basic;
   double min_relaxation = 1.0;  ///< See ShareLpResult.
+  int refine_failures = 0;      ///< See ShareLpResult.
 };
 
 /// Runs the centralized first phase on one contending flow group (the whole

@@ -101,6 +101,7 @@ LocalProblem solve_local_problem(const FlowSet& flows, FlowId flow,
   ShareLpResult r = solve_share_lp(slp);
   lp.status = r.status;
   lp.min_relaxation = r.min_relaxation;
+  lp.refine_failures = r.refine_failures;
   lp.mins = slp.lower_bounds;
   if (r.status == LpStatus::kOptimal) {
     lp.solution = r.shares;

@@ -43,6 +43,7 @@ struct LocalProblem {
   std::vector<double> solution;             ///< Per-var shares (units of B).
   double flow_share = 0.0;                  ///< Solution entry for `flow`.
   double min_relaxation = 1.0;              ///< See ShareLpResult.
+  int refine_failures = 0;                  ///< See ShareLpResult.
 };
 
 struct DistributedResult {

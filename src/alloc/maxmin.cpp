@@ -1,161 +1,50 @@
 #include "alloc/maxmin.hpp"
 
-#include <limits>
-#include <set>
+#include <algorithm>
 
-#include "lp/problem.hpp"
-#include "lp/simplex.hpp"
+#include "alloc/refine.hpp"
 #include "util/assert.hpp"
 
 namespace e2efa {
 
 namespace {
 
-constexpr double kTol = 1e-7;
-
-/// Generic LP water-filling over `n` variables with weights, capacity rows
-/// (row·x <= 1), and optional caps.
-MaxMinResult waterfill(int n, const std::vector<double>& weights,
-                       const std::vector<std::vector<double>>& rows,
-                       const std::vector<double>& caps) {
-  E2EFA_ASSERT(static_cast<int>(weights.size()) == n);
-  E2EFA_ASSERT(caps.empty() || static_cast<int>(caps.size()) == n);
-  for (double w : weights) E2EFA_ASSERT(w > 0.0);
-  if (!caps.empty())
-    for (double c : caps) E2EFA_ASSERT_MSG(c >= 0.0, "negative rate cap");
-
-  std::vector<bool> frozen(static_cast<std::size_t>(n), false);
-  std::vector<bool> capped(static_cast<std::size_t>(n), false);
-  std::vector<double> value(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> level(static_cast<std::size_t>(n), 0.0);
-
-  auto build = [&](bool with_t, double t_star) {
-    const int nv = n + (with_t ? 1 : 0);
-    LpProblem p(nv);
-    for (const auto& row : rows) {
-      std::vector<double> coeffs(static_cast<std::size_t>(nv), 0.0);
-      std::copy(row.begin(), row.end(), coeffs.begin());
-      p.add_constraint(std::move(coeffs), Relation::kLessEq, 1.0);
-    }
-    for (int i = 0; i < n; ++i) {
-      // Upper bounds: cap (if any) and the trivial x_i <= 1.
-      std::vector<double> coeffs(static_cast<std::size_t>(nv), 0.0);
-      coeffs[static_cast<std::size_t>(i)] = 1.0;
-      const double ub = caps.empty() ? 1.0 : std::min(1.0, caps[static_cast<std::size_t>(i)]);
-      p.add_constraint(std::move(coeffs), Relation::kLessEq, ub);
-      if (frozen[static_cast<std::size_t>(i)]) {
-        std::vector<double> eq(static_cast<std::size_t>(nv), 0.0);
-        eq[static_cast<std::size_t>(i)] = 1.0;
-        p.add_constraint(std::move(eq), Relation::kEqual, value[static_cast<std::size_t>(i)]);
-      } else if (with_t) {
-        // x_i - w_i t >= 0: free flows ride the common level.
-        std::vector<double> ge(static_cast<std::size_t>(nv), 0.0);
-        ge[static_cast<std::size_t>(i)] = 1.0;
-        ge[static_cast<std::size_t>(n)] = -weights[static_cast<std::size_t>(i)];
-        p.add_constraint(std::move(ge), Relation::kGreaterEq, 0.0);
-      } else {
-        std::vector<double> ge(static_cast<std::size_t>(nv), 0.0);
-        ge[static_cast<std::size_t>(i)] = 1.0;
-        p.add_constraint(std::move(ge), Relation::kGreaterEq,
-                         weights[static_cast<std::size_t>(i)] * t_star - kTol);
-      }
-    }
-    return p;
-  };
-
-  int free_count = n;
-  while (free_count > 0) {
-    LpProblem p = build(/*with_t=*/true, 0.0);
-    p.set_objective(n, 1.0);
-    const LpSolution st = solve_lp(p);
-    E2EFA_ASSERT_MSG(st.status == LpStatus::kOptimal, "water-filling level LP failed");
-    const double t_star = st.x[static_cast<std::size_t>(n)];
-
-    // Freeze every free variable that cannot exceed w_i * t_star.
-    int newly = 0;
-    for (int i = 0; i < n; ++i) {
-      if (frozen[static_cast<std::size_t>(i)]) continue;
-      LpProblem q = build(/*with_t=*/false, t_star);
-      q.set_objective(i, 1.0);
-      const LpSolution si = solve_lp(q);
-      const double target = weights[static_cast<std::size_t>(i)] * t_star;
-      const double best = si.status == LpStatus::kOptimal ? si.objective : target;
-      if (best <= target + 10 * kTol) {
-        frozen[static_cast<std::size_t>(i)] = true;
-        value[static_cast<std::size_t>(i)] = target;
-        level[static_cast<std::size_t>(i)] = t_star;
-        capped[static_cast<std::size_t>(i)] =
-            !caps.empty() && target >= caps[static_cast<std::size_t>(i)] - 10 * kTol;
-        ++newly;
-        --free_count;
-      }
-    }
-    if (newly == 0) {
-      // Numerical guard: freeze everything at the current level.
-      for (int i = 0; i < n; ++i) {
-        if (frozen[static_cast<std::size_t>(i)]) continue;
-        frozen[static_cast<std::size_t>(i)] = true;
-        value[static_cast<std::size_t>(i)] = weights[static_cast<std::size_t>(i)] * t_star;
-        level[static_cast<std::size_t>(i)] = t_star;
-        --free_count;
-      }
-    }
+/// Max-min over `lp` (zero floors) with per-variable caps (empty = none).
+/// The allocation's flow_share holds the raw per-variable shares; the
+/// caller re-shapes it.
+MaxMinResult maxmin_over(ShareLp lp, const std::vector<double>& caps) {
+  const std::size_t n = lp.weights.size();
+  E2EFA_ASSERT(caps.empty() || caps.size() == n);
+  for (double c : caps) {
+    E2EFA_ASSERT_MSG(c >= 0.0, "negative rate cap");
+    lp.upper_bounds.push_back(std::min(1.0, c));
   }
-
+  ShareLpResult r = solve_maxmin_lp(lp);
   MaxMinResult out;
-  out.level = std::move(level);
-  out.capped = std::move(capped);
-  out.allocation.flow_share = std::move(value);  // caller re-shapes
+  out.refine_failures = r.refine_failures;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.level.push_back(r.shares[i] / lp.weights[i]);
+    // The refine engine's fixing threshold.
+    out.capped.push_back(!caps.empty() && r.shares[i] >= caps[i] - 1e-6);
+  }
+  out.allocation.flow_share = std::move(r.shares);
   return out;
-}
-
-std::vector<std::vector<double>> flow_rows(const ContentionGraph& g,
-                                           const std::vector<std::vector<int>>* cliques) {
-  const auto int_rows = cliques != nullptr ? clique_constraint_rows(g, *cliques)
-                                           : clique_constraint_rows(g);
-  std::vector<std::vector<double>> rows;
-  for (const auto& r : int_rows) rows.emplace_back(r.begin(), r.end());
-  return rows;
-}
-
-std::vector<std::vector<double>> subflow_rows(const ContentionGraph& g,
-                                              const std::vector<std::vector<int>>* cliques) {
-  std::vector<std::vector<int>> local;
-  if (cliques == nullptr) {
-    local = maximal_cliques(g);
-    cliques = &local;
-  }
-  std::set<std::vector<double>> rows;
-  for (const auto& clique : *cliques) {
-    std::vector<double> row(static_cast<std::size_t>(g.flows().subflow_count()), 0.0);
-    for (int v : clique) row[static_cast<std::size_t>(v)] = 1.0;
-    rows.insert(std::move(row));
-  }
-  return {rows.begin(), rows.end()};
 }
 
 }  // namespace
 
 MaxMinResult maxmin_allocate(const ContentionGraph& g, const std::vector<double>& caps,
                              const std::vector<std::vector<int>>* cliques) {
-  const FlowSet& flows = g.flows();
-  const int n = flows.flow_count();
-  std::vector<double> weights(static_cast<std::size_t>(n));
-  for (FlowId f = 0; f < n; ++f) weights[static_cast<std::size_t>(f)] = flows.flow(f).weight;
-  MaxMinResult out = waterfill(n, weights, flow_rows(g, cliques), caps);
-  out.allocation = make_equalized_allocation(flows, std::move(out.allocation.flow_share));
+  MaxMinResult out = maxmin_over(graph_share_lp(g, Granularity::kFlow, cliques), caps);
+  out.allocation = make_equalized_allocation(g.flows(), std::move(out.allocation.flow_share));
   return out;
 }
 
 MaxMinResult maxmin_allocate_subflows(const ContentionGraph& g,
                                       const std::vector<double>& caps,
                                       const std::vector<std::vector<int>>* cliques) {
-  const FlowSet& flows = g.flows();
-  const int m = flows.subflow_count();
-  std::vector<double> weights(static_cast<std::size_t>(m));
-  for (int s = 0; s < m; ++s) weights[static_cast<std::size_t>(s)] = flows.subflow(s).weight;
-  MaxMinResult out = waterfill(m, weights, subflow_rows(g, cliques), caps);
-  out.allocation = make_subflow_allocation(flows, std::move(out.allocation.flow_share));
+  MaxMinResult out = maxmin_over(graph_share_lp(g, Granularity::kSubflow, cliques), caps);
+  out.allocation = make_subflow_allocation(g.flows(), std::move(out.allocation.flow_share));
   return out;
 }
 

@@ -4,16 +4,16 @@
 // sources are not greedy, the natural generalization is weighted max-min
 // fairness with rate caps: lexicographically maximize the minimum r̂_i/w_i,
 // subject to the clique capacity rows and optional per-flow demand caps
-// r̂_i <= ρ_i. Computed by LP water-filling: repeatedly maximize the common
-// per-weight level of the still-free flows, freezing flows that cannot rise
-// further (saturated clique or reached cap).
+// r̂_i <= ρ_i. Both allocators are thin wrappers over the refine engine's
+// max-min entry point (solve_maxmin_lp in refine.hpp): the rate caps become
+// the ShareLp's upper bounds, and `level` and `capped` are read off the
+// shares.
 //
 // The same engine also runs at subflow granularity, which models what the
 // two-tier scheduler of [1] *achieves in practice* (its measured Table-II
 // allocation is near max-min across subflows, not the max-total LP optimum).
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "alloc/allocation.hpp"
@@ -22,12 +22,13 @@ namespace e2efa {
 
 struct MaxMinResult {
   Allocation allocation;
-  /// Water-filling levels: level[i] = r̂_i / w_i at freeze time; flows frozen
-  /// in the same iteration share a level.
+  /// Max-min levels: level[i] = r̂_i / w_i; variables fixed at the same
+  /// refinement level share a level.
   std::vector<double> level;
-  /// True where the flow froze because it hit its rate cap ρ_i (as opposed
-  /// to a saturated clique).
+  /// True where the share sits at its rate cap ρ_i (as opposed to a
+  /// saturated clique).
   std::vector<bool> capped;
+  int refine_failures = 0;  ///< See ShareLpResult.
 };
 
 /// Flow-level weighted max-min with optional caps (`caps` empty = greedy

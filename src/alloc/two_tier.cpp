@@ -1,43 +1,22 @@
 #include "alloc/two_tier.hpp"
 
-#include <set>
-
 namespace e2efa {
 
 TwoTierResult two_tier_allocate(const ContentionGraph& g,
                                 const std::vector<std::vector<int>>* cliques) {
-  const FlowSet& flows = g.flows();
-  const int m = flows.subflow_count();
-
   TwoTierResult out;
   out.subflow_basic = subflow_basic_shares(g);  // group-aware denominators
 
-  ShareLp lp;
+  ShareLp lp = graph_share_lp(g, Granularity::kSubflow, cliques);
   lp.lower_bounds = out.subflow_basic;
-  lp.weights.resize(static_cast<std::size_t>(m));
-  for (int s = 0; s < m; ++s)
-    lp.weights[static_cast<std::size_t>(s)] = flows.subflow(s).weight;
-
-  std::vector<std::vector<int>> local;
-  if (cliques == nullptr) {
-    local = maximal_cliques(g);
-    cliques = &local;
-  }
-  // Deduplicated 0/1 rows over subflows, one per maximal clique.
-  std::set<std::vector<double>> rows;
-  for (const auto& clique : *cliques) {
-    std::vector<double> row(static_cast<std::size_t>(m), 0.0);
-    for (int v : clique) row[static_cast<std::size_t>(v)] = 1.0;
-    rows.insert(std::move(row));
-  }
-  lp.capacity_rows.assign(rows.begin(), rows.end());
 
   ShareLpResult r = solve_share_lp(lp);
   out.status = r.status;
   out.min_relaxation = r.min_relaxation;
+  out.refine_failures = r.refine_failures;
   if (r.status == LpStatus::kOptimal) {
     out.total_single_hop = r.total;
-    out.allocation = make_subflow_allocation(flows, std::move(r.shares));
+    out.allocation = make_subflow_allocation(g.flows(), std::move(r.shares));
   }
   return out;
 }

@@ -26,6 +26,7 @@ struct TwoTierResult {
   Allocation allocation;  ///< Per-subflow shares; flow_share = min over hops.
   std::vector<double> subflow_basic;  ///< Lower bounds used (units of B).
   double min_relaxation = 1.0;
+  int refine_failures = 0;  ///< See ShareLpResult.
   /// Σ_{i,j} r_{i.j} — total *single-hop* throughput, the objective previous
   /// work maximizes (compare with allocation.total_effective).
   double total_single_hop = 0.0;

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdint>
 #include <iterator>
-#include <set>
 
 #include "util/assert.hpp"
 
@@ -298,17 +297,6 @@ std::vector<int> flow_membership_counts(const ContentionGraph& g,
   std::vector<int> counts(static_cast<std::size_t>(g.flows().flow_count()), 0);
   for (int v : clique) ++counts[static_cast<std::size_t>(g.flows().subflow(v).flow)];
   return counts;
-}
-
-std::vector<std::vector<int>> clique_constraint_rows(const ContentionGraph& g) {
-  return clique_constraint_rows(g, maximal_cliques(g));
-}
-
-std::vector<std::vector<int>> clique_constraint_rows(
-    const ContentionGraph& g, const std::vector<std::vector<int>>& cliques) {
-  std::set<std::vector<int>> rows;
-  for (const auto& c : cliques) rows.insert(flow_membership_counts(g, c));
-  return {rows.begin(), rows.end()};
 }
 
 std::vector<std::vector<int>> maximal_cliques_in_subset(const ContentionGraph& g,

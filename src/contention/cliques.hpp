@@ -99,17 +99,6 @@ double weighted_clique_number(const ContentionGraph& g);
 std::vector<int> flow_membership_counts(const ContentionGraph& g,
                                         const std::vector<int>& clique);
 
-/// Deduplicated per-flow constraint rows: each row is the n_{i,k} vector of
-/// one maximal clique; identical rows (e.g. the two 3-subflow cliques of a
-/// long chain) are merged. Rows are sorted for determinism.
-std::vector<std::vector<int>> clique_constraint_rows(const ContentionGraph& g);
-
-/// Same, from an already-enumerated clique list (e.g. the incremental
-/// clique store's snapshot) — the rows only depend on the clique *set*, so
-/// any source that yields the graph's maximal cliques gives identical rows.
-std::vector<std::vector<int>> clique_constraint_rows(
-    const ContentionGraph& g, const std::vector<std::vector<int>>& cliques);
-
 /// Maximal cliques of the subgraph induced by `subset` (ascending subflow
 /// indices, no duplicates). Cliques are reported in *global* vertex ids and
 /// are maximal within the subset — the distributed algorithm's "local

@@ -871,14 +871,12 @@ class Observers {
  private:
   void probe_reconvergence();
   void sample_window() { windows_.push_back(window_delta_.take(net_.plan, net_.stats)); }
-  void register_metrics();
   void sample_metrics();
 
   Network& net_;
   std::vector<double> reconv_;
   DeliveryDelta window_delta_;
   std::vector<std::vector<std::int64_t>> windows_;
-  MetricsRegistry registry_;
   MetricsTimeSeries metrics_;
   DeliveryDelta metrics_delta_;
   Delta<double> timeouts_, attempts_, airtime_, ctrl_bytes_, retransmits_, seq_gaps_;
@@ -903,7 +901,6 @@ Observers::Observers(Network& net)
   }
   if (cfg.metrics_period_seconds > 0.0) {
     metrics_.period_s = cfg.metrics_period_seconds;
-    register_metrics();
     const TimeNs period = from_seconds(cfg.metrics_period_seconds);
     E2EFA_ASSERT(period > 0);
     run_every(net.sim, period, period, horizon, [this] { sample_metrics(); });
@@ -933,45 +930,6 @@ void Observers::probe_reconvergence() {
                                         plan.boundaries[e]);
 }
 
-/// Components expose their live counters by address; the registry is only
-/// read at sample instants.
-void Observers::register_metrics() {
-  const ChannelStats& ch = net_.channel.stats();
-  registry_.add_counter("frames_transmitted", -1, -1, &ch.frames_transmitted);
-  registry_.add_counter("frames_delivered", -1, -1, &ch.frames_delivered);
-  registry_.add_counter("frames_corrupted", -1, -1, &ch.frames_corrupted);
-  registry_.add_counter("frames_faulted_dead", -1, -1, &ch.faulted_dead);
-  registry_.add_counter("frames_faulted_loss", -1, -1, &ch.faulted_loss);
-  registry_.add_counter("airtime_ns", -1, -1, &ch.airtime_ns);
-  for (size_t n = 0; n < net_.stacks.size(); ++n) {
-    const NodeStack* stack = net_.stacks[n].get();
-    const DcfMac::Stats& ms = stack->mac().stats();
-    const std::int16_t node = static_cast<std::int16_t>(n);
-    registry_.add_counter("mac_rts_sent", node, -1, &ms.rts_sent);
-    registry_.add_counter("mac_data_sent", node, -1, &ms.data_sent);
-    registry_.add_counter("mac_timeouts", node, -1, &ms.timeouts);
-    registry_.add_counter("mac_retry_drops", node, -1, &ms.retry_drops);
-    registry_.add_gauge("queue_depth", node, -1,
-                        [stack] { return static_cast<double>(stack->backlog()); });
-    if (const TagScheduler* sched = net_.tag_scheds[n])
-      registry_.add_gauge("virtual_clock", node, -1, [sched] { return sched->virtual_clock(); });
-  }
-  const FlowSet& flows = net_.plan.flows;
-  for (int s = 0; s < flows.subflow_count(); ++s) {
-    const SubflowCounters& c = net_.stats.subflow(s);
-    const std::int16_t src = static_cast<std::int16_t>(flows.subflow(s).src);
-    registry_.add_counter("subflow_delivered", src, s, &c.delivered);
-    registry_.add_counter("subflow_dropped_queue", src, s, &c.dropped_queue);
-  }
-  for (size_t n = 0; n < net_.agents.size(); ++n) {
-    const CtrlAgentStats& as = net_.agents[n]->stats();
-    const std::int16_t node = static_cast<std::int16_t>(n);
-    registry_.add_counter("ctrl_bytes", node, -1, &as.ctrl_bytes_sent);
-    registry_.add_counter("ctrl_retransmits", node, -1, &as.retransmits);
-    registry_.add_counter("ctrl_seq_gaps", node, -1, &as.seq_gaps);
-  }
-}
-
 void Observers::sample_metrics() {
   const SimConfig& cfg = net_.cfg;
   const RunPlan& plan = net_.plan;
@@ -991,24 +949,40 @@ void Observers::sample_metrics() {
       share, logical_shares(plan, net_.epochs, plan.epoch_at(samp.t_s - 0.5 * period_s)));
   samp.jain = normalized.empty() ? jain_fairness_index(samp.flow_goodput_pps)
                                  : jain_fairness_index(normalized);
-  const std::vector<double> depths = registry_.values("queue_depth");
+  // Counters are read straight from the components; each sum is an
+  // integer below 2^53, so it is exact as a double.
+  std::vector<double> depths;
+  std::uint64_t timeouts = 0, rts_sent = 0, data_sent = 0;
+  for (const auto& stack : net_.stacks) {
+    depths.push_back(static_cast<double>(stack->backlog()));
+    const DcfMac::Stats& ms = stack->mac().stats();
+    timeouts += ms.timeouts;
+    rts_sent += ms.rts_sent;
+    data_sent += ms.data_sent;
+  }
   samp.queue_depth_p50 = percentile(depths, 50.0);
   samp.queue_depth_p95 = percentile(depths, 95.0);
   samp.queue_depth_max = percentile(depths, 100.0);
-  const double d_timeouts = timeouts_(registry_.sum("mac_timeouts"));
-  const double d_attempts =
-      attempts_(registry_.sum("mac_rts_sent") + registry_.sum("mac_data_sent"));
+  const double d_timeouts = timeouts_(static_cast<double>(timeouts));
+  const double d_attempts = attempts_(static_cast<double>(rts_sent + data_sent));
   samp.mac_retry_rate = d_attempts > 0.0 ? d_timeouts / d_attempts : 0.0;
-  samp.channel_utilization =
-      airtime_(registry_.sum("airtime_ns")) / static_cast<double>(from_seconds(period_s));
+  samp.channel_utilization = airtime_(static_cast<double>(net_.channel.stats().airtime_ns)) /
+                             static_cast<double>(from_seconds(period_s));
   if (in_band(net_.proto)) {
-    const double cbytes = registry_.sum("ctrl_bytes");
+    std::uint64_t ctrl_bytes = 0, retransmits = 0, seq_gaps = 0;
+    for (const auto& agent : net_.agents) {
+      const CtrlAgentStats& as = agent->stats();
+      ctrl_bytes += as.ctrl_bytes_sent;
+      retransmits += as.retransmits;
+      seq_gaps += as.seq_gaps;
+    }
+    const double cbytes = static_cast<double>(ctrl_bytes);
     samp.ctrl_bytes = ctrl_bytes_(cbytes);
     const double data_bytes =
-        registry_.sum("mac_data_sent") * static_cast<double>(cfg.payload_bytes);
+        static_cast<double>(data_sent) * static_cast<double>(cfg.payload_bytes);
     samp.ctrl_overhead = data_bytes > 0.0 ? cbytes / data_bytes : 0.0;
-    samp.ctrl_retransmits = retransmits_(registry_.sum("ctrl_retransmits"));
-    samp.ctrl_seq_gaps = seq_gaps_(registry_.sum("ctrl_seq_gaps"));
+    samp.ctrl_retransmits = retransmits_(static_cast<double>(retransmits));
+    samp.ctrl_seq_gaps = seq_gaps_(static_cast<double>(seq_gaps));
   }
   if (net_.elastic) {
     for (const auto& src : net_.sources) {

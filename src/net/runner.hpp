@@ -68,10 +68,10 @@ struct SimConfig {
   /// the sink. Not owned; not thread-safe: leave null when the same config
   /// fans out across BatchRunner threads.
   TraceSink* trace = nullptr;
-  /// When > 0, sample the metrics registry every this many simulated
+  /// When > 0, sample the components' counters every this many simulated
   /// seconds into RunResult::metrics (windowed goodput, share-normalized
   /// Jain index, queue-depth percentiles, MAC retry rate, channel
-  /// utilization). 0 (default) disables the registry and sampler entirely.
+  /// utilization). 0 (default) disables the sampler entirely.
   double metrics_period_seconds = 0.0;
   /// In-band control plane tuning (k2paDistributedCtrl only; ignored by
   /// every other protocol).

@@ -7,71 +7,6 @@
 
 namespace e2efa {
 
-double MetricEntry::value() const {
-  if (u64 != nullptr) return static_cast<double>(*u64);
-  if (i64 != nullptr) return static_cast<double>(*i64);
-  if (gauge) return gauge();
-  return 0.0;
-}
-
-void MetricsRegistry::add_counter(std::string name, std::int16_t node,
-                                  std::int32_t subflow, const std::uint64_t* p) {
-  E2EFA_ASSERT(p != nullptr);
-  MetricEntry e;
-  e.name = std::move(name);
-  e.node = node;
-  e.subflow = subflow;
-  e.kind = MetricKind::kCounter;
-  e.u64 = p;
-  entries_.push_back(std::move(e));
-}
-
-void MetricsRegistry::add_counter(std::string name, std::int16_t node,
-                                  std::int32_t subflow, const std::int64_t* p) {
-  E2EFA_ASSERT(p != nullptr);
-  MetricEntry e;
-  e.name = std::move(name);
-  e.node = node;
-  e.subflow = subflow;
-  e.kind = MetricKind::kCounter;
-  e.i64 = p;
-  entries_.push_back(std::move(e));
-}
-
-void MetricsRegistry::add_gauge(std::string name, std::int16_t node,
-                                std::int32_t subflow, std::function<double()> fn) {
-  E2EFA_ASSERT(fn != nullptr);
-  MetricEntry e;
-  e.name = std::move(name);
-  e.node = node;
-  e.subflow = subflow;
-  e.kind = MetricKind::kGauge;
-  e.gauge = std::move(fn);
-  entries_.push_back(std::move(e));
-}
-
-const MetricEntry* MetricsRegistry::find(const std::string& name,
-                                         std::int16_t node,
-                                         std::int32_t subflow) const {
-  for (const MetricEntry& e : entries_)
-    if (e.name == name && e.node == node && e.subflow == subflow) return &e;
-  return nullptr;
-}
-
-double MetricsRegistry::sum(const std::string& name) const {
-  double total = 0.0;
-  for (const MetricEntry& e : entries_)
-    if (e.name == name) total += e.value();
-  return total;
-}
-
-std::vector<double> MetricsRegistry::values(const std::string& name) const {
-  std::vector<double> out;
-  for (const MetricEntry& e : entries_)
-    if (e.name == name) out.push_back(e.value());
-  return out;
-}
-
 namespace {
 
 std::string double_array_json(const std::vector<double>& v) {

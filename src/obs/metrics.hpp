@@ -1,64 +1,18 @@
-// Metrics registry + periodic time-series sampling.
+// Periodic metrics time series.
 //
-// Components keep their counters exactly as before — plain struct fields
-// incremented on the hot path — and *register* pointers to them here, so the
-// registry can be queried at sample time without adding any per-event cost.
-// Gauges (queue depth, virtual clock) register a closure instead.
-//
-// The runner owns one registry per run (only when metrics are enabled) and
-// samples it on a fixed period into a MetricsTimeSeries: windowed per-flow
+// Components keep their counters as plain struct fields incremented on the
+// hot path. When metrics are enabled, the runner reads those fields
+// directly on a fixed period into a MetricsTimeSeries: windowed per-flow
 // goodput, a share-normalized Jain fairness index, queue-depth percentiles,
 // the MAC retry rate, and channel airtime utilization. Sampling happens at
 // deterministic simulation times from in-simulation state only, so the
 // series is identical across reruns and BatchRunner thread counts.
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 namespace e2efa {
-
-enum class MetricKind { kCounter, kGauge };
-
-/// One registered metric. Counters point at live `uint64/int64` fields;
-/// gauges evaluate a closure. `node`/`subflow` are -1 when not applicable.
-struct MetricEntry {
-  std::string name;
-  std::int16_t node = -1;
-  std::int32_t subflow = -1;
-  MetricKind kind = MetricKind::kCounter;
-  const std::uint64_t* u64 = nullptr;
-  const std::int64_t* i64 = nullptr;
-  std::function<double()> gauge;
-
-  double value() const;
-};
-
-class MetricsRegistry {
- public:
-  void add_counter(std::string name, std::int16_t node, std::int32_t subflow,
-                   const std::uint64_t* p);
-  void add_counter(std::string name, std::int16_t node, std::int32_t subflow,
-                   const std::int64_t* p);
-  void add_gauge(std::string name, std::int16_t node, std::int32_t subflow,
-                 std::function<double()> fn);
-
-  const std::vector<MetricEntry>& entries() const { return entries_; }
-
-  /// Current value of the (name, node, subflow) metric; null when absent.
-  const MetricEntry* find(const std::string& name, std::int16_t node = -1,
-                          std::int32_t subflow = -1) const;
-  /// Sum of every entry with this name (e.g. total MAC timeouts).
-  double sum(const std::string& name) const;
-  /// All current values with this name, in registration order (node order —
-  /// registration happens in node-id order in the runner).
-  std::vector<double> values(const std::string& name) const;
-
- private:
-  std::vector<MetricEntry> entries_;
-};
 
 /// One periodic sample. All values are window deltas or instantaneous
 /// gauges, never cumulative, so each row is meaningful on its own.

@@ -134,6 +134,7 @@ TEST(Centralized, Fig6Example) {
   EXPECT_NEAR(r.allocation.flow_share[2], 2.0 / 3.0, kTol);
   EXPECT_NEAR(r.allocation.flow_share[3], 1.0 / 8.0, kTol);
   EXPECT_NEAR(r.allocation.flow_share[4], 3.0 / 4.0, kTol);
+  EXPECT_EQ(r.refine_failures, 0);
 }
 
 TEST(Centralized, Fig4Example) {
@@ -293,6 +294,9 @@ TEST(Distributed, TableILocalProblems) {
   EXPECT_EQ(p5.vars, (std::vector<FlowId>{2, 3, 4}));
   EXPECT_NEAR(p5.unit_basic, 0.25, kTol);
   EXPECT_NEAR(p5.flow_share, 0.5, kTol);
+
+  // Every refinement LP of the five local problems ends optimal.
+  for (const LocalProblem& p : r.locals) EXPECT_EQ(p.refine_failures, 0) << "flow " << p.flow;
 }
 
 TEST(Distributed, Scenario1IsConservative) {
@@ -309,6 +313,10 @@ TEST(Distributed, Scenario1IsConservative) {
   // phase-1 tolerance (1e-9) lets it sit just above 2/3.
   EXPECT_EQ(d.locals[0].min_relaxation, 0x1.5555555b0f59p-1);
   EXPECT_NEAR(d.locals[1].min_relaxation, 1.0, kTol);
+  // Those floors overfill a clique row within the phase-1 tolerance, so
+  // once the first level fixes F1, F2's headroom LP and the final re-solve
+  // are called infeasible. Both failures are absorbed, and counted.
+  EXPECT_EQ(d.locals[0].refine_failures, 2);
   // Still globally feasible and basic-fair.
   EXPECT_TRUE(satisfies_clique_capacity(b.graph, d.allocation.subflow_share));
   EXPECT_TRUE(satisfies_basic_fairness(b.flows, d.allocation.flow_share));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "alloc/refine.hpp"
 #include "contention/cliques.hpp"
 #include "contention/coloring.hpp"
 #include "contention/contention_graph.hpp"
@@ -185,9 +186,9 @@ TEST(Cliques, FlowMembershipCounts) {
 TEST(Cliques, ConstraintRowsDeduplicated) {
   // An l=7 chain has 5 maximal cliques but all give the same row (3).
   ChainFixture c(7);
-  const auto rows = clique_constraint_rows(c.graph);
+  const auto rows = graph_share_lp(c.graph, Granularity::kFlow).capacity_rows;
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0], (std::vector<int>{3}));
+  EXPECT_EQ(rows[0], (std::vector<double>{3.0}));
 }
 
 TEST(Cliques, SubsetCliques) {

@@ -153,24 +153,7 @@ TEST(Trace, JsonlRendering) {
   EXPECT_EQ(line.find('\n'), std::string::npos);
 }
 
-// ---------- metrics registry ----------
-
-TEST(Metrics, RegistryReadsLiveCounters) {
-  std::uint64_t u = 5;
-  std::int64_t i = -3;
-  MetricsRegistry reg;
-  reg.add_counter("u", 0, -1, &u);
-  reg.add_counter("i", 1, -1, &i);
-  reg.add_gauge("g", 2, -1, [] { return 2.5; });
-  EXPECT_DOUBLE_EQ(reg.find("u", 0)->value(), 5.0);
-  u = 9;  // registry must see the update without re-registration
-  EXPECT_DOUBLE_EQ(reg.find("u", 0)->value(), 9.0);
-  EXPECT_DOUBLE_EQ(reg.find("i", 1)->value(), -3.0);
-  EXPECT_DOUBLE_EQ(reg.find("g", 2)->value(), 2.5);
-  EXPECT_EQ(reg.find("missing"), nullptr);
-  EXPECT_DOUBLE_EQ(reg.sum("u"), 9.0);
-  EXPECT_EQ(reg.values("g"), std::vector<double>{2.5});
-}
+// ---------- metrics ----------
 
 TEST(Metrics, JsonlWriteIsByteDeterministic) {
   MetricsTimeSeries ts;

@@ -11,6 +11,7 @@
 #include "alloc/maxmin.hpp"
 #include "alloc/strict_fair.hpp"
 #include "check/check.hpp"
+#include "contention/cliques.hpp"
 #include "net/fluid.hpp"
 #include "net/runner.hpp"
 #include "net/scenario_gen.hpp"
@@ -48,6 +49,34 @@ struct RandomCase {
 };
 
 class MaxMinProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// A necessary condition for max-min, checked against the graph's own
+/// maximal cliques: every variable (a flow, or a subflow when
+/// `per_subflow`) either sits at its cap (1 when `caps` is empty) or lies
+/// in a clique row loaded to at least 1 − 1e-6 — otherwise it could still
+/// rise. Returns the variables that violate it.
+std::vector<int> unbottlenecked(const ContentionGraph& g, bool per_subflow,
+                                const MaxMinResult& r, const std::vector<double>& caps = {}) {
+  const FlowSet& flows = g.flows();
+  const std::vector<double>& x =
+      per_subflow ? r.allocation.subflow_share : r.allocation.flow_share;
+  const std::size_t n = x.size();
+  std::vector<double> best_row(n, 0.0);
+  for (const auto& clique : maximal_cliques(g)) {
+    std::vector<int> row(n, 0);
+    for (int v : clique) ++row[static_cast<std::size_t>(per_subflow ? v : flows.subflow(v).flow)];
+    double load = 0.0;
+    for (std::size_t i = 0; i < n; ++i) load += row[i] * x[i];
+    for (std::size_t i = 0; i < n; ++i)
+      if (row[i] > 0) best_row[i] = std::max(best_row[i], load);
+  }
+  std::vector<int> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double cap = caps.empty() ? 1.0 : std::min(1.0, caps[i]);
+    if (x[i] < cap - 1e-6 && best_row[i] < 1.0 - 1e-6) out.push_back(static_cast<int>(i));
+  }
+  return out;
+}
 
 TEST_P(MaxMinProperty, CapsAreRespectedAndFeasible) {
   RandomCase c(GetParam());
@@ -135,8 +164,45 @@ TEST_P(MaxMinProperty, FluidPredictionInternallyConsistent) {
   EXPECT_NEAR(p.loss_rate, 0.0, 1e-9);
 }
 
+TEST_P(MaxMinProperty, EveryShareIsCappedOrBottlenecked) {
+  RandomCase c(GetParam());
+  EXPECT_EQ(unbottlenecked(*c.graph, false, maxmin_allocate(*c.graph)), std::vector<int>{});
+  EXPECT_EQ(unbottlenecked(*c.graph, true, maxmin_allocate_subflows(*c.graph)),
+            std::vector<int>{});
+  std::vector<double> caps;
+  for (FlowId f = 0; f < c.flows->flow_count(); ++f) caps.push_back(c.rng.uniform(0.05, 0.6));
+  EXPECT_EQ(unbottlenecked(*c.graph, false, maxmin_allocate(*c.graph, caps), caps),
+            std::vector<int>{});
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MaxMinProperty,
                          ::testing::Values(101, 202, 303, 404, 505, 606));
+
+TEST(MaxMinBottleneck, ManySubflowsInOneCliqueAllRise) {
+  // Twelve subflows, eleven of them in one clique: a level used to fix no
+  // variable (each one's headroom was the floors' tolerance slack, above
+  // the fixing threshold), and freezing every free variable then left
+  // subflow 11 at 0.046 with its only clique row loaded to 0.78.
+  GenConfig gen;
+  gen.max_flows = 8;
+  gen.p_faults = 0.0;
+  gen.p_loss = 0.0;
+  const Scenario sc = generate_scenario(731, gen);
+  const FlowSet flows(sc.topo, sc.flow_specs);
+  const ContentionGraph g(sc.topo, flows);
+  const MaxMinResult r = maxmin_allocate_subflows(g);
+  EXPECT_EQ(unbottlenecked(g, true, r), std::vector<int>{});
+  ASSERT_EQ(r.allocation.subflow_share.size(), 12u);
+  EXPECT_NEAR(r.allocation.subflow_share[11], 0.2697, 1e-4);
+  EXPECT_TRUE(satisfies_clique_capacity(g, r.allocation.subflow_share));
+}
+
+TEST(MaxMinBottleneck, Scenario1Subflows) {
+  const Scenario sc = scenario1();
+  const FlowSet flows(sc.topo, sc.flow_specs);
+  const ContentionGraph g(sc.topo, flows);
+  EXPECT_EQ(unbottlenecked(g, true, maxmin_allocate_subflows(g)), std::vector<int>{});
+}
 
 
 // ---------- distributed phase-1 sweep (random weighted topologies) ----------
