@@ -23,11 +23,11 @@ int main(int argc, char** argv) {
   std::cout << "Ideal (fluid) vs measured (packet) — 2PA-C, T = " << args.seconds
             << " s\n";
   std::cout << "Per-packet airtime: "
-            << per_packet_airtime(cfg.payload_bytes, mac, cfg.channel_bps, cfg.cw_min) /
+            << per_packet_airtime(cfg.payload_bytes, mac, kChannelBps, cfg.cw_min) /
                    1000
             << " us  =>  "
             << strformat("%.0f", effective_packet_rate(cfg.payload_bytes, mac,
-                                                       cfg.channel_bps, cfg.cw_min))
+                                                       kChannelBps, cfg.cw_min))
             << " pkt/s per unit share\n\n";
 
   for (const Scenario& sc : {scenario1(), scenario2()}) {
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     Allocation alloc = make_subflow_allocation(flows, r.target_subflow_share);
 
     const FluidPrediction p = fluid_predict(flows, alloc, cfg.cbr_pps,
-                                            cfg.payload_bytes, mac, cfg.channel_bps,
+                                            cfg.payload_bytes, mac, kChannelBps,
                                             cfg.cw_min);
     std::cout << sc.name << ":\n";
     TextTable t({"flow", "fluid pkt/s", "measured pkt/s", "measured/fluid"});

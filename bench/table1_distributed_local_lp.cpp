@@ -45,7 +45,7 @@ int main() {
       } else {
         std::vector<std::string> names;
         for (int s : c) names.push_back(flows.subflow(s).name());
-        cliques.push_back("{" + join(names, ",") + "}");
+        cliques.push_back(strformat("{%s}", join(names, ",").c_str()));
       }
     }
     std::vector<std::string> rows;

@@ -210,7 +210,7 @@ bool floors_fit_at_scale(const ShareLp& lp, double scale) {
     const double b = upper_bound(lp, i) - lp.lower_bounds[i] * scale;
     if (b < 0) artificial_sum += -b;
   }
-  return !(artificial_sum > SimplexOptions{}.epsilon);
+  return !(artificial_sum > kSimplexEpsilon);
 }
 
 ShareLpResult solve_share_lp(const ShareLp& lp, const SkippedHeadroomFn& on_skip) {

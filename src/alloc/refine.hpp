@@ -37,7 +37,7 @@
 //   after zero pivots, and the verdict is the artificial sum at
 //   y = 0: Σ over rows (capacity rows, then x_i <= ub_i) of max(0, −b_k)
 //   with b_k = rhs_k − Σ_i c_ki·(lb_i·s), compared with
-//   SimplexOptions::epsilon. floors_fit_at_scale computes exactly that
+//   kSimplexEpsilon. floors_fit_at_scale computes exactly that
 //   sum, in the tableau's order, so min_relaxation keeps every bit.
 #pragma once
 

@@ -4,10 +4,16 @@
 #include <cmath>
 
 #include "contention/contention_graph.hpp"
+#include "transport/transport.hpp"
 #include "util/assert.hpp"
 #include "util/strings.hpp"
 
 namespace e2efa {
+
+namespace {
+// Slack for the floating-point phase-1 and admission checks.
+constexpr double kAllocEps = 1e-6;
+}  // namespace
 
 const char* to_string(CheckViolation::Category c) {
   switch (c) {
@@ -24,7 +30,6 @@ const char* to_string(CheckViolation::Category c) {
 
 CheckContext::CheckContext(CheckConfig cfg) : cfg_(cfg) {
   E2EFA_ASSERT(cfg_.max_violations >= 1);
-  E2EFA_ASSERT(cfg_.alloc_eps >= 0.0);
 }
 
 void CheckContext::begin_run(const CheckRunInfo& info) {
@@ -55,13 +60,12 @@ constexpr double kIdleFloorCeiling = 2e-6;
 void CheckContext::on_admission(std::int32_t flow, bool admitted,
                                 double worst_load, bool distributed_gate,
                                 TimeNs now) {
-  if (!cfg_.admission) return;
   const char* gate = distributed_gate ? "distributed" : "centralized";
-  if (admitted && worst_load > 1.0 + cfg_.alloc_eps) {
+  if (admitted && worst_load > 1.0 + kAllocEps) {
     fail(CheckViolation::Category::kAdmission, kInvalidNode, now,
          "flow " + std::to_string(flow) + " admitted by the " + gate +
              " gate with infeasible clique load " + std::to_string(worst_load));
-  } else if (!admitted && worst_load <= 1.0 + cfg_.alloc_eps) {
+  } else if (!admitted && worst_load <= 1.0 + kAllocEps) {
     fail(CheckViolation::Category::kAdmission, kInvalidNode, now,
          "flow " + std::to_string(flow) + " rejected by the " + gate +
              " gate at feasible clique load " + std::to_string(worst_load));
@@ -76,7 +80,6 @@ void CheckContext::note_active_flows(const std::vector<char>& flow_active,
 
 void CheckContext::on_rate_applied(NodeId n, std::int32_t subflow, double share,
                                    TimeNs now) {
-  if (!cfg_.admission) return;
   if (active_flow_.empty()) return;  // static run: every flow is active
   const auto s = static_cast<std::size_t>(subflow);
   if (s >= info_.subflows.size()) return;
@@ -110,19 +113,18 @@ int CheckContext::expected_capacity() const {
 int CheckContext::escalated_window(int cw_min, int retries) const {
   const int k = std::min(retries, 16);
   const long long w = (static_cast<long long>(cw_min) + 1) * (1LL << k) - 1;
-  return static_cast<int>(std::min<long long>(w, info_.cw_max));
+  return static_cast<int>(std::min<long long>(w, kCwMax));
 }
 
 // ------------------------------------------------------------- PHY / MAC
 
 void CheckContext::on_frame_transmit(const Frame& f, TimeNs now) {
-  if (!cfg_.mac) return;
   E2EFA_ASSERT(f.tx >= 0 && f.tx < info_.node_count);
   NodeMacState& s = mac_[static_cast<std::size_t>(f.tx)];
 
   // Recency window for responder frames: the MAC schedules CTS, DATA, and
   // ACK exactly one SIFS after the frame they answer.
-  const TimeNs answer_window = info_.sifs + info_.slot;
+  const TimeNs answer_window = kSifs + kSlot;
   auto answered = [&](const std::unordered_map<NodeId, TimeNs>& from) {
     const auto it = from.find(f.rx);
     return it != from.end() && now - it->second <= answer_window;
@@ -176,7 +178,6 @@ void CheckContext::on_frame_transmit(const Frame& f, TimeNs now) {
 }
 
 void CheckContext::on_frame_receive(NodeId rx_node, const Frame& f, TimeNs end) {
-  if (!cfg_.mac) return;
   E2EFA_ASSERT(rx_node >= 0 && rx_node < info_.node_count);
   NodeMacState& s = mac_[static_cast<std::size_t>(rx_node)];
   if (f.type == FrameType::kCtrl) return;  // no NAV, no handshake role
@@ -195,19 +196,17 @@ void CheckContext::on_frame_receive(NodeId rx_node, const Frame& f, TimeNs end) 
 
 void CheckContext::on_backoff_draw(NodeId n, int slots, int retries, double lag,
                                    bool ctrl_only, TimeNs now) {
-  if (!cfg_.mac) return;
   if (ctrl_only) {
-    if (slots < 1 || slots > info_.ctrl_cw + 1)
+    if (slots < 1 || slots > kCtrlCw + 1)
       fail(CheckViolation::Category::kMac, n, now,
-           strformat("control backoff draw %d outside [1, %d]", slots,
-                     info_.ctrl_cw + 1));
+           strformat("control backoff draw %d outside [1, %d]", slots, kCtrlCw + 1));
     return;
   }
   // The scaled-CW ablation widens the base window by 1/node-share; only the
-  // cw_max envelope is oracle-checkable there. Everything else draws from
+  // kCwMax envelope is oracle-checkable there. Everything else draws from
   // [0, CW(retries) + max(Q, R, 0)], capped like TagBackoff.
   const double base =
-      info_.scaled_cw ? static_cast<double>(info_.cw_max)
+      info_.scaled_cw ? static_cast<double>(kCwMax)
                       : static_cast<double>(escalated_window(info_.cw_min, retries));
   const long long max_slots =
       std::llround(std::min(base + std::max(lag, 0.0), 16383.0));
@@ -221,7 +220,6 @@ void CheckContext::on_backoff_draw(NodeId n, int slots, int retries, double lag,
 
 void CheckContext::on_lane_enqueue(NodeId n, std::int32_t subflow, int depth,
                                    TimeNs now) {
-  if (!cfg_.queue) return;
   if (depth > expected_capacity())
     fail(CheckViolation::Category::kQueue, n, now,
          strformat("subflow %d lane depth %d exceeds capacity %d", subflow,
@@ -229,7 +227,6 @@ void CheckContext::on_lane_enqueue(NodeId n, std::int32_t subflow, int depth,
 }
 
 void CheckContext::on_fifo_enqueue(NodeId n, int depth, TimeNs now) {
-  if (!cfg_.queue) return;
   if (depth > expected_capacity())
     fail(CheckViolation::Category::kQueue, n, now,
          strformat("FIFO depth %d exceeds capacity %d", depth,
@@ -238,7 +235,6 @@ void CheckContext::on_fifo_enqueue(NodeId n, int depth, TimeNs now) {
 
 void CheckContext::on_lane_serve(NodeId n, std::int32_t subflow,
                                  double internal_finish, TimeNs now) {
-  if (!cfg_.sched) return;
   const std::uint64_t key = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(n))
                              << 32) |
                             static_cast<std::uint32_t>(subflow);
@@ -261,7 +257,6 @@ void CheckContext::on_share_update(NodeId n, std::int32_t subflow) {
 }
 
 void CheckContext::on_vclock(NodeId n, double prev, double next, TimeNs now) {
-  if (!cfg_.sched) return;
   if (next < prev - 1e-9)
     fail(CheckViolation::Category::kSched, n, now,
          strformat("virtual clock moved backwards: %.6f -> %.6f", prev, next));
@@ -276,26 +271,25 @@ void CheckContext::on_vclock(NodeId n, double prev, double next, TimeNs now) {
 // ---------------------------------------------------------- conservation
 
 void CheckContext::on_offered(std::int32_t subflow) {
-  if (cfg_.conservation) ++offered_[static_cast<std::size_t>(subflow)];
+  ++offered_[static_cast<std::size_t>(subflow)];
 }
 void CheckContext::on_accepted(std::int32_t subflow) {
-  if (cfg_.conservation) ++accepted_[static_cast<std::size_t>(subflow)];
+  ++accepted_[static_cast<std::size_t>(subflow)];
 }
 void CheckContext::on_rejected(std::int32_t subflow) {
-  if (cfg_.conservation) ++rejected_[static_cast<std::size_t>(subflow)];
+  ++rejected_[static_cast<std::size_t>(subflow)];
 }
 void CheckContext::on_sent(std::int32_t subflow) {
-  if (cfg_.conservation) ++sent_[static_cast<std::size_t>(subflow)];
+  ++sent_[static_cast<std::size_t>(subflow)];
 }
 void CheckContext::on_mac_dropped(std::int32_t subflow) {
-  if (cfg_.conservation) ++mac_dropped_[static_cast<std::size_t>(subflow)];
+  ++mac_dropped_[static_cast<std::size_t>(subflow)];
 }
 void CheckContext::on_delivered(std::int32_t subflow) {
-  if (cfg_.conservation) ++delivered_[static_cast<std::size_t>(subflow)];
+  ++delivered_[static_cast<std::size_t>(subflow)];
 }
 
 void CheckContext::finalize(const std::vector<int>& backlog_per_node, TimeNs now) {
-  if (!cfg_.conservation) return;
   E2EFA_ASSERT(static_cast<int>(backlog_per_node.size()) == info_.node_count);
   const std::size_t S = info_.subflows.size();
 
@@ -354,7 +348,6 @@ void CheckContext::finalize(const std::vector<int>& backlog_per_node, TimeNs now
 void CheckContext::on_transport_send(NodeId n, std::int32_t flow,
                                      std::int64_t seq, bool retransmit,
                                      double cwnd, TimeNs now) {
-  if (!cfg_.transport) return;
   TransportFlowState& s = transport_[flow];
   if (!retransmit) {
     if (seq <= s.max_sent)
@@ -386,7 +379,7 @@ void CheckContext::on_transport_send(NodeId n, std::int32_t flow,
   // last evidence-consuming retransmission.
   if (s.timeout_evidence > 0) {
     --s.timeout_evidence;
-  } else if (s.dupacks >= info_.transport_dupack_threshold) {
+  } else if (s.dupacks >= kDupackThreshold) {
     s.dupacks = 0;
   } else {
     fail(CheckViolation::Category::kTransport, n, now,
@@ -398,7 +391,6 @@ void CheckContext::on_transport_send(NodeId n, std::int32_t flow,
 
 void CheckContext::on_transport_ack(NodeId n, std::int32_t flow,
                                     std::int64_t cumack, TimeNs now) {
-  if (!cfg_.transport) return;
   (void)n;
   (void)now;
   TransportFlowState& s = transport_[flow];
@@ -414,7 +406,6 @@ void CheckContext::on_transport_ack(NodeId n, std::int32_t flow,
 
 void CheckContext::on_transport_timeout(NodeId n, std::int32_t flow,
                                         TimeNs now) {
-  if (!cfg_.transport) return;
   (void)n;
   (void)now;
   ++transport_[flow].timeout_evidence;
@@ -422,7 +413,6 @@ void CheckContext::on_transport_timeout(NodeId n, std::int32_t flow,
 
 void CheckContext::on_transport_cumack(NodeId n, std::int32_t flow,
                                        std::int64_t cumack, TimeNs now) {
-  if (!cfg_.transport) return;
   TransportFlowState& s = transport_[flow];
   if (cumack < s.sink_cum)
     fail(CheckViolation::Category::kTransport, n, now,
@@ -437,7 +427,6 @@ void CheckContext::on_transport_cumack(NodeId n, std::int32_t flow,
 void CheckContext::check_allocation(const ContentionGraph& g, const Allocation& a,
                                     bool expect_floor, bool strict_clique,
                                     double t_s) {
-  if (!cfg_.alloc) return;
   const TimeNs t = from_seconds(t_s);
   // Globally-solved allocations must fit every clique exactly. The
   // distributed family (Sec. IV-B) solves one local LP per source with
@@ -447,14 +436,14 @@ void CheckContext::check_allocation(const ContentionGraph& g, const Allocation& 
   // weighted topologies is 1.46, so anything past the envelope below is a
   // genuine allocator regression, not local-knowledge slack.
   const double cap =
-      strict_clique ? 1.0 + cfg_.alloc_eps : cfg_.distributed_clique_envelope;
+      strict_clique ? 1.0 + kAllocEps : cfg_.distributed_clique_envelope;
   const double load = max_clique_load(g, a.subflow_share);
   if (load > cap)
     fail(CheckViolation::Category::kAlloc, kInvalidNode, t,
          strformat("clique capacity violated: max clique load %.9f > %g",
                    load, cap));
   if (!expect_floor) return;
-  if (!satisfies_basic_fairness(g, a.flow_share, cfg_.alloc_eps)) {
+  if (!satisfies_basic_fairness(g, a.flow_share, kAllocEps)) {
     // Name the worst offender for the report.
     const std::vector<double> floor = basic_shares(g);
     double worst = 0.0;

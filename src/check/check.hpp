@@ -15,7 +15,7 @@
 // randomness — a run with checks enabled produces the bit-identical
 // RunResult and trajectory of a run without them.
 //
-// Invariants covered (CheckConfig category toggles):
+// Invariants covered (every category is always on):
 //   mac          NAV / virtual-carrier-sense consistency (no contention-
 //                initiated frame while the checker's own NAV model says the
 //                medium is reserved), no DATA without a prior RTS/CTS
@@ -67,18 +67,9 @@ namespace e2efa {
 inline constexpr double kDistributedCliqueEnvelope = 1.75;
 
 struct CheckConfig {
-  bool mac = true;
-  bool conservation = true;
-  bool sched = true;
-  bool queue = true;
-  bool alloc = true;
-  bool admission = true;
-  bool transport = true;
   /// Violations beyond this are counted but not stored (memory bound under
   /// a genuinely broken invariant firing per packet).
   int max_violations = 32;
-  /// Slack for the floating-point phase-1 checks.
-  double alloc_eps = 1e-6;
   /// Clique-load ceiling granted to the distributed phase-1 family
   /// (kDistributedCliqueEnvelope was calibrated on paper-sized
   /// topologies). City-scale sweeps see more sources tiling a clique with
@@ -115,18 +106,11 @@ const char* to_string(CheckViolation::Category c);
 struct CheckRunInfo {
   int node_count = 0;
   int cw_min = 31;
-  int cw_max = 1023;
-  int ctrl_cw = 31;
   bool use_rts_cts = true;
-  /// k2paStaticCw widens the base window by 1/node-share (still <= cw_max);
-  /// the backoff oracle then only enforces the cw_max envelope.
+  /// k2paStaticCw widens the base window by 1/node-share (still <= kCwMax);
+  /// the backoff oracle then only enforces the kCwMax envelope.
   bool scaled_cw = false;
   int queue_capacity = 50;
-  TimeNs slot = 20 * kMicrosecond;
-  TimeNs sifs = 10 * kMicrosecond;
-  /// Dupack threshold the transport oracle holds sources to (the fast-
-  /// retransmit evidence bar; TransportConfig::dupack_threshold).
-  int transport_dupack_threshold = 3;
   /// Per-subflow forwarding metadata (sim subflow ids) for conservation.
   struct SubflowInfo {
     std::int32_t flow = -1;
@@ -156,7 +140,7 @@ class CheckContext {
   void on_frame_receive(NodeId rx_node, const Frame& f, TimeNs end);
   /// Every backoff draw: `slots` drawn with `retries` prior failures;
   /// `lag` = max(Q, R, 0) from the tag agent (0 without tags); `ctrl_only`
-  /// marks the control-frame-backlog draw from [1, ctrl_cw + 1].
+  /// marks the control-frame-backlog draw from [1, kCtrlCw + 1].
   void on_backoff_draw(NodeId n, int slots, int retries, double lag,
                        bool ctrl_only, TimeNs now);
 
@@ -201,7 +185,7 @@ class CheckContext {
   /// A source put sequence `seq` on the wire. New sends must extend the
   /// sequence space and keep inflight <= cwnd (+1: the packet being sent);
   /// retransmissions must target an un-acked sequence *and* consume loss
-  /// evidence — a pending timeout, or `transport_dupack_threshold` dupacks
+  /// evidence — a pending timeout, or kDupackThreshold dupacks
   /// accumulated since the last evidence-consuming retransmission.
   void on_transport_send(NodeId n, std::int32_t flow, std::int64_t seq,
                          bool retransmit, double cwnd, TimeNs now);
@@ -249,15 +233,13 @@ class CheckContext {
   /// Drops accumulated violations (begin_run already resets oracle state).
   void clear();
 
-  const CheckConfig& config() const { return cfg_; }
-
  private:
   void fail(CheckViolation::Category cat, NodeId node, TimeNs now,
             std::string message);
   int expected_capacity() const;
   /// Independent copy of the MAC's escalated-window rule (the oracle must
   /// not share code with the implementation it checks):
-  /// min((cw_min + 1)·2^min(retries,16) − 1, cw_max).
+  /// min((cw_min + 1)·2^min(retries,16) − 1, kCwMax).
   int escalated_window(int cw_min, int retries) const;
 
   struct NodeMacState {

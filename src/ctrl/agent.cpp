@@ -10,17 +10,41 @@
 
 namespace e2efa {
 
+namespace {
+/// HELLO cadence; also the agent's housekeeping tick. Each agent offsets
+/// its first tick by a random phase within one period so HELLOs from
+/// contending nodes do not synchronize.
+constexpr double kHelloPeriodS = 0.25;
+/// CONSTRAINT / RATE re-advertisement cadence, in ticks (loss healing).
+constexpr int kRefreshTicks = 4;
+/// Knowledge and constraints must be unchanged this long before a source
+/// re-solves its local LP (debounces solve storms during convergence).
+constexpr double kQuiesceS = 0.6;
+/// A neighbor unheard for this long drops out of K(v) — the in-band
+/// equivalent of the oracle's TopologyMask removing a crashed node.
+constexpr double kNeighborTimeoutS = 1.0;
+/// Max subflow ids in a piggybacked HELLO_DELTA (bounded so the payload
+/// fits the MAC's kCtrlPiggybackMax airtime allowance).
+constexpr int kPiggybackMaxIds = 8;
+/// Skip optional sends while this many control frames are still queued.
+constexpr int kMaxBacklog = 16;
+/// Max CONSTRAINT/RATE/ADMIT_REQ retransmissions per send (hardened).
+constexpr int kRetxLimit = 3;
+/// A dirty solve still blocked by the quiescence gate after this long is
+/// forced through with whatever state is on hand (hardened).
+constexpr double kMaxStalenessS = 2.0;
+}  // namespace
+
 AllocAgent::AllocAgent(Simulator& sim, DcfMac& mac, const Topology& topo,
                        const FlowSet& flows, const ContentionGraph& graph,
-                       TagScheduler* sched, const CtrlConfig& cfg, Rng rng,
-                       TraceSink* trace)
+                       TagScheduler* sched, bool hardened, Rng rng, TraceSink* trace)
     : sim_(sim),
       mac_(mac),
       topo_(topo),
       flows_(flows),
       graph_(graph),
       sched_(sched),
-      cfg_(cfg),
+      hardened_(hardened),
       rng_(rng),
       trace_(trace),
       self_(mac.self()) {
@@ -37,7 +61,7 @@ void AllocAgent::start() {
   mac_.set_ctrl_piggyback(this);
   reconfigure(sim_.now());
   // Random phase within one period desynchronizes contending HELLOs.
-  const TimeNs period = from_seconds(cfg_.hello_period_s);
+  const TimeNs period = from_seconds(kHelloPeriodS);
   const TimeNs phase =
       1 + static_cast<TimeNs>(rng_.uniform_u64(static_cast<std::uint64_t>(period)));
   sim_.schedule_in(phase, [this] { tick(); });
@@ -57,7 +81,7 @@ void AllocAgent::note_active_set(const std::vector<char>& subflow_active) {
   active_ = subflow_active;
   if (!started_) return;  // start() derives everything from active_.
   reconfigure(sim_.now());
-  if (mac_.ctrl_backlog() <= cfg_.max_backlog) send_hello();
+  if (mac_.ctrl_backlog() <= kMaxBacklog) send_hello();
 }
 
 bool AllocAgent::flow_active(FlowId f) const {
@@ -118,8 +142,8 @@ void AllocAgent::rebuild_own(TimeNs now) {
   pending_delta_.clear();
   for (int s : next)
     if (!std::binary_search(own_.begin(), own_.end(), s)) pending_delta_.push_back(s);
-  if (static_cast<int>(pending_delta_.size()) > cfg_.piggyback_max_ids)
-    pending_delta_.resize(static_cast<std::size_t>(cfg_.piggyback_max_ids));
+  if (static_cast<int>(pending_delta_.size()) > kPiggybackMaxIds)
+    pending_delta_.resize(static_cast<std::size_t>(kPiggybackMaxIds));
   own_ = std::move(next);
   ++own_seq_;
   rebuild_beacon();
@@ -134,7 +158,7 @@ void AllocAgent::refresh_knowledge(TimeNs now) {
   // healed link) re-enters K(v) the moment anything from it decodes again,
   // with its sequence baseline intact so a matching-seq HELLO_DELTA merges
   // immediately instead of being ignored until the next full HELLO.
-  const TimeNs timeout = from_seconds(cfg_.neighbor_timeout_s);
+  const TimeNs timeout = from_seconds(kNeighborTimeoutS);
   any_fresh_neighbor_ = tables_.empty();
   for (auto& [u, t] : tables_) {
     if (!t.stale && now - t.heard > timeout) {
@@ -193,32 +217,32 @@ void AllocAgent::tick() {
   Profiler::Scope prof(profiler_, Profiler::Phase::kCtrl);
   const TimeNs now = sim_.now();
   refresh_knowledge(now);
-  const bool room = mac_.ctrl_backlog() <= cfg_.max_backlog;
+  const bool room = mac_.ctrl_backlog() <= kMaxBacklog;
   if (room) send_hello();
   for (auto& [f, fc] : flows_ctrl_) {
     ++fc.ticks_since_constraint;
     ++fc.ticks_since_rate;
     if (fc.upstream != kInvalidNode && room &&
-        (!fc.acc_sent || fc.ticks_since_constraint >= cfg_.refresh_ticks))
+        (!fc.acc_sent || fc.ticks_since_constraint >= kRefreshTicks))
       send_constraint(f, fc);
     if (fc.upstream == kInvalidNode) {  // source duties
       maybe_solve(f, fc, now);
       if (fc.have_rate && fc.downstream != kInvalidNode && room &&
-          fc.ticks_since_rate >= cfg_.refresh_ticks)
+          fc.ticks_since_rate >= kRefreshTicks)
         send_rate(f, fc);
     }
-    if (cfg_.hardened) {
+    if (hardened_) {
       // Bounded retransmission with exponential backoff: a directed send
       // still unacknowledged (no overheard forward from the peer) after its
-      // backoff window is resent, at most retx_limit times — after that the
-      // periodic refresh_ticks cadence is the safety net.
+      // backoff window is resent, at most kRetxLimit times — after that the
+      // periodic kRefreshTicks cadence is the safety net.
       if (fc.ctr_await && fc.upstream != kInvalidNode &&
           ++fc.ctr_timer >= fc.ctr_wait) {
-        if (fc.ctr_retx >= cfg_.retx_limit) {
+        if (fc.ctr_retx >= kRetxLimit) {
           fc.ctr_await = false;
         } else if (room) {
           ++fc.ctr_retx;
-          fc.ctr_wait = std::min(fc.ctr_wait * 2, cfg_.refresh_ticks);
+          fc.ctr_wait = std::min(fc.ctr_wait * 2, kRefreshTicks);
           ++stats_.retransmits;
           cause_ = trace_retransmit(now, CtrlMsg::Kind::kConstraint, f,
                                     fc.ctr_retx, fc.ctr_wait, fc.ctr_span);
@@ -228,11 +252,11 @@ void AllocAgent::tick() {
       }
       if (fc.rate_await && fc.have_rate && fc.downstream != kInvalidNode &&
           ++fc.rate_timer >= fc.rate_wait) {
-        if (fc.rate_retx >= cfg_.retx_limit) {
+        if (fc.rate_retx >= kRetxLimit) {
           fc.rate_await = false;
         } else if (room) {
           ++fc.rate_retx;
-          fc.rate_wait = std::min(fc.rate_wait * 2, cfg_.refresh_ticks);
+          fc.rate_wait = std::min(fc.rate_wait * 2, kRefreshTicks);
           ++stats_.retransmits;
           cause_ = trace_retransmit(now, CtrlMsg::Kind::kRate, f, fc.rate_retx,
                                     fc.rate_wait, fc.rate_span);
@@ -242,11 +266,11 @@ void AllocAgent::tick() {
       }
     }
   }
-  if (cfg_.hardened) {
+  if (hardened_) {
     for (auto& [f, st] : admits_) {
       if (st.done) continue;
       if (++st.timer < st.wait) continue;
-      if (st.retx >= cfg_.retx_limit) {
+      if (st.retx >= kRetxLimit) {
         st.done = true;
         st.timed_out = true;
         continue;
@@ -254,7 +278,7 @@ void AllocAgent::tick() {
       if (!room) continue;
       ++st.retx;
       st.timer = 0;
-      st.wait = std::min(st.wait * 2, cfg_.refresh_ticks);
+      st.wait = std::min(st.wait * 2, kRefreshTicks);
       ++stats_.retransmits;
       cause_ = trace_retransmit(now, CtrlMsg::Kind::kAdmitReq, f, st.retx,
                                 st.wait, st.span);
@@ -262,7 +286,7 @@ void AllocAgent::tick() {
       cause_ = 0;
     }
   }
-  sim_.schedule_in(from_seconds(cfg_.hello_period_s), [this] { tick(); });
+  sim_.schedule_in(from_seconds(kHelloPeriodS), [this] { tick(); });
 }
 
 void AllocAgent::maybe_solve(FlowId f, FlowCtrl& fc, TimeNs now) {
@@ -271,13 +295,13 @@ void AllocAgent::maybe_solve(FlowId f, FlowCtrl& fc, TimeNs now) {
   // the node walked away), a fresh solve would see an almost-empty K(v) and
   // grab far more than its converged share — keep the last-known-good rate
   // until somebody is heard again.
-  if (cfg_.hardened && fc.have_rate && !any_fresh_neighbor_) return;
-  const TimeNs q = from_seconds(cfg_.quiesce_s);
+  if (hardened_ && fc.have_rate && !any_fresh_neighbor_) return;
+  const TimeNs q = from_seconds(kQuiesceS);
   if (now - last_knowledge_change_ < q || now - fc.last_acc_change < q) {
     // Degraded solve: churn can keep knowledge from ever quiescing; after
-    // max_staleness_s of blocked dirtiness, solve with what is on hand.
-    if (!cfg_.hardened ||
-        now - fc.solve_dirty_since < from_seconds(cfg_.max_staleness_s))
+    // kMaxStalenessS of blocked dirtiness, solve with what is on hand.
+    if (!hardened_ ||
+        now - fc.solve_dirty_since < from_seconds(kMaxStalenessS))
       return;
     ++stats_.forced_solves;
   }
@@ -306,7 +330,7 @@ void AllocAgent::maybe_solve(FlowId f, FlowCtrl& fc, TimeNs now) {
     const std::uint32_t saved_cause = cause_;
     cause_ = solve_span;
     if (fc.rate > 0.0) set_lane(f, fc.hop, fc.rate);
-    if (fc.downstream != kInvalidNode && mac_.ctrl_backlog() <= cfg_.max_backlog)
+    if (fc.downstream != kInvalidNode && mac_.ctrl_backlog() <= kMaxBacklog)
       send_rate(f, fc);
     cause_ = saved_cause;
   }
@@ -367,7 +391,7 @@ void AllocAgent::send_constraint(FlowId f, FlowCtrl& fc, bool retx) {
   m->cliques.assign(fc.acc.begin(), fc.acc.end());
   fc.acc_sent = true;
   fc.ticks_since_constraint = 0;
-  if (cfg_.hardened && fc.hop >= 2) {
+  if (hardened_ && fc.hop >= 2) {
     // The ack is overhearing the upstream hop forward its own CONSTRAINT —
     // only possible when the upstream is not already the source.
     fc.ctr_await = true;
@@ -392,7 +416,7 @@ void AllocAgent::send_rate(FlowId f, FlowCtrl& fc, bool retx) {
   m->gen = flow_gen_[static_cast<std::size_t>(f)];
   m->rate = fc.rate;
   fc.ticks_since_rate = 0;
-  if (cfg_.hardened && fc.hop + 2 < flows_.flow(f).length()) {
+  if (hardened_ && fc.hop + 2 < flows_.flow(f).length()) {
     // The ack is overhearing the downstream hop forward the RATE — only
     // possible when the downstream is not already the last transmitter.
     fc.rate_await = true;
@@ -432,7 +456,7 @@ void AllocAgent::on_ctrl(const Frame& fr) {
 
   switch (m.kind) {
     case CtrlMsg::Kind::kHello:
-      if (cfg_.hardened && t.have_hello && m.seq > t.seq + 1 &&
+      if (hardened_ && t.have_hello && m.seq > t.seq + 1 &&
           t.gap_seq != m.seq) {
         // We missed at least one whole advertisement generation.
         ++stats_.seq_gaps;
@@ -456,7 +480,7 @@ void AllocAgent::on_ctrl(const Frame& fr) {
       break;
 
     case CtrlMsg::Kind::kHelloDelta:
-      if (cfg_.hardened && t.have_hello && m.seq > t.seq && t.gap_seq != m.seq) {
+      if (hardened_ && t.have_hello && m.seq > t.seq && t.gap_seq != m.seq) {
         // A delta against a table generation we never received: the full
         // HELLO carrying it was lost. The periodic re-advertisement heals
         // the table; the counter records that the gap happened.
@@ -487,7 +511,7 @@ void AllocAgent::on_ctrl(const Frame& fr) {
       break;
 
     case CtrlMsg::Kind::kConstraint: {
-      if (cfg_.hardened && m.flow >= 0 && m.flow < flows_.flow_count() &&
+      if (hardened_ && m.flow >= 0 && m.flow < flows_.flow_count() &&
           m.gen != flow_gen_[static_cast<std::size_t>(m.flow)]) {
         ++stats_.stale_dropped;  // composed before the flow's last toggle
         break;
@@ -507,13 +531,13 @@ void AllocAgent::on_ctrl(const Frame& fr) {
       fc.down_acc = m.cliques;
       refresh_knowledge(now);  // local cliques must be current before the union
       if (rebuild_acc(m.flow, fc, now) && fc.upstream != kInvalidNode &&
-          mac_.ctrl_backlog() <= cfg_.max_backlog)
+          mac_.ctrl_backlog() <= kMaxBacklog)
         send_constraint(m.flow, fc);  // propagate upstream without a tick of delay
       break;
     }
 
     case CtrlMsg::Kind::kRate: {
-      if (cfg_.hardened && m.flow >= 0 && m.flow < flows_.flow_count() &&
+      if (hardened_ && m.flow >= 0 && m.flow < flows_.flow_count() &&
           m.gen != flow_gen_[static_cast<std::size_t>(m.flow)]) {
         // The no-stale-rate guarantee: a RATE composed before the flow's
         // latest departure/arrival can never resurrect its lanes.
@@ -536,7 +560,7 @@ void AllocAgent::on_ctrl(const Frame& fr) {
       if (m.rate > 0.0) set_lane(m.flow, fc.hop, m.rate);
       // Forward even unchanged refreshes: the hop after us may have missed
       // an earlier copy, and loss healing relies on this relay chain.
-      if (fc.downstream != kInvalidNode && mac_.ctrl_backlog() <= cfg_.max_backlog)
+      if (fc.downstream != kInvalidNode && mac_.ctrl_backlog() <= kMaxBacklog)
         send_rate(m.flow, fc);
       break;
     }
@@ -583,7 +607,7 @@ bool AllocAgent::local_admit_ok(FlowId f, TimeNs now) {
 }
 
 void AllocAgent::request_admission(FlowId f) {
-  E2EFA_ASSERT_MSG(cfg_.hardened, "ADMIT rounds require hardened mode");
+  E2EFA_ASSERT_MSG(hardened_, "ADMIT rounds require hardened mode");
   E2EFA_ASSERT(flows_.flow(f).source() == self_);
   AdmitState st;
   const TimeNs now = sim_.now();
@@ -628,7 +652,7 @@ void AllocAgent::send_admit_req(FlowId f) {
 }
 
 void AllocAgent::handle_admit(const CtrlMsg& m, TimeNs now) {
-  if (!cfg_.hardened || m.to != self_) return;
+  if (!hardened_ || m.to != self_) return;
   if (m.flow < 0 || m.flow >= flows_.flow_count()) return;
   const FlowId f = m.flow;
   const int h = candidate_hop(f);

@@ -19,7 +19,7 @@
 //      CONSTRAINT messages, so the source converges to the union over the
 //      whole path.
 //   5. Local LP: when knowledge and constraints have been quiescent for a
-//      configurable window, the source calls the *same*
+//      fixed window (kQuiesceS), the source calls the *same*
 //      `solve_local_problem` the oracle uses, applies the share to its own
 //      lane, and pushes a RATE message downstream; each hop applies and
 //      forwards it.
@@ -47,42 +47,6 @@ namespace e2efa {
 
 class CheckContext;
 
-struct CtrlConfig {
-  /// HELLO cadence; also the agent's housekeeping tick. Each agent offsets
-  /// its first tick by a random phase within one period so HELLOs from
-  /// contending nodes do not synchronize.
-  double hello_period_s = 0.25;
-  /// CONSTRAINT / RATE re-advertisement cadence, in ticks (loss healing).
-  int refresh_ticks = 4;
-  /// Knowledge and constraints must be unchanged this long before a source
-  /// re-solves its local LP (debounces solve storms during convergence).
-  double quiesce_s = 0.6;
-  /// A neighbor unheard for this long drops out of K(v) — the in-band
-  /// equivalent of the oracle's TopologyMask removing a crashed node.
-  double neighbor_timeout_s = 1.0;
-  /// Max subflow ids in a piggybacked HELLO_DELTA (bounded so the payload
-  /// fits the MAC's ctrl_piggyback_max airtime allowance).
-  int piggyback_max_ids = 8;
-  /// Skip optional sends while this many control frames are still queued.
-  int max_backlog = 16;
-  /// Loss-hardened mode. Off (default) the control plane is exactly the
-  /// PR 4 fire-and-forget protocol (bit-identical goldens); on — the runner
-  /// enables it automatically for runs with faults, churn, or mobility —
-  /// the agent additionally (a) stamps CONSTRAINT/RATE with per-flow epoch
-  /// generations and drops stale ones, (b) retransmits unacknowledged
-  /// CONSTRAINT/RATE with exponential backoff (overhearing the peer's
-  /// forward acts as the ack), (c) counts HELLO sequence gaps, (d) forces a
-  /// degraded solve when quiescence is never reached within
-  /// max_staleness_s, and keeps last-known-good rates while every neighbor
-  /// is timed out, and (e) answers in-band ADMIT rounds.
-  bool hardened = false;
-  /// Max CONSTRAINT/RATE/ADMIT_REQ retransmissions per send (hardened).
-  int retx_limit = 3;
-  /// A dirty solve still blocked by the quiescence gate after this long is
-  /// forced through with whatever state is on hand (hardened).
-  double max_staleness_s = 2.0;
-};
-
 /// Final applied state and traffic counters of one agent (collected into
 /// RunResult::ctrl; all counters are queued-send side — the MAC's
 /// stats().ctrl_sent counts actual transmissions).
@@ -93,7 +57,7 @@ struct CtrlAgentStats {
   std::uint64_t msgs_received = 0;
   std::uint64_t solves = 0;
   std::uint64_t ctrl_bytes_sent = 0;  ///< Dedicated frames only (not piggybacks).
-  // Hardened-mode counters (all zero when CtrlConfig::hardened is off).
+  // Hardened-mode counters (all zero when the agent is not hardened).
   std::uint64_t admit_req_sent = 0;
   std::uint64_t admit_rsp_sent = 0;
   std::uint64_t retransmits = 0;
@@ -108,8 +72,19 @@ class AllocAgent : public CtrlPiggyback {
   /// is this node's scheduler (null for nodes that originate no subflow —
   /// pure receivers still relay knowledge). The agent installs itself as
   /// the MAC's control listener and piggyback source in start().
+  ///
+  /// `hardened` selects the loss-hardened mode. Off, the control plane is
+  /// the plain fire-and-forget protocol (bit-identical goldens); on — the
+  /// runner sets it for runs with faults, churn, or mobility — the agent
+  /// additionally (a) stamps CONSTRAINT/RATE with per-flow epoch
+  /// generations and drops stale ones, (b) retransmits unacknowledged
+  /// CONSTRAINT/RATE with exponential backoff (overhearing the peer's
+  /// forward acts as the ack), (c) counts HELLO sequence gaps, (d) forces a
+  /// degraded solve when quiescence is never reached within kMaxStalenessS,
+  /// and keeps last-known-good rates while every neighbor is timed out,
+  /// and (e) answers in-band ADMIT rounds.
   AllocAgent(Simulator& sim, DcfMac& mac, const Topology& topo, const FlowSet& flows,
-             const ContentionGraph& graph, TagScheduler* sched, const CtrlConfig& cfg,
+             const ContentionGraph& graph, TagScheduler* sched, bool hardened,
              Rng rng, TraceSink* trace);
 
   /// Installs MAC hooks, applies locally-estimated bootstrap shares to this
@@ -134,7 +109,7 @@ class AllocAgent : public CtrlPiggyback {
   /// each ANDing its local clique-bound verdict (the shared
   /// admission_local_worst_load kernel) into the message; the last hop's
   /// ADMIT_RSP returns the verdict hop-by-hop. Lost legs are retransmitted
-  /// with backoff up to retx_limit, then the round times out.
+  /// with backoff up to kRetxLimit, then the round times out.
   void request_admission(FlowId f);
 
   /// Outcome of the ADMIT round started for `f`: 1 admitted, 0 rejected,
@@ -185,7 +160,7 @@ class AllocAgent : public CtrlPiggyback {
     /// Hardened-mode retransmit state. A directed send arms the await flag
     /// and an exponentially backed-off tick timer; overhearing the peer
     /// forward the same stream (its own CONSTRAINT upstream / RATE
-    /// downstream) clears it. At most retx_limit resends per fresh send.
+    /// downstream) clears it. At most kRetxLimit resends per fresh send.
     bool ctr_await = false;
     int ctr_retx = 0, ctr_wait = 1, ctr_timer = 0;
     bool rate_await = false;
@@ -243,7 +218,7 @@ class AllocAgent : public CtrlPiggyback {
   const FlowSet& flows_;
   const ContentionGraph& graph_;
   TagScheduler* sched_;
-  CtrlConfig cfg_;
+  bool hardened_;
   Rng rng_;
   TraceSink* trace_;
   NodeId self_;

@@ -26,7 +26,7 @@
 //
 // All messages are fire-and-forget (kCtrl broadcast frames carry no ACK);
 // robustness comes from periodic re-advertisement — plus, in hardened mode
-// (CtrlConfig::hardened, auto-enabled under faults/churn/mobility), bounded
+// (the AllocAgent's hardened flag, set under faults/churn/mobility), bounded
 // retransmission with exponential backoff for the directed kinds, with
 // forwarding overheard from the next hop standing in for an ack.
 //

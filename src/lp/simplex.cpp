@@ -111,7 +111,7 @@ class Tableau {
       const LpStatus s = pivot_loop(out);
       if (s != LpStatus::kOptimal) return s;  // iteration limit (phase 1 can't be unbounded)
       const double art_sum = -obj[cols_ - 1];
-      if (art_sum > opt_.epsilon) return LpStatus::kInfeasible;
+      if (art_sum > kSimplexEpsilon) return LpStatus::kInfeasible;
       drive_out_artificials();
     }
 
@@ -181,7 +181,7 @@ class Tableau {
       int enter = -1;
       for (int j = 0; j < cols_ - 1; ++j) {
         if (column_blocked(j)) continue;
-        if (obj[j] < -opt_.epsilon) {
+        if (obj[j] < -kSimplexEpsilon) {
           enter = j;
           break;
         }
@@ -193,10 +193,10 @@ class Tableau {
       double best_ratio = std::numeric_limits<double>::infinity();
       for (int i = 0; i < m_; ++i) {
         const double a = at(i, enter);
-        if (a > opt_.epsilon) {
+        if (a > kSimplexEpsilon) {
           const double ratio = at(i, cols_ - 1) / a;
-          if (ratio < best_ratio - opt_.epsilon ||
-              (ratio < best_ratio + opt_.epsilon &&
+          if (ratio < best_ratio - kSimplexEpsilon ||
+              (ratio < best_ratio + kSimplexEpsilon &&
                (leave == -1 || basis_[static_cast<std::size_t>(i)] < basis_[static_cast<std::size_t>(leave)]))) {
             best_ratio = ratio;
             leave = i;
@@ -218,7 +218,7 @@ class Tableau {
       if (!is_artificial(basis_[static_cast<std::size_t>(i)])) continue;
       int col = -1;
       for (int j = 0; j < art_begin(); ++j) {
-        if (std::abs(at(i, j)) > opt_.epsilon) {
+        if (std::abs(at(i, j)) > kSimplexEpsilon) {
           col = j;
           break;
         }

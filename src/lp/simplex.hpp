@@ -28,9 +28,11 @@ struct LpSolution {
   int iterations = 0;           ///< Total pivots across both phases.
 };
 
+/// Pivot/feasibility tolerance.
+inline constexpr double kSimplexEpsilon = 1e-9;
+
 struct SimplexOptions {
   int max_iterations = 10'000;
-  double epsilon = 1e-9;  ///< Pivot/feasibility tolerance.
 };
 
 /// Solves `problem` (maximization). Never throws on infeasible/unbounded —

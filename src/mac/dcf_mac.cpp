@@ -24,7 +24,7 @@ DcfMac::DcfMac(Simulator& sim, Channel& channel, NodeId self, const MacConfig& c
 }
 
 TimeNs DcfMac::data_bytes(const Packet& p) const {
-  return cfg_.sizes.data_header + p.payload_bytes;
+  return kDataHeaderBytes + p.payload_bytes;
 }
 
 void DcfMac::attach_tag(Frame& f) const {
@@ -39,7 +39,7 @@ void DcfMac::attach_piggyback(Frame& f) {
   int extra = 0;
   std::shared_ptr<const CtrlMsg> payload = piggyback_->piggyback_payload(&extra);
   if (payload == nullptr) return;
-  E2EFA_ASSERT_MSG(extra > 0 && extra <= cfg_.ctrl_piggyback_max,
+  E2EFA_ASSERT_MSG(extra > 0 && extra <= kCtrlPiggybackMax,
                    "piggyback payload exceeds the budgeted allowance");
   f.ctrl = std::move(payload);
   f.bytes += extra;
@@ -87,7 +87,7 @@ void DcfMac::start_access(bool redraw) {
       // Control-only backlog: the BackoffPolicy reads the scheduler head
       // (empty here), so draw uniformly from the MAC's own stream instead.
       backoff_remaining_ =
-          1 + static_cast<int>(rng_.uniform_u64(static_cast<std::uint64_t>(cfg_.ctrl_cw) + 1));
+          1 + static_cast<int>(rng_.uniform_u64(static_cast<std::uint64_t>(kCtrlCw) + 1));
       if (check_ != nullptr)
         check_->on_backoff_draw(self_, backoff_remaining_, retries_, 0.0,
                                 /*ctrl_only=*/true, sim_.now());
@@ -118,7 +118,7 @@ void DcfMac::arm_step() {
   }
   const TimeNs start = std::max({sim_.now(), nav_until_, eifs_until_});
   if (start > sim_.now()) step_is_first_ = true;
-  const TimeNs required = step_is_first_ ? cfg_.difs + cfg_.slot : cfg_.slot;
+  const TimeNs required = step_is_first_ ? kDifs + kSlot : kSlot;
   step_time_ = start + required;
   step_event_ = sim_.schedule_at(step_time_, [this] { on_step(); });
 }
@@ -126,7 +126,7 @@ void DcfMac::arm_step() {
 void DcfMac::on_step() {
   step_event_ = Simulator::kInvalidEvent;
   if (state_ != State::kContend) return;
-  const TimeNs required = step_is_first_ ? cfg_.difs + cfg_.slot : cfg_.slot;
+  const TimeNs required = step_is_first_ ? kDifs + kSlot : kSlot;
   const TimeNs from = sim_.now() - required;
   const bool clean = channel_.idle_during(self_, from) && nav_until_ <= from &&
                      eifs_until_ <= from;
@@ -168,7 +168,7 @@ void DcfMac::on_medium_idle() {
 
 void DcfMac::on_frame_corrupted(TimeNs) {
   // EIFS: give the (possibly damaged) exchange room to finish its ACK.
-  eifs_until_ = std::max(eifs_until_, sim_.now() + cfg_.sifs + dur(cfg_.sizes.ack) + cfg_.difs);
+  eifs_until_ = std::max(eifs_until_, sim_.now() + kSifs + dur(kAckBytes) + kDifs);
 }
 
 // ---------------------------------------------------------------- sender
@@ -179,9 +179,9 @@ void DcfMac::send_rts() {
   Frame f;
   f.type = FrameType::kRts;
   f.rx = p.dst;
-  f.bytes = cfg_.sizes.rts;
-  f.nav = cfg_.sifs + dur(cfg_.sizes.cts) + cfg_.sifs + dur(static_cast<int>(data_bytes(p))) +
-          cfg_.sifs + dur(cfg_.sizes.ack);
+  f.bytes = kRtsBytes;
+  f.nav = kSifs + dur(kCtsBytes) + kSifs + dur(static_cast<int>(data_bytes(p))) +
+          kSifs + dur(kAckBytes);
   attach_tag(f);
   attach_piggyback(f);
   const TimeNs end = channel_.transmit(self_, f);
@@ -189,9 +189,8 @@ void DcfMac::send_rts() {
   state_ = State::kWaitCts;
   // With a piggyback source installed the responder's CTS may be longer
   // than the base size; widen the wait by the bounded allowance.
-  const int cts_budget =
-      cfg_.sizes.cts + (piggyback_ != nullptr ? cfg_.ctrl_piggyback_max : 0);
-  const TimeNs deadline = end + cfg_.sifs + dur(cts_budget) + 2 * cfg_.slot;
+  const int cts_budget = kCtsBytes + (piggyback_ != nullptr ? kCtrlPiggybackMax : 0);
+  const TimeNs deadline = end + kSifs + dur(cts_budget) + 2 * kSlot;
   timeout_event_ = sim_.schedule_at(deadline, [this] { on_timeout(); });
 }
 
@@ -199,7 +198,7 @@ void DcfMac::on_cts(const Frame&) {
   sim_.cancel(timeout_event_);
   timeout_event_ = Simulator::kInvalidEvent;
   state_ = State::kSendData;
-  sim_.schedule_in(cfg_.sifs, [this] { send_data(); });
+  sim_.schedule_in(kSifs, [this] { send_data(); });
 }
 
 void DcfMac::send_data() {
@@ -209,13 +208,13 @@ void DcfMac::send_data() {
   f.type = FrameType::kData;
   f.rx = p.dst;
   f.bytes = static_cast<int>(data_bytes(p));
-  f.nav = cfg_.sifs + dur(cfg_.sizes.ack);
+  f.nav = kSifs + dur(kAckBytes);
   f.packet = p;
   attach_tag(f);
   const TimeNs end = channel_.transmit(self_, f);
   ++stats_.data_sent;
   state_ = State::kWaitAck;
-  const TimeNs deadline = end + cfg_.sifs + dur(cfg_.sizes.ack) + 2 * cfg_.slot;
+  const TimeNs deadline = end + kSifs + dur(kAckBytes) + 2 * kSlot;
   timeout_event_ = sim_.schedule_at(deadline, [this] { on_timeout(); });
 }
 
@@ -235,7 +234,7 @@ void DcfMac::on_timeout() {
   if (trace_ != nullptr)
     trace_->record<TraceCat::kMac>(sim_.now(), TraceEvent::kMacRetry,
                                    static_cast<std::int16_t>(self_), retries_, -1);
-  if (retries_ > cfg_.retry_limit) {
+  if (retries_ > kRetryLimit) {
     const Packet p = queue_.pop_drop(sim_.now());
     ++stats_.retry_drops;
     if (trace_ != nullptr)
@@ -296,13 +295,13 @@ void DcfMac::on_rts(const Frame& f) {
   rx_tag_subflow_ = f.tag_subflow;
   rx_nav_remaining_ = f.nav;
 
-  sim_.schedule_in(cfg_.sifs, [this] {
+  sim_.schedule_in(kSifs, [this] {
     if (state_ != State::kRxExchange) return;
     Frame cts;
     cts.type = FrameType::kCts;
     cts.rx = rx_peer_;
-    cts.bytes = cfg_.sizes.cts;
-    cts.nav = rx_nav_remaining_ - cfg_.sifs - dur(cfg_.sizes.cts);
+    cts.bytes = kCtsBytes;
+    cts.nav = rx_nav_remaining_ - kSifs - dur(kCtsBytes);
     if (rx_has_tag_) {
       cts.service_tag = rx_tag_;
       cts.tag_subflow = rx_tag_subflow_;
@@ -312,7 +311,7 @@ void DcfMac::on_rts(const Frame& f) {
     const TimeNs end = channel_.transmit(self_, cts);
     ++stats_.cts_sent;
     // If the DATA never materializes, abandon the exchange.
-    const TimeNs deadline = end + cts.nav + cfg_.slot;
+    const TimeNs deadline = end + cts.nav + kSlot;
     timeout_event_ = sim_.schedule_at(deadline, [this] {
       timeout_event_ = Simulator::kInvalidEvent;
       end_rx_exchange();
@@ -340,7 +339,7 @@ void DcfMac::on_data(const Frame& f) {
   Frame ack;
   ack.type = FrameType::kAck;
   ack.rx = f.tx;
-  ack.bytes = cfg_.sizes.ack;
+  ack.bytes = kAckBytes;
   ack.nav = 0;
   if (f.has_service_tag) {
     ack.service_tag = f.service_tag;
@@ -348,7 +347,7 @@ void DcfMac::on_data(const Frame& f) {
     ack.has_service_tag = true;
   }
   if (tags_ != nullptr) ack.ack_backoff_r = tags_->r_slots_for(f.packet->subflow, sim_.now());
-  sim_.schedule_in(cfg_.sifs, [this, ack] {
+  sim_.schedule_in(kSifs, [this, ack] {
     if (state_ != State::kRxExchange) return;
     const TimeNs end = channel_.transmit(self_, ack);
     ++stats_.ack_sent;

@@ -22,24 +22,12 @@
 
 namespace e2efa {
 
+/// The only MAC setting a run chooses; the 802.11 timing, frame sizes and
+/// retry limit are the fixed constants in phy/frame.hpp.
 struct MacConfig {
-  TimeNs slot = 20 * kMicrosecond;
-  TimeNs sifs = 10 * kMicrosecond;
-  TimeNs difs = 50 * kMicrosecond;
-  int retry_limit = 7;  ///< Drops the packet after this many failed attempts.
   /// True (default): four-way RTS/CTS/DATA/ACK. False: basic access —
   /// DATA/ACK only; hidden terminals then collide on full data frames.
   bool use_rts_cts = true;
-  /// Contention window for broadcast control frames (src/ctrl): they carry
-  /// no tag state, so they draw uniformly from [1, ctrl_cw + 1] instead of
-  /// consulting the BackoffPolicy. Unused until send_ctrl is called.
-  int ctrl_cw = 31;
-  /// Upper bound on the extra bytes a CtrlPiggyback may attach to an
-  /// RTS/CTS. The RTS sender cannot know whether the responder will
-  /// piggyback, so when a piggyback source is installed its CTS-timeout
-  /// budget is widened by this many bytes of airtime.
-  int ctrl_piggyback_max = 48;
-  FrameSizes sizes;
 };
 
 /// Supplies the optional allocation-control payload piggybacked on outgoing

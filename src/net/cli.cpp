@@ -302,7 +302,7 @@ std::string format_run_result(const Scenario& sc, const RunResult& r,
     // (identical to the last provisioned hop's share in fault-free runs).
     const double share =
         static_cast<double>(r.end_to_end_per_flow[f]) * 8.0 * cfg.payload_bytes /
-        (cfg.sim_seconds * static_cast<double>(cfg.channel_bps));
+        (cfg.sim_seconds * static_cast<double>(kChannelBps));
     t.add_row({fl.name(), join(hops, "-"), std::to_string(r.end_to_end_per_flow[f]),
                strformat("%.3fB", share),
                r.has_target ? format_share_of_b(r.target_flow_share[f]) : "-",

@@ -10,12 +10,12 @@ TimeNs per_packet_airtime(int payload_bytes, const MacConfig& mac, std::int64_t 
                           int cw_min) {
   E2EFA_ASSERT(payload_bytes > 0 && bps > 0 && cw_min >= 1);
   auto dur = [&](int bytes) { return tx_duration(8LL * bytes, bps); };
-  const TimeNs data = dur(mac.sizes.data_header + payload_bytes);
-  const TimeNs ack = dur(mac.sizes.ack);
-  const TimeNs mean_backoff = mac.slot * cw_min / 2;
-  TimeNs total = mac.difs + mean_backoff + data + mac.sifs + ack;
+  const TimeNs data = dur(kDataHeaderBytes + payload_bytes);
+  const TimeNs ack = dur(kAckBytes);
+  const TimeNs mean_backoff = kSlot * cw_min / 2;
+  TimeNs total = kDifs + mean_backoff + data + kSifs + ack;
   if (mac.use_rts_cts) {
-    total += dur(mac.sizes.rts) + mac.sifs + dur(mac.sizes.cts) + mac.sifs;
+    total += dur(kRtsBytes) + kSifs + dur(kCtsBytes) + kSifs;
   }
   return total;
 }

@@ -14,6 +14,7 @@
 #include "contention/clique_store.hpp"
 #include "contention/contention_graph.hpp"
 #include "ctrl/admission.hpp"
+#include "ctrl/agent.hpp"
 #include "net/mobility.hpp"
 #include "net/node_stack.hpp"
 #include "route/routing.hpp"
@@ -251,15 +252,9 @@ void begin_check_run(CheckContext* check, const Scenario& sc, Protocol proto,
   CheckRunInfo info;
   info.node_count = sc.topo.node_count();
   info.cw_min = cfg.cw_min;
-  info.cw_max = cfg.cw_max;
   info.use_rts_cts = cfg.use_rts_cts;
   info.scaled_cw = proto == Protocol::k2paStaticCw;
   info.queue_capacity = cfg.queue_capacity;
-  const MacConfig mac_defaults;
-  info.ctrl_cw = mac_defaults.ctrl_cw;
-  info.slot = mac_defaults.slot;
-  info.sifs = mac_defaults.sifs;
-  info.transport_dupack_threshold = cfg.transport.dupack_threshold;
   for (const Subflow& sf : flows.subflows())
     info.subflows.push_back({sf.flow, sf.hop, sf.src, sf.dst,
                              sf.hop + 1 >= flows.flow(sf.flow).length(),
@@ -555,7 +550,7 @@ struct Network {
   CheckContext* const check = cfg.check;
 
   Simulator sim;
-  Channel channel{sim, sc.topo, cfg.channel_bps};
+  Channel channel{sim, sc.topo, kChannelBps};
   TrafficStats stats{plan.flows};
   Rng master{cfg.seed};
   std::unique_ptr<FaultRuntime> faults;
@@ -593,7 +588,7 @@ void Network::wire_channel() {
   if (trace != nullptr) {
     trace->record<TraceCat::kMeta>(
         0, TraceEvent::kRunMeta, -1, sc.topo.node_count(), plan.F,
-        static_cast<double>(cfg.channel_bps), static_cast<double>(cfg.payload_bytes));
+        static_cast<double>(kChannelBps), static_cast<double>(cfg.payload_bytes));
     for (int s = 0; s < plan.flows.subflow_count(); ++s) {
       const Subflow& sf = plan.flows.subflow(s);
       trace->record<TraceCat::kMeta>(
@@ -622,9 +617,7 @@ void Network::trace_epoch(size_t e) {
 }
 
 void Network::build_stacks() {
-  MacConfig mac_cfg;
-  mac_cfg.retry_limit = cfg.retry_limit;
-  mac_cfg.use_rts_cts = cfg.use_rts_cts;
+  const MacConfig mac_cfg{cfg.use_rts_cts};
   stacks.reserve(static_cast<size_t>(sc.topo.node_count()));
   for (NodeId n = 0; n < sc.topo.node_count(); ++n) {
     std::unique_ptr<TxQueue> queue;
@@ -634,7 +627,7 @@ void Network::build_stacks() {
       auto fifo = std::make_unique<FifoQueue>(cfg.queue_capacity);
       fifo->set_check(check, n);
       queue = std::move(fifo);
-      backoff = std::make_unique<BebBackoff>(cfg.cw_min, cfg.cw_max);
+      backoff = std::make_unique<BebBackoff>(cfg.cw_min, kCwMax);
     } else {
       std::vector<TagScheduler::SubflowConfig> lanes;
       // In-band runs must not start from the oracle's answer: lanes begin
@@ -643,17 +636,17 @@ void Network::build_stacks() {
         lanes.push_back({s, in_band(proto) ? TagScheduler::kInactiveShare
                                            : epochs[0].subflow_share[static_cast<size_t>(s)]});
       auto sched = std::make_unique<TagScheduler>(std::move(lanes), cfg.queue_capacity,
-                                                  cfg.channel_bps, cfg.alpha);
+                                                  kChannelBps, cfg.alpha);
       sched->set_trace(trace, static_cast<std::int16_t>(n));
       sched->set_check(check, n);
       tag_scheds[static_cast<size_t>(n)] = sched.get();
       if (proto == Protocol::k2paStaticCw) {
         // Ablation: weighted queueing, but no tag feedback over the air.
         backoff = std::make_unique<ScaledCwBackoff>(
-            cfg.cw_min, cfg.cw_max, std::min(1.0, std::max(sched->node_share(), 1e-3)));
+            cfg.cw_min, kCwMax, std::min(1.0, std::max(sched->node_share(), 1e-3)));
       } else {
         tags = sched.get();
-        backoff = std::make_unique<TagBackoff>(cfg.cw_min, cfg.cw_max, *sched);
+        backoff = std::make_unique<TagBackoff>(cfg.cw_min, kCwMax, *sched);
       }
       queue = std::move(sched);
     }
@@ -675,14 +668,13 @@ void Network::start_control_plane() {
   // the loss-hardened control plane (retransmits, generation stamps,
   // staleness degradation); a plain static run keeps the lean protocol so
   // its trajectory is byte-identical to earlier builds.
-  CtrlConfig ctrl_cfg = cfg.ctrl;
-  if (!plan.faults.empty() || plan.dynamic || !sc.mobility.empty()) ctrl_cfg.hardened = true;
+  const bool hardened = !plan.faults.empty() || plan.dynamic || !sc.mobility.empty();
   ctrl_graph = std::make_unique<ContentionGraph>(sc.topo, plan.flows);
   Rng ctrl_master = master.split();
   for (NodeId n = 0; n < sc.topo.node_count(); ++n) {
     agents.push_back(std::make_unique<AllocAgent>(
         sim, stacks[static_cast<size_t>(n)]->mac(), sc.topo, plan.flows, *ctrl_graph,
-        tag_scheds[static_cast<size_t>(n)], ctrl_cfg, ctrl_master.split(), trace));
+        tag_scheds[static_cast<size_t>(n)], hardened, ctrl_master.split(), trace));
     agents.back()->set_check(check);
     agents.back()->set_profiler(cfg.profile);
   }
@@ -779,10 +771,8 @@ void Network::enter_epoch(size_t e) {
 /// its provisioned path. CBR runs construct none of this — their trajectory
 /// (and RNG stream) is byte-identical to pre-transport builds.
 void Network::start_sources() {
-  TransportConfig tcfg = cfg.transport;
-  tcfg.kind = sc.transport;
   if (elastic) {
-    ack = std::make_unique<AckPlane>(sim, tcfg, trace, check);
+    ack = std::make_unique<AckPlane>(sim, trace, check);
     for (NodeId n = 0; n < sc.topo.node_count(); ++n) {
       NodeStack* stack = stacks[static_cast<size_t>(n)].get();
       ack->register_mac(n, &stack->mac());
@@ -813,10 +803,10 @@ void Network::start_sources() {
       src = std::make_unique<CbrTransport>(sim, cfg.cbr_pps, cfg.payload_bytes,
                                            std::move(emit), master);
     } else if (sc.transport == TransportKind::kAimd) {
-      src = std::make_unique<AimdTransport>(sim, tcfg, cfg.payload_bytes, std::move(emit),
+      src = std::make_unique<AimdTransport>(sim, cfg.payload_bytes, std::move(emit),
                                             master, f, flow.source(), trace, check);
     } else {
-      src = std::make_unique<BbrTransport>(sim, tcfg, cfg.payload_bytes, std::move(emit),
+      src = std::make_unique<BbrTransport>(sim, cfg.payload_bytes, std::move(emit),
                                            master, f, flow.source(), trace, check);
     }
     if (elastic) ack->add_flow(f, flow.path, src.get());
@@ -941,7 +931,7 @@ void Observers::sample_metrics() {
   for (size_t f = 0; f < delta.size(); ++f) {
     samp.flow_goodput_pps.push_back(static_cast<double>(delta[f]) / period_s);
     share[f] = static_cast<double>(delta[f]) * 8.0 * cfg.payload_bytes /
-               (period_s * static_cast<double>(cfg.channel_bps));
+               (period_s * static_cast<double>(kChannelBps));
   }
   // Share-normalized fairness against the epoch targets in force at the
   // window midpoint; raw rates when there is no allocation (802.11).

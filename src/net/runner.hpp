@@ -8,9 +8,7 @@
 #include <vector>
 
 #include "alloc/allocation.hpp"
-#include "ctrl/agent.hpp"
 #include "lp/simplex.hpp"
-#include "mac/dcf_mac.hpp"
 #include "net/scenarios.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -41,16 +39,15 @@ enum class Protocol {
 
 const char* to_string(Protocol p);
 
+/// Per-run settings. The channel rate, the 802.11 timing, CW_max and the
+/// retry limit are the fixed constants in phy/frame.hpp (kChannelBps, …).
 struct SimConfig {
-  std::int64_t channel_bps = 2'000'000;  ///< Paper: 2 Mbps.
-  int payload_bytes = 512;               ///< Paper: 512-byte packets.
-  double cbr_pps = 200.0;                ///< Paper: 200 packets/s per flow.
-  double sim_seconds = 1000.0;           ///< Paper: T = 1000 s.
-  int queue_capacity = 50;               ///< Per transmit queue (ns-2 default).
-  int cw_min = 31;                       ///< Paper: CW_min = 31.
-  int cw_max = 1023;
-  int retry_limit = 7;
-  double alpha = 1e-4;                   ///< Paper: α = 0.0001.
+  int payload_bytes = 512;      ///< Paper: 512-byte packets.
+  double cbr_pps = 200.0;       ///< Paper: 200 packets/s per flow.
+  double sim_seconds = 1000.0;  ///< Paper: T = 1000 s.
+  int queue_capacity = 50;      ///< Per transmit queue (ns-2 default).
+  int cw_min = 31;              ///< Paper: CW_min = 31.
+  double alpha = 1e-4;          ///< Paper: α = 0.0001.
   std::uint64_t seed = 1;
   /// Measurements start after this transient (simulated seconds); the run
   /// lasts warmup + sim_seconds in total.
@@ -73,9 +70,6 @@ struct SimConfig {
   /// Jain index, queue-depth percentiles, MAC retry rate, channel
   /// utilization). 0 (default) disables the sampler entirely.
   double metrics_period_seconds = 0.0;
-  /// In-band control plane tuning (k2paDistributedCtrl only; ignored by
-  /// every other protocol).
-  CtrlConfig ctrl;
   /// Invariant-check observer (src/check/check.hpp). Null (default)
   /// disables all oracles; like the trace sink, an installed observer never
   /// mutates sim state or draws randomness, so checked runs are
@@ -88,9 +82,6 @@ struct SimConfig {
   /// the trace/check observers it IS thread-safe: one profiler may be
   /// shared across a BatchRunner fan-out and aggregates over all runs.
   Profiler* profile = nullptr;
-  /// Elastic-transport tuning (used when Scenario::transport != kCbr; the
-  /// `kind` member is ignored — the scenario decides the source model).
-  TransportConfig transport;
   /// Threads for phase-1 clique enumeration inside this one run: forwarded
   /// to the centralized family's incremental clique store, whose epoch
   /// rebuilds fan out over enumeration seeds (CliqueStore::set_threads).
@@ -188,15 +179,15 @@ struct RunResult {
     std::uint64_t solves = 0;           ///< Source-local LP solves.
     std::uint64_t ctrl_bytes = 0;       ///< Wire bytes of queued dedicated frames.
     std::uint64_t ctrl_frames = 0;      ///< kCtrl frames actually transmitted.
-    // Hardened-mode counters (all zero unless CtrlConfig::hardened — i.e.
-    // unless the scenario has faults, churn, or mobility).
+    // Hardened-mode counters (all zero unless the agents run hardened —
+    // i.e. unless the scenario has faults, churn, or mobility).
     std::uint64_t admit_req_sent = 0;   ///< Queued ADMIT_REQ messages.
     std::uint64_t admit_rsp_sent = 0;   ///< Queued ADMIT_RSP messages.
     std::uint64_t retransmits = 0;      ///< CONSTRAINT/RATE resends (no ack).
     std::uint64_t seq_gaps = 0;         ///< HELLO sequence gaps detected.
     std::uint64_t stale_dropped = 0;    ///< Msgs dropped for a stale epoch gen.
     std::uint64_t forced_solves = 0;    ///< Degraded solves (quiescence never
-                                        ///< reached within max_staleness_s).
+                                        ///< reached within the 2 s staleness bound).
     std::vector<double> applied_subflow_share;  ///< Final lane shares (sim ids).
     bool operator==(const CtrlSummary&) const = default;
   };

@@ -415,7 +415,10 @@ std::string serialize_scenario_text(const Scenario& sc) {
     // re-routed min-hop on parse, and a routing tie could pick a different
     // path. Single-hop flows have no tie to break.
     out += "flow";
-    for (NodeId n : f.path) out += " " + sc.topo.label(n);
+    for (NodeId n : f.path) {
+      out += ' ';
+      out += sc.topo.label(n);
+    }
     out += strformat(" weight %.17g\n", f.weight);
   }
   if (!sc.activity.empty()) {

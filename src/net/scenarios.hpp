@@ -65,12 +65,12 @@ struct Scenario {
   std::string name;
   Topology topo;
   std::vector<Flow> flow_specs;
-  FaultPlan faults;
+  FaultPlan faults{};
   /// Empty (default) = all flows active for the whole run; otherwise one
   /// window per flow (run_scenario validates the size).
-  std::vector<FlowActivity> activity;
+  std::vector<FlowActivity> activity{};
   /// Random-waypoint mobility specs, at most one per node.
-  std::vector<MobilitySpec> mobility;
+  std::vector<MobilitySpec> mobility{};
   /// Source model for every flow: open-loop CBR (default, the paper's
   /// workload) or a closed-loop elastic transport (AIMD / BBR-style).
   TransportKind transport = TransportKind::kCbr;

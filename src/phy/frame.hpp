@@ -20,13 +20,31 @@ enum class FrameType { kRts, kCts, kData, kAck, kCtrl };
 
 const char* to_string(FrameType t);
 
-/// Frame sizes in bytes (MAC header + FCS; DATA adds the payload).
-struct FrameSizes {
-  int rts = 20;
-  int cts = 14;
-  int ack = 14;
-  int data_header = 52;  ///< MAC + IP/UDP overhead on top of the payload.
-};
+// The paper's fixed 802.11 DSSS parameters. DcfMac, the fluid model and the
+// invariant oracles (src/check, which consumes this header without linking
+// phy) all read these one definitions.
+
+inline constexpr std::int64_t kChannelBps = 2'000'000;  ///< Paper: 2 Mbps.
+inline constexpr TimeNs kSlot = 20 * kMicrosecond;
+inline constexpr TimeNs kSifs = 10 * kMicrosecond;
+inline constexpr TimeNs kDifs = 50 * kMicrosecond;
+inline constexpr int kCwMax = 1023;
+inline constexpr int kRetryLimit = 7;  ///< Drops the packet after this many failed attempts.
+/// Contention window for broadcast control frames (src/ctrl): they carry
+/// no tag state, so they draw uniformly from [1, kCtrlCw + 1] instead of
+/// consulting the BackoffPolicy.
+inline constexpr int kCtrlCw = 31;
+/// Upper bound on the extra bytes a CtrlPiggyback may attach to an
+/// RTS/CTS. The RTS sender cannot know whether the responder will
+/// piggyback, so when a piggyback source is installed its CTS-timeout
+/// budget is widened by this many bytes of airtime.
+inline constexpr int kCtrlPiggybackMax = 48;
+
+// Frame sizes in bytes (MAC header + FCS; DATA adds the payload).
+inline constexpr int kRtsBytes = 20;
+inline constexpr int kCtsBytes = 14;
+inline constexpr int kAckBytes = 14;
+inline constexpr int kDataHeaderBytes = 52;  ///< MAC + IP/UDP overhead on top of the payload.
 
 struct Frame {
   FrameType type = FrameType::kRts;

@@ -5,6 +5,13 @@
 
 namespace e2efa {
 
+namespace {
+/// Sink-side delayed ACKs: every 2nd in-order packet acks immediately, a
+/// straggler acks after this timer; out-of-order and duplicate data always
+/// ack immediately (the dupack clock must not be delayed).
+constexpr double kDelayedAckS = 0.01;
+}  // namespace
+
 void AckPlane::add_flow(std::int32_t flow, std::vector<NodeId> path,
                         TransportSource* source) {
   E2EFA_ASSERT(path.size() >= 2);
@@ -37,7 +44,7 @@ bool AckPlane::on_final_delivery(const Packet& p, TimeNs now) {
       emit_ack(s, p.flow, p.seq, now);
     } else if (s.delack == Simulator::kInvalidEvent) {
       const std::int32_t flow = p.flow;
-      s.delack = sim_.schedule_in(from_seconds(cfg_.delayed_ack_s),
+      s.delack = sim_.schedule_in(from_seconds(kDelayedAckS),
                                   [this, flow] {
                                     auto fit = flows_.find(flow);
                                     if (fit == flows_.end()) return;

@@ -13,7 +13,7 @@
 // by re-advertisement.
 //
 // Delayed ACKs bound the overhead: every second in-order delivery acks
-// immediately, a straggler acks after delayed_ack_s; out-of-order and
+// immediately, a straggler acks after kDelayedAckS; out-of-order and
 // duplicate deliveries always ack immediately, because they *are* the
 // duplicate-ACK loss signal and must not be delayed.
 //
@@ -39,9 +39,8 @@ namespace e2efa {
 
 class AckPlane {
  public:
-  AckPlane(Simulator& sim, const TransportConfig& cfg, TraceSink* trace,
-           CheckContext* check)
-      : sim_(sim), cfg_(cfg), trace_(trace), check_(check) {}
+  AckPlane(Simulator& sim, TraceSink* trace, CheckContext* check)
+      : sim_(sim), trace_(trace), check_(check) {}
 
   /// Registers the MAC the plane may emit control frames from (every node
   /// on a registered flow's path).
@@ -84,7 +83,6 @@ class AckPlane {
   }
 
   Simulator& sim_;
-  TransportConfig cfg_;
   TraceSink* trace_;
   CheckContext* check_;
   std::unordered_map<NodeId, DcfMac*> macs_;

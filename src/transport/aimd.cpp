@@ -15,9 +15,9 @@ void AimdTransport::on_newly_acked(std::int64_t newly,
   }
   const double n = static_cast<double>(newly);
   if (cwnd_ < ssthresh_)
-    cwnd_ = std::min(cwnd_ + n, config().max_cwnd_pkts);  // slow start
+    cwnd_ = std::min(cwnd_ + n, kMaxCwndPkts);  // slow start
   else
-    cwnd_ = std::min(cwnd_ + n / cwnd_, config().max_cwnd_pkts);
+    cwnd_ = std::min(cwnd_ + n / cwnd_, kMaxCwndPkts);
 }
 
 void AimdTransport::on_dupack_loss(TimeNs /*now*/) {

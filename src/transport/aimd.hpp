@@ -26,10 +26,10 @@ class AimdTransport final : public ElasticTransport {
   void on_rto_event(TimeNs now) override;
 
  private:
-  // Default member initializers run after the base subobject, so config()
-  // is valid here (the inherited constructors leave nothing else to do).
-  double cwnd_ = config().initial_cwnd;
-  double ssthresh_ = config().max_cwnd_pkts;
+  static constexpr double kInitialCwnd = 2.0;
+
+  double cwnd_ = kInitialCwnd;
+  double ssthresh_ = kMaxCwndPkts;
   bool in_recovery_ = false;
   std::int64_t recover_seq_ = -1;  ///< Highest seq sent when recovery began.
 };

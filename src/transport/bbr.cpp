@@ -6,12 +6,17 @@ namespace e2efa {
 
 namespace {
 constexpr double kProbeGains[8] = {1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
-constexpr double kMinRttPrior = 0.2;  ///< Before the first RTT sample.
-constexpr int kFullBwRounds = 3;      ///< Flat rounds ⇒ pipe is full.
+constexpr double kMinRttPrior = 0.2;    ///< Before the first RTT sample.
+constexpr int kFullBwRounds = 3;        ///< Flat rounds ⇒ pipe is full.
+constexpr double kStartupGain = 2.885;  ///< 2/ln 2: doubles delivery per RTT.
+constexpr double kCwndGain = 2.0;       ///< Inflight cap = gain · BDP.
+constexpr double kBwWindowS = 2.0;      ///< Windowed-max delivery-rate horizon.
+constexpr double kRttWindowS = 10.0;    ///< Windowed-min RTT horizon.
+constexpr double kInitBwPps = 50.0;     ///< Bottleneck-rate prior before samples.
 }  // namespace
 
 double BbrTransport::btl_bw_pps() const {
-  return bw_max_.empty() ? config().bbr_init_bw_pps : bw_max_.front().v;
+  return bw_max_.empty() ? kInitBwPps : bw_max_.front().v;
 }
 
 double BbrTransport::min_rtt_s() const {
@@ -19,14 +24,14 @@ double BbrTransport::min_rtt_s() const {
 }
 
 double BbrTransport::cwnd() const {
-  const double cap = config().bbr_cwnd_gain * bdp_pkts();
-  return std::clamp(cap, 4.0, config().max_cwnd_pkts);
+  const double cap = kCwndGain * bdp_pkts();
+  return std::clamp(cap, 4.0, kMaxCwndPkts);
 }
 
 double BbrTransport::pacing_gain() const {
   switch (state_) {
-    case State::kStartup: return config().bbr_startup_gain;
-    case State::kDrain: return 1.0 / config().bbr_startup_gain;
+    case State::kStartup: return kStartupGain;
+    case State::kDrain: return 1.0 / kStartupGain;
     case State::kProbeBw: return kProbeGains[cycle_idx_];
   }
   return 1.0;
@@ -34,8 +39,8 @@ double BbrTransport::pacing_gain() const {
 
 double BbrTransport::pacing_interval_s() const {
   const double rate = pacing_gain() * btl_bw_pps();
-  if (rate <= 0.0) return config().bbr_min_pacing_interval_s;
-  return std::max(1.0 / rate, config().bbr_min_pacing_interval_s);
+  if (rate <= 0.0) return kMinPacingIntervalS;
+  return std::max(1.0 / rate, kMinPacingIntervalS);
 }
 
 void BbrTransport::on_newly_acked(std::int64_t /*newly*/,
@@ -44,13 +49,13 @@ void BbrTransport::on_newly_acked(std::int64_t /*newly*/,
   if (rtt_s >= 0.0) {
     // Min filter: drop dominated entries from the back, expired from the
     // front. The matching delivery-rate sample is the base's latest.
-    const TimeNs rtt_horizon = now - from_seconds(config().bbr_rtt_window_s);
+    const TimeNs rtt_horizon = now - from_seconds(kRttWindowS);
     while (!rtt_min_.empty() && rtt_min_.back().v >= rtt_s) rtt_min_.pop_back();
     rtt_min_.push_back({rtt_s, now});
     while (rtt_min_.front().t < rtt_horizon) rtt_min_.pop_front();
 
     const double bw = last_delivery_rate_pps();
-    const TimeNs bw_horizon = now - from_seconds(config().bbr_bw_window_s);
+    const TimeNs bw_horizon = now - from_seconds(kBwWindowS);
     while (!bw_max_.empty() && bw_max_.back().v <= bw) bw_max_.pop_back();
     bw_max_.push_back({bw, now});
     while (bw_max_.front().t < bw_horizon) bw_max_.pop_front();

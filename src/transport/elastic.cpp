@@ -13,16 +13,17 @@ namespace {
 /// Elastic sources have no fixed interval, so the decorrelating start phase
 /// draws from a fixed 5 ms window (one RNG draw, like CbrSource's).
 constexpr TimeNs kPhaseWindow = 5 * kMillisecond;
+constexpr double kRtoInitialS = 1.0;  ///< RTO before the first RTT sample.
+constexpr double kRtoMinS = 0.2;
+constexpr double kRtoMaxS = 4.0;
 }  // namespace
 
-ElasticTransport::ElasticTransport(Simulator& sim, const TransportConfig& cfg,
-                                   int payload_bytes,
+ElasticTransport::ElasticTransport(Simulator& sim, int payload_bytes,
                                    std::function<void(Packet)> emit,
                                    Rng& phase_rng, std::int32_t flow,
                                    NodeId source_node, TraceSink* trace,
                                    CheckContext* check)
     : sim_(sim),
-      cfg_(cfg),
       payload_bytes_(payload_bytes),
       emit_(std::move(emit)),
       flow_(flow),
@@ -77,8 +78,7 @@ void ElasticTransport::on_pace() {
   if (now >= until_) return;
   if (inflight() + 1.0 <= cwnd() + 1e-9) {
     send_new(now);
-    const double interval =
-        std::max(pacing_interval_s(), cfg_.bbr_min_pacing_interval_s);
+    const double interval = std::max(pacing_interval_s(), kMinPacingIntervalS);
     next_pace_ = now + from_seconds(interval);
   }
   pump();
@@ -170,8 +170,8 @@ void ElasticTransport::on_ack(std::int64_t cumack, std::int64_t echo_seq,
   } else if (cumack == cumack_) {
     ++dupacks_;
     if (check_ != nullptr) check_->on_transport_ack(node_, flow_, cumack, now);
-    if (cfg_.dupack_threshold > 0 && dupacks_ % cfg_.dupack_threshold == 0) {
-      // Every further `threshold` dupacks re-signals the same hole — the
+    if (dupacks_ % kDupackThreshold == 0) {
+      // Every further kDupackThreshold dupacks re-signals the same hole — the
       // fast retransmit itself may have been lost.
       on_dupack_loss(now);
       retransmit(cumack_ + 1, /*timeout=*/false, now);
@@ -195,11 +195,11 @@ void ElasticTransport::arm_rto(TimeNs now) {
 }
 
 double ElasticTransport::current_rto_s() const {
-  double base = has_srtt_ ? srtt_s_ + 4.0 * rttvar_s_ : cfg_.rto_initial_s;
-  base = std::clamp(base, cfg_.rto_min_s, cfg_.rto_max_s);
+  double base = has_srtt_ ? srtt_s_ + 4.0 * rttvar_s_ : kRtoInitialS;
+  base = std::clamp(base, kRtoMinS, kRtoMaxS);
   const double scaled =
       base * static_cast<double>(std::uint64_t{1} << std::min(rto_backoff_, 16));
-  return std::min(scaled, cfg_.rto_max_s);
+  return std::min(scaled, kRtoMaxS);
 }
 
 void ElasticTransport::on_rto_fire() {

@@ -33,12 +33,29 @@
 
 namespace e2efa {
 
+// Constants the elastic controllers share (values follow RFC 6298 and the
+// BBRv1 draft, scaled to the simulated 2 Mbps channel); the rest live in
+// the file that reads them.
+
+/// Hard cap on any window. Deliberately just below the 50-packet node
+/// queues: a window that can overflow its own source queue turns every
+/// slow-start round into a mass drop + RTO episode, inflates RTT past
+/// the RTO floor, starves the competing flows' ACK clocks, and locks
+/// the system into a winner-take-all relaxation oscillation the fair
+/// MAC cannot undo (measured at caps >= 64). Too small is as bad: the
+/// paper topologies' contested paths run at ~0.3 s RTT under load, and
+/// a 32-packet window caps a flow at ~100 pkt/s — below some r̂_i, so
+/// long flows go window-limited and undershoot their share.
+inline constexpr double kMaxCwndPkts = 48;
+/// Pacing-rate ceiling: the shortest interval between paced sends.
+inline constexpr double kMinPacingIntervalS = 0.0005;
+
 class ElasticTransport : public TransportSource {
  public:
   /// `flow` keys the trace records and oracle state (the runner passes the
   /// flow id whose packets this source generates); `source_node` labels
   /// them. `trace` / `check` may be null.
-  ElasticTransport(Simulator& sim, const TransportConfig& cfg, int payload_bytes,
+  ElasticTransport(Simulator& sim, int payload_bytes,
                    std::function<void(Packet)> emit, Rng& phase_rng,
                    std::int32_t flow, NodeId source_node, TraceSink* trace,
                    CheckContext* check);
@@ -82,7 +99,6 @@ class ElasticTransport : public TransportSource {
   double srtt_value_s() const { return srtt_s_; }
   /// Most recent delivery-rate sample (pkts/s; 0 before the first).
   double last_delivery_rate_pps() const { return delivery_rate_pps_; }
-  const TransportConfig& config() const { return cfg_; }
   /// Raw phase draw (also seeds BBR's initial gain-cycle offset).
   std::uint64_t phase_draw() const { return phase_draw_; }
 
@@ -100,7 +116,6 @@ class ElasticTransport : public TransportSource {
   void trace_cwnd(TimeNs now);
 
   Simulator& sim_;
-  TransportConfig cfg_;
   int payload_bytes_;
   std::function<void(Packet)> emit_;
   std::int32_t flow_;

@@ -43,38 +43,9 @@ const char* to_string(TransportKind k);
 /// Parses "cbr" | "aimd" | "bbr"; nullopt on anything else.
 std::optional<TransportKind> parse_transport_kind(const std::string& s);
 
-/// Tunables shared by the elastic controllers (defaults follow RFC 6298 and
-/// the BBRv1 draft, scaled to the simulated 2 Mbps channel).
-struct TransportConfig {
-  TransportKind kind = TransportKind::kCbr;
-  // --- shared retransmission machinery (elastic.hpp) ---
-  double rto_initial_s = 1.0;  ///< RTO before the first RTT sample.
-  double rto_min_s = 0.2;
-  double rto_max_s = 4.0;
-  int dupack_threshold = 3;    ///< Dupacks before a fast retransmit.
-  /// Hard cap on any window. Deliberately just below the 50-packet node
-  /// queues: a window that can overflow its own source queue turns every
-  /// slow-start round into a mass drop + RTO episode, inflates RTT past
-  /// the RTO floor, starves the competing flows' ACK clocks, and locks
-  /// the system into a winner-take-all relaxation oscillation the fair
-  /// MAC cannot undo (measured at caps >= 64). Too small is as bad: the
-  /// paper topologies' contested paths run at ~0.3 s RTT under load, and
-  /// a 32-packet window caps a flow at ~100 pkt/s — below some r̂_i, so
-  /// long flows go window-limited and undershoot their share.
-  double max_cwnd_pkts = 48;
-  double initial_cwnd = 2.0;
-  /// Sink-side delayed ACKs: every 2nd in-order packet acks immediately,
-  /// a straggler acks after this timer; out-of-order and duplicate data
-  /// always ack immediately (the dupack clock must not be delayed).
-  double delayed_ack_s = 0.01;
-  // --- BBR (bbr.hpp) ---
-  double bbr_startup_gain = 2.885;  ///< 2/ln 2: doubles delivery per RTT.
-  double bbr_cwnd_gain = 2.0;       ///< Inflight cap = gain · BDP.
-  double bbr_bw_window_s = 2.0;     ///< Windowed-max delivery-rate horizon.
-  double bbr_rtt_window_s = 10.0;   ///< Windowed-min RTT horizon.
-  double bbr_init_bw_pps = 50.0;    ///< Bottleneck-rate prior before samples.
-  double bbr_min_pacing_interval_s = 0.0005;  ///< Pacing-rate ceiling.
-};
+/// Dupacks before a fast retransmit. The transport oracle (src/check)
+/// holds sources to the same evidence bar.
+inline constexpr int kDupackThreshold = 3;
 
 /// Per-flow controller state exported for metrics columns and the trace
 /// tool's transport summary. CBR reports zeros.

@@ -99,6 +99,14 @@ void expect_converged(const Scenario& sc, double seconds, double tol,
   EXPECT_GT(r.ctrl.hello_sent, 0u);
   EXPECT_GT(r.ctrl.constraint_sent, 0u);
   EXPECT_GT(r.ctrl.rate_sent, 0u);
+  // A static topology (no faults, churn or mobility) runs the lean,
+  // unhardened protocol: every hardened-mode counter stays at zero.
+  EXPECT_EQ(r.ctrl.admit_req_sent, 0u);
+  EXPECT_EQ(r.ctrl.admit_rsp_sent, 0u);
+  EXPECT_EQ(r.ctrl.retransmits, 0u);
+  EXPECT_EQ(r.ctrl.seq_gaps, 0u);
+  EXPECT_EQ(r.ctrl.stale_dropped, 0u);
+  EXPECT_EQ(r.ctrl.forced_solves, 0u);
 }
 
 // Acceptance: table-1 topologies, converged in-band shares within 5% of the

@@ -19,10 +19,9 @@ FluidPrediction predict(const Scenario& sc, const RunResult& r,
   const FlowSet flows(sc.topo, sc.flow_specs);
   const Allocation alloc = make_subflow_allocation(flows, r.target_subflow_share);
   MacConfig mac;
-  mac.retry_limit = cfg.retry_limit;
   mac.use_rts_cts = cfg.use_rts_cts;
   return fluid_predict(flows, alloc, cfg.cbr_pps, cfg.payload_bytes, mac,
-                       cfg.channel_bps, cfg.cw_min);
+                       kChannelBps, cfg.cw_min);
 }
 
 TEST(FluidVsPacket, SaturatedPaperScenariosLandInsideTheEnvelope) {

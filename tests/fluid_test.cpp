@@ -82,7 +82,7 @@ TEST(Fluid, PacketSimTracksPredictionRatios) {
   const Allocation alloc = make_subflow_allocation(flows, r.target_subflow_share);
   MacConfig mac;
   const auto p = fluid_predict(flows, alloc, cfg.cbr_pps, cfg.payload_bytes, mac,
-                               cfg.channel_bps, cfg.cw_min);
+                               kChannelBps, cfg.cw_min);
   for (FlowId f = 0; f < flows.flow_count(); ++f) {
     const double measured = static_cast<double>(r.end_to_end_per_flow[f]) / 60.0;
     const double frac = measured / p.flow_rate[f];

@@ -237,10 +237,11 @@ TEST_P(DistributedAllocProperty, FloorAndCliqueEnvelopeHoldOnRandomNets) {
     EXPECT_GE(r.allocation.flow_share[static_cast<std::size_t>(f)],
               local_floor - kTol)
         << "seed " << GetParam() << " flow " << f;
-    if (lp.min_relaxation >= 1.0 - kTol)
+    if (lp.min_relaxation >= 1.0 - kTol) {
       EXPECT_GE(r.allocation.flow_share[static_cast<std::size_t>(f)],
                 global_floor[static_cast<std::size_t>(f)] - kTol)
-        << "seed " << GetParam() << " flow " << f;
+          << "seed " << GetParam() << " flow " << f;
+    }
   }
 }
 
