@@ -1,133 +1,61 @@
-// Scheduler-core microbenchmark: events/sec of the pooled event engine on
-// MAC/PHY-shaped workloads, measured against an inline copy of the seed
-// engine (std::function handlers in a hash map + binary heap + lazy-cancel
-// hash set) so the speedup is re-measured — not asserted — on every run.
+// Scheduler-core microbenchmark: events/sec of the event engine on
+// MAC/PHY-shaped workloads, from the queue depths the simulator actually
+// reaches (a few dozen pending) to deep queues that overflow the sorted run
+// into the heap behind it.
 //
 // Emits machine-readable JSON (default BENCH_events.json): one record per
-// (engine, workload) with {"name", "events_per_sec", "ns_per_event"}.
-// Seed-engine baselines are prefixed "seed_". Both engines run the same
-// workloads alternately, best-of-`rounds`, so the ratio is robust to other
-// load on the machine.
+// workload with {"name", "events_per_sec", "ns_per_event"}. Each workload
+// keeps its best of `rounds` timed samples, so other load on the machine
+// only ever lowers a figure.
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
-#include <queue>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
 #include "util/options.hpp"
 #include "util/time.hpp"
 
-namespace seedengine {
-using e2efa::TimeNs;
-
-/// The pre-rewrite event engine, kept verbatim (minus docs) as the
-/// benchmark baseline.
-class Simulator {
- public:
-  using EventId = std::uint64_t;
-  static constexpr EventId kInvalidEvent = 0;
-
-  TimeNs now() const { return now_; }
-
-  EventId schedule_at(TimeNs t, std::function<void()> fn) {
-    const EventId id = next_id_++;
-    heap_.push({t, id});
-    handlers_.emplace(id, std::move(fn));
-    return id;
-  }
-
-  EventId schedule_in(TimeNs delay, std::function<void()> fn) {
-    return schedule_at(now_ + delay, std::move(fn));
-  }
-
-  bool cancel(EventId id) {
-    const auto it = handlers_.find(id);
-    if (it == handlers_.end()) return false;
-    handlers_.erase(it);
-    cancelled_.insert(id);
-    return true;
-  }
-
-  std::uint64_t run_until(TimeNs t_end) {
-    std::uint64_t count = 0;
-    while (!heap_.empty() && heap_.top().time <= t_end) {
-      const Entry e = heap_.top();
-      heap_.pop();
-      const auto c = cancelled_.find(e.id);
-      if (c != cancelled_.end()) {
-        cancelled_.erase(c);
-        continue;
-      }
-      const auto h = handlers_.find(e.id);
-      auto fn = std::move(h->second);
-      handlers_.erase(h);
-      now_ = e.time;
-      fn();
-      ++count;
-    }
-    if (heap_.empty() || now_ < t_end) now_ = std::max(now_, t_end);
-    return count;
-  }
-
-  std::uint64_t run() {
-    std::uint64_t count = 0;
-    while (!heap_.empty()) count += run_until(heap_.top().time);
-    return count;
-  }
-
- private:
-  struct Entry {
-    TimeNs time;
-    EventId id;
-    bool operator>(const Entry& o) const {
-      return time != o.time ? time > o.time : id > o.id;
-    }
-  };
-
-  TimeNs now_ = 0;
-  EventId next_id_ = 1;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
-  std::unordered_set<EventId> cancelled_;
-  std::unordered_map<EventId, std::function<void()>> handlers_;
-};
-
-}  // namespace seedengine
-
 namespace {
 
+using e2efa::Simulator;
+using e2efa::TimeNs;
 using Clock = std::chrono::steady_clock;
 
 // The workloads below schedule small function objects — the event shapes
 // the product code actually produces ([this]-captured ticks and guard
-// timers, frame-carrying end-of-reception closures) — identically on both
-// engines: the seed engine wraps them in std::function exactly as the old
-// MAC/PHY did.
+// timers, frame-carrying end-of-reception closures).
 
-/// Bulk schedule of n empty events, then one drain.
-template <class Sim>
-double bench_schedule_drain(int n, int reps) {
+/// Events fired per second over `reps` fresh simulations, each set up and
+/// drained by `body(sim, n)`.
+template <class Body>
+double events_per_sec(int n, int reps, Body body) {
+  std::uint64_t events = 0;
   const auto t0 = Clock::now();
   for (int rep = 0; rep < reps; ++rep) {
-    Sim sim;
-    for (int i = 0; i < n; ++i) sim.schedule_at(i, [] {});
-    sim.run();
+    Simulator sim;
+    body(sim, n);
+    events += sim.events_processed();
   }
-  return reps * n / std::chrono::duration<double>(Clock::now() - t0).count();
+  return events / std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// Bulk schedule of n empty events at increasing times, then one drain.
+double bench_schedule_drain(int n, int reps) {
+  return events_per_sec(n, reps, [](Simulator& sim, int count) {
+    for (int i = 0; i < count; ++i) sim.schedule_at(i, [] {});
+    sim.run();
+  });
 }
 
 /// Self-rescheduling chain: each event schedules its successor (a CBR tick
 /// or backoff countdown; the closure is one `this` pointer).
-template <class Sim>
 struct CascadeCtx {
-  Sim* sim;
+  Simulator* sim;
   int count = 0;
   int n;
   struct Tick {
@@ -138,30 +66,25 @@ struct CascadeCtx {
   };
 };
 
-template <class Sim>
 double bench_cascade(int n, int reps) {
-  const auto t0 = Clock::now();
-  for (int rep = 0; rep < reps; ++rep) {
-    Sim sim;
-    CascadeCtx<Sim> ctx{&sim, 0, n};
-    sim.schedule_in(1, typename CascadeCtx<Sim>::Tick{&ctx});
+  return events_per_sec(n, reps, [](Simulator& sim, int count) {
+    CascadeCtx ctx{&sim, 0, count};
+    sim.schedule_in(1, CascadeCtx::Tick{&ctx});
     sim.run();
-  }
-  return reps * n / std::chrono::duration<double>(Clock::now() - t0).count();
+  });
 }
 
 /// The MAC timeout pattern: every step cancels the previous guard timer and
 /// arms a new one, so half the scheduled events die un-fired.
-template <class Sim>
 struct TimerCtx {
-  Sim* sim;
-  std::uint64_t pending = 0;
+  Simulator* sim;
+  Simulator::EventId pending = Simulator::kInvalidEvent;
   int count = 0;
   int n;
   struct Step {
     TimerCtx* c;
     void operator()() const {
-      if (c->pending) c->sim->cancel(c->pending);
+      c->sim->cancel(c->pending);
       if (++c->count < c->n) {
         c->pending = c->sim->schedule_at(c->sim->now() + 1000, [] {});
         c->sim->schedule_in(7, Step{c});
@@ -170,23 +93,18 @@ struct TimerCtx {
   };
 };
 
-template <class Sim>
 double bench_timer_mix(int n, int reps) {
-  const auto t0 = Clock::now();
-  for (int rep = 0; rep < reps; ++rep) {
-    Sim sim;
-    TimerCtx<Sim> ctx{&sim, 0, 0, n};
-    sim.schedule_in(7, typename TimerCtx<Sim>::Step{&ctx});
+  return events_per_sec(n, reps, [](Simulator& sim, int count) {
+    TimerCtx ctx{&sim, Simulator::kInvalidEvent, 0, count};
+    sim.schedule_in(7, TimerCtx::Step{&ctx});
     sim.run();
-  }
-  return reps * n / std::chrono::duration<double>(Clock::now() - t0).count();
+  });
 }
 
 /// The PHY shape: each "transmission" fans out four end-of-frame events
 /// whose closures carry frame-sized state (~40 bytes).
-template <class Sim>
 struct FanCtx {
-  Sim* sim;
+  Simulator* sim;
   int fired = 0;
   int n;
   long long sink = 0;
@@ -213,19 +131,87 @@ struct FanCtx {
   };
 };
 
-template <class Sim>
+long long g_sink = 0;  // defeats whole-benchmark elision
+
 double bench_phy_fanout(int n, int reps) {
-  const auto t0 = Clock::now();
-  long long sink = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    Sim sim;
-    FanCtx<Sim> ctx{&sim, 0, n, 0};
-    sim.schedule_in(1, typename FanCtx<Sim>::Tx{&ctx});
+  return events_per_sec(n, reps, [](Simulator& sim, int count) {
+    FanCtx ctx{&sim, 0, count, 0};
+    sim.schedule_in(1, FanCtx::Tx{&ctx});
     sim.run();
-    sink += ctx.sink;
+    g_sink += ctx.sink;
+  });
+}
+
+/// The regime the simulator measures: eight backoff countdowns stepping on
+/// shared 20 µs slot boundaries (each step re-arms one slot ahead, behind
+/// its same-instant peers) among 24 sparse far timers (source ticks, guard
+/// timers) re-arming 1–5 ms ahead. About 32 events stay pending and every
+/// new slot step lands among the 8 earliest.
+struct MacSlotsCtx {
+  static constexpr int kSlotTimers = 8;
+  static constexpr int kFarTimers = 24;
+  static constexpr TimeNs kSlot = 20'000;
+  Simulator* sim;
+  int steps = 0;
+  int n;
+  struct Step {
+    MacSlotsCtx* c;
+    void operator()() const {
+      if (++c->steps < c->n) c->sim->schedule_in(kSlot, Step{c});
+    }
+  };
+  struct Far {
+    MacSlotsCtx* c;
+    TimeNs period;
+    void operator()() const {
+      if (c->steps < c->n) c->sim->schedule_in(period, Far{c, period});
+    }
+  };
+};
+
+double bench_mac_slots(int n, int reps) {
+  return events_per_sec(n, reps, [](Simulator& sim, int count) {
+    MacSlotsCtx ctx{&sim, 0, count};
+    for (int k = 0; k < MacSlotsCtx::kSlotTimers; ++k)
+      sim.schedule_at(MacSlotsCtx::kSlot, MacSlotsCtx::Step{&ctx});
+    for (int k = 0; k < MacSlotsCtx::kFarTimers; ++k) {
+      const TimeNs period = 1'000'000 + k * 173'000;
+      sim.schedule_at(period, MacSlotsCtx::Far{&ctx, period});
+    }
+    sim.run();
+  });
+}
+
+/// The overflow path (the classic hold model): 1024 self-rescheduling
+/// events, each re-arming a pseudo-random 1 ns – 1 ms ahead, keep eight
+/// times the run's capacity pending until n have re-armed.
+struct DeepQueueCtx {
+  static constexpr int kPending = 1024;
+  Simulator* sim;
+  int n;
+  int count = 0;
+  std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+  TimeNs delay() {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return 1 + static_cast<TimeNs>(rng % 1'000'000);
   }
-  if (sink == 42) std::printf("~");  // defeat whole-benchmark elision
-  return reps * n / std::chrono::duration<double>(Clock::now() - t0).count();
+  struct Hold {
+    DeepQueueCtx* c;
+    void operator()() const {
+      if (++c->count < c->n) c->sim->schedule_in(c->delay(), Hold{c});
+    }
+  };
+};
+
+double bench_deep_queue(int n, int reps) {
+  return events_per_sec(n, reps, [](Simulator& sim, int count) {
+    DeepQueueCtx ctx{&sim, count};
+    for (int k = 0; k < DeepQueueCtx::kPending; ++k)
+      sim.schedule_in(ctx.delay(), DeepQueueCtx::Hold{&ctx});
+    sim.run();
+  });
 }
 
 struct Options {
@@ -261,36 +247,27 @@ int main(int argc, char** argv) {
 
   struct Workload {
     const char* name;
-    double (*seed)(int, int);
-    double (*pooled)(int, int);
+    double (*run)(int, int);
   };
   const Workload workloads[] = {
-      {"schedule_drain", bench_schedule_drain<seedengine::Simulator>,
-       bench_schedule_drain<e2efa::Simulator>},
-      {"cascade", bench_cascade<seedengine::Simulator>,
-       bench_cascade<e2efa::Simulator>},
-      {"timer_mix", bench_timer_mix<seedengine::Simulator>,
-       bench_timer_mix<e2efa::Simulator>},
-      {"phy_fanout", bench_phy_fanout<seedengine::Simulator>,
-       bench_phy_fanout<e2efa::Simulator>},
+      {"schedule_drain", bench_schedule_drain},
+      {"cascade", bench_cascade},
+      {"timer_mix", bench_timer_mix},
+      {"phy_fanout", bench_phy_fanout},
+      {"mac_slots", bench_mac_slots},
+      {"deep_queue", bench_deep_queue},
   };
 
-  // Alternate engines within every round and keep the best round per
-  // (engine, workload): slowdowns from unrelated machine load hit both
-  // engines alike instead of biasing the ratio.
   std::vector<Result> results;
   for (const Workload& w : workloads) {
-    double seed_best = 0.0, pooled_best = 0.0;
-    for (int r = 0; r < opt.rounds; ++r) {
-      seed_best = std::max(seed_best, w.seed(opt.events, opt.reps));
-      pooled_best = std::max(pooled_best, w.pooled(opt.events, opt.reps));
-    }
-    results.push_back({w.name, pooled_best});
-    results.push_back({std::string("seed_") + w.name, seed_best});
-    std::printf("%-16s %8.2f M events/s   (seed engine %8.2f, %.2fx)\n",
-                w.name, pooled_best / 1e6, seed_best / 1e6,
-                pooled_best / seed_best);
+    double best = 0.0;
+    for (int r = 0; r < opt.rounds; ++r)
+      best = std::max(best, w.run(opt.events, opt.reps));
+    results.push_back({w.name, best});
+    std::printf("%-16s %8.2f M events/s  %8.3f ns/event\n", w.name, best / 1e6,
+                1e9 / best);
   }
+  if (g_sink == 42) std::printf("~");
 
   std::FILE* f = std::fopen(opt.out.c_str(), "w");
   if (f == nullptr) {

@@ -24,7 +24,7 @@ void Simulator::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-void Simulator::heap_push(HeapEntry e) {
+void Simulator::heap_push(QueueEntry e) {
   heap_.push_back(e);
   std::size_t i = heap_.size() - 1;
   while (i > 0) {
@@ -36,9 +36,9 @@ void Simulator::heap_push(HeapEntry e) {
   heap_[i] = e;
 }
 
-Simulator::HeapEntry Simulator::heap_pop() {
-  const HeapEntry top = heap_.front();
-  const HeapEntry last = heap_.back();
+Simulator::QueueEntry Simulator::heap_pop() {
+  const QueueEntry top = heap_.front();
+  const QueueEntry last = heap_.back();
   heap_.pop_back();
   const std::size_t n = heap_.size();
   if (n > 0) {
@@ -59,11 +59,63 @@ Simulator::HeapEntry Simulator::heap_pop() {
   return top;
 }
 
+bool Simulator::grow_run() {
+  if (run_cap_ == kRunCap) return false;
+  const std::uint32_t cap = run_cap_ == 0 ? kRunInitCap : 2 * run_cap_;
+  std::unique_ptr<QueueEntry[]> grown(new QueueEntry[cap]);
+  for (std::uint32_t i = 0; i < run_size_; ++i) grown[i] = run_at(i);
+  run_ = std::move(grown);
+  run_cap_ = cap;
+  run_head_ = 0;
+  return true;
+}
+
+void Simulator::push(QueueEntry e) {
+  // `e` carries the largest seq so far, so it follows every pending entry
+  // of its own time: comparing times alone decides where it goes.
+  if (!heap_.empty() && heap_.front().time <= e.time) {
+    heap_push(e);  // later than the heap top
+    return;
+  }
+  const bool full = run_size_ == run_cap_ && !grow_run();
+  if (run_size_ == 0 || run_at(run_size_ - 1).time <= e.time) {
+    if (full) {
+      heap_push(e);  // later than the whole full run
+      return;
+    }
+    run_at(run_size_++) = e;
+    return;
+  }
+  // `e` precedes the run's tail. Make room by evicting the tail (the
+  // earliest entry the heap will then hold), find e's rank by a scan from
+  // the head, and shift the entries before it one slot toward the front.
+  if (full) heap_push(run_at(--run_size_));
+  std::uint32_t rank = 0;
+  while (rank < run_size_ && run_at(rank).time <= e.time) ++rank;
+  run_head_ = (run_head_ - 1) & (run_cap_ - 1);
+  for (std::uint32_t i = 0; i < rank; ++i) run_at(i) = run_at(i + 1);
+  run_at(rank) = e;
+  ++run_size_;
+}
+
+const Simulator::QueueEntry* Simulator::front() const {
+  if (run_size_ != 0) return &run_[run_head_];
+  return heap_.empty() ? nullptr : &heap_.front();
+}
+
+Simulator::QueueEntry Simulator::pop() {
+  if (run_size_ == 0) return heap_pop();
+  const QueueEntry e = run_[run_head_];
+  run_head_ = (run_head_ + 1) & (run_cap_ - 1);
+  --run_size_;
+  return e;
+}
+
 std::uint32_t Simulator::prepare(TimeNs t) {
   E2EFA_ASSERT_MSG(t >= now_, "cannot schedule in the past");
   const std::uint32_t slot = acquire_slot();
   ++slab_[slot].gen;  // even -> odd: armed
-  heap_push({t, next_seq_++, slot});
+  push({t, next_seq_++, slot});
   ++live_;
   return slot;
 }
@@ -79,8 +131,8 @@ bool Simulator::cancel(EventId id) {
   Event& ev = slab_[static_cast<std::uint32_t>(slot64)];
   if ((ev.gen & 1u) == 0 || ev.gen != static_cast<std::uint32_t>(id >> 32))
     return false;
-  // Lazy cancel: disarm and release the closure now (O(1)); the heap entry
-  // is skipped and the slot recycled when it reaches the top.
+  // Lazy cancel: disarm and release the closure now (O(1)); the queue entry
+  // is skipped and the slot recycled when it reaches the front.
   ++ev.gen;  // odd -> even: retired; stale handles now mismatch
   ev.fn.reset();
   --live_;
@@ -89,9 +141,10 @@ bool Simulator::cancel(EventId id) {
 
 std::uint64_t Simulator::drain(TimeNs t_end) {
   std::uint64_t count = 0;
-  while (!heap_.empty() && heap_.front().time <= t_end) {
-    __builtin_prefetch(&slab_[heap_.front().slot]);
-    const HeapEntry e = heap_pop();
+  for (const QueueEntry* next;
+       (next = front()) != nullptr && next->time <= t_end;) {
+    __builtin_prefetch(&slab_[next->slot]);
+    const QueueEntry e = pop();
     Event& ev = slab_[e.slot];
     if ((ev.gen & 1u) == 0) {  // lazily cancelled; recycle and move on
       release_slot(e.slot);

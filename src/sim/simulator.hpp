@@ -2,23 +2,37 @@
 //
 // A pooled, cache-friendly design: event records live in a slab (vector
 // slots recycled through a free list), handles are generation-tagged slot
-// references giving O(1) cancel with no hash maps, and the ready queue is a
-// 4-ary implicit min-heap over compact (time, seq, slot) entries so sifts
-// touch one cache line per level and never dereference the slab. Callbacks
-// are small-buffer-optimized (`Callback`), so steady-state MAC/PHY/scheduler
+// references giving O(1) cancel with no hash maps, and callbacks are
+// small-buffer-optimized (`Callback`), so steady-state MAC/PHY/scheduler
 // timers allocate nothing.
+//
+// The ready queue has two tiers of compact (time, seq, slot) entries whose
+// comparisons never dereference the slab:
+//   - the run: a sorted ring of at most kRunCap (128) of the earliest
+//     pending entries, popped from its head in O(1);
+//   - a 4-ary implicit min-heap behind it, for everything else.
+// Invariant: every run entry precedes every heap entry in (time, seq)
+// order. The paper's workloads never leave the run: the mean pending count
+// at a pop is 16 / 62 / 40 on perfbench's paper_s2 / cold_start /
+// churn_ctrl, the maximum 30 / 92 / 78, and 89-95% of new events land
+// among the 8 earliest pending ones (mean rank 3-5), so a push is a short
+// scan from the run's head. Larger queues (city-scale runs) overflow into the heap and
+// cost what a plain heap costs, plus a bounded scan. The run's buffer
+// starts at 16 entries and doubles as it fills, so a short run (a setup
+// probe) never makes the allocator's large-request call.
 //
 // Ordering guarantee: events fire in (time, scheduling sequence) order —
 // same-time events fire in the order they were scheduled, which makes every
 // run fully deterministic and exactly reproduces the pre-pool engine's
 // trajectories. Cancellation is lazy (the record is disarmed and its handle
-// generation bumped; the heap entry is skipped and recycled when it
+// generation bumped; the queue entry is skipped and recycled when it
 // surfaces), but `pending()` is exact. Handlers may schedule further events
 // freely, including at the current time.
 
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -33,6 +47,9 @@ class Simulator {
  public:
   using EventId = std::uint64_t;
   static constexpr EventId kInvalidEvent = 0;
+  /// Capacity of the run, the sorted tier in front of the heap: a power of
+  /// two above the deepest queue the perfbench workloads reach (92).
+  static constexpr std::uint32_t kRunCap = 128;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -70,8 +87,8 @@ class Simulator {
   bool cancel(EventId id);
 
   /// Runs events until the queue empties or the next event is after
-  /// `t_end`; the clock finishes at min(t_end, last event time). Returns
-  /// the number of events processed by this call.
+  /// `t_end`; the clock then finishes at `t_end` (never moving backwards).
+  /// Returns the number of events processed by this call.
   std::uint64_t run_until(TimeNs t_end);
 
   /// Runs until the event queue is empty (single drain loop); the clock
@@ -82,7 +99,7 @@ class Simulator {
   std::uint64_t events_processed() const { return processed_; }
 
   /// Pending (non-cancelled) events. Exact even though cancellation is
-  /// lazy: disarmed records still occupy heap entries but are not counted.
+  /// lazy: disarmed records still occupy queue entries but are not counted.
   std::size_t pending() const { return live_; }
 
  private:
@@ -99,16 +116,19 @@ class Simulator {
   };
   static_assert(sizeof(Callback) == 56);
 
-  /// Compact heap entry: comparisons never touch the slab.
-  struct HeapEntry {
+  /// Compact queue entry (run or heap): comparisons never touch the slab.
+  struct QueueEntry {
     TimeNs time;
     std::uint64_t seq;  ///< Scheduling order; breaks same-time ties FIFO.
     std::uint32_t slot;
   };
 
-  static bool earlier(const HeapEntry& a, const HeapEntry& b) {
+  static bool earlier(const QueueEntry& a, const QueueEntry& b) {
     return a.time != b.time ? a.time < b.time : a.seq < b.seq;
   }
+
+  /// The run's first buffer (384 bytes); it doubles up to kRunCap.
+  static constexpr std::uint32_t kRunInitCap = 16;
 
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(gen) << 32) | (slot + 1);
@@ -118,8 +138,21 @@ class Simulator {
   void check_delay(TimeNs delay) const;
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  void heap_push(HeapEntry e);
-  HeapEntry heap_pop();
+  void heap_push(QueueEntry e);
+  QueueEntry heap_pop();
+  /// The run's i-th earliest entry.
+  QueueEntry& run_at(std::uint32_t i) {
+    return run_[(run_head_ + i) & (run_cap_ - 1)];
+  }
+  /// Doubles the run's buffer (allocating the first one); false once it
+  /// holds kRunCap entries.
+  bool grow_run();
+  /// Queues a new entry in the run or the heap, keeping the invariant.
+  void push(QueueEntry e);
+  /// Earliest pending entry (run head, else heap top); null when empty.
+  const QueueEntry* front() const;
+  /// Removes and returns the earliest entry; the queue must be non-empty.
+  QueueEntry pop();
   /// Pops entries <= t_end, firing armed ones; shared by run/run_until.
   std::uint64_t drain(TimeNs t_end);
 
@@ -128,7 +161,13 @@ class Simulator {
   std::uint64_t processed_ = 0;
   std::size_t live_ = 0;
   std::vector<Event> slab_;
-  std::vector<HeapEntry> heap_;
+  std::vector<QueueEntry> heap_;
+  /// The run's ring buffer (`run_cap_` entries, a power of two), allocated
+  /// on first use so that constructing a Simulator stays free.
+  std::unique_ptr<QueueEntry[]> run_;
+  std::uint32_t run_cap_ = 0;
+  std::uint32_t run_head_ = 0;
+  std::uint32_t run_size_ = 0;
   std::uint32_t free_head_ = kNilSlot;
 };
 

@@ -1,12 +1,19 @@
 // Unit and stress coverage for the pooled event engine: FIFO ordering at
 // equal timestamps, generation-tagged handle safety across slot reuse,
-// exact pending() under lazy cancellation, and the Callback small-buffer
-// machinery (inline vs heap storage, move-only semantics).
+// exact pending() under lazy cancellation, both queue tiers (the sorted run
+// and the heap behind it) against a reference model, and the Callback
+// small-buffer machinery (inline vs heap storage, move-only semantics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -206,6 +213,272 @@ TEST(EventEngine, StressInterleavedScheduleCancelReschedule) {
   sim.run();
   EXPECT_EQ(sim.pending(), 0u);
   EXPECT_EQ(fired, scheduled - cancelled);
+}
+
+// ---- The two queue tiers: the run (kRunCap earliest entries) and the heap ----
+//
+// The directed cases below build a known split between the tiers from the
+// push rules: an entry later than the heap top goes to the heap; one later
+// than the run's tail is appended while the run has room and goes to the
+// heap once it is full; any other entry is inserted into the run, whose
+// tail is evicted into the heap first when the run is full.
+
+constexpr int kCap = static_cast<int>(Simulator::kRunCap);
+
+/// Schedules an event that appends `label` to `order` when it fires.
+Simulator::EventId schedule_label(Simulator& sim, std::vector<int>& order,
+                                  TimeNs t, int label) {
+  return sim.schedule_at(t, [&order, label] { order.push_back(label); });
+}
+
+std::vector<int> iota_labels(int first, int count) {
+  std::vector<int> v(count);
+  for (int i = 0; i < count; ++i) v[i] = first + i;
+  return v;
+}
+
+TEST(EventEngineTiers, StrictlyIncreasingPushesFireInOrder) {
+  // The micro_events schedule_drain shape: the first kCap entries fill the
+  // run, every later one goes to the heap behind it.
+  Simulator sim;
+  std::vector<int> order;
+  const int n = 4 * kCap + 7;
+  for (int i = 0; i < n; ++i) schedule_label(sim, order, i, i);
+  EXPECT_EQ(sim.pending(), static_cast<std::size_t>(n));
+  EXPECT_EQ(sim.run(), static_cast<std::uint64_t>(n));
+  EXPECT_EQ(order, iota_labels(0, n));
+  EXPECT_EQ(sim.now(), n - 1);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(EventEngineTiers, PushTyingTheRunTailFiresAfterIt) {
+  Simulator sim;
+  std::vector<int> order;
+  schedule_label(sim, order, 10, 0);
+  schedule_label(sim, order, 20, 1);
+  schedule_label(sim, order, 30, 2);
+  schedule_label(sim, order, 30, 3);  // ties the tail: appended after it
+  schedule_label(sim, order, 20, 4);  // ties an inner entry: inserted after it
+  schedule_label(sim, order, 10, 5);  // ties the head
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 5, 1, 4, 2, 3}));
+
+  // The same with a full run: the tie goes to the heap and still fires
+  // after the run's tail.
+  Simulator full;
+  order.clear();
+  for (int i = 0; i < kCap; ++i) schedule_label(full, order, 100 + i, i);
+  schedule_label(full, order, 100 + kCap - 1, kCap);
+  schedule_label(full, order, 100 + kCap, kCap + 1);
+  full.run();
+  EXPECT_EQ(order, iota_labels(0, kCap + 2));
+}
+
+TEST(EventEngineTiers, SameTimeFifoAcrossTheRunHeapBoundary) {
+  // 3·kCap events at one instant: kCap in the run, the rest in the heap.
+  // Earlier events then evict run tails (same time, older seq) into the
+  // heap, so the instant's entries straddle the boundary twice over; they
+  // must still fire strictly in scheduling order.
+  Simulator sim;
+  std::vector<int> order;
+  const int n = 3 * kCap;
+  for (int i = 0; i < n; ++i) schedule_label(sim, order, 50, 1000 + i);
+  for (int i = 0; i < kCap / 2; ++i) schedule_label(sim, order, 40, i);
+  // A same-time push after the evictions: later than the heap top.
+  schedule_label(sim, order, 50, 1000 + n);
+  sim.run();
+  std::vector<int> expected = iota_labels(0, kCap / 2);
+  const std::vector<int> tail = iota_labels(1000, n + 1);
+  expected.insert(expected.end(), tail.begin(), tail.end());
+  EXPECT_EQ(order, expected);
+
+  // A push tying the heap top while the run has room (here: is empty)
+  // still fires behind it.
+  Simulator drained;
+  order.clear();
+  for (int i = 0; i < kCap; ++i) schedule_label(drained, order, 1 + i, i);
+  schedule_label(drained, order, 500, kCap);      // heap
+  schedule_label(drained, order, 500, kCap + 1);  // heap
+  drained.run_until(499);                         // the run is now empty
+  schedule_label(drained, order, 500, kCap + 2);
+  drained.run();
+  EXPECT_EQ(order, iota_labels(0, kCap + 3));
+}
+
+TEST(EventEngineTiers, CancelledEntriesSurfaceFromEitherTier) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<Simulator::EventId> ids;
+  // Times 0..kCap-1 fill the run; kCap..3·kCap-1 sit in the heap.
+  for (int i = 0; i < 3 * kCap; ++i)
+    ids.push_back(schedule_label(sim, order, i, i));
+  std::vector<int> expected;
+  for (int i = 0; i < 3 * kCap; ++i) {
+    // Cancel every third entry, plus the run head (0), the run tail
+    // (kCap-1) and the heap top (kCap).
+    if (i % 3 == 0 || i == kCap - 1 || i == kCap) {
+      EXPECT_TRUE(sim.cancel(ids[i]));
+    } else {
+      expected.push_back(i);
+    }
+  }
+  EXPECT_EQ(sim.pending(), expected.size());
+  // Stop just past the heap top: the run drains, the heap is entered.
+  const auto through_heap_top = static_cast<std::size_t>(std::count_if(
+      expected.begin(), expected.end(), [](int t) { return t <= kCap; }));
+  EXPECT_EQ(sim.run_until(kCap), through_heap_top);
+  EXPECT_EQ(sim.pending(), expected.size() - through_heap_top);
+  sim.run();
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.pending(), 0u);
+  for (const auto id : ids) EXPECT_FALSE(sim.cancel(id));
+}
+
+TEST(EventEngineTiers, RunUntilStopsWithTheNextEventInEitherTier) {
+  Simulator sim;
+  std::vector<int> order;
+  // Next event in the run: times 1..kCap fill it, 1000 + i go to the heap.
+  for (int i = 0; i < kCap; ++i) schedule_label(sim, order, 1 + i, i);
+  for (int i = 0; i < 4; ++i) schedule_label(sim, order, 1000 + i, kCap + i);
+  EXPECT_EQ(sim.run_until(kCap / 2), static_cast<std::uint64_t>(kCap / 2));
+  EXPECT_EQ(sim.now(), kCap / 2);
+  EXPECT_EQ(sim.pending(), static_cast<std::size_t>(kCap / 2 + 4));
+
+  // Next event in the heap: the run drains, the clock stops at t_end.
+  EXPECT_EQ(sim.run_until(999), static_cast<std::uint64_t>(kCap / 2));
+  EXPECT_EQ(sim.now(), 999);
+  EXPECT_EQ(sim.pending(), 4u);
+
+  // An event earlier than the heap top now enters the (empty) run and
+  // fires first; the heap's entries follow in order.
+  schedule_label(sim, order, 999, -1);
+  EXPECT_EQ(sim.run(), 5u);
+  std::vector<int> expected = iota_labels(0, kCap);
+  expected.push_back(-1);
+  for (int i = 0; i < 4; ++i) expected.push_back(kCap + i);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.now(), 1003);
+}
+
+TEST(EventEngineTiers, ThrowingHandlerLeavesPendingExact) {
+  Simulator sim;
+  std::vector<int> order;
+  // 2·kCap events across both tiers; the one at t = 5 (in the run) throws.
+  for (int i = 0; i < 2 * kCap; ++i) {
+    if (i == 5) {
+      sim.schedule_at(i, [] { throw std::runtime_error("handler failed"); });
+    } else {
+      schedule_label(sim, order, i, i);
+    }
+  }
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(sim.now(), 5);
+  EXPECT_EQ(sim.pending(), static_cast<std::size_t>(2 * kCap - 6));
+  EXPECT_EQ(sim.events_processed(), 5u);
+
+  // Pushes after the throw land in both tiers and keep the order.
+  schedule_label(sim, order, 6, -6);
+  schedule_label(sim, order, 3 * kCap, -7);
+  EXPECT_EQ(sim.run(), static_cast<std::uint64_t>(2 * kCap - 6 + 2));
+  std::vector<int> expected = iota_labels(0, 5);
+  expected.push_back(6);
+  expected.push_back(-6);
+  const std::vector<int> rest = iota_labels(7, 2 * kCap - 7);
+  expected.insert(expected.end(), rest.begin(), rest.end());
+  expected.push_back(-7);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+// Differential test: a reference model (an ordered set of (time, seq))
+// must match the engine's firing order over seeded mixes of schedules,
+// cancels, run_until calls and handler-scheduled children. Each seed grows
+// the queue from empty to at least 4·kCap pending and drains it back to
+// empty, twice, with offsets that range from same-instant ties to far
+// future, so entries enter, leave and cross both tiers.
+TEST(EventEngineTiers, MatchesReferenceModelOverSeededMixes) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    Simulator sim;
+    std::uint64_t rng = 0x9e3779b97f4a7c15ull * seed;
+    auto next = [&rng] {
+      rng ^= rng << 13;
+      rng ^= rng >> 7;
+      rng ^= rng << 17;
+      return rng;
+    };
+    using Key = std::pair<TimeNs, std::uint64_t>;  // (time, seq)
+    std::set<Key> model;
+    std::map<std::uint64_t, std::pair<Simulator::EventId, TimeNs>> ids;
+    std::uint64_t seq = 0;
+    std::uint64_t fired = 0;
+    std::size_t max_pending = 0;
+
+    auto offset = [&next]() -> TimeNs {
+      const std::uint64_t r = next();
+      switch (r % 4) {
+        case 0: return 0;                                          // tie now
+        case 1: return static_cast<TimeNs>((r >> 8) % 8);          // near
+        case 2: return static_cast<TimeNs>((r >> 8) % 200);        // mid
+        default: return static_cast<TimeNs>((r >> 8) % 20'000);    // far
+      }
+    };
+    // Defined below; firing handlers call it to schedule child events.
+    std::function<void(TimeNs)> schedule;
+    auto on_fire = [&](TimeNs t, std::uint64_t s) {
+      ASSERT_FALSE(model.empty());
+      EXPECT_EQ(*model.begin(), Key(t, s));
+      EXPECT_EQ(sim.now(), t);
+      model.erase(Key(t, s));
+      ids.erase(s);
+      ++fired;
+      if (next() % 4 == 0) schedule(sim.now() + offset());  // child event
+    };
+    schedule = [&](TimeNs t) {
+      const std::uint64_t s = seq++;
+      const auto id = sim.schedule_at(t, [&on_fire, t, s] { on_fire(t, s); });
+      model.insert({t, s});
+      ids[s] = {id, t};
+    };
+
+    for (int cycle = 0; cycle < 2; ++cycle) {
+      for (const bool grow : {true, false}) {
+        for (int step = 0; step < 20'000; ++step) {
+          if (grow && model.size() >= 5 * Simulator::kRunCap) break;
+          if (!grow && model.empty()) break;
+          const int op = static_cast<int>(next() % 100);
+          if (op < (grow ? 70 : 20)) {
+            schedule(sim.now() + offset());
+          } else if (op < (grow ? 80 : 45) && !ids.empty()) {
+            // Cancel a random pending event (either tier).
+            auto it = ids.lower_bound(next() % seq);
+            if (it == ids.end()) it = ids.begin();
+            EXPECT_TRUE(sim.cancel(it->second.first));
+            EXPECT_FALSE(sim.cancel(it->second.first));
+            model.erase(Key(it->second.second, it->first));
+            ids.erase(it);
+          } else {
+            // Growing steps advance the clock by a few ticks only.
+            const TimeNs t_end =
+                sim.now() + (grow ? static_cast<TimeNs>(next() % 8) : offset());
+            sim.run_until(t_end);
+            EXPECT_EQ(sim.now(), t_end);
+            if (!model.empty()) {
+              EXPECT_GT(model.begin()->first, t_end);
+            }
+          }
+          ASSERT_EQ(sim.pending(), model.size());
+          max_pending = std::max(max_pending, model.size());
+        }
+      }
+      // Drain whatever the shrink phase's step budget left.
+      sim.run();
+      EXPECT_TRUE(model.empty());
+      EXPECT_EQ(sim.pending(), 0u);
+    }
+    EXPECT_GE(max_pending, 4u * Simulator::kRunCap);
+    EXPECT_EQ(sim.events_processed(), fired);
+  }
 }
 
 // ---- Callback (SBO) unit coverage ----
