@@ -54,10 +54,10 @@ void BM_MaximalCliquesRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_MaximalCliquesRandom)->Arg(12)->Arg(24)->Arg(48);
 
-// Before/after pair for the scaling rework: the dense-matrix enumerator the
-// seed shipped (O(V^2) setup, per-call allocation) vs the vertex-seeded
-// bitset engine behind maximal_cliques. Same outputs — scale_parity_test
-// asserts element-wise equality — so the delta is pure enumeration cost.
+// Before/after pair for the scaling rework: the dense-matrix subflow
+// enumerator the seed shipped (O(V^2) setup, per-call allocation) vs the
+// link-seeded bitset engine plus expansion behind maximal_cliques. Same
+// outputs — scale_parity_test asserts element-wise equality.
 void BM_MaximalCliquesDenseReference(benchmark::State& state) {
   RandomNet net(static_cast<int>(state.range(0)), 3 * static_cast<int>(state.range(0)), 7);
   for (auto _ : state)
@@ -77,7 +77,7 @@ BENCHMARK(BM_MaximalCliquesSparseSeeded)->Arg(24)->Arg(48)->Arg(96);
 void BM_EnumeratorPooledScratch(benchmark::State& state) {
   RandomNet net(static_cast<int>(state.range(0)), 3 * static_cast<int>(state.range(0)), 7);
   std::vector<int> all;
-  for (int v = 0; v < net.graph->vertex_count(); ++v) all.push_back(v);
+  for (int l = 0; l < net.graph->link_count(); ++l) all.push_back(l);
   CliqueEnumerator engine(*net.graph);
   std::vector<std::vector<int>> out;
   for (auto _ : state) {
@@ -91,7 +91,7 @@ BENCHMARK(BM_EnumeratorPooledScratch)->Arg(24)->Arg(48)->Arg(96);
 void BM_EnumeratorFreshScratch(benchmark::State& state) {
   RandomNet net(static_cast<int>(state.range(0)), 3 * static_cast<int>(state.range(0)), 7);
   std::vector<int> all;
-  for (int v = 0; v < net.graph->vertex_count(); ++v) all.push_back(v);
+  for (int l = 0; l < net.graph->link_count(); ++l) all.push_back(l);
   std::vector<std::vector<int>> out;
   for (auto _ : state) {
     out.clear();

@@ -12,11 +12,16 @@
 //   neighbor_s    Topology reconstruction alone — the grid-backed
 //                 neighbor/interference list build the spatial index
 //                 replaced an all-pairs double loop with.
-//   contention_s  FlowSet + sparse ContentionGraph (endpoint-incidence
-//                 rule over interference lists, no pairwise scan).
+//   contention_s  FlowSet + ContentionGraph: link classes from the
+//                 per-node incidence lists, then the link adjacency
+//                 (endpoint-incidence rule over interference lists, no
+//                 pairwise scan).
 //   clique_s      CliqueStore construction = full Bron–Kerbosch over the
-//                 active graph (the from-scratch cost a re-solve used to
-//                 pay every epoch).
+//                 active link graph (the from-scratch cost a re-solve
+//                 used to pay every epoch).
+//   links / link_edges  size of the link graph the cliques run on;
+//                 contention_edges stays the subflow-level count (half
+//                 the sum of ContentionGraph::degree).
 //   delta_mean_s  mean cost of one fault-shaped delta: suspend one flow's
 //                 subflows, re-derive only the dirtied clique
 //                 neighborhood, heal it again (2 updates per round).
@@ -43,12 +48,6 @@
 //                 solve_s already measures.
 //   peak_rss_mb   VmHWM from /proc/self/status (high-water mark, so the
 //                 figure is cumulative across earlier sizes).
-//   clique_tN_s   full clique enumeration with the store's thread budget
-//                 set to N (default curve 2/4/8; --threads overrides) —
-//                 id-identical output, only wall-clock moves. On a full
-//                 default sweep the 10k point must show clique_s /
-//                 clique_t4_s >= 2 — enforced only when the machine has
-//                 >= 4 hardware threads.
 //
 // Guard (same idiom as micro_events / micro_ctrl): at the default sizes,
 // the 1k-node point's scalable-path total (neighbor_s + contention_s +
@@ -68,8 +67,6 @@
 #include <cstring>
 #include <set>
 #include <string>
-#include <string_view>
-#include <thread>
 #include <vector>
 
 #include "alloc/knowledge.hpp"
@@ -105,7 +102,7 @@ constexpr int kGuardNodes = 1000;
 // Captured on the reference machine at the default sizes (single run,
 // Release). The guard watches the scalable phase-1 path only — the packet
 // sim is event-count-bound and too seed-sensitive to gate on.
-constexpr double kBaselineGuardTotalS = 20.94;
+constexpr double kBaselineGuardTotalS = 0.234;
 
 // Delta cost is bounded by the dirty neighborhood N[Δ] — constant in
 // network size once degree saturates — so a handful of rounds averages
@@ -118,19 +115,11 @@ constexpr int kDeltaRounds = 5;
 // dominating the point's wall-clock.
 constexpr int kSolveSample = 8;
 
-// Thread counts for the multi-core scaling curve: the clique build re-runs
-// with the store's enumeration budget set to each count (id-identical
-// results, only wall-clock moves). --threads overrides, "0" disables the
-// curve.
-constexpr int kDefaultThreadCurve[] = {2, 4, 8};
-
 struct Options {
   bool quick = false;
   int nodes = 0;  ///< > 0: single custom point (guard skipped).
   int solve_sample = kSolveSample;
   double tolerance = 0.10;
-  std::vector<int> threads{std::begin(kDefaultThreadCurve),
-                           std::end(kDefaultThreadCurve)};
   std::string out = "BENCH_scale.json";
 };
 
@@ -150,22 +139,6 @@ Options parse_options(int argc, char** argv) {
                &o.solve_sample, 1, INT_MAX)
       .positive("--tolerance", "F",
                 "max allowed regression vs baseline (default 0.10)", &o.tolerance)
-      .add("--threads", "LIST",
-           "comma-separated thread counts for the\n"
-           "clique scaling curve (default 2,4,8;\n"
-           "0 disables)",
-           [&o](const std::string& list) {
-             o.threads.clear();
-             for (std::string_view rest = list;;) {
-               const auto split = split_pair(rest, ',');
-               const auto t = parse_int(split ? split->first : rest);
-               if (!t || (*t != 0 && *t < 2))
-                 return "expected counts > 1, or 0, got '" + list + "'";
-               if (*t > 1) o.threads.push_back(*t);
-               if (!split) return std::string();
-               rest = split->second;
-             }
-           })
       .text("--out", "PATH", "JSON output (default BENCH_scale.json)", &o.out);
   t.parse_or_exit(argc, argv);
   return o;
@@ -195,6 +168,8 @@ struct PointResult {
   int flows = 0;
   int subflows = 0;
   std::int64_t contention_edges = 0;
+  int links = 0;
+  std::int64_t link_edges = 0;
   int clique_count = 0;
   double gen_s = 0.0;
   double neighbor_s = 0.0;
@@ -210,14 +185,6 @@ struct PointResult {
   double sim_seconds = 0.0;
   double sim_s = 0.0;
   double rss_mb = 0.0;
-  /// Multi-core scaling curve: (threads, wall-clock seconds) per measured
-  /// thread count for the full clique enumeration. The t = 1 reference is
-  /// clique_s above.
-  std::vector<std::pair<int, double>> clique_threads_s;
-  /// False when a multi-threaded enumeration found a different clique
-  /// count than the serial one — the store's id-identity contract,
-  /// spot-checked here for free.
-  bool thread_parity_ok = true;
   /// The layers the scaling rework owns: grid-backed neighbor build,
   /// sparse contention graph, from-scratch clique enumeration, and the
   /// incremental deltas. The solve phase is excluded — its cost is the
@@ -235,8 +202,7 @@ void phase_done(const char* name, double seconds) {
   std::fflush(stdout);
 }
 
-PointResult measure(const SizeSpec& spec, int solve_sample,
-                    const std::vector<int>& threads) {
+PointResult measure(const SizeSpec& spec, int solve_sample) {
   PointResult r;
   r.nodes = spec.nodes;
   r.flows = spec.flows;
@@ -277,34 +243,18 @@ PointResult measure(const SizeSpec& spec, int solve_sample,
   r.contention_s = now_s() - t0;
   phase_done("graph", r.contention_s);
   r.subflows = flows.subflow_count();
-  for (int v = 0; v < g.vertex_count(); ++v)
-    r.contention_edges += static_cast<std::int64_t>(g.neighbors_of(v).size());
+  for (int v = 0; v < g.vertex_count(); ++v) r.contention_edges += g.degree(v);
   r.contention_edges /= 2;
+  r.links = g.link_count();
+  for (int l = 0; l < g.link_count(); ++l)
+    r.link_edges += static_cast<std::int64_t>(g.link_neighbors(l).size());
+  r.link_edges /= 2;
 
   t0 = now_s();
   CliqueStore store(g);
   r.clique_s = now_s() - t0;
   r.clique_count = store.clique_count();
   phase_done("cliques", r.clique_s);
-
-  // Thread curve for the full enumeration: an all-inactive store whose
-  // budget is set before `set_active` seeds the first rebuild — the same
-  // pattern the runner uses — so the timed call does exactly the
-  // enumeration work clique_s paid serially (modulo slab allocation,
-  // which is noise at these sizes). Results are id-identical by the
-  // store's ordered-commit contract; only wall-clock moves.
-  for (const int t : threads) {
-    CliqueStore par(g, std::vector<char>(
-                           static_cast<std::size_t>(g.vertex_count()), 0));
-    par.set_threads(t);
-    t0 = now_s();
-    par.set_active(std::vector<char>(
-        static_cast<std::size_t>(g.vertex_count()), 1));
-    r.clique_threads_s.emplace_back(t, now_s() - t0);
-    if (par.clique_count() != r.clique_count) r.thread_parity_ok = false;
-    std::printf("  cliques@%dt %.3fs", t, r.clique_threads_s.back().second);
-    std::fflush(stdout);
-  }
 
   // Fault-shaped deltas: round k suspends flow (k * stride) — all of its
   // subflows leave the active set — then heals it, exactly the toggle
@@ -460,41 +410,33 @@ int main(int argc, char** argv) {
   bool failed = false;
   std::vector<PointResult> results;
   for (const SizeSpec& spec : sizes) {
-    const PointResult r = measure(spec, opt.solve_sample, opt.threads);
+    const PointResult r = measure(spec, opt.solve_sample);
     results.push_back(r);
     std::printf(
-        "        -> %d subflows, %lld contention edges, %d cliques, "
-        "delta %.5fs mean, peak rss %.1f MB\n",
-        r.subflows, static_cast<long long>(r.contention_edges),
-        r.clique_count, r.delta_mean_s, r.rss_mb);
+        "        -> %d subflows, %lld contention edges, %d links, %lld link "
+        "edges, %d cliques, delta %.5fs mean, peak rss %.1f MB\n",
+        r.subflows, static_cast<long long>(r.contention_edges), r.links,
+        static_cast<long long>(r.link_edges), r.clique_count, r.delta_mean_s,
+        r.rss_mb);
     std::fflush(stdout);
     std::fprintf(
         f,
         "  {\"name\": \"scale_%d\", \"nodes\": %d, \"flows\": %d, "
-        "\"subflows\": %d, \"contention_edges\": %lld, \"clique_count\": %d, "
+        "\"subflows\": %d, \"contention_edges\": %lld, \"links\": %d, "
+        "\"link_edges\": %lld, \"clique_count\": %d, "
         "\"gen_s\": %.6f, \"neighbor_s\": %.6f, \"contention_s\": %.6f, "
         "\"clique_s\": %.6f, \"delta_total_s\": %.6f, \"delta_mean_s\": %.8f, "
         "\"delta_removed_mean\": %.2f, \"delta_added_mean\": %.2f, "
         "\"solve_s\": %.6f, \"solve_flows\": %d, \"solve_per_flow_s\": %.6f, "
         "\"sim_seconds\": %.2f, \"sim_s\": %.6f, "
-        "\"peak_rss_mb\": %.1f",
+        "\"peak_rss_mb\": %.1f},\n",
         r.nodes, r.nodes, r.flows, r.subflows,
-        static_cast<long long>(r.contention_edges), r.clique_count, r.gen_s,
+        static_cast<long long>(r.contention_edges), r.links,
+        static_cast<long long>(r.link_edges), r.clique_count, r.gen_s,
         r.neighbor_s, r.contention_s, r.clique_s, r.delta_total_s,
         r.delta_mean_s, r.delta_removed_mean, r.delta_added_mean, r.solve_s,
         r.solve_flows, r.solve_per_flow_s, r.sim_seconds, r.sim_s, r.rss_mb);
-    for (const auto& [t, s] : r.clique_threads_s)
-      std::fprintf(f, ", \"clique_t%d_s\": %.6f", t, s);
-    std::fprintf(f, "},\n");
     std::fflush(f);
-    if (!r.thread_parity_ok) {
-      std::fprintf(stderr,
-                   "FAIL: %d-node point: multi-threaded clique enumeration "
-                   "diverged from the serial result (id-identity contract "
-                   "broken)\n",
-                   r.nodes);
-      failed = true;
-    }
   }
 
   // --- 1k-point regression guard (default sizes only). -------------------
@@ -509,36 +451,6 @@ int main(int argc, char** argv) {
                    "%.2f s by more than %.0f%%\n",
                    guard_total, kBaselineGuardTotalS, opt.tolerance * 1e2);
       failed = true;
-    }
-  }
-
-  // --- Multi-core speedup guard (full sweep, multi-core hardware only). --
-  // The acceptance point: at 10k nodes the full clique enumeration must
-  // run >= 2x faster at 4 threads than serially. Only enforceable where 4
-  // hardware threads exist — on smaller machines the curve is still
-  // emitted but the guard is skipped with an honest note (a 1-core box
-  // legitimately runs threads *slower*).
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (guard && !opt.quick) {
-    const PointResult& top = results.back();
-    double clique_t4 = 0.0;
-    for (const auto& [t, s] : top.clique_threads_s)
-      if (t == 4) clique_t4 = s;
-    if (clique_t4 > 0.0) {
-      const double speedup = top.clique_s / clique_t4;
-      std::printf("10k-node clique enumeration speedup at 4 threads: %.2fx "
-                  "(%.1fs -> %.1fs)\n",
-                  speedup, top.clique_s, clique_t4);
-      if (hw >= 4 && speedup < 2.0) {
-        std::fprintf(stderr,
-                     "FAIL: 4-thread clique speedup %.2fx at the %d-node "
-                     "point is below the required 2x (%u hardware threads)\n",
-                     speedup, top.nodes, hw);
-        failed = true;
-      } else if (hw < 4) {
-        std::printf("speedup guard skipped: only %u hardware thread(s); "
-                    "CI multi-core runners enforce the 2x bound\n", hw);
-      }
     }
   }
 

@@ -1,8 +1,6 @@
 #include "contention/clique_store.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 #include "util/assert.hpp"
 
@@ -11,89 +9,54 @@ namespace e2efa {
 CliqueStore::CliqueStore(const ContentionGraph& g, std::vector<char> active)
     : g_(&g), active_(std::move(active)), enumerator_(g) {
   const std::size_t n = static_cast<std::size_t>(g.vertex_count());
+  const std::size_t links = static_cast<std::size_t>(g.link_count());
   if (active_.empty()) active_.assign(n, 1);
   E2EFA_ASSERT_MSG(active_.size() == n, "active flags must match vertex count");
-  active_count_ = static_cast<int>(std::count(active_.begin(), active_.end(), char{1}));
-  vertex_cliques_.resize(n);
-  dirty_mark_.assign(n, 0);
-  seed_mark_.assign(n, 0);
-  rebuild_all();
-}
-
-void CliqueStore::rebuild_all() {
-  std::vector<int> verts;
-  for (int v = 0; v < g_->vertex_count(); ++v)
-    if (active_[static_cast<std::size_t>(v)]) verts.push_back(v);
-  // Every active vertex is a seed: identical splits (and identical clique
-  // order) to CliqueEnumerator::enumerate over the active subgraph.
-  enumerate_seeds(verts, /*all_seeds=*/true);
+  link_active_.assign(links, 0);
+  link_on_.assign(links, 0);
+  for (int v = 0; v < g.vertex_count(); ++v) {
+    if (!is_active(v)) continue;
+    ++active_count_;
+    ++link_active_[static_cast<std::size_t>(g.link_of(v))];
+  }
+  link_cliques_.resize(links);
+  dirty_mark_.assign(links, 0);
+  seed_mark_.assign(links, 0);
+  // Every on link is a seed: identical splits (and identical clique order)
+  // to CliqueEnumerator::enumerate over the active link subgraph.
+  std::vector<int> on;
+  for (int l = 0; l < g.link_count(); ++l)
+    if (link_active_[static_cast<std::size_t>(l)] > 0) {
+      link_on_[static_cast<std::size_t>(l)] = 1;
+      on.push_back(l);
+    }
+  enumerate_seeds(on, /*all_seeds=*/true);
 }
 
 int CliqueStore::enumerate_seeds(const std::vector<int>& seeds, bool all_seeds) {
   // A neighbor u of seed v is excluded (X) when it is a smaller seed — the
   // clique through {v, u} is derived from u instead — and a candidate (P)
-  // otherwise. `all_seeds` short-circuits the seed_mark_ lookup for full
-  // rebuilds, where the marks are not set.
-  auto split = [&](int v, std::vector<int>& p0, std::vector<int>& x0) {
-    p0.clear();
-    x0.clear();
-    for (int u : g_->neighbors_of(v)) {
-      if (!active_[static_cast<std::size_t>(u)]) continue;
+  // otherwise. `all_seeds` short-circuits the seed_mark_ lookup for the
+  // initial build, where the marks are not set.
+  int added = 0;
+  for (int v : seeds) {
+    p0_.clear();
+    x0_.clear();
+    for (int u : g_->link_neighbors(v)) {
+      if (!link_on_[static_cast<std::size_t>(u)]) continue;
       if (u < v && (all_seeds || seed_mark_[static_cast<std::size_t>(u)]))
-        x0.push_back(u);
+        x0_.push_back(u);
       else
-        p0.push_back(u);
-    }
-  };
-
-  const int workers = std::min<int>(
-      threads_, static_cast<int>(seeds.size() / kParallelSeedThreshold));
-  if (workers <= 1) {
-    int added = 0;
-    for (int v : seeds) {
-      split(v, p0_, x0_);
-      found_.clear();
-      enumerator_.enumerate_from({v}, p0_, x0_, found_);
-      for (auto& c : found_) {
-        add_clique(std::move(c));
-        ++added;
-      }
+        p0_.push_back(u);
     }
     found_.clear();
-    return added;
-  }
-
-  // Parallel fan-out: workers claim seed indices from a shared cursor and
-  // enumerate into per-seed buckets with thread-local enumerators (the
-  // engine is not thread-safe; active_/seed_mark_/the graph are read-only
-  // here). The coordinator then commits bucket-by-bucket in seed order, so
-  // ids and stats match the serial loop exactly.
-  std::vector<std::vector<std::vector<int>>> per_seed(seeds.size());
-  std::atomic<std::size_t> cursor{0};
-  auto work = [&] {
-    CliqueEnumerator local(*g_);
-    std::vector<int> p0, x0;
-    for (;;) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= seeds.size()) return;
-      const int v = seeds[i];
-      split(v, p0, x0);
-      local.enumerate_from({v}, p0, x0, per_seed[i]);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers - 1));
-  for (int w = 1; w < workers; ++w) pool.emplace_back(work);
-  work();
-  for (std::thread& t : pool) t.join();
-
-  int added = 0;
-  for (auto& bucket : per_seed) {
-    for (auto& c : bucket) {
+    enumerator_.enumerate_from({v}, p0_, x0_, found_);
+    for (auto& c : found_) {
       add_clique(std::move(c));
       ++added;
     }
   }
+  found_.clear();
   return added;
 }
 
@@ -110,14 +73,14 @@ void CliqueStore::add_clique(std::vector<int> clique) {
   }
   live_[static_cast<std::size_t>(id)] = 1;
   ++live_count_;
-  for (int v : cliques_[static_cast<std::size_t>(id)])
-    vertex_cliques_[static_cast<std::size_t>(v)].push_back(id);
+  for (int l : cliques_[static_cast<std::size_t>(id)])
+    link_cliques_[static_cast<std::size_t>(l)].push_back(id);
 }
 
 void CliqueStore::remove_clique(int id) {
   auto& members = cliques_[static_cast<std::size_t>(id)];
-  for (int v : members) {
-    auto& ids = vertex_cliques_[static_cast<std::size_t>(v)];
+  for (int l : members) {
+    auto& ids = link_cliques_[static_cast<std::size_t>(l)];
     auto it = std::find(ids.begin(), ids.end(), id);
     E2EFA_ASSERT(it != ids.end());
     *it = ids.back();
@@ -131,77 +94,70 @@ void CliqueStore::remove_clique(int id) {
 
 CliqueStore::UpdateStats CliqueStore::update(const std::vector<int>& activate,
                                              const std::vector<int>& deactivate) {
-  UpdateStats stats;
-  // Apply the toggles first: seeds and candidate sets are read against the
-  // *new* active set.
   for (int v : deactivate) {
     E2EFA_ASSERT_MSG(is_active(v), "deactivating an inactive vertex");
     active_[static_cast<std::size_t>(v)] = 0;
     --active_count_;
+    --link_active_[static_cast<std::size_t>(g_->link_of(v))];
   }
   for (int v : activate) {
     E2EFA_ASSERT_MSG(!is_active(v), "activating an active vertex");
     active_[static_cast<std::size_t>(v)] = 1;
     ++active_count_;
+    ++link_active_[static_cast<std::size_t>(g_->link_of(v))];
   }
+  // A link toggles when its active-member count crossed zero over the
+  // whole batch; syncing link_on_ at the first visit lists each link once.
+  toggled_.clear();
+  auto sync = [&](int v) {
+    const std::size_t l = static_cast<std::size_t>(g_->link_of(v));
+    const char on = link_active_[l] > 0 ? 1 : 0;
+    if (link_on_[l] == on) return;
+    link_on_[l] = on;
+    toggled_.push_back(static_cast<int>(l));
+  };
+  for (int v : deactivate) sync(v);
+  for (int v : activate) sync(v);
 
-  // Dirty region N[Δ]: stored cliques touching it are discarded; its
-  // active part re-seeds enumeration.
+  UpdateStats stats;
+  // Dirty region N[Δ] over the toggled links: stored cliques touching it
+  // are discarded; its on part re-seeds enumeration.
+  dirty_.clear();
   seeds_.clear();
-  auto mark = [&](int v) {
-    if (dirty_mark_[static_cast<std::size_t>(v)]) return;
-    dirty_mark_[static_cast<std::size_t>(v)] = 1;
-    if (active_[static_cast<std::size_t>(v)]) {
-      seed_mark_[static_cast<std::size_t>(v)] = 1;
-      seeds_.push_back(v);
+  auto mark = [&](int l) {
+    if (dirty_mark_[static_cast<std::size_t>(l)]) return;
+    dirty_mark_[static_cast<std::size_t>(l)] = 1;
+    dirty_.push_back(l);
+    if (link_on_[static_cast<std::size_t>(l)]) {
+      seed_mark_[static_cast<std::size_t>(l)] = 1;
+      seeds_.push_back(l);
     }
   };
-  for (int delta : activate) {
+  for (int delta : toggled_) {
     mark(delta);
-    for (int u : g_->neighbors_of(delta)) mark(u);
-  }
-  for (int delta : deactivate) {
-    mark(delta);
-    for (int u : g_->neighbors_of(delta)) mark(u);
+    for (int u : g_->link_neighbors(delta)) mark(u);
   }
 
   doomed_.clear();
-  auto doom_at = [&](int v) {
-    for (int id : vertex_cliques_[static_cast<std::size_t>(v)]) doomed_.push_back(id);
-  };
-  for (int delta : activate) {
-    doom_at(delta);
-    for (int u : g_->neighbors_of(delta)) doom_at(u);
-  }
-  for (int delta : deactivate) {
-    doom_at(delta);
-    for (int u : g_->neighbors_of(delta)) doom_at(u);
-  }
+  for (int l : dirty_)
+    for (int id : link_cliques_[static_cast<std::size_t>(l)]) doomed_.push_back(id);
   for (int id : doomed_) {
     if (!live_[static_cast<std::size_t>(id)]) continue;  // already removed this round
     remove_clique(id);
     ++stats.removed;
   }
 
-  // Re-derive every maximal clique of the new active subgraph that meets
-  // the dirty region: seed Bron–Kerbosch at each dirty vertex v, with the
-  // dirty seeds u < v excluded via X so each clique is found exactly once
-  // (from its smallest dirty vertex). A clique containing v lies inside
-  // N[v], and maximality against all of N(v) ∩ active is enforced by the
-  // P/X emptiness check, so the result is globally maximal.
+  // Re-derive every maximal clique of the new on subgraph that meets the
+  // dirty region: seed Bron–Kerbosch at each dirty link v, with the dirty
+  // seeds u < v excluded via X so each clique is found exactly once (from
+  // its smallest dirty link). A clique containing v lies inside N[v], and
+  // maximality against all of N(v) ∩ on is enforced by the P/X emptiness
+  // check, so the result is globally maximal.
   std::sort(seeds_.begin(), seeds_.end());
-  stats.seeds = static_cast<int>(seeds_.size());
   stats.added = enumerate_seeds(seeds_, /*all_seeds=*/false);
 
-  for (int v : seeds_) seed_mark_[static_cast<std::size_t>(v)] = 0;
-  for (int delta : activate) {
-    dirty_mark_[static_cast<std::size_t>(delta)] = 0;
-    for (int u : g_->neighbors_of(delta)) dirty_mark_[static_cast<std::size_t>(u)] = 0;
-  }
-  for (int delta : deactivate) {
-    dirty_mark_[static_cast<std::size_t>(delta)] = 0;
-    for (int u : g_->neighbors_of(delta)) dirty_mark_[static_cast<std::size_t>(u)] = 0;
-  }
+  for (int l : seeds_) seed_mark_[static_cast<std::size_t>(l)] = 0;
+  for (int l : dirty_) dirty_mark_[static_cast<std::size_t>(l)] = 0;
   return stats;
 }
 
@@ -217,12 +173,11 @@ CliqueStore::UpdateStats CliqueStore::set_active(const std::vector<char>& active
 }
 
 std::vector<std::vector<int>> CliqueStore::cliques() const {
-  std::vector<std::vector<int>> out;
-  out.reserve(static_cast<std::size_t>(live_count_));
+  std::vector<std::vector<int>> live;
+  live.reserve(static_cast<std::size_t>(live_count_));
   for (std::size_t id = 0; id < cliques_.size(); ++id)
-    if (live_[id]) out.push_back(cliques_[id]);
-  std::sort(out.begin(), out.end());
-  return out;
+    if (live_[id]) live.push_back(cliques_[id]);
+  return expand_link_cliques(*g_, std::move(live), &active_);
 }
 
 }  // namespace e2efa

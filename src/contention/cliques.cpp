@@ -116,15 +116,15 @@ void CliqueEnumerator::enumerate(const std::vector<int>& p0,
   // subproblem inside one closed neighborhood, so the recursion never
   // carries graph-sized P/X sets the way a single global expansion would.
   // The same split CliqueStore::update uses for its dirty seeds, with
-  // every vertex dirty.
-  if (seed_mark_.size() < static_cast<std::size_t>(g_->vertex_count()))
-    seed_mark_.assign(static_cast<std::size_t>(g_->vertex_count()), 0);
+  // every link dirty.
+  if (seed_mark_.size() < static_cast<std::size_t>(g_->link_count()))
+    seed_mark_.assign(static_cast<std::size_t>(g_->link_count()), 0);
   const int epoch = ++seed_epoch_;
   for (int v : p0) seed_mark_[static_cast<std::size_t>(v)] = epoch;
   for (int v : p0) {
     seed_p_.clear();
     seed_x_.clear();
-    for (int u : g_->neighbors_of(v))
+    for (int u : g_->link_neighbors(v))
       if (seed_mark_[static_cast<std::size_t>(u)] == epoch)
         (u < v ? seed_x_ : seed_p_).push_back(u);
     enumerate_from({v}, seed_p_, seed_x_, out);
@@ -159,16 +159,16 @@ void CliqueEnumerator::enumerate_from(const std::vector<int>& r0,
   // member. std::includes aborts at the first P-vertex missing from
   // N(x), so failed probes are cheap.
   for (int x : x0) {
-    const auto& nx = g_->neighbors_of(x);
+    const auto& nx = g_->link_neighbors(x);
     if (std::includes(nx.begin(), nx.end(), p0.begin(), p0.end())) {
       out_ = nullptr;
       return;
     }
   }
 
-  if (upos_.size() < static_cast<std::size_t>(g_->vertex_count())) {
-    upos_.resize(static_cast<std::size_t>(g_->vertex_count()), 0);
-    umark_.resize(static_cast<std::size_t>(g_->vertex_count()), 0);
+  if (upos_.size() < static_cast<std::size_t>(g_->link_count())) {
+    upos_.resize(static_cast<std::size_t>(g_->link_count()), 0);
+    umark_.resize(static_cast<std::size_t>(g_->link_count()), 0);
   }
   const int epoch = ++uepoch_;
   for (int i = 0; i < m; ++i) {
@@ -179,7 +179,7 @@ void CliqueEnumerator::enumerate_from(const std::vector<int>& r0,
   rows_.assign(static_cast<std::size_t>(m) * static_cast<std::size_t>(words_), 0);
   for (int i = 0; i < m; ++i) {
     std::uint64_t* row = rows_.data() + static_cast<std::size_t>(i) * words_;
-    for (int u : g_->neighbors_of(universe_[static_cast<std::size_t>(i)]))
+    for (int u : g_->link_neighbors(universe_[static_cast<std::size_t>(i)]))
       if (umark_[static_cast<std::size_t>(u)] == epoch) {
         const int j = upos_[static_cast<std::size_t>(u)];
         row[j >> 6] |= std::uint64_t{1} << (j & 63);
@@ -262,13 +262,33 @@ void CliqueEnumerator::expand(int depth) {
   });
 }
 
+std::vector<std::vector<int>> expand_link_cliques(const ContentionGraph& g,
+                                                  std::vector<std::vector<int>> cliques,
+                                                  const std::vector<char>* keep) {
+  // Rewritten in place: each clique's buffer trades places with `links`,
+  // so the expansion reuses capacity instead of allocating per clique.
+  std::vector<int> links;
+  for (std::vector<int>& c : cliques) {
+    links.swap(c);
+    c.clear();
+    for (int l : links) {
+      const std::size_t before = c.size();
+      for (int s : g.link_members(l))
+        if (keep == nullptr || (*keep)[static_cast<std::size_t>(s)]) c.push_back(s);
+      E2EFA_ASSERT_MSG(c.size() > before, "clique link has no kept member");
+    }
+    std::sort(c.begin(), c.end());
+  }
+  std::sort(cliques.begin(), cliques.end());
+  return cliques;
+}
+
 std::vector<std::vector<int>> maximal_cliques(const ContentionGraph& g) {
-  std::vector<int> all(static_cast<std::size_t>(g.vertex_count()));
-  for (int v = 0; v < g.vertex_count(); ++v) all[static_cast<std::size_t>(v)] = v;
-  std::vector<std::vector<int>> out;
-  CliqueEnumerator(g).enumerate(all, out);
-  std::sort(out.begin(), out.end());
-  return out;
+  std::vector<int> all(static_cast<std::size_t>(g.link_count()));
+  for (int l = 0; l < g.link_count(); ++l) all[static_cast<std::size_t>(l)] = l;
+  std::vector<std::vector<int>> links;
+  CliqueEnumerator(g).enumerate(all, links);
+  return expand_link_cliques(g, std::move(links));
 }
 
 std::vector<std::vector<int>> maximal_cliques_reference(const ContentionGraph& g) {
@@ -305,10 +325,19 @@ std::vector<std::vector<int>> maximal_cliques_in_subset(const ContentionGraph& g
   for (int i = 1; i < k; ++i)
     E2EFA_ASSERT_MSG(subset[static_cast<std::size_t>(i - 1)] < subset[static_cast<std::size_t>(i)],
                      "subset must be strictly ascending");
-  std::vector<std::vector<int>> out;
-  CliqueEnumerator(g).enumerate(subset, out);
-  std::sort(out.begin(), out.end());
-  return out;
+  // Twins stay twins inside any subset, so the subset's cliques are the
+  // cliques over the links it touches, expanded with its own members.
+  std::vector<char> keep(static_cast<std::size_t>(g.vertex_count()), 0);
+  std::vector<int> links;
+  for (int s : subset) {
+    keep[static_cast<std::size_t>(s)] = 1;
+    links.push_back(g.link_of(s));
+  }
+  std::sort(links.begin(), links.end());
+  links.erase(std::unique(links.begin(), links.end()), links.end());
+  std::vector<std::vector<int>> found;
+  CliqueEnumerator(g).enumerate(links, found);
+  return expand_link_cliques(g, std::move(found), &keep);
 }
 
 }  // namespace e2efa

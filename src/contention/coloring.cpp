@@ -17,9 +17,14 @@ std::vector<int> greedy_coloring(const ContentionGraph& g) {
   std::vector<int> color(static_cast<std::size_t>(n), -1);
   for (int v : order) {
     std::vector<bool> used(static_cast<std::size_t>(n), false);
-    for (int u : g.neighbors_of(v))
-      if (color[static_cast<std::size_t>(u)] >= 0)
-        used[static_cast<std::size_t>(color[static_cast<std::size_t>(u)])] = true;
+    auto mark_link = [&](int l) {
+      for (int u : g.link_members(l))
+        if (u != v && color[static_cast<std::size_t>(u)] >= 0)
+          used[static_cast<std::size_t>(color[static_cast<std::size_t>(u)])] = true;
+    };
+    const int lv = g.link_of(v);
+    mark_link(lv);
+    for (int l : g.link_neighbors(lv)) mark_link(l);
     int c = 0;
     while (used[static_cast<std::size_t>(c)]) ++c;
     color[static_cast<std::size_t>(v)] = c;

@@ -8,106 +8,146 @@
 
 namespace e2efa {
 
-void ContentionGraph::build_incidence(int node_count) {
-  incident_.assign(static_cast<std::size_t>(node_count), {});
-  for (int s = 0; s < n_; ++s) {
-    const Subflow& sf = flows_->subflow(s);
-    incident_[static_cast<std::size_t>(sf.src)].push_back(s);
-    incident_[static_cast<std::size_t>(sf.dst)].push_back(s);
-  }
-  // Subflows are visited in ascending id order and a subflow's endpoints are
-  // distinct, so each per-node list is ascending with no duplicates.
-}
-
 ContentionGraph::ContentionGraph(const Topology& topo, const FlowSet& flows)
-    : flows_(&flows), n_(flows.subflow_count()) {
-  build_incidence(topo.node_count());
-  adj_.resize(static_cast<std::size_t>(n_));
-  // b contends with a iff some endpoint of b equals, or interferes with,
-  // some endpoint of a — i.e. iff b is incident to a node in the closed
-  // interference neighborhood of a.src or a.dst. Walking those
+    : flows_(&flows), link_of_(static_cast<std::size_t>(flows.subflow_count())) {
+  // Classes from the per-node incidence lists: a subflow joins the class
+  // already incident to its lower endpoint with the same upper endpoint, or
+  // opens a new one. Subflows are visited in ascending id order, so every
+  // member list and every per-node list comes out ascending.
+  std::vector<std::vector<int>> at_node(static_cast<std::size_t>(topo.node_count()));
+  std::vector<NodeId> upper;  // per class: max(src, dst)
+  for (int s = 0; s < vertex_count(); ++s) {
+    const Subflow& sf = flows.subflow(s);
+    const NodeId lo = std::min(sf.src, sf.dst);
+    const NodeId hi = std::max(sf.src, sf.dst);
+    auto& at_lo = at_node[static_cast<std::size_t>(lo)];
+    const auto it = std::find_if(at_lo.begin(), at_lo.end(), [&](int l) {
+      return upper[static_cast<std::size_t>(l)] == hi;
+    });
+    int l;
+    if (it != at_lo.end()) {
+      l = *it;
+    } else {
+      l = link_count();
+      members_.emplace_back();
+      upper.push_back(hi);
+      at_lo.push_back(l);
+      at_node[static_cast<std::size_t>(hi)].push_back(l);
+    }
+    link_of_[static_cast<std::size_t>(s)] = l;
+    members_[static_cast<std::size_t>(l)].push_back(s);
+  }
+
+  // m contends with l iff some endpoint of m equals, or interferes with,
+  // some endpoint of l — i.e. iff m is incident to a node in the closed
+  // interference neighborhood of either endpoint of l. Walking those
   // neighborhoods enumerates exactly the contenders; a stamp array
-  // deduplicates subflows reachable through several nodes.
-  std::vector<int> stamp(static_cast<std::size_t>(n_), -1);
-  for (int a = 0; a < n_; ++a) {
-    const Subflow& sa = flows.subflow(a);
-    auto& out = adj_[static_cast<std::size_t>(a)];
+  // deduplicates classes reachable through several nodes.
+  link_adj_.resize(members_.size());
+  std::vector<int> stamp(members_.size(), -1);
+  for (int l = 0; l < link_count(); ++l) {
+    const Subflow& any = flows.subflow(members_[static_cast<std::size_t>(l)].front());
+    auto& out = link_adj_[static_cast<std::size_t>(l)];
+    stamp[static_cast<std::size_t>(l)] = l;
     auto visit_node = [&](NodeId y) {
-      for (int b : incident_[static_cast<std::size_t>(y)]) {
-        if (b == a || stamp[static_cast<std::size_t>(b)] == a) continue;
-        stamp[static_cast<std::size_t>(b)] = a;
-        out.push_back(b);
+      for (int m : at_node[static_cast<std::size_t>(y)]) {
+        if (stamp[static_cast<std::size_t>(m)] == l) continue;
+        stamp[static_cast<std::size_t>(m)] = l;
+        out.push_back(m);
       }
     };
-    auto visit_endpoint = [&](NodeId x) {
+    for (NodeId x : {any.src, any.dst}) {
       visit_node(x);
       for (NodeId y : topo.interference_neighbors(x)) visit_node(y);
-    };
-    visit_endpoint(sa.src);
-    visit_endpoint(sa.dst);
-    std::sort(out.begin(), out.end());
+    }
   }
+  finish();
 }
 
 ContentionGraph::ContentionGraph(const FlowSet& flows,
                                  const std::vector<std::pair<int, int>>& edges)
-    : flows_(&flows), n_(flows.subflow_count()) {
-  build_incidence(flows.topology().node_count());
-  adj_.resize(static_cast<std::size_t>(n_));
+    : flows_(&flows), link_of_(static_cast<std::size_t>(flows.subflow_count())) {
+  std::iota(link_of_.begin(), link_of_.end(), 0);
+  members_.resize(link_of_.size());
+  link_adj_.resize(link_of_.size());
+  for (int s = 0; s < vertex_count(); ++s) members_[static_cast<std::size_t>(s)] = {s};
   for (const auto& [a, b] : edges) {
     check_vertex(a);
     check_vertex(b);
     E2EFA_ASSERT_MSG(a != b, "self edge in contention graph");
-    adj_[static_cast<std::size_t>(a)].push_back(b);
-    adj_[static_cast<std::size_t>(b)].push_back(a);
+    link_adj_[static_cast<std::size_t>(a)].push_back(b);
+    link_adj_[static_cast<std::size_t>(b)].push_back(a);
   }
   // Node-sharing subflows contend automatically (for intra-flow pairs this
-  // is the paper's trivial-contention rule); the incidence index gives the
-  // sharing pairs directly.
-  for (const auto& at_node : incident_) {
-    for (std::size_t i = 0; i < at_node.size(); ++i)
-      for (std::size_t j = i + 1; j < at_node.size(); ++j) {
-        adj_[static_cast<std::size_t>(at_node[i])].push_back(at_node[j]);
-        adj_[static_cast<std::size_t>(at_node[j])].push_back(at_node[i]);
+  // is the paper's trivial-contention rule).
+  std::vector<std::vector<int>> at_node(
+      static_cast<std::size_t>(flows.topology().node_count()));
+  for (int s = 0; s < vertex_count(); ++s) {
+    const Subflow& sf = flows.subflow(s);
+    for (NodeId x : {sf.src, sf.dst}) {
+      for (int t : at_node[static_cast<std::size_t>(x)]) {
+        link_adj_[static_cast<std::size_t>(s)].push_back(t);
+        link_adj_[static_cast<std::size_t>(t)].push_back(s);
       }
+      at_node[static_cast<std::size_t>(x)].push_back(s);
+    }
   }
-  for (auto& nbrs : adj_) {
+  finish();
+}
+
+void ContentionGraph::finish() {
+  degree_.resize(members_.size());
+  for (std::size_t l = 0; l < members_.size(); ++l) {
+    auto& nbrs = link_adj_[l];
     std::sort(nbrs.begin(), nbrs.end());
     nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
+    int d = static_cast<int>(members_[l].size()) - 1;
+    for (int m : nbrs) d += static_cast<int>(members_[static_cast<std::size_t>(m)].size());
+    degree_[l] = d;
   }
 }
 
 void ContentionGraph::check_vertex(int v) const {
-  E2EFA_ASSERT_MSG(v >= 0 && v < n_, "contention graph vertex out of range");
+  E2EFA_ASSERT_MSG(v >= 0 && v < vertex_count(), "contention graph vertex out of range");
+}
+
+void ContentionGraph::check_link(int l) const {
+  E2EFA_ASSERT_MSG(l >= 0 && l < link_count(), "contention graph link out of range");
 }
 
 bool ContentionGraph::contend(int a, int b) const {
-  check_vertex(a);
-  check_vertex(b);
-  const auto& nbrs = adj_[static_cast<std::size_t>(a)];
-  return std::binary_search(nbrs.begin(), nbrs.end(), b);
-}
-
-const std::vector<int>& ContentionGraph::neighbors_of(int v) const {
-  check_vertex(v);
-  return adj_[static_cast<std::size_t>(v)];
+  const int la = link_of(a);
+  const int lb = link_of(b);
+  if (la == lb) return a != b;
+  const auto& nbrs = link_adj_[static_cast<std::size_t>(la)];
+  return std::binary_search(nbrs.begin(), nbrs.end(), lb);
 }
 
 int ContentionGraph::degree(int v) const {
-  check_vertex(v);
-  return static_cast<int>(adj_[static_cast<std::size_t>(v)].size());
+  return degree_[static_cast<std::size_t>(link_of(v))];
 }
 
-const std::vector<int>& ContentionGraph::incident_subflows(NodeId n) const {
-  E2EFA_ASSERT_MSG(n >= 0 && n < static_cast<NodeId>(incident_.size()),
-                   "node id out of range");
-  return incident_[static_cast<std::size_t>(n)];
+int ContentionGraph::link_of(int v) const {
+  check_vertex(v);
+  return link_of_[static_cast<std::size_t>(v)];
+}
+
+const std::vector<int>& ContentionGraph::link_members(int l) const {
+  check_link(l);
+  return members_[static_cast<std::size_t>(l)];
+}
+
+const std::vector<int>& ContentionGraph::link_neighbors(int l) const {
+  check_link(l);
+  return link_adj_[static_cast<std::size_t>(l)];
 }
 
 std::vector<std::vector<int>> ContentionGraph::components() const {
-  std::vector<int> comp(static_cast<std::size_t>(n_), -1);
+  // Breadth-first over classes, started from the subflows in ascending
+  // order, so components are numbered by their smallest subflow.
+  std::vector<int> comp(members_.size(), -1);
   int next = 0;
-  for (int start = 0; start < n_; ++start) {
+  for (int start : link_of_) {
     if (comp[static_cast<std::size_t>(start)] != -1) continue;
     std::queue<int> q;
     q.push(start);
@@ -115,7 +155,7 @@ std::vector<std::vector<int>> ContentionGraph::components() const {
     while (!q.empty()) {
       const int u = q.front();
       q.pop();
-      for (int v : adj_[static_cast<std::size_t>(u)]) {
+      for (int v : link_adj_[static_cast<std::size_t>(u)]) {
         if (comp[static_cast<std::size_t>(v)] == -1) {
           comp[static_cast<std::size_t>(v)] = next;
           q.push(v);
@@ -125,7 +165,9 @@ std::vector<std::vector<int>> ContentionGraph::components() const {
     ++next;
   }
   std::vector<std::vector<int>> out(static_cast<std::size_t>(next));
-  for (int v = 0; v < n_; ++v) out[static_cast<std::size_t>(comp[static_cast<std::size_t>(v)])].push_back(v);
+  for (int v = 0; v < vertex_count(); ++v)
+    out[static_cast<std::size_t>(comp[static_cast<std::size_t>(link_of_[static_cast<std::size_t>(v)])])]
+        .push_back(v);
   return out;
 }
 

@@ -11,12 +11,20 @@
 // where the paper gives the graph rather than node positions (Fig. 4,
 // Fig. 5 pentagon).
 //
-// Storage is sparse: sorted adjacency lists plus a node -> incident-subflow
-// index. The geometric build walks each endpoint's interference
-// neighborhood (via the topology's cached lists) instead of testing all
-// subflow pairs, so construction is O(S * local density) rather than O(S^2)
-// and stays exact — subflow b contends with a iff b has an endpoint in the
-// closed interference neighborhood of one of a's endpoints.
+// Storage is a quotient over *link classes*. The range rule reads only a
+// subflow's two endpoints, so every subflow on one link {u, v} — of any
+// flow, in either direction — is a true twin of the others: they contend
+// with each other and have the same closed neighborhood. The geometric
+// build therefore gives each link one class and keeps the adjacency
+// between links (sorted lists), walking each endpoint's interference
+// neighborhood over the links incident to it, so construction is
+// O(L * local density) in the number of distinct links L and stays exact —
+// link m contends with link l iff m has an endpoint in the closed
+// interference neighborhood of one of l's endpoints. An explicit edge list
+// is not geometric: two subflows on one physical link may have different
+// neighborhoods there, so that constructor makes every subflow its own
+// singleton class. Either way, everything downstream (cliques, the clique
+// store, coloring) runs one code path over classes.
 #pragma once
 
 #include <vector>
@@ -25,31 +33,40 @@
 
 namespace e2efa {
 
-/// Sparse adjacency-list contention graph over the subflows of a FlowSet.
+/// Contention graph over the subflows of a FlowSet, stored as adjacency
+/// between twin classes ("links").
 class ContentionGraph {
  public:
   /// Builds from geometry: subflows a and b contend iff any endpoint of a is
-  /// within interference range of any endpoint of b.
+  /// within interference range of any endpoint of b. One class per
+  /// unordered endpoint pair {min(src, dst), max(src, dst)}.
   ContentionGraph(const Topology& topo, const FlowSet& flows);
 
   /// Builds from an explicit undirected edge list over subflow indices.
-  /// Intra-flow node-sharing edges are added automatically.
+  /// Node-sharing edges are added automatically. Every subflow is its own
+  /// class.
   ContentionGraph(const FlowSet& flows, const std::vector<std::pair<int, int>>& edges);
 
   const FlowSet& flows() const { return *flows_; }
-  int vertex_count() const { return n_; }
+  int vertex_count() const { return static_cast<int>(link_of_.size()); }
 
+  /// True when a != b and the two subflows share a class or sit on
+  /// adjacent classes.
   bool contend(int a, int b) const;
 
-  /// Neighbor list (contending subflows) of vertex v, ascending.
-  const std::vector<int>& neighbors_of(int v) const;
-
-  /// Degree of vertex v.
+  /// Number of subflows vertex v contends with: the other members of its
+  /// class plus every member of each adjacent class.
   int degree(int v) const;
 
-  /// Subflows with an endpoint at node n, ascending. Maps topology-level
-  /// deltas (node/link up-down) to the contention-graph vertices they touch.
-  const std::vector<int>& incident_subflows(NodeId n) const;
+  /// Number of twin classes. Classes are numbered in order of their
+  /// smallest member subflow.
+  int link_count() const { return static_cast<int>(members_.size()); }
+  /// Class of subflow v.
+  int link_of(int v) const;
+  /// Member subflows of class l, ascending.
+  const std::vector<int>& link_members(int l) const;
+  /// Classes adjacent to class l (excluding l), ascending.
+  const std::vector<int>& link_neighbors(int l) const;
 
   /// Connected components over subflow vertices; each component is an
   /// ascending list of subflow indices.
@@ -65,13 +82,17 @@ class ContentionGraph {
   bool same_flow(int a, int b) const;
 
  private:
-  void build_incidence(int node_count);
   void check_vertex(int v) const;
+  void check_link(int l) const;
+  /// Sorts and deduplicates each adjacency list and derives the per-class
+  /// degrees.
+  void finish();
 
   const FlowSet* flows_;
-  int n_ = 0;
-  std::vector<std::vector<int>> adj_;       // sorted neighbor lists
-  std::vector<std::vector<int>> incident_;  // per topology node, ascending
+  std::vector<int> link_of_;                // per subflow
+  std::vector<std::vector<int>> members_;   // per class, ascending
+  std::vector<std::vector<int>> link_adj_;  // per class, ascending
+  std::vector<int> degree_;                 // per class: each member's degree
 };
 
 }  // namespace e2efa

@@ -58,11 +58,6 @@ void add_run_options(OptionTable& t, CliOptions* opt) {
   t.u64("--seed", "N", "RNG seed (default 1)", &cfg.seed);
   t.integer("--queue", "N", "per-queue capacity (default 50)",
             &cfg.queue_capacity, 1, INT_MAX);
-  t.integer("--sim-threads", "N",
-            "threads for phase-1 clique enumeration (centralized\n"
-            "protocols; default 1 = serial). The packet simulation\n"
-            "stays serial; any value yields a bit-identical result",
-            &cfg.sim_threads, 1, 1024);
   t.real("--loss", "P", "default per-link packet-error rate in [0,1] (default 0)",
          &opt->default_loss, 0.0, 1.0);
   t.flag("--shares", "also print phase-1 target shares", &opt->list_shares);

@@ -505,9 +505,6 @@ std::vector<EpochAllocation> allocate_epochs(const RunPlan& plan, Protocol proto
     // Start all-inactive: epoch 0's set_active seeds the first enumeration.
     store = std::make_unique<CliqueStore>(
         *graph, std::vector<char>(static_cast<size_t>(plan.flows.subflow_count()), 0));
-    // The store's threaded path is id-identical to serial, so the thread
-    // budget never changes results (see CliqueStore::set_threads).
-    store->set_threads(cfg.sim_threads);
   }
   std::vector<EpochAllocation> epochs;
   for (size_t e = 0; e < plan.boundaries.size(); ++e)

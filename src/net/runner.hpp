@@ -82,12 +82,9 @@ struct SimConfig {
   /// the trace/check observers it IS thread-safe: one profiler may be
   /// shared across a BatchRunner fan-out and aggregates over all runs.
   Profiler* profile = nullptr;
-  /// Threads for phase-1 clique enumeration inside this one run: forwarded
-  /// to the centralized family's incremental clique store, whose epoch
-  /// rebuilds fan out over enumeration seeds (CliqueStore::set_threads).
-  /// The threaded path is id-identical to serial, so any value produces a
-  /// bit-identical RunResult; threads only change wall-clock. The packet
-  /// simulation itself always runs on the calling thread.
+  /// Unused: a run is single-threaded end to end (phase 1 and the packet
+  /// simulation). Kept only because perfbench/perf.cpp still assigns it;
+  /// delete it together with that assignment.
   int sim_threads = 1;
 };
 
@@ -236,8 +233,8 @@ struct RunResult {
   std::vector<double> reconv_s;
 
   /// Whole-result equality, bitwise on every double. This is the
-  /// determinism contract in one operator: same scenario + same seed (at
-  /// any SimConfig::sim_threads) must compare equal. The fuzzer's
+  /// determinism contract in one operator: same scenario + same seed must
+  /// compare equal, also across BatchRunner job counts. The fuzzer's
   /// differentials and the parity tests rely on it.
   bool operator==(const RunResult&) const = default;
 

@@ -77,22 +77,12 @@ TEST(Cli, RejectsBadValues) {
       {"--seconds", "0.1x"},  {"--seconds", "nan"},  {"--seconds", "1e400"},
       {"--warmup", "inf"},    {"--alpha", "nan"},    {"--seed", "7q"},
       {"--seed", "-5"},       {"--seed", "18446744073709551616"},
-      {"--sim-threads", "2abc"}, {"--queue", "5z"},  {"--loss", "0.1.2"},
+      {"--queue", "5z"},      {"--loss", "0.1.2"},
       {"--churn", "1x:2y"},   {"--mobility", "2.5:3"}};
   for (const auto& args : malformed) {
     EXPECT_FALSE(parse(args, &err).has_value()) << args[0] << " " << args[1];
     EXPECT_NE(err.find(args[0]), std::string::npos) << err;
   }
-}
-
-TEST(Cli, ParsesSimThreads) {
-  std::string err;
-  const auto opt = parse({"--sim-threads", "4"}, &err);
-  ASSERT_TRUE(opt.has_value()) << err;
-  EXPECT_EQ(opt->config.sim_threads, 4);
-  EXPECT_EQ(parse({}, &err)->config.sim_threads, 1);
-  EXPECT_FALSE(parse({"--sim-threads", "0"}, &err).has_value());
-  EXPECT_NE(err.find("--sim-threads"), std::string::npos);
 }
 
 TEST(Cli, ParsesObservabilityOptions) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "alloc/refine.hpp"
+#include "contention/clique_store.hpp"
 #include "contention/cliques.hpp"
 #include "contention/coloring.hpp"
 #include "contention/contention_graph.hpp"
@@ -105,6 +106,92 @@ TEST(ContentionGraph, Scenario1SingleGroup) {
   FlowSet fs(sc.topo, sc.flow_specs);
   ContentionGraph g(sc.topo, fs);
   EXPECT_EQ(g.flow_groups().size(), 1u);
+}
+
+// ---------- twin classes ----------
+
+/// Flow over `path` with weight 1.
+Flow path_flow(std::vector<NodeId> path) {
+  Flow f;
+  f.path = std::move(path);
+  return f;
+}
+
+bool contains(const std::vector<int>& clique, int v) {
+  return std::find(clique.begin(), clique.end(), v) != clique.end();
+}
+
+TEST(ContentionGraph, OppositeDirectionTwinsShareOneClass) {
+  // Chain 0-1-2-3-4-5. Flows A = 0->1->2 and B = 2->1 cross link {1,2} in
+  // opposite directions; C = 3->4 sits on a link adjacent to it, D = 4->5
+  // one further. Subflows: A.1 = 0, A.2 = 1, B.1 = 2, C.1 = 3, D.1 = 4.
+  const Topology topo = make_chain(6);
+  FlowSet fs(topo, {path_flow({0, 1, 2}), path_flow({2, 1}), path_flow({3, 4}),
+                    path_flow({4, 5})});
+  ContentionGraph g(topo, fs);
+  ASSERT_EQ(g.vertex_count(), 5);
+  EXPECT_EQ(g.link_count(), 4);
+  EXPECT_EQ(g.link_of(1), g.link_of(2));
+  EXPECT_EQ(g.link_members(g.link_of(1)), (std::vector<int>{1, 2}));
+
+  // contend and degree against the endpoint-range rule.
+  for (int a = 0; a < 5; ++a) {
+    int brute_degree = 0;
+    for (int b = 0; b < 5; ++b) {
+      const Subflow& sa = fs.subflow(a);
+      const Subflow& sb = fs.subflow(b);
+      bool brute = false;
+      for (NodeId x : {sa.src, sa.dst})
+        for (NodeId y : {sb.src, sb.dst}) brute = brute || x == y || topo.interferes(x, y);
+      brute = brute && a != b;
+      brute_degree += brute ? 1 : 0;
+      EXPECT_EQ(g.contend(a, b), brute) << a << "," << b;
+    }
+    EXPECT_EQ(g.degree(a), brute_degree) << a;
+  }
+
+  const std::vector<std::vector<int>> cliques = {{0, 1, 2}, {1, 2, 3}, {3, 4}};
+  EXPECT_EQ(maximal_cliques(g), cliques);
+  EXPECT_EQ(maximal_cliques_reference(g), cliques);
+  for (const auto& c : cliques) EXPECT_EQ(contains(c, 1), contains(c, 2));
+
+  // Toggling one twin leaves its link on: only the expansion changes.
+  CliqueStore store(g);
+  EXPECT_EQ(store.cliques(), cliques);
+  store.update({}, {1});
+  const std::vector<std::vector<int>> without_a2 = {{0, 2}, {2, 3}, {3, 4}};
+  EXPECT_EQ(store.cliques(), without_a2);
+  EXPECT_EQ(maximal_cliques_in_subset(g, {0, 2, 3, 4}), without_a2);
+  store.update({1}, {});
+  EXPECT_EQ(store.cliques(), cliques);
+  // Both twins off switches the link off.
+  store.update({}, {1, 2});
+  EXPECT_EQ(store.cliques(), (std::vector<std::vector<int>>{{0}, {3, 4}}));
+  EXPECT_EQ(store.clique_count(), 2);
+  store.update({2, 1}, {});
+  EXPECT_EQ(store.cliques(), cliques);
+}
+
+TEST(ContentionGraph, ExplicitEdgesKeepSameLinkSubflowsApart) {
+  // A = 0->1 and B = 1->0 share a physical link, but the explicit graph
+  // gives only A an edge to C = 2->3: they are not twins, so they stay
+  // separate classes.
+  const Topology topo = make_chain(4);
+  FlowSet fs(topo, {path_flow({0, 1}), path_flow({1, 0}), path_flow({2, 3})});
+  ContentionGraph g(fs, {{0, 2}});
+  EXPECT_EQ(g.link_count(), 3);
+  EXPECT_NE(g.link_of(0), g.link_of(1));
+  EXPECT_TRUE(g.contend(0, 1));  // shared endpoints
+  EXPECT_TRUE(g.contend(0, 2));
+  EXPECT_FALSE(g.contend(1, 2));
+  EXPECT_EQ(g.degree(0), 2);
+  EXPECT_EQ(g.degree(1), 1);
+  const std::vector<std::vector<int>> cliques = {{0, 1}, {0, 2}};
+  EXPECT_EQ(maximal_cliques(g), cliques);
+  EXPECT_EQ(maximal_cliques_reference(g), cliques);
+  CliqueStore store(g);
+  store.update({}, {0});
+  EXPECT_EQ(store.cliques(), (std::vector<std::vector<int>>{{1}, {2}}));
 }
 
 // ---------- maximal cliques ----------
