@@ -22,9 +22,10 @@
 //   links / link_edges  size of the link graph the cliques run on;
 //                 contention_edges stays the subflow-level count (half
 //                 the sum of ContentionGraph::degree).
-//   delta_mean_s  mean cost of one fault-shaped delta: suspend one flow's
-//                 subflows, re-derive only the dirtied clique
-//                 neighborhood, heal it again (2 updates per round).
+//   delta_mean_s  mean cost of one fault-shaped delta: suspend every flow
+//                 crossing one link (so the link switches off), re-derive
+//                 only the dirtied clique neighborhood, heal it again
+//                 (2 updates per round).
 //   solve_s       distributed phase 1, sampled: knowledge build (steps
 //                 1-2, all nodes — shared state) plus steps 3-5 for
 //                 kSolveSample sources spread over the flow id space:
@@ -101,8 +102,10 @@ constexpr int kGuardNodes = 1000;
 
 // Captured on the reference machine at the default sizes (single run,
 // Release). The guard watches the scalable phase-1 path only — the packet
-// sim is event-count-bound and too seed-sensitive to gate on.
-constexpr double kBaselineGuardTotalS = 0.234;
+// sim is event-count-bound and too seed-sensitive to gate on. It includes
+// the deltas, which switch a link off at 1k nodes (about 0.07 s of the
+// total).
+constexpr double kBaselineGuardTotalS = 0.341;
 
 // Delta cost is bounded by the dirty neighborhood N[Δ] — constant in
 // network size once degree saturates — so a handful of rounds averages
@@ -256,18 +259,26 @@ PointResult measure(const SizeSpec& spec, int solve_sample) {
   r.clique_count = store.clique_count();
   phase_done("cliques", r.clique_s);
 
-  // Fault-shaped deltas: round k suspends flow (k * stride) — all of its
-  // subflows leave the active set — then heals it, exactly the toggle
-  // pattern the runner's epoch machinery feeds the store.
+  // Fault-shaped deltas: round k picks the link under flow (k * stride)'s
+  // first hop and suspends every flow crossing it — all of their subflows
+  // leave the active set, so that link switches off at every size — then
+  // heals them, the toggle pattern the runner's epoch machinery feeds the
+  // store. (At 10 flows per node, suspending one flow alone leaves every
+  // link it touches carrying others: no link toggles, nothing is timed.)
   std::vector<int> suspend;
   std::int64_t removed = 0, added = 0;
   t0 = now_s();
   for (int round = 0; round < kDeltaRounds; ++round) {
-    const FlowId f = static_cast<FlowId>(
+    const FlowId f0 = static_cast<FlowId>(
         (static_cast<std::int64_t>(round) * 7919) % flows.flow_count());
     suspend.clear();
-    for (int h = 0; h < flows.flow(f).length(); ++h)
-      suspend.push_back(flows.subflow_index(f, h));
+    for (int s : g.link_members(g.link_of(flows.subflow_index(f0, 0)))) {
+      const FlowId f = flows.subflow(s).flow;
+      for (int h = 0; h < flows.flow(f).length(); ++h)
+        suspend.push_back(flows.subflow_index(f, h));
+    }
+    std::sort(suspend.begin(), suspend.end());
+    suspend.erase(std::unique(suspend.begin(), suspend.end()), suspend.end());
     const CliqueStore::UpdateStats down = store.update({}, suspend);
     const CliqueStore::UpdateStats up = store.update(suspend, {});
     removed += down.removed + up.removed;

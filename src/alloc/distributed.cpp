@@ -1,6 +1,7 @@
 #include "alloc/distributed.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "alloc/knowledge.hpp"
@@ -129,11 +130,23 @@ DistributedResult distributed_allocate(const Topology& topo, const FlowSet& flow
   const std::vector<std::vector<int>> own = overheard_subflow_sets(topo, flows);
   out.node_knowledge = exchanged_knowledge(topo, own, mask);
 
-  // Step 3: local cliques per node.
+  // Step 3: local cliques per node. They depend only on the knowledge set,
+  // and neighbors often hear exactly the same subflows, so each distinct
+  // set is enumerated once and its cliques copied to the other holders.
+  const auto& knowledge = out.node_knowledge;
+  std::vector<NodeId> by_set(static_cast<std::size_t>(nn));
+  std::iota(by_set.begin(), by_set.end(), 0);
+  std::sort(by_set.begin(), by_set.end(), [&](NodeId a, NodeId b) {
+    return knowledge[static_cast<std::size_t>(a)] < knowledge[static_cast<std::size_t>(b)];
+  });
   out.node_cliques.resize(static_cast<std::size_t>(nn));
-  for (NodeId v = 0; v < nn; ++v)
-    out.node_cliques[static_cast<std::size_t>(v)] =
-        maximal_cliques_in_subset(g, out.node_knowledge[static_cast<std::size_t>(v)]);
+  for (std::size_t k = 0; k < by_set.size(); ++k) {
+    const auto v = static_cast<std::size_t>(by_set[k]);
+    const auto prev = k > 0 ? static_cast<std::size_t>(by_set[k - 1]) : v;
+    out.node_cliques[v] = k > 0 && knowledge[v] == knowledge[prev]
+                              ? out.node_cliques[prev]
+                              : maximal_cliques_in_subset(g, knowledge[v]);
+  }
 
   // Steps 4-6: per-flow constraint accumulation and local LP at the source.
   std::vector<double> flow_share(static_cast<std::size_t>(nf), 0.0);

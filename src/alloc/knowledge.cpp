@@ -1,6 +1,6 @@
 #include "alloc/knowledge.hpp"
 
-#include <set>
+#include <algorithm>
 
 namespace e2efa {
 
@@ -35,16 +35,17 @@ std::vector<std::vector<int>> exchanged_knowledge(
     const TopologyMask* mask) {
   const int nn = topo.node_count();
   std::vector<std::vector<int>> out(static_cast<std::size_t>(nn));
+  std::vector<int> k;  // the union with duplicates, reused across nodes
   for (NodeId v = 0; v < nn; ++v) {
-    std::set<int> k(own[static_cast<std::size_t>(v)].begin(),
-                    own[static_cast<std::size_t>(v)].end());
+    k = own[static_cast<std::size_t>(v)];
     for (NodeId u : topo.neighbors(v)) {
       if (mask != nullptr && (!mask->node_alive(u) || !mask->link_alive(v, u)))
         continue;
-      k.insert(own[static_cast<std::size_t>(u)].begin(),
+      k.insert(k.end(), own[static_cast<std::size_t>(u)].begin(),
                own[static_cast<std::size_t>(u)].end());
     }
-    out[static_cast<std::size_t>(v)].assign(k.begin(), k.end());
+    std::sort(k.begin(), k.end());
+    out[static_cast<std::size_t>(v)].assign(k.begin(), std::unique(k.begin(), k.end()));
   }
   return out;
 }

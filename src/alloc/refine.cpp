@@ -34,54 +34,80 @@ void check_share_lp(const ShareLp& lp) {
 /// The level loop of both entry points (see the file comment), over the
 /// floors lb·scale. With `face_total` set, every LP also keeps
 /// Σx >= face_total − kTol: solve_share_lp's max-total face.
+///
+/// Its two LPs are built once: the level LP, with a trailing variable t,
+/// and the face LP without it, which also serves the final re-solve. Fixes
+/// and levels change only their last n rows, one per share variable, which
+/// rewrite() sets in place; each LP keeps one LpFace, whose buffers every
+/// solve reuses.
 struct Refinement {
-  const ShareLp& lp;
-  double scale;
-  std::optional<double> face_total;
-  std::vector<bool> fixed = std::vector<bool>(lp.weights.size(), false);
-  std::vector<double> fixed_value = std::vector<double>(lp.weights.size(), 0.0);  ///< w_i·t*
-  int failures = 0;  ///< Level and headroom LPs that ended non-optimal.
+  Refinement(const ShareLp& lp, double scale, std::optional<double> face_total);
 
-  /// The refinement LP under the current fixes: fixed variables pinned to
-  /// their values; free ones riding the level variable t (with_t, a
-  /// trailing column) or kept at their floor w_i·t_floor − kTol.
-  LpProblem problem(bool with_t, double t_floor) const;
+  const ShareLp& lp;
+  int n = static_cast<int>(lp.weights.size());
+  std::vector<bool> fixed = std::vector<bool>(static_cast<std::size_t>(n), false);
+  std::vector<double> fixed_value = std::vector<double>(static_cast<std::size_t>(n), 0.0);  ///< w_i·t*
+  int failures = 0;  ///< Level and headroom LPs that ended non-optimal.
+  LpProblem level;   ///< Objective t.
+  LpProblem face;    ///< Objective x_i while variable i is tested.
+  LpFace level_lp, face_lp;
+
+  /// Sets q's per-variable rows under the current fixes: fixed variables
+  /// pinned to their values; free ones riding t (the level LP) or kept at
+  /// their floor w_i·t_floor − kTol (the face LP).
+  void rewrite(LpProblem& q, double t_floor) const;
 
   /// Runs levels until every variable is fixed, leaving the last level
   /// LP's point in `x`. Returns false, with the fixes made so far, when a
   /// level LP ends non-optimal.
   bool run(const detail::SkippedHeadroomFn& on_skip, std::vector<double>& x);
+
+  /// Maximizes Σx on the face under every fix made: a clean vertex.
+  LpSolution final_solve();
 };
 
-LpProblem Refinement::problem(bool with_t, double t_floor) const {
-  const int n = static_cast<int>(lp.weights.size());
-  LpProblem q = detail::base_problem(lp, scale, with_t);
-  const int tvar = n;  // only valid when with_t
-  if (face_total) {
-    std::vector<double> coeffs(static_cast<std::size_t>(q.num_vars()), 0.0);
-    for (int i = 0; i < n; ++i) coeffs[static_cast<std::size_t>(i)] = 1.0;
-    q.add_constraint(std::move(coeffs), Relation::kGreaterEq, *face_total - kTol);
-  }
-  for (int i = 0; i < n; ++i) {
-    std::vector<double> coeffs(static_cast<std::size_t>(q.num_vars()), 0.0);
-    coeffs[static_cast<std::size_t>(i)] = 1.0;
-    if (fixed[static_cast<std::size_t>(i)]) {
-      q.add_constraint(std::move(coeffs), Relation::kEqual,
-                       fixed_value[static_cast<std::size_t>(i)]);
-    } else if (with_t) {
-      // x_i - w_i t >= 0
-      coeffs[static_cast<std::size_t>(tvar)] = -lp.weights[static_cast<std::size_t>(i)];
-      q.add_constraint(std::move(coeffs), Relation::kGreaterEq, 0.0);
-    } else {
-      q.add_constraint(std::move(coeffs), Relation::kGreaterEq,
-                       lp.weights[static_cast<std::size_t>(i)] * t_floor - kTol);
+Refinement::Refinement(const ShareLp& share_lp, double scale, std::optional<double> face_total)
+    : lp(share_lp),
+      level(detail::base_problem(share_lp, scale, /*with_t=*/true)),
+      face(detail::base_problem(share_lp, scale, /*with_t=*/false)) {
+  for (LpProblem* q : {&level, &face}) {
+    const auto nv = static_cast<std::size_t>(q->num_vars());
+    if (face_total) {
+      std::vector<double> coeffs(nv, 0.0);
+      std::fill_n(coeffs.begin(), n, 1.0);
+      q->add_constraint(std::move(coeffs), Relation::kGreaterEq, *face_total - kTol);
+    }
+    for (int i = 0; i < n; ++i) {  // set by rewrite()
+      std::vector<double> coeffs(nv, 0.0);
+      coeffs[static_cast<std::size_t>(i)] = 1.0;
+      q->add_constraint(std::move(coeffs), Relation::kGreaterEq, 0.0);
     }
   }
-  return q;
+  level.set_objective(n, 1.0);
+}
+
+void Refinement::rewrite(LpProblem& q, double t_floor) const {
+  const bool with_t = q.num_vars() > n;
+  const int first = static_cast<int>(q.constraints().size()) - n;
+  for (int i = 0; i < n; ++i) {
+    LpConstraint& row = q.constraint(first + i);
+    const double w = lp.weights[static_cast<std::size_t>(i)];
+    if (fixed[static_cast<std::size_t>(i)]) {
+      row.rel = Relation::kEqual;
+      row.rhs = fixed_value[static_cast<std::size_t>(i)];
+      if (with_t) row.coeffs[static_cast<std::size_t>(n)] = 0.0;
+    } else if (with_t) {  // x_i - w_i t >= 0
+      row.rel = Relation::kGreaterEq;
+      row.rhs = 0.0;
+      row.coeffs[static_cast<std::size_t>(n)] = -w;
+    } else {
+      row.rel = Relation::kGreaterEq;
+      row.rhs = w * t_floor - kTol;
+    }
+  }
 }
 
 bool Refinement::run(const detail::SkippedHeadroomFn& on_skip, std::vector<double>& x) {
-  const int n = static_cast<int>(lp.weights.size());
   int free_count = n;
   // Per level: the largest x_i among the witness points, and the measured
   // headroom of each free variable (NaN when its test was skipped).
@@ -90,9 +116,9 @@ bool Refinement::run(const detail::SkippedHeadroomFn& on_skip, std::vector<doubl
   constexpr double kUnmeasured = std::numeric_limits<double>::quiet_NaN();
   while (free_count > 0) {
     // Maximize the minimum weighted share t among free variables.
-    LpProblem q = problem(/*with_t=*/true, 0.0);
-    q.set_objective(n, 1.0);
-    LpSolution st = solve_lp(q);
+    rewrite(level, 0.0);
+    level_lp.load(level);
+    const LpSolution st = level_lp.maximize(level.objective());
     if (st.status != LpStatus::kOptimal) {
       ++failures;
       return false;
@@ -100,17 +126,26 @@ bool Refinement::run(const detail::SkippedHeadroomFn& on_skip, std::vector<doubl
     const double t_star = st.x[static_cast<std::size_t>(n)];
     std::copy_n(st.x.begin(), n, witness.begin());
 
-    // The level's headroom LP, rebuilt only after a fix changes the face.
-    // Its objective is x_i while variable i is tested, zero otherwise.
-    std::optional<LpProblem> face;
+    // The level's headroom LP. A fix changes the face; only then are its
+    // rows rewritten and its phase 1 run again, so every test between two
+    // fixes shares one phase 1.
+    bool rows_current = false, phase1_current = false;
     auto headroom_lp = [&](int i) -> LpProblem& {
-      if (!face) face.emplace(problem(/*with_t=*/false, t_star));
-      face->set_objective(i, 1.0);
-      return *face;
+      if (!rows_current) {
+        rewrite(face, t_star);
+        rows_current = true;
+      }
+      face.set_objective(i, 1.0);
+      return face;
     };
     auto measure = [&](int i) {
-      const LpSolution si = solve_lp(headroom_lp(i));
-      face->set_objective(i, 0.0);
+      const LpProblem& q = headroom_lp(i);
+      if (!phase1_current) {
+        face_lp.load(q);
+        phase1_current = true;
+      }
+      const LpSolution si = face_lp.maximize(q.objective());
+      face.set_objective(i, 0.0);
       if (si.status != LpStatus::kOptimal) {
         ++failures;
         return 0.0;
@@ -124,7 +159,7 @@ bool Refinement::run(const detail::SkippedHeadroomFn& on_skip, std::vector<doubl
       fixed[static_cast<std::size_t>(i)] = true;
       fixed_value[static_cast<std::size_t>(i)] = lp.weights[static_cast<std::size_t>(i)] * t_star;
       --free_count;
-      face.reset();
+      rows_current = phase1_current = false;
     };
 
     // Fix every free variable that cannot rise above w_i * t_star.
@@ -136,7 +171,7 @@ bool Refinement::run(const detail::SkippedHeadroomFn& on_skip, std::vector<doubl
         headroom[static_cast<std::size_t>(i)] = kUnmeasured;
         if (on_skip) {
           on_skip(headroom_lp(i), i, target);
-          face->set_objective(i, 0.0);
+          face.set_objective(i, 0.0);
         }
         continue;
       }
@@ -164,10 +199,15 @@ bool Refinement::run(const detail::SkippedHeadroomFn& on_skip, std::vector<doubl
       E2EFA_ASSERT(argmin >= 0);
       fix(argmin);
     }
-    x = st.x;
-    x.resize(static_cast<std::size_t>(n));
+    x.assign(st.x.begin(), st.x.begin() + n);
   }
   return true;
+}
+
+LpSolution Refinement::final_solve() {
+  rewrite(face, 0.0);
+  face_lp.load(face);
+  return face_lp.maximize(std::vector<double>(static_cast<std::size_t>(n), 1.0));
 }
 
 }  // namespace
@@ -244,22 +284,17 @@ ShareLpResult solve_share_lp(const ShareLp& lp, const SkippedHeadroomFn& on_skip
 
   // Balanced refinement on the optimal face; a failed level keeps the
   // previous level's point (tolerances).
-  Refinement refinement{lp, scale, best.objective};
+  Refinement refinement(lp, scale, best.objective);
   std::vector<double> x = best.x;
   refinement.run(on_skip, x);
   out.refine_failures = refinement.failures;
 
   // Final re-solve with all fixes applied for a clean vertex.
-  {
-    LpProblem q = refinement.problem(/*with_t=*/false, 0.0);
-    for (int i = 0; i < n; ++i) q.set_objective(i, 1.0);
-    LpSolution sf = solve_lp(q);
-    if (sf.status == LpStatus::kOptimal) {
-      x = sf.x;
-      x.resize(static_cast<std::size_t>(n));
-    } else {
-      ++out.refine_failures;
-    }
+  LpSolution sf = refinement.final_solve();
+  if (sf.status == LpStatus::kOptimal) {
+    x = std::move(sf.x);
+  } else {
+    ++out.refine_failures;
   }
 
   out.status = LpStatus::kOptimal;
@@ -275,7 +310,7 @@ ShareLpResult solve_share_lp(const ShareLp& lp) { return detail::solve_share_lp(
 
 ShareLpResult solve_maxmin_lp(const ShareLp& lp) {
   check_share_lp(lp);
-  Refinement refinement{lp, 1.0, std::nullopt};
+  Refinement refinement(lp, 1.0, std::nullopt);
   std::vector<double> x;
   E2EFA_ASSERT_MSG(refinement.run({}, x), "max-min level LP failed");
   ShareLpResult out;

@@ -10,7 +10,7 @@
 // used by the balanced-refinement pass.
 #pragma once
 
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace e2efa {
@@ -22,7 +22,6 @@ struct LpConstraint {
   std::vector<double> coeffs;
   Relation rel = Relation::kLessEq;
   double rhs = 0.0;
-  std::string name;  ///< Optional, used in diagnostics and printed tables.
 };
 
 /// A maximization LP over `num_vars` variables with per-variable lower
@@ -43,13 +42,14 @@ class LpProblem {
   const std::vector<double>& lower_bounds() const { return lower_bounds_; }
 
   /// Appends a constraint; `coeffs` must have num_vars entries.
-  void add_constraint(std::vector<double> coeffs, Relation rel, double rhs,
-                      std::string name = {});
+  void add_constraint(std::vector<double> coeffs, Relation rel, double rhs);
   const std::vector<LpConstraint>& constraints() const { return constraints_; }
+  /// Constraint k, for rewriting a row in place between solves (its
+  /// coefficient count must stay num_vars).
+  LpConstraint& constraint(int k);
 
   /// Convenience: adds sum_{i in vars} mult_i * x_i <= rhs.
-  void add_weighted_le(const std::vector<std::pair<int, double>>& terms, double rhs,
-                       std::string name = {});
+  void add_weighted_le(const std::vector<std::pair<int, double>>& terms, double rhs);
 
  private:
   int num_vars_;

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "alloc/allocation.hpp"
 #include "alloc/centralized.hpp"
 #include "alloc/distributed.hpp"
 #include "alloc/schedulability.hpp"
 #include "alloc/two_tier.hpp"
+#include "contention/cliques.hpp"
+#include "net/scenario_gen.hpp"
 #include "net/scenarios.hpp"
 #include "topology/builders.hpp"
 
@@ -320,6 +323,33 @@ TEST(Distributed, Scenario1IsConservative) {
   // Still globally feasible and basic-fair.
   EXPECT_TRUE(satisfies_clique_capacity(b.graph, d.allocation.subflow_share));
   EXPECT_TRUE(satisfies_basic_fairness(b.flows, d.allocation.flow_share));
+}
+
+TEST(Distributed, NodeCliquesAreEachNodesOwnEnumeration) {
+  // distributed_allocate enumerates each distinct knowledge set once and
+  // copies the cliques to the other nodes holding it; every node must still
+  // get exactly the cliques of its own set.
+  GenConfig gen;
+  gen.min_nodes = gen.max_nodes = 150;
+  gen.min_flows = gen.max_flows = 20;
+  gen.max_hops = 3;
+  gen.p_faults = 0.0;
+  gen.p_loss = 0.0;
+  gen.density_m = 160.0;
+  Built b(generate_scenario(0, gen));
+  const DistributedResult d = distributed_allocate(b.sc.topo, b.flows, b.graph);
+  std::set<std::vector<int>> distinct;
+  int non_empty = 0;
+  for (NodeId v = 0; v < b.sc.topo.node_count(); ++v) {
+    const auto& k = d.node_knowledge[static_cast<std::size_t>(v)];
+    EXPECT_EQ(d.node_cliques[static_cast<std::size_t>(v)], maximal_cliques_in_subset(b.graph, k))
+        << "node " << v;
+    if (k.empty()) continue;
+    ++non_empty;
+    distinct.insert(k);
+  }
+  // Shared sets occur, so the copy path runs.
+  EXPECT_LT(static_cast<int>(distinct.size()), non_empty);
 }
 
 TEST(Distributed, LocalBasicSharesAtLeastCentralized) {

@@ -9,11 +9,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "alloc/knowledge.hpp"
 #include "ctrl/messages.hpp"
 #include "net/runner.hpp"
+#include "net/scenario_gen.hpp"
 #include "net/scenarios.hpp"
 #include "route/routing.hpp"
 #include "topology/builders.hpp"
@@ -54,6 +56,45 @@ TEST(CtrlKnowledge, OverheardSetsMatchBruteForce) {
   FlowSet flows(sc.topo, sc.flow_specs);
   EXPECT_EQ(overheard_subflow_sets(sc.topo, flows),
             brute_force_own(sc.topo, flows));
+}
+
+// Brute-force K(v): Own(v) and every neighbor's Own heard through the
+// mask, merged through a std::set.
+std::vector<std::vector<int>> brute_force_exchange(const Topology& topo,
+                                                   const std::vector<std::vector<int>>& own,
+                                                   const TopologyMask* mask) {
+  std::vector<std::vector<int>> out;
+  for (NodeId v = 0; v < topo.node_count(); ++v) {
+    std::set<int> k(own[static_cast<std::size_t>(v)].begin(), own[static_cast<std::size_t>(v)].end());
+    for (NodeId u : topo.neighbors(v))
+      if (mask == nullptr || (mask->node_alive(u) && mask->link_alive(v, u)))
+        k.insert(own[static_cast<std::size_t>(u)].begin(), own[static_cast<std::size_t>(u)].end());
+    out.emplace_back(k.begin(), k.end());
+  }
+  return out;
+}
+
+TEST(CtrlKnowledge, ExchangedSetsMatchSetUnion) {
+  GenConfig gen;
+  gen.min_nodes = gen.max_nodes = 150;
+  gen.min_flows = gen.max_flows = 20;
+  gen.max_hops = 3;
+  gen.p_faults = 0.0;
+  gen.p_loss = 0.0;
+  gen.density_m = 160.0;
+  for (std::uint64_t seed = 0; seed < 2; ++seed) {
+    const Scenario sc = generate_scenario(seed, gen);
+    const FlowSet flows(sc.topo, sc.flow_specs);
+    const auto own = overheard_subflow_sets(sc.topo, flows);
+    EXPECT_EQ(exchanged_knowledge(sc.topo, own), brute_force_exchange(sc.topo, own, nullptr));
+    // A crashed node and a cut link: neither is heard across any more.
+    TopologyMask mask;
+    mask.node_up.assign(static_cast<std::size_t>(sc.topo.node_count()), true);
+    mask.node_up[3] = false;
+    const NodeId b = sc.topo.neighbors(0).front();
+    mask.down_links.emplace_back(std::min<NodeId>(0, b), std::max<NodeId>(0, b));
+    EXPECT_EQ(exchanged_knowledge(sc.topo, own, &mask), brute_force_exchange(sc.topo, own, &mask));
+  }
 }
 
 TEST(CtrlMessages, WireBytesCountPayload) {

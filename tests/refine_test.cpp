@@ -3,8 +3,13 @@
 // checked against the LP it stands in for.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "alloc/centralized.hpp"
 #include "alloc/distributed.hpp"
 #include "alloc/refine.hpp"
 #include "contention/contention_graph.hpp"
@@ -161,6 +166,80 @@ TEST(Refine, SpuriousHeadroomFailureKeepsWitnessedVariableFree) {
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_EQ(r.shares,
             (std::vector<double>{0x1.a5e664edf47c6p-2, 0x1.68666c482e0eap-3, 0x1.4bccc325ec52p-2}));
+}
+
+
+/// Each share's IEEE-754 bit pattern in hex, space-separated.
+std::string share_bits(const std::vector<double>& shares) {
+  std::string out;
+  for (double v : shares) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    char buf[20];
+    std::snprintf(buf, sizeof buf, "%s%016" PRIx64, out.empty() ? "" : " ", b);
+    out += buf;
+  }
+  return out;
+}
+
+TEST(Refine, AllocatorSharesKeepTheirPhaseOneBits) {
+  // A phase-1 golden: the 2PA-C and 2PA-D flow shares of three 150-node
+  // networks in perfbench's cold_start generator shape, as bit patterns.
+  // Any changed pivot, refinement row or fix order moves them; a change
+  // meant to move them (a new pivot rule, bounded variables, dual fixing)
+  // re-records them.
+  GenConfig gen;
+  gen.min_nodes = gen.max_nodes = 150;
+  gen.min_flows = gen.max_flows = 20;
+  gen.max_hops = 3;
+  gen.p_faults = 0.0;
+  gen.p_loss = 0.0;
+  gen.density_m = 160.0;
+  const char* const kWant[3][2] = {
+      {// network 0: 2PA-C, then 2PA-D
+       "3fcc4f0c1a3a6359 3fb3d5a97859b9d7 3fe0000000000000 3fc740c5053c19c2 "
+       "3fa0a0bd003636a9 3fb22d74aeedba87 3fb5896dd8a86af9 3fd21547917f6e80 "
+       "3fea146aa7876ee1 3fec4415a71be308 3fbddf52c720e7c1 3fb9cb8ef2e15e3f "
+       "3fe88fe072de5a50 3fbfa5fc02a4fe2a 3f94c8bb3f25540d 3fe0000000000000 "
+       "3fa22d74aeedba87 3f960382cbd227cf 3fec9f5cac06e3eb 3feb74a2d444915f",
+       "3fba0a18d6ee1d12 3fd1c628e4678e73 3fdfffff29406b24 3fc4547aff5dc995 "
+       "3fae15628a819ec2 3fc06c8ef34ae312 3fb589705ce7298e 3fcc82c4977ea3fe "
+       "3fe7d189dd347ff9 3fe0000000000000 3fc30b53b0e8a1ce 3fc071e7b7ea8591 "
+       "3fdc38506cf4c65e 3fc2bf479bd104d6 3fa57d1ea3a46595 3fe0000000000001 "
+       "3fcb601b696a71b4 3fb1ad48791f4df8 3fe40c45463727ac 3fe7f6571f626093"},
+      {// network 1: 2PA-C, then 2PA-D
+       "3fcc6728a4f3c822 3fbb4e690f4c69b8 3fc153b8cea130c0 3fc587e99402f3f4 "
+       "3fd89187ea3c2ccf 3fcef321e8e05a37 3fe0866f0b8fd2e0 3fc450d9dc389346 "
+       "3fd3013565071b73 3fd8e635d6c30df7 3fe97cb772e2aab4 3fcca84108ff0a56 "
+       "3fcdb9e0570f4cc0 3fdffffffffffffe 3fcc50afce9d0c97 3fe1cc6bad861bef "
+       "3fd5d79311e3b65d 3fe7562398af67a0 3fc153b8cea130bc 3fca0d2234755526",
+       "3fd13f43baabcf93 3fc07dc745678c0a 3fc153b8cea130b6 3fc0ae141b241ae6 "
+       "3fdbdcc5108d15bc 3fcef321e8e05a3c 3feaa3fcd03e0162 3fc450d9dc389346 "
+       "3fd32998ebbc0f88 3fcfffffffffffff 3fe97cb7580ab81c 3fc4ada04e2968c8 "
+       "3fcdb9de9f03ca2c 3fe0000000000000 3fcc50af54a00c4c 3fe38b70f23a99ec "
+       "3fd5d79311e3b65c 3fe7562398af67a4 3fbde45e3927971e 3fcdcb7461c0107f"},
+      {// network 2: 2PA-C, then 2PA-D
+       "3fa0b6ee1c689e79 3fdde9223c72ec30 3f9fcdd386275a79 3fee647b9404677c "
+       "3f9eb2aebd74a900 3f99b846bfb98845 3f95d29545bf8d6c 3fd1a5f0862e5474 "
+       "3fd479ac3c0766a5 3f8d895751efdfab 3ff0000000000000 3fdcddb35aac624a "
+       "3feaf645ad1edbb4 3fd66f33abe4d859 3f8b752329bdd60f 3f97ba82207fad90 "
+       "3f91338011b711d2 3fd5555555555555 3f975f1b7983baa7 3fec9767f46a2591",
+       "3fc11035a064ff8a 3fda83356b2a9952 3fafa3d5d484bbe4 3fe6f63217d3a603 "
+       "3fcc363698d95c54 3fbd7c36a2d30298 3fa9ef802be08349 3fc095f860a1f0dd "
+       "3fc9d027b5df257e 3f9d62585c05ce51 3ff0000000000000 3fd88cfa73d021ea "
+       "3fc57207358fd200 3fd054122457eab8 3fb2c476fc6e43df 3fbc00df81e9dad5 "
+       "3fb991bade2de0fe 3fd5555555555555 3fabc6c242af7a4b 3fbc00902febe989"},
+  };
+  for (int seed = 0; seed < 3; ++seed) {
+    const Scenario sc = generate_scenario(static_cast<std::uint64_t>(seed), gen);
+    const FlowSet flows(sc.topo, sc.flow_specs);
+    const ContentionGraph g(sc.topo, flows);
+    EXPECT_EQ(share_bits(centralized_allocate(g).allocation.flow_share), kWant[seed][0])
+        << "network " << seed << ", 2PA-C";
+    EXPECT_EQ(share_bits(distributed_allocate(sc.topo, flows, g).allocation.flow_share),
+              kWant[seed][1])
+        << "network " << seed << ", 2PA-D";
+  }
 }
 
 }  // namespace
