@@ -1,11 +1,11 @@
 // Ablation: short-term fairness vs α (Sec. IV-C: "α is a tunable parameter
 // to decide the strictness of short-term fairness").
 //
-// We sample per-flow end-to-end deliveries in 2-second windows and compute,
-// per window, Jain's index over the share-normalized rates u_f / r̂_f
-// (1.0 = every flow exactly on its allocated share in that window). The
-// mean and worst window indices quantify short-term fairness; larger α
-// tightens them at some throughput cost.
+// The metrics sampler takes per-flow end-to-end deliveries in 2-second
+// windows and computes, per window, Jain's index over the share-normalized
+// rates u_f / r̂_f (1.0 = every flow exactly on its allocated share in that
+// window). The mean and worst post-warm-up window indices quantify
+// short-term fairness; larger α tightens them at some throughput cost.
 #include <algorithm>
 #include <iostream>
 
@@ -29,14 +29,15 @@ int main(int argc, char** argv) {
     cfg.seed = args.seed;
     cfg.alpha = alpha;
     cfg.warmup_seconds = 10.0;
-    cfg.sample_interval_seconds = 2.0;
+    cfg.metrics_period_seconds = 2.0;
     const RunResult r = run_scenario(sc, Protocol::k2paCentralized, cfg);
 
     RunningStat jain;
     double worst = 1.0;
-    for (double j : jain_trajectory(r.window_end_to_end, r.target_flow_share)) {
-      jain.add(j);
-      worst = std::min(worst, j);
+    for (const MetricsSample& s : r.metrics.samples) {
+      if (s.t_s <= cfg.warmup_seconds) continue;  // nothing counts in warm-up
+      jain.add(s.jain);
+      worst = std::min(worst, s.jain);
     }
     t.add_row({strformat("%g", alpha), strformat("%.4f", jain.mean()),
                strformat("%.4f", worst), benchutil::fmt_count(r.total_end_to_end)});

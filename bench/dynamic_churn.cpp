@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   cfg.sim_seconds = args.seconds;
   cfg.seed = args.seed;
   cfg.alpha = args.alpha;
-  cfg.sample_interval_seconds = args.seconds / 18.0;
+  cfg.metrics_period_seconds = args.seconds / 18.0;
 
   const double t1 = args.seconds / 3.0, t2 = 2.0 * args.seconds / 3.0;
   sc.activity = {{0.0, 1e300}, {t1, t2}};
@@ -41,9 +41,10 @@ int main(int argc, char** argv) {
       std::cout << "\n";
     }
     TextTable t({"window", "F1 pkts", "F2 pkts"});
-    for (std::size_t w = 0; w < r.window_end_to_end.size(); ++w) {
-      t.add_row({strformat("%2zu", w), benchutil::fmt_count(r.window_end_to_end[w][0]),
-                 benchutil::fmt_count(r.window_end_to_end[w][1])});
+    for (std::size_t w = 0; w < r.metrics.samples.size(); ++w) {
+      const std::vector<std::int64_t>& d = r.metrics.samples[w].flow_delivered;
+      t.add_row({strformat("%2zu", w), benchutil::fmt_count(d[0]),
+                 benchutil::fmt_count(d[1])});
     }
     t.print(std::cout);
     std::cout << "  totals: F1 " << r.end_to_end_per_flow[0] << ", F2 "

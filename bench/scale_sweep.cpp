@@ -53,8 +53,11 @@
 // Guard (same idiom as micro_events / micro_ctrl): at the default sizes,
 // the 1k-node point's scalable-path total (neighbor_s + contention_s +
 // clique_s + delta_total_s — the layers the scaling rework owns) must
-// stay within --tolerance (default 10%) of the recorded baseline;
-// --nodes N measures a custom point and skips the guard. A full (non
+// stay within --tolerance (default 10%) of the recorded baseline. A single
+// run of those phases varies by about ±13% on a quiet machine, so the 1k
+// point times them kGuardReps times and reports (and guards) the
+// repetition with the median total; --nodes N measures a custom point
+// once and skips the guard. A full (non
 // --quick) run additionally checks the nodes-vs-time growth between 1k
 // and 10k stays sub-quadratic for the neighbor build and the clique
 // layers.
@@ -66,6 +69,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -99,6 +103,7 @@ constexpr SizeSpec kSizes[] = {
 };
 constexpr int kQuickSizes = 3;  ///< --quick stops after the 1k point.
 constexpr int kGuardNodes = 1000;
+constexpr int kGuardReps = 5;  ///< Repetitions of the guarded phases at 1k.
 
 // Captured on the reference machine at the default sizes (single run,
 // Release). The guard watches the scalable phase-1 path only — the packet
@@ -205,7 +210,10 @@ void phase_done(const char* name, double seconds) {
   std::fflush(stdout);
 }
 
-PointResult measure(const SizeSpec& spec, int solve_sample) {
+/// Measures one size. The guarded phases (neighbor build through deltas)
+/// run `reps` times; the repetition with the median guarded total supplies
+/// their figures.
+PointResult measure(const SizeSpec& spec, int solve_sample, int reps) {
   PointResult r;
   r.nodes = spec.nodes;
   r.flows = spec.flows;
@@ -229,22 +237,87 @@ PointResult measure(const SizeSpec& spec, int solve_sample) {
   r.gen_s = now_s() - t0;
   phase_done("gen", r.gen_s);
 
-  // Re-run the Topology constructor on the same placement to time the
-  // grid-backed neighbor/interference build in isolation (gen_s above
-  // already paid it once inside make_random).
   std::vector<Point> pts;
   pts.reserve(static_cast<std::size_t>(sc.topo.node_count()));
   for (NodeId v = 0; v < sc.topo.node_count(); ++v) pts.push_back(sc.topo.position(v));
-  t0 = now_s();
-  const Topology rebuilt(std::move(pts), sc.topo.tx_range(), sc.topo.interference_range());
-  r.neighbor_s = now_s() - t0;
-  phase_done("nbr", r.neighbor_s);
+  // The last repetition's graph serves the solve phase below.
+  std::optional<FlowSet> flows_slot;
+  std::optional<ContentionGraph> graph_slot;
+  std::vector<PointResult> rep_results;
+  for (int rep = 0; rep < reps; ++rep) {
+    PointResult p;
+    // Re-run the Topology constructor on the same placement to time the
+    // grid-backed neighbor/interference build in isolation (gen_s above
+    // already paid it once inside make_random).
+    std::vector<Point> placement = pts;
+    t0 = now_s();
+    const Topology rebuilt(std::move(placement), sc.topo.tx_range(),
+                           sc.topo.interference_range());
+    p.neighbor_s = now_s() - t0;
 
-  t0 = now_s();
-  const FlowSet flows(sc.topo, sc.flow_specs);
-  const ContentionGraph g(sc.topo, flows);
-  r.contention_s = now_s() - t0;
+    graph_slot.reset();
+    t0 = now_s();
+    const FlowSet& flows = flows_slot.emplace(sc.topo, sc.flow_specs);
+    const ContentionGraph& g = graph_slot.emplace(sc.topo, flows);
+    p.contention_s = now_s() - t0;
+
+    t0 = now_s();
+    CliqueStore store(g);
+    p.clique_s = now_s() - t0;
+
+    // Fault-shaped deltas: round k picks the link under flow (k * stride)'s
+    // first hop and suspends every flow crossing it — all of their
+    // subflows leave the active set, so that link switches off at every
+    // size — then heals them, the toggle pattern the runner's epoch
+    // machinery feeds the store. (At 10 flows per node, suspending one
+    // flow alone leaves every link it touches carrying others: no link
+    // toggles, nothing is timed.)
+    std::vector<int> suspend;
+    std::int64_t removed = 0, added = 0;
+    t0 = now_s();
+    for (int round = 0; round < kDeltaRounds; ++round) {
+      const FlowId f0 = static_cast<FlowId>(
+          (static_cast<std::int64_t>(round) * 7919) % flows.flow_count());
+      suspend.clear();
+      for (int s : g.link_members(g.link_of(flows.subflow_index(f0, 0)))) {
+        const FlowId f = flows.subflow(s).flow;
+        for (int h = 0; h < flows.flow(f).length(); ++h)
+          suspend.push_back(flows.subflow_index(f, h));
+      }
+      std::sort(suspend.begin(), suspend.end());
+      suspend.erase(std::unique(suspend.begin(), suspend.end()), suspend.end());
+      const CliqueStore::UpdateStats down = store.update({}, suspend);
+      const CliqueStore::UpdateStats up = store.update(suspend, {});
+      removed += down.removed + up.removed;
+      added += down.added + up.added;
+    }
+    p.delta_total_s = now_s() - t0;
+    p.delta_removed_mean = static_cast<double>(removed) / (2.0 * kDeltaRounds);
+    p.delta_added_mean = static_cast<double>(added) / (2.0 * kDeltaRounds);
+    p.clique_count = store.clique_count();
+    rep_results.push_back(p);
+  }
+  std::sort(rep_results.begin(), rep_results.end(),
+            [](const PointResult& a, const PointResult& b) {
+              return a.guard_total_s() < b.guard_total_s();
+            });
+  const PointResult& median = rep_results[rep_results.size() / 2];
+  r.neighbor_s = median.neighbor_s;
+  r.contention_s = median.contention_s;
+  r.clique_s = median.clique_s;
+  r.clique_count = median.clique_count;
+  r.delta_total_s = median.delta_total_s;
+  r.delta_mean_s = r.delta_total_s / (2.0 * kDeltaRounds);
+  r.delta_removed_mean = median.delta_removed_mean;
+  r.delta_added_mean = median.delta_added_mean;
+  phase_done("nbr", r.neighbor_s);
   phase_done("graph", r.contention_s);
+  phase_done("cliques", r.clique_s);
+  phase_done("deltas", r.delta_total_s);
+  if (reps > 1) std::printf(" (median of %d)", reps);
+
+  const FlowSet& flows = *flows_slot;
+  const ContentionGraph& g = *graph_slot;
   r.subflows = flows.subflow_count();
   for (int v = 0; v < g.vertex_count(); ++v) r.contention_edges += g.degree(v);
   r.contention_edges /= 2;
@@ -252,43 +325,6 @@ PointResult measure(const SizeSpec& spec, int solve_sample) {
   for (int l = 0; l < g.link_count(); ++l)
     r.link_edges += static_cast<std::int64_t>(g.link_neighbors(l).size());
   r.link_edges /= 2;
-
-  t0 = now_s();
-  CliqueStore store(g);
-  r.clique_s = now_s() - t0;
-  r.clique_count = store.clique_count();
-  phase_done("cliques", r.clique_s);
-
-  // Fault-shaped deltas: round k picks the link under flow (k * stride)'s
-  // first hop and suspends every flow crossing it — all of their subflows
-  // leave the active set, so that link switches off at every size — then
-  // heals them, the toggle pattern the runner's epoch machinery feeds the
-  // store. (At 10 flows per node, suspending one flow alone leaves every
-  // link it touches carrying others: no link toggles, nothing is timed.)
-  std::vector<int> suspend;
-  std::int64_t removed = 0, added = 0;
-  t0 = now_s();
-  for (int round = 0; round < kDeltaRounds; ++round) {
-    const FlowId f0 = static_cast<FlowId>(
-        (static_cast<std::int64_t>(round) * 7919) % flows.flow_count());
-    suspend.clear();
-    for (int s : g.link_members(g.link_of(flows.subflow_index(f0, 0)))) {
-      const FlowId f = flows.subflow(s).flow;
-      for (int h = 0; h < flows.flow(f).length(); ++h)
-        suspend.push_back(flows.subflow_index(f, h));
-    }
-    std::sort(suspend.begin(), suspend.end());
-    suspend.erase(std::unique(suspend.begin(), suspend.end()), suspend.end());
-    const CliqueStore::UpdateStats down = store.update({}, suspend);
-    const CliqueStore::UpdateStats up = store.update(suspend, {});
-    removed += down.removed + up.removed;
-    added += down.added + up.added;
-  }
-  r.delta_total_s = now_s() - t0;
-  r.delta_mean_s = r.delta_total_s / (2.0 * kDeltaRounds);
-  r.delta_removed_mean = static_cast<double>(removed) / (2.0 * kDeltaRounds);
-  r.delta_added_mean = static_cast<double>(added) / (2.0 * kDeltaRounds);
-  phase_done("deltas", r.delta_total_s);
 
   // Distributed phase 1, sampled. Steps 1-2 (overhear + exchange) build
   // the shared knowledge state for every node; then kSolveSample sources
@@ -421,7 +457,8 @@ int main(int argc, char** argv) {
   bool failed = false;
   std::vector<PointResult> results;
   for (const SizeSpec& spec : sizes) {
-    const PointResult r = measure(spec, opt.solve_sample);
+    const bool guarded = opt.nodes == 0 && spec.nodes == kGuardNodes;
+    const PointResult r = measure(spec, opt.solve_sample, guarded ? kGuardReps : 1);
     results.push_back(r);
     std::printf(
         "        -> %d subflows, %lld contention edges, %d links, %lld link "

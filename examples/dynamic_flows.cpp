@@ -19,7 +19,7 @@ int main() {
 
   SimConfig cfg;
   cfg.sim_seconds = 120.0;
-  cfg.sample_interval_seconds = 10.0;
+  cfg.metrics_period_seconds = 10.0;
 
   sc.activity = {
       {0.0, 1e300},   // F1: always on
@@ -39,10 +39,9 @@ int main() {
 
   std::cout << "\nWindowed end-to-end deliveries (10-s windows):\n";
   TextTable t({"window start s", "F1 pkts", "F2 pkts"});
-  for (std::size_t w = 0; w < r.window_end_to_end.size(); ++w) {
-    t.add_row({strformat("%.0f", 10.0 * static_cast<double>(w)),
-               std::to_string(r.window_end_to_end[w][0]),
-               std::to_string(r.window_end_to_end[w][1])});
+  for (const MetricsSample& s : r.metrics.samples) {
+    t.add_row({strformat("%.0f", s.t_s - cfg.metrics_period_seconds),
+               std::to_string(s.flow_delivered[0]), std::to_string(s.flow_delivered[1])});
   }
   t.print(std::cout);
   std::cout << "\nTotals: F1 " << r.end_to_end_per_flow[0] << ", F2 "

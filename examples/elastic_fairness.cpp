@@ -88,7 +88,7 @@ CellResult evaluate(const Scenario& base, TransportKind kind, Protocol proto,
 
   SimConfig cfg;
   cfg.sim_seconds = opt.seconds;
-  cfg.sample_interval_seconds = 2.0;
+  cfg.metrics_period_seconds = 2.0;
   cfg.seed = opt.seed;
   const RunResult r = run_scenario(sc, proto, cfg);
 
@@ -98,7 +98,8 @@ CellResult evaluate(const Scenario& base, TransportKind kind, Protocol proto,
   if (!own_solve) targets = fallback_targets;  // 802.11: 2PA-C's solve
 
   CellResult cell;
-  const std::size_t n = r.window_end_to_end.size();
+  const std::vector<MetricsSample>& samples = r.metrics.samples;
+  const std::size_t n = samples.size();
   const std::size_t tail0 = 2 * n / 3;
   const std::size_t flows = sc.flow_specs.size();
   cell.rate_pps.assign(flows, 0.0);
@@ -106,8 +107,8 @@ CellResult evaluate(const Scenario& base, TransportKind kind, Protocol proto,
   for (std::size_t w = tail0; w < n; ++w, ++windows) {
     std::vector<double> normalized;
     for (std::size_t f = 0; f < flows; ++f) {
-      const double pkts = static_cast<double>(r.window_end_to_end[w][f]);
-      cell.rate_pps[f] += pkts / cfg.sample_interval_seconds;
+      const double pkts = static_cast<double>(samples[w].flow_delivered[f]);
+      cell.rate_pps[f] += pkts / cfg.metrics_period_seconds;
       normalized.push_back(pkts / targets[f]);
     }
     cell.jain += jain_fairness_index(normalized);

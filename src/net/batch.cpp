@@ -6,22 +6,8 @@
 #include <exception>
 #include <mutex>
 #include <thread>
-#include <utility>
-
-#include "obs/metrics.hpp"
-#include "util/assert.hpp"
 
 namespace e2efa {
-
-std::string metrics_seed_path(const std::string& path, std::uint64_t seed) {
-  const std::string tag = ".seed" + std::to_string(seed);
-  const auto slash = path.find_last_of('/');
-  const auto dot = path.find_last_of('.');
-  if (dot == std::string::npos ||
-      (slash != std::string::npos && dot < slash))
-    return path + tag;
-  return path.substr(0, dot) + tag + path.substr(dot);
-}
 
 BatchRunner::BatchRunner(int jobs) : jobs_(jobs) {
   if (jobs_ <= 0) {
@@ -78,22 +64,6 @@ std::vector<RunResult> BatchRunner::run_seeds(
     jobs[i].config.seed = seeds[i];
   }
   return run(jobs);
-}
-
-bool BatchRunner::run_seeds_with_metrics(
-    const Scenario& sc, Protocol proto, const SimConfig& base,
-    const std::vector<std::uint64_t>& seeds, const std::string& metrics_out,
-    std::vector<RunResult>* results, std::string* error) const {
-  E2EFA_ASSERT(results != nullptr && error != nullptr);
-  E2EFA_ASSERT_MSG(base.metrics_period_seconds > 0,
-                   "run_seeds_with_metrics needs metrics_period_seconds > 0");
-  *results = run_seeds(sc, proto, base, seeds);
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    if (!write_metrics_jsonl((*results)[i].metrics,
-                             metrics_seed_path(metrics_out, seeds[i]), error))
-      return false;
-  }
-  return true;
 }
 
 std::vector<RunResult> BatchRunner::run_protocols(

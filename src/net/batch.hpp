@@ -10,18 +10,12 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "net/runner.hpp"
 #include "net/scenarios.hpp"
 
 namespace e2efa {
-
-/// Per-seed metrics file name: inserts ".seed<N>" before the extension
-/// ("out/m.jsonl", 7 → "out/m.seed7.jsonl"); extensionless paths get the
-/// tag appended.
-std::string metrics_seed_path(const std::string& path, std::uint64_t seed);
 
 class BatchRunner {
  public:
@@ -50,19 +44,6 @@ class BatchRunner {
   std::vector<RunResult> run_protocols(const Scenario& sc,
                                        const std::vector<Protocol>& protos,
                                        const SimConfig& cfg) const;
-
-  /// run_seeds + one metrics JSONL file per seed, written to
-  /// metrics_seed_path(metrics_out, seed). `base.metrics_period_seconds`
-  /// must be > 0 (it is what fills RunResult::metrics). Files are written
-  /// sequentially on the calling thread after every run completes, so their
-  /// contents are independent of the thread count. Returns false and fills
-  /// *error on the first file that cannot be written (earlier files stay).
-  bool run_seeds_with_metrics(const Scenario& sc, Protocol proto,
-                              const SimConfig& base,
-                              const std::vector<std::uint64_t>& seeds,
-                              const std::string& metrics_out,
-                              std::vector<RunResult>* results,
-                              std::string* error) const;
 
  private:
   int jobs_;

@@ -21,7 +21,6 @@
 #include "sched/fifo_queue.hpp"
 #include "sched/tag_scheduler.hpp"
 #include "sim/simulator.hpp"
-#include "traffic/cbr_source.hpp"
 #include "transport/ack_plane.hpp"
 #include "transport/aimd.hpp"
 #include "transport/bbr.hpp"
@@ -844,8 +843,8 @@ std::unique_ptr<Network> build_network(const Scenario& sc, const RunPlan& plan,
 // ---- Stage 4: observers. ----
 
 /// Periodic read-only probes hung off a built network and scheduled after
-/// its own events: the in-band re-convergence probe, the short-term
-/// fairness windows, and the metrics sampler. None perturbs the trajectory.
+/// its own events: the in-band re-convergence probe and the metrics
+/// sampler. Neither perturbs the trajectory.
 /// Events capture this object's address, so it is never moved.
 class Observers {
  public:
@@ -857,13 +856,10 @@ class Observers {
 
  private:
   void probe_reconvergence();
-  void sample_window() { windows_.push_back(window_delta_.take(net_.plan, net_.stats)); }
   void sample_metrics();
 
   Network& net_;
   std::vector<double> reconv_;
-  DeliveryDelta window_delta_;
-  std::vector<std::vector<std::int64_t>> windows_;
   MetricsTimeSeries metrics_;
   DeliveryDelta metrics_delta_;
   Delta<double> timeouts_, attempts_, airtime_, ctrl_bytes_, retransmits_, seq_gaps_;
@@ -872,19 +868,12 @@ class Observers {
 Observers::Observers(Network& net)
     : net_(net),
       reconv_(net.plan.boundaries.size(), -1.0),
-      window_delta_(net.plan.F),
       metrics_delta_(net.plan.F) {
   const SimConfig& cfg = net.cfg;
   const TimeNs horizon = net.plan.horizon;
   if (in_band(net.proto) && net.plan.epochs() > 1) {
     const TimeNs period = from_seconds(0.1);
     run_every(net.sim, period, period, horizon, [this] { probe_reconvergence(); });
-  }
-  if (cfg.sample_interval_seconds > 0.0) {
-    const TimeNs interval = from_seconds(cfg.sample_interval_seconds);
-    E2EFA_ASSERT(interval > 0);
-    run_every(net.sim, from_seconds(cfg.warmup_seconds) + interval, interval, horizon,
-              [this] { sample_window(); });
   }
   if (cfg.metrics_period_seconds > 0.0) {
     metrics_.period_s = cfg.metrics_period_seconds;
@@ -923,19 +912,20 @@ void Observers::sample_metrics() {
   const double period_s = cfg.metrics_period_seconds;
   MetricsSample samp;
   samp.t_s = to_seconds(net_.sim.now());
-  const std::vector<std::int64_t> delta = metrics_delta_.take(plan, net_.stats);
-  std::vector<double> share(delta.size(), 0.0);
-  for (size_t f = 0; f < delta.size(); ++f) {
-    samp.flow_goodput_pps.push_back(static_cast<double>(delta[f]) / period_s);
-    share[f] = static_cast<double>(delta[f]) * 8.0 * cfg.payload_bytes /
+  samp.flow_delivered = metrics_delta_.take(plan, net_.stats);
+  const size_t flows = samp.flow_delivered.size();
+  std::vector<double> rate(flows), share(flows);
+  for (size_t f = 0; f < flows; ++f) {
+    const double delivered = static_cast<double>(samp.flow_delivered[f]);
+    rate[f] = delivered / period_s;
+    share[f] = delivered * 8.0 * cfg.payload_bytes /
                (period_s * static_cast<double>(kChannelBps));
   }
   // Share-normalized fairness against the epoch targets in force at the
   // window midpoint; raw rates when there is no allocation (802.11).
   const std::vector<double> normalized = normalized_by(
       share, logical_shares(plan, net_.epochs, plan.epoch_at(samp.t_s - 0.5 * period_s)));
-  samp.jain = normalized.empty() ? jain_fairness_index(samp.flow_goodput_pps)
-                                 : jain_fairness_index(normalized);
+  samp.jain = jain_fairness_index(normalized.empty() ? rate : normalized);
   // Counters are read straight from the components; each sum is an
   // integer below 2^53, so it is exact as a double.
   std::vector<double> depths;
@@ -983,7 +973,6 @@ void Observers::sample_metrics() {
 }
 
 void Observers::collect(RunResult& out) {
-  out.window_end_to_end = std::move(windows_);
   out.metrics = std::move(metrics_);
   if (in_band(net_.proto) && net_.plan.epochs() > 1) {
     out.reconv_s = std::move(reconv_);

@@ -52,10 +52,6 @@ struct SimConfig {
   /// Measurements start after this transient (simulated seconds); the run
   /// lasts warmup + sim_seconds in total.
   double warmup_seconds = 0.0;
-  /// When > 0, sample per-flow end-to-end deliveries every this many
-  /// simulated seconds (fills RunResult::window_end_to_end) — used to study
-  /// short-term fairness (the α knob's purpose).
-  double sample_interval_seconds = 0.0;
   /// False switches the MAC to basic access (no RTS/CTS): hidden terminals
   /// then collide on whole DATA frames. The paper always uses RTS/CTS.
   bool use_rts_cts = true;
@@ -66,9 +62,10 @@ struct SimConfig {
   /// fans out across BatchRunner threads.
   TraceSink* trace = nullptr;
   /// When > 0, sample the components' counters every this many simulated
-  /// seconds into RunResult::metrics (windowed goodput, share-normalized
-  /// Jain index, queue-depth percentiles, MAC retry rate, channel
-  /// utilization). 0 (default) disables the sampler entirely.
+  /// seconds into RunResult::metrics (per-flow end-to-end deliveries,
+  /// share-normalized Jain index, queue-depth percentiles, MAC retry rate,
+  /// channel utilization) — the windows that show short-term fairness (the
+  /// α knob's purpose). 0 (default) disables the sampler entirely.
   double metrics_period_seconds = 0.0;
   /// Invariant-check observer (src/check/check.hpp). Null (default)
   /// disables all oracles; like the trace sink, an installed observer never
@@ -114,11 +111,6 @@ struct RunResult {
   /// delivered nothing inside the measurement window).
   std::vector<double> mean_delay_s;
   std::vector<double> max_delay_s;
-
-  /// Per-sample-window end-to-end deliveries: window_end_to_end[w][f] =
-  /// packets flow f completed during window w. Empty unless
-  /// SimConfig::sample_interval_seconds > 0.
-  std::vector<std::vector<std::int64_t>> window_end_to_end;
 
   /// Multi-epoch runs (dynamic flow sets and/or fault plans): epoch start
   /// times (seconds) and the per-epoch re-computed flow shares (0 for flows

@@ -19,10 +19,12 @@ std::string double_array_json(const std::vector<double>& v) {
   return out;
 }
 
-}  // namespace
-
-std::string metrics_sample_jsonl(const MetricsSample& s) {
-  const std::string goodput = double_array_json(s.flow_goodput_pps);
+/// One sample as a single JSON line (no trailing newline).
+std::string metrics_sample_jsonl(const MetricsSample& s, double period_s) {
+  std::vector<double> goodput_pps;
+  for (std::int64_t delivered : s.flow_delivered)
+    goodput_pps.push_back(static_cast<double>(delivered) / period_s);
+  const std::string goodput = double_array_json(goodput_pps);
   std::string line = strformat(
       "{\"t_s\":%.17g,\"flow_goodput_pps\":%s,\"jain\":%.17g,"
       "\"queue_p50\":%.17g,\"queue_p95\":%.17g,\"queue_max\":%.17g,"
@@ -44,6 +46,8 @@ std::string metrics_sample_jsonl(const MetricsSample& s) {
   return line;
 }
 
+}  // namespace
+
 bool write_metrics_jsonl(const MetricsTimeSeries& ts, const std::string& path,
                          std::string* error) {
   E2EFA_ASSERT(error != nullptr);
@@ -52,18 +56,13 @@ bool write_metrics_jsonl(const MetricsTimeSeries& ts, const std::string& path,
     *error = "cannot open metrics file: " + path;
     return false;
   }
-  std::string reconv = "[";
-  for (std::size_t e = 0; e < ts.reconv_s.size(); ++e) {
-    if (e > 0) reconv += ",";
-    reconv += strformat("%.17g", ts.reconv_s[e]);
-  }
-  reconv += "]";
+  const std::string reconv = double_array_json(ts.reconv_s);
   const std::string header =
       strformat("{\"metrics_period_s\":%.17g,\"samples\":%zu,\"reconv_s\":%s}\n",
                 ts.period_s, ts.samples.size(), reconv.c_str());
   std::fwrite(header.data(), 1, header.size(), f);
   for (const MetricsSample& s : ts.samples) {
-    const std::string line = metrics_sample_jsonl(s);
+    const std::string line = metrics_sample_jsonl(s, ts.period_s);
     std::fwrite(line.data(), 1, line.size(), f);
     std::fputc('\n', f);
   }

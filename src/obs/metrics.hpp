@@ -2,13 +2,16 @@
 //
 // Components keep their counters as plain struct fields incremented on the
 // hot path. When metrics are enabled, the runner reads those fields
-// directly on a fixed period into a MetricsTimeSeries: windowed per-flow
-// goodput, a share-normalized Jain fairness index, queue-depth percentiles,
+// directly on a fixed period into a MetricsTimeSeries: per-flow end-to-end
+// deliveries, a share-normalized Jain fairness index, queue-depth percentiles,
 // the MAC retry rate, and channel airtime utilization. Sampling happens at
 // deterministic simulation times from in-simulation state only, so the
-// series is identical across reruns and BatchRunner thread counts.
+// series is identical across reruns and BatchRunner thread counts. It is
+// the only periodic per-flow sampler: short-term fairness studies read
+// their windows from it.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -17,8 +20,10 @@ namespace e2efa {
 /// One periodic sample. All values are window deltas or instantaneous
 /// gauges, never cumulative, so each row is meaningful on its own.
 struct MetricsSample {
-  double t_s = 0.0;                      ///< Window end time, seconds.
-  std::vector<double> flow_goodput_pps;  ///< Per logical flow, this window.
+  double t_s = 0.0;  ///< Window end time, seconds.
+  /// End-to-end deliveries per logical flow in the window (t_s − period,
+  /// t_s]; nothing counts before the run's warm-up ends.
+  std::vector<std::int64_t> flow_delivered;
   double jain = 1.0;  ///< Jain over share-normalized windowed rates.
   double queue_depth_p50 = 0.0;
   double queue_depth_p95 = 0.0;
@@ -59,12 +64,10 @@ struct MetricsTimeSeries {
   bool operator==(const MetricsTimeSeries&) const = default;
 };
 
-/// One sample as a single JSON line (no trailing newline). %.17g doubles:
-/// byte-deterministic for identical inputs.
-std::string metrics_sample_jsonl(const MetricsSample& s);
-
-/// Writes the series as JSONL (one header line, one line per sample).
-/// Returns false and fills *error if the file cannot be created.
+/// Writes the series as JSONL (one header line, one line per sample, %.17g
+/// doubles: byte-deterministic for identical inputs). Each sample's
+/// deliveries print as `flow_goodput_pps`, delivered / period_s. Returns
+/// false and fills *error if the file cannot be created.
 bool write_metrics_jsonl(const MetricsTimeSeries& ts, const std::string& path,
                          std::string* error);
 

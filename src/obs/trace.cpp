@@ -28,6 +28,13 @@ struct TraceHeader {
 static_assert(sizeof(TraceHeader) == 16);
 constexpr long kTraceCountOffset = 12;  ///< Byte offset of record_count.
 
+/// Writes the binary-format header to an open file with the "unknown
+/// count" sentinel (TraceSink::close patches the real count in).
+void write_trace_header(std::FILE* f) {
+  const TraceHeader h;
+  std::fwrite(&h, sizeof(h), 1, f);
+}
+
 }  // namespace
 
 const char* to_string(TraceEvent e) {
@@ -221,11 +228,6 @@ std::string trace_record_jsonl(const TraceRecord& r) {
       static_cast<long long>(r.t), to_string(r.event()), static_cast<int>(r.node),
       static_cast<int>(r.a), static_cast<int>(r.b),
       static_cast<unsigned>(r.span), static_cast<unsigned>(r.parent), r.v0, r.v1);
-}
-
-void write_trace_header(std::FILE* f) {
-  const TraceHeader h;
-  std::fwrite(&h, sizeof(h), 1, f);
 }
 
 bool write_trace_file(const std::vector<TraceRecord>& records,

@@ -4,10 +4,8 @@
 // Design goals, in order:
 //   1. Zero overhead when disabled. Instrumented components hold a
 //      `TraceSink*` that defaults to null; the entire hot-path cost of a
-//      disabled trace point is one pointer test. Whole categories can
-//      additionally be compiled out with -DE2EFA_TRACE_COMPILED_CATEGORIES
-//      (a bitmask over TraceCat), which folds the emit body to nothing at
-//      the call site via `if constexpr`.
+//      disabled trace point is one pointer test, and a category the
+//      runtime filter excludes costs one mask test more.
 //   2. Determinism. Emission is strictly passive: no RNG, no scheduled
 //      events, no time queries — callers pass the simulation timestamp.
 //      The same seed therefore produces byte-identical trace files, and
@@ -45,8 +43,8 @@
 
 namespace e2efa {
 
-/// Trace categories: one bit each, used by both the runtime filter
-/// (--trace-filter) and the compile-time mask.
+/// Trace categories: one bit each, used by the runtime filter
+/// (--trace-filter).
 enum class TraceCat : std::uint32_t {
   kMeta = 0,     ///< Run/flow/subflow structure (always useful; see below).
   kPhy = 1,      ///< Frame tx / rx / collision / fault at the channel.
@@ -67,12 +65,6 @@ constexpr std::uint32_t trace_bit(TraceCat c) {
 }
 constexpr std::uint32_t kTraceCategoryCount = 12;
 constexpr std::uint32_t kTraceAllCategories = (1u << kTraceCategoryCount) - 1u;
-
-#ifndef E2EFA_TRACE_COMPILED_CATEGORIES
-#define E2EFA_TRACE_COMPILED_CATEGORIES 0xffffffffu
-#endif
-/// Categories compiled into the binary; others cost nothing at runtime.
-constexpr std::uint32_t kTraceCompiledMask = E2EFA_TRACE_COMPILED_CATEGORIES;
 
 /// Typed trace events. The (a, b, v0, v1) payload meaning is per type and
 /// documented here once; to_string gives the JSONL name.
@@ -222,35 +214,25 @@ class TraceSink {
   void set_filter(std::uint32_t mask) { mask_ = mask | trace_bit(TraceCat::kMeta); }
   std::uint32_t filter() const { return mask_; }
 
-  /// True when the category passes both the compiled and the runtime mask.
-  /// Call sites whose record() *arguments* are expensive to compute (e.g.
-  /// the Q/R tag-lag sums) must test this first, so a filtered-out category
-  /// costs no more than a disabled sink.
+  /// True when the category passes the runtime filter. Call sites whose
+  /// record() *arguments* are expensive to compute (e.g. the Q/R tag-lag
+  /// sums) must test this first, so a filtered-out category costs no more
+  /// than a mask test.
   template <TraceCat Cat>
   bool enabled() const {
-    if constexpr ((kTraceCompiledMask & trace_bit(Cat)) == 0u)
-      return false;
-    else
-      return (mask_ & trace_bit(Cat)) != 0u;
+    return (mask_ & trace_bit(Cat)) != 0u;
   }
 
-  /// Emits one record. The category is a template parameter so that
-  /// compile-time-excluded categories vanish entirely at the call site.
+  /// Emits one record of category `Cat` if the filter passes it.
   /// `span`/`parent` thread the causal chain (0 = none); call sites that
   /// don't participate simply omit them.
   template <TraceCat Cat>
   void record(TimeNs t, TraceEvent type, std::int16_t node, std::int32_t a,
               std::int32_t b, double v0 = 0.0, double v1 = 0.0,
               std::uint32_t span = 0, std::uint32_t parent = 0) {
-    if constexpr ((kTraceCompiledMask & trace_bit(Cat)) == 0u) {
-      (void)t; (void)type; (void)node; (void)a; (void)b; (void)v0; (void)v1;
-      (void)span; (void)parent;
-      return;
-    } else {
-      if ((mask_ & trace_bit(Cat)) == 0u) return;
-      push(TraceRecord{t, static_cast<std::uint16_t>(type), node, a, b, span,
-                       parent, 0, v0, v1});
-    }
+    if (!enabled<Cat>()) return;
+    push(TraceRecord{t, static_cast<std::uint16_t>(type), node, a, b, span,
+                     parent, 0, v0, v1});
   }
 
   /// Allocates a fresh causal span id (never 0). Ids are handed out in
@@ -283,10 +265,6 @@ class TraceSink {
 
 /// Renders one record as a single JSON line (no trailing newline).
 std::string trace_record_jsonl(const TraceRecord& r);
-
-/// Writes the binary-format header to an open file with an "unknown count"
-/// sentinel (TraceSink::close patches the real count in). Exposed for tests.
-void write_trace_header(std::FILE* f);
 
 /// Writes `records` as a complete trace file (header with the exact record
 /// count, then the records) — the flight-recorder dump path. Returns false

@@ -11,7 +11,7 @@ std::atomic<std::uint64_t> ElasticTransport::next_uid_{1};
 
 namespace {
 /// Elastic sources have no fixed interval, so the decorrelating start phase
-/// draws from a fixed 5 ms window (one RNG draw, like CbrSource's).
+/// draws from a fixed 5 ms window (one RNG draw, like CbrTransport's).
 constexpr TimeNs kPhaseWindow = 5 * kMillisecond;
 constexpr double kRtoInitialS = 1.0;  ///< RTO before the first RTT sample.
 constexpr double kRtoMinS = 0.2;

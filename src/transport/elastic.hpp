@@ -16,7 +16,7 @@
 //   on_rto_event()       retransmission timeout (window collapse)
 //
 // Determinism contract: construction draws exactly one u64 from the shared
-// master RNG (like CbrSource's phase draw), all later behavior is driven by
+// master RNG (like CbrTransport's phase draw), all later behavior is driven by
 // simulator events only, and packet uids come from a dedicated atomic
 // counter so BatchRunner workers stay race-free.
 #pragma once
@@ -149,7 +149,7 @@ class ElasticTransport : public TransportSource {
   std::int64_t timeouts_ = 0;
   double last_traced_cwnd_ = -1.0;
 
-  /// Separate uid stream from CbrSource's: both only feed tracing and
+  /// Separate uid stream from CbrTransport's: both only feed tracing and
   /// duplicate *identity* (uid equality), never ordering decisions.
   static std::atomic<std::uint64_t> next_uid_;
 };

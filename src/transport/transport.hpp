@@ -8,9 +8,8 @@
 // ack_plane.hpp), and a TransportSource reacts to that ACK clock.
 //
 // Three implementations share the interface:
-//   kCbr   the existing open-loop constant-bit-rate source, adapted behind
-//          the interface (CbrTransport wraps CbrSource; byte-identical
-//          trajectories — no ACK plane is even constructed for CBR runs).
+//   kCbr   the paper's open-loop constant-bit-rate source (CbrTransport;
+//          no ACK plane is even constructed for CBR runs).
 //   kAimd  a Reno-style controller: slow start, additive increase,
 //          multiplicative decrease on triple-dupack loss, RTO with
 //          exponential backoff (src/transport/aimd.hpp).
@@ -19,11 +18,12 @@
 //          cap (src/transport/bbr.hpp).
 //
 // Determinism: every source draws exactly one u64 from the shared master
-// RNG at construction (the same draw CbrSource makes for its phase), so
+// RNG at construction (CbrTransport's draw is its start phase), so
 // switching transport kinds never shifts the RNG stream consumed by MACs
 // and the control plane.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -31,7 +31,6 @@
 
 #include "phy/packet.hpp"
 #include "sim/simulator.hpp"
-#include "traffic/cbr_source.hpp"
 #include "util/rng.hpp"
 
 namespace e2efa {
@@ -59,10 +58,9 @@ struct TransportTelemetry {
   bool operator==(const TransportTelemetry&) const = default;
 };
 
-/// One flow's traffic source. The runner owns one per flow and drives it
-/// exactly like it drove CbrSource: `emit` receives each generated packet
-/// with seq/uid/created prefilled, the runner's lambda stamps routing and
-/// injects into the source NodeStack.
+/// One flow's traffic source. The runner owns one per flow: `emit`
+/// receives each generated packet with seq/uid/created prefilled, the
+/// runner's lambda stamps routing and injects into the source NodeStack.
 class TransportSource {
  public:
   virtual ~TransportSource() = default;
@@ -84,22 +82,33 @@ class TransportSource {
   virtual TransportTelemetry telemetry() const = 0;
 };
 
-/// The open-loop CBR source behind the transport interface. Pure
-/// composition: construction, RNG draws, and the event schedule are exactly
-/// CbrSource's, so existing goldens stay byte-identical.
+/// The open-loop constant-bit-rate source (the paper's workload: 200
+/// packets per second of 512 bytes at every flow source, greedy relative to
+/// the allocated shares). A random phase offset (< one interval) drawn at
+/// construction decorrelates simultaneous sources.
 class CbrTransport final : public TransportSource {
  public:
   CbrTransport(Simulator& sim, double packets_per_second, int payload_bytes,
-               std::function<void(Packet)> emit, Rng& phase_rng)
-      : cbr_(sim, packets_per_second, payload_bytes, std::move(emit), phase_rng) {}
+               std::function<void(Packet)> emit, Rng& phase_rng);
 
-  void start(TimeNs until) override { cbr_.start(until); }
+  void start(TimeNs until) override;
   void on_ack(std::int64_t, std::int64_t, TimeNs, std::uint32_t) override {}
-  std::int64_t generated() const override { return cbr_.generated(); }
+  std::int64_t generated() const override { return seq_; }
   TransportTelemetry telemetry() const override { return {}; }
 
  private:
-  CbrSource cbr_;
+  void tick();
+
+  Simulator& sim_;
+  TimeNs interval_;
+  int payload_bytes_;
+  std::function<void(Packet)> emit_;
+  TimeNs phase_ = 0;
+  TimeNs until_ = 0;
+  std::int64_t seq_ = 0;
+  /// Atomic so concurrent BatchRunner workers stay race-free; the uid feeds
+  /// tracing only, so cross-run numbering does not affect results.
+  static std::atomic<std::uint64_t> next_uid_;
 };
 
 }  // namespace e2efa

@@ -33,13 +33,6 @@ double jain_fairness_index(const std::vector<double>& xs) {
   return (sum * sum) / (static_cast<double>(xs.size()) * sumsq);
 }
 
-double max_min_ratio(const std::vector<double>& xs) {
-  if (xs.empty()) return 1.0;
-  const auto [mn, mx] = std::minmax_element(xs.begin(), xs.end());
-  if (*mn == 0.0) return *mx == 0.0 ? 1.0 : std::numeric_limits<double>::infinity();
-  return *mx / *mn;
-}
-
 std::vector<double> normalized_by(const std::vector<double>& xs,
                                   const std::vector<double>& weights) {
   std::vector<double> out;
@@ -48,41 +41,6 @@ std::vector<double> normalized_by(const std::vector<double>& xs,
   for (std::size_t i = 0; i < n; ++i)
     if (weights[i] > 0.0) out.push_back(xs[i] / weights[i]);
   return out;
-}
-
-std::vector<std::vector<double>> windowed_rates(
-    const std::vector<std::vector<std::int64_t>>& counts, double window_s) {
-  std::vector<std::vector<double>> out;
-  out.reserve(counts.size());
-  for (const auto& window : counts) {
-    std::vector<double> rates;
-    rates.reserve(window.size());
-    for (std::int64_t c : window)
-      rates.push_back(window_s > 0.0 ? static_cast<double>(c) / window_s : 0.0);
-    out.push_back(std::move(rates));
-  }
-  return out;
-}
-
-std::vector<double> jain_trajectory(
-    const std::vector<std::vector<double>>& windows,
-    const std::vector<double>& targets) {
-  std::vector<double> out;
-  out.reserve(windows.size());
-  for (const auto& w : windows)
-    out.push_back(targets.empty() ? jain_fairness_index(w)
-                                  : jain_fairness_index(normalized_by(w, targets)));
-  return out;
-}
-
-std::vector<double> jain_trajectory(
-    const std::vector<std::vector<std::int64_t>>& windows,
-    const std::vector<double>& targets) {
-  std::vector<std::vector<double>> as_double;
-  as_double.reserve(windows.size());
-  for (const auto& w : windows)
-    as_double.emplace_back(w.begin(), w.end());
-  return jain_trajectory(as_double, targets);
 }
 
 double percentile(std::vector<double> xs, double p) {

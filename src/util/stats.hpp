@@ -34,32 +34,12 @@ class RunningStat {
 /// Returns 1.0 for an empty input (vacuously fair).
 double jain_fairness_index(const std::vector<double>& xs);
 
-/// Max/min ratio of the values; +inf when the minimum is zero but the
-/// maximum is not, 1.0 for empty input.
-double max_min_ratio(const std::vector<double>& xs);
-
 /// Element-wise xs[i] / weights[i]; entries whose weight is <= 0 (e.g.
 /// suspended flows with a zero target share) are dropped, as are any xs
 /// beyond weights.size(). Used to share-normalize windowed rates before
 /// computing a fairness index.
 std::vector<double> normalized_by(const std::vector<double>& xs,
                                   const std::vector<double>& weights);
-
-/// Converts per-window delivery counts ([window][entity]) into rates in
-/// units per second: counts[w][i] / window_s.
-std::vector<std::vector<double>> windowed_rates(
-    const std::vector<std::vector<std::int64_t>>& counts, double window_s);
-
-/// Per-window Jain index over share-normalized values:
-/// jain(normalized_by(windows[w], targets)). With empty targets the raw
-/// values are used. Jain's index is scale-invariant, so counts and rates
-/// give identical trajectories.
-std::vector<double> jain_trajectory(
-    const std::vector<std::vector<double>>& windows,
-    const std::vector<double>& targets);
-std::vector<double> jain_trajectory(
-    const std::vector<std::vector<std::int64_t>>& windows,
-    const std::vector<double>& targets);
 
 /// Nearest-rank percentile (p in [0, 100]) of the values; 0 for empty
 /// input. p = 0 gives the minimum, p = 100 the maximum.

@@ -115,7 +115,6 @@ TEST(Determinism, SameSeedSameResultAllProtocols) {
   SimConfig cfg;
   cfg.sim_seconds = 2.0;
   cfg.seed = 7;
-  cfg.sample_interval_seconds = 0.5;
   cfg.metrics_period_seconds = 0.5;
   for (Protocol p : kAllProtocols) {
     SCOPED_TRACE(to_string(p));
@@ -163,7 +162,6 @@ TEST(Determinism, FaultPlanRunsAreReproducible) {
 
   SimConfig cfg;
   cfg.sim_seconds = 2.0;
-  cfg.sample_interval_seconds = 0.5;
   cfg.metrics_period_seconds = 0.5;
   const std::vector<std::uint64_t> seeds = {7, 8, 9};
 

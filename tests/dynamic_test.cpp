@@ -42,13 +42,14 @@ TEST(Dynamic, LateFlowDeliversOnlyAfterStart) {
   Scenario sc = scenario1();
   SimConfig cfg;
   cfg.sim_seconds = 60.0;
-  cfg.sample_interval_seconds = 5.0;
+  cfg.metrics_period_seconds = 5.0;
   sc.activity = {{0.0, 1e300}, {30.0, 1e300}};
   const RunResult r = run_scenario(sc, Protocol::k2paCentralized, cfg);
-  ASSERT_EQ(r.window_end_to_end.size(), 12u);
+  const std::vector<MetricsSample>& win = r.metrics.samples;
+  ASSERT_EQ(win.size(), 12u);
   // Windows before t = 30: F2 silent; after: flowing.
-  for (std::size_t w = 0; w < 5; ++w) EXPECT_EQ(r.window_end_to_end[w][1], 0);
-  for (std::size_t w = 7; w < 12; ++w) EXPECT_GT(r.window_end_to_end[w][1], 0);
+  for (std::size_t w = 0; w < 5; ++w) EXPECT_EQ(win[w].flow_delivered[1], 0);
+  for (std::size_t w = 7; w < 12; ++w) EXPECT_GT(win[w].flow_delivered[1], 0);
 }
 
 TEST(Dynamic, DepartedFlowFreesBandwidth) {
@@ -57,19 +58,21 @@ TEST(Dynamic, DepartedFlowFreesBandwidth) {
   Scenario sc = scenario1();
   SimConfig cfg;
   cfg.sim_seconds = 60.0;
-  cfg.sample_interval_seconds = 5.0;
+  cfg.metrics_period_seconds = 5.0;
   sc.activity = {{0.0, 1e300}, {0.0, 30.0}};
   const RunResult r = run_scenario(sc, Protocol::k2paCentralized, cfg);
+  const std::vector<MetricsSample>& win = r.metrics.samples;
+  ASSERT_EQ(win.size(), 12u);
   // Mean F1 window rate in [5, 30) vs [35, 60).
   double before = 0, after = 0;
-  for (std::size_t w = 1; w < 6; ++w) before += static_cast<double>(r.window_end_to_end[w][0]);
-  for (std::size_t w = 7; w < 12; ++w) after += static_cast<double>(r.window_end_to_end[w][0]);
+  for (std::size_t w = 1; w < 6; ++w) before += static_cast<double>(win[w].flow_delivered[0]);
+  for (std::size_t w = 7; w < 12; ++w) after += static_cast<double>(win[w].flow_delivered[0]);
   EXPECT_GT(after, before * 1.15);
   // F2 sources nothing after it stops; only its queued backlog (at most
   // two 50-deep queues plus in-flight) drains out, slowly, under the
   // epsilon share.
   std::int64_t tail_f2 = 0;
-  for (std::size_t w = 7; w < 12; ++w) tail_f2 += r.window_end_to_end[w][1];
+  for (std::size_t w = 7; w < 12; ++w) tail_f2 += win[w].flow_delivered[1];
   EXPECT_LE(tail_f2, 105);
 }
 

@@ -237,13 +237,13 @@ TEST(WindowSampling, ProducesWindows) {
   const Scenario sc = scenario1();
   SimConfig cfg;
   cfg.sim_seconds = 20.0;
-  cfg.sample_interval_seconds = 2.0;
+  cfg.metrics_period_seconds = 2.0;
   const RunResult r = run_scenario(sc, Protocol::k2paCentralized, cfg);
-  ASSERT_EQ(r.window_end_to_end.size(), 10u);
+  ASSERT_EQ(r.metrics.samples.size(), 10u);
   std::int64_t sum = 0;
-  for (const auto& w : r.window_end_to_end) {
-    ASSERT_EQ(w.size(), 2u);
-    sum += w[0] + w[1];
+  for (const MetricsSample& s : r.metrics.samples) {
+    ASSERT_EQ(s.flow_delivered.size(), 2u);
+    sum += s.flow_delivered[0] + s.flow_delivered[1];
   }
   // Window deltas add up to (nearly) the final totals; the last window
   // boundary coincides with the horizon.
@@ -256,7 +256,7 @@ TEST(WindowSampling, DisabledByDefault) {
   SimConfig cfg;
   cfg.sim_seconds = 5.0;
   const RunResult r = run_scenario(sc, Protocol::k80211, cfg);
-  EXPECT_TRUE(r.window_end_to_end.empty());
+  EXPECT_TRUE(r.metrics.samples.empty());
 }
 
 }  // namespace

@@ -126,6 +126,32 @@ TEST(Refine, WitnessSkipsOnlyVariablesThatCannotBeFixed) {
   EXPECT_GE(skipped, optimal);
 }
 
+TEST(Refine, HeadroomFaceFloorsFreeVariablesKTolBelowTheLevel) {
+  // A level's headroom LP is its face: each free variable at least
+  // w_i·t* − kTol (kTol = 1e-7 in refine.cpp). Minimizing the tested
+  // variable over every skipped test's LP never goes below that floor, and
+  // reaches it exactly wherever the floor binds.
+  constexpr double kFaceSlack = 1e-7;
+  Rng rng(1212);
+  int skipped = 0, binding = 0;
+  for (int c = 0; c < 300; ++c) {
+    const ShareLp lp = random_share_lp(rng, /*dyadic=*/c % 3 == 0);
+    detail::solve_share_lp(lp, [&](const LpProblem& headroom, int var, double target) {
+      ++skipped;
+      std::vector<double> minimize(static_cast<std::size_t>(headroom.num_vars()), 0.0);
+      minimize[static_cast<std::size_t>(var)] = -1.0;
+      const LpSolution s = LpFace(headroom).maximize(minimize);
+      if (s.status != LpStatus::kOptimal) return;
+      const double lowest = -s.objective, floor = target - kFaceSlack;
+      EXPECT_GE(lowest, floor - 1e-12) << "case " << c << " var " << var;
+      binding += lowest <= floor + 1e-12;
+    });
+  }
+  // The corpus skips 1410 tests; the floor binds in 13 of them.
+  EXPECT_GT(skipped, 1000);
+  EXPECT_GT(binding, 10);
+}
+
 TEST(Refine, SpuriousHeadroomFailureKeepsWitnessedVariableFree) {
   // perfbench's cold_start generator config, network 6: flow 33's local
   // problem at its source (3 variables, 3 clique rows, floors relaxed).

@@ -36,7 +36,6 @@ inline void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.channel.airtime_ns, b.channel.airtime_ns);
   EXPECT_EQ(a.mean_delay_s, b.mean_delay_s);
   EXPECT_EQ(a.max_delay_s, b.max_delay_s);
-  EXPECT_EQ(a.window_end_to_end, b.window_end_to_end);
   EXPECT_EQ(a.epoch_starts_s, b.epoch_starts_s);
   EXPECT_EQ(a.epoch_flow_share, b.epoch_flow_share);
   EXPECT_EQ(a.epoch_lp_status, b.epoch_lp_status);

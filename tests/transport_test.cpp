@@ -197,9 +197,10 @@ TEST(TransportCli, UnknownKindRejected) {
 double tail_windowed_jain(const Scenario& sc, Protocol proto) {
   SimConfig cfg;
   cfg.sim_seconds = 90.0;
-  cfg.sample_interval_seconds = 2.0;
+  cfg.metrics_period_seconds = 2.0;
   const RunResult r = run_scenario(sc, proto, cfg);
-  const std::size_t n = r.window_end_to_end.size();
+  const std::vector<MetricsSample>& win = r.metrics.samples;
+  const std::size_t n = win.size();
   if (n == 0) return 0.0;
   // Staggered runs are multi-epoch: normalize by the final epoch's solve,
   // which is the allocation in force over the tail.
@@ -209,8 +210,8 @@ double tail_windowed_jain(const Scenario& sc, Protocol proto) {
   std::size_t count = 0;
   for (std::size_t w = 2 * n / 3; w < n; ++w) {
     std::vector<double> rates;
-    for (std::size_t f = 0; f < r.window_end_to_end[w].size(); ++f)
-      rates.push_back(static_cast<double>(r.window_end_to_end[w][f]) /
+    for (std::size_t f = 0; f < win[w].flow_delivered.size(); ++f)
+      rates.push_back(static_cast<double>(win[w].flow_delivered[f]) /
                       targets[f]);
     sum += jain_fairness_index(rates);
     ++count;
@@ -269,7 +270,7 @@ TEST(TransportDeterminism, RerunsBitIdenticalUnderChurnAndLoss) {
     const Scenario sc = hostile_scenario2(kind);
     SimConfig cfg;
     cfg.sim_seconds = 8.0;
-    cfg.sample_interval_seconds = 1.0;
+    cfg.metrics_period_seconds = 1.0;
     cfg.seed = 3;
     const RunResult a = run_scenario(sc, Protocol::k2paDistributedCtrl, cfg);
     const RunResult b = run_scenario(sc, Protocol::k2paDistributedCtrl, cfg);
@@ -281,7 +282,7 @@ TEST(TransportDeterminism, BatchRunnerThreadCountInvariant) {
   const Scenario sc = hostile_scenario2(TransportKind::kAimd);
   SimConfig cfg;
   cfg.sim_seconds = 8.0;
-  cfg.sample_interval_seconds = 1.0;
+  cfg.metrics_period_seconds = 1.0;
   cfg.seed = 3;
   const std::vector<Protocol> protos{Protocol::k2paCentralized,
                                      Protocol::k2paDistributed,

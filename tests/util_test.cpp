@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <set>
 #include <sstream>
@@ -173,13 +172,6 @@ TEST(Fairness, JainIndexEmptyAndZero) {
   EXPECT_DOUBLE_EQ(jain_fairness_index({0, 0}), 1.0);
 }
 
-TEST(Fairness, MaxMinRatio) {
-  EXPECT_DOUBLE_EQ(max_min_ratio({2, 4, 8}), 4.0);
-  EXPECT_DOUBLE_EQ(max_min_ratio({3, 3}), 1.0);
-  EXPECT_TRUE(std::isinf(max_min_ratio({0, 1})));
-  EXPECT_DOUBLE_EQ(max_min_ratio({}), 1.0);
-}
-
 TEST(Fairness, NormalizedByDividesElementwise) {
   const std::vector<double> u = normalized_by({4.0, 9.0}, {2.0, 3.0});
   ASSERT_EQ(u.size(), 2u);
@@ -198,42 +190,6 @@ TEST(Fairness, NormalizedByDropsNonPositiveWeights) {
 TEST(Fairness, NormalizedByTruncatesToShorterInput) {
   EXPECT_EQ(normalized_by({1.0, 2.0, 3.0}, {1.0}).size(), 1u);
   EXPECT_TRUE(normalized_by({1.0, 2.0}, {}).empty());
-}
-
-TEST(Fairness, WindowedRates) {
-  const auto rates = windowed_rates({{10, 20}, {30, 0}}, 2.0);
-  ASSERT_EQ(rates.size(), 2u);
-  EXPECT_DOUBLE_EQ(rates[0][0], 5.0);
-  EXPECT_DOUBLE_EQ(rates[0][1], 10.0);
-  EXPECT_DOUBLE_EQ(rates[1][0], 15.0);
-  EXPECT_DOUBLE_EQ(rates[1][1], 0.0);
-}
-
-TEST(Fairness, JainTrajectoryNormalizesByTargets) {
-  // Window 0 matches the 2:1 target split exactly -> 1.0; window 1 inverts
-  // it -> jain({1, 4}) = 25/34.
-  const std::vector<std::vector<std::int64_t>> windows = {{20, 10}, {10, 20}};
-  const auto traj = jain_trajectory(windows, {2.0, 1.0});
-  ASSERT_EQ(traj.size(), 2u);
-  EXPECT_DOUBLE_EQ(traj[0], 1.0);
-  EXPECT_NEAR(traj[1], 25.0 / 34.0, 1e-12);
-}
-
-TEST(Fairness, JainTrajectoryEmptyTargetsUsesRawValues) {
-  const std::vector<std::vector<double>> windows = {{5.0, 5.0}, {1.0, 0.0}};
-  const auto traj = jain_trajectory(windows, {});
-  ASSERT_EQ(traj.size(), 2u);
-  EXPECT_DOUBLE_EQ(traj[0], 1.0);
-  EXPECT_NEAR(traj[1], 0.5, 1e-12);
-}
-
-TEST(Fairness, JainTrajectoryScaleInvariant) {
-  const std::vector<std::vector<std::int64_t>> counts = {{12, 34}, {56, 7}};
-  const auto from_counts = jain_trajectory(counts, {0.5, 0.25});
-  const auto from_rates = jain_trajectory(windowed_rates(counts, 2.0), {0.5, 0.25});
-  ASSERT_EQ(from_counts.size(), from_rates.size());
-  for (std::size_t w = 0; w < from_counts.size(); ++w)
-    EXPECT_NEAR(from_counts[w], from_rates[w], 1e-12);
 }
 
 TEST(Fairness, PercentileNearestRank) {
