@@ -23,11 +23,9 @@ int main(int argc, char** argv) {
   std::cout << "Ideal (fluid) vs measured (packet) — 2PA-C, T = " << args.seconds
             << " s\n";
   std::cout << "Per-packet airtime: "
-            << per_packet_airtime(cfg.payload_bytes, mac, kChannelBps, cfg.cw_min) /
-                   1000
+            << per_packet_airtime(cfg.payload_bytes, mac, cfg.cw_min) / 1000
             << " us  =>  "
-            << strformat("%.0f", effective_packet_rate(cfg.payload_bytes, mac,
-                                                       kChannelBps, cfg.cw_min))
+            << strformat("%.0f", effective_packet_rate(cfg.payload_bytes, mac, cfg.cw_min))
             << " pkt/s per unit share\n\n";
 
   for (const Scenario& sc : {scenario1(), scenario2()}) {
@@ -35,9 +33,8 @@ int main(int argc, char** argv) {
     const RunResult r = run_scenario(sc, Protocol::k2paCentralized, cfg);
     Allocation alloc = make_subflow_allocation(flows, r.target_subflow_share);
 
-    const FluidPrediction p = fluid_predict(flows, alloc, cfg.cbr_pps,
-                                            cfg.payload_bytes, mac, kChannelBps,
-                                            cfg.cw_min);
+    const FluidPrediction p =
+        fluid_predict(flows, alloc, cfg.cbr_pps, cfg.payload_bytes, mac, cfg.cw_min);
     std::cout << sc.name << ":\n";
     TextTable t({"flow", "fluid pkt/s", "measured pkt/s", "measured/fluid"});
     for (FlowId f = 0; f < flows.flow_count(); ++f) {

@@ -20,7 +20,7 @@ void BM_TagSchedulerEnqueuePop(benchmark::State& state) {
   const int lanes = static_cast<int>(state.range(0));
   std::vector<TagScheduler::SubflowConfig> cfg;
   for (int i = 0; i < lanes; ++i) cfg.push_back({i, 1.0 / lanes});
-  TagScheduler s(cfg, 64, 2'000'000, 1e-4);
+  TagScheduler s(cfg, 64, 1e-4);
   std::int64_t seq = 0;
   for (auto _ : state) {
     for (int i = 0; i < lanes; ++i) s.enqueue(make_packet(i, seq++), 0);
@@ -31,7 +31,7 @@ void BM_TagSchedulerEnqueuePop(benchmark::State& state) {
 BENCHMARK(BM_TagSchedulerEnqueuePop)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_TagSchedulerQ(benchmark::State& state) {
-  TagScheduler s({{0, 0.5}}, 64, 2'000'000, 1e-4);
+  TagScheduler s({{0, 0.5}}, 64, 1e-4);
   for (int n = 0; n < static_cast<int>(state.range(0)); ++n)
     s.observe_tag(100 + n, 1000.0 * n, 0);
   s.enqueue(make_packet(0, 1), 0);

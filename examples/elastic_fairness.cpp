@@ -71,8 +71,7 @@ struct CellResult {
 std::vector<double> shares_to_pps(const std::vector<double>& shares,
                                   const SimConfig& cfg) {
   const MacConfig mac;
-  const double eff =
-      effective_packet_rate(cfg.payload_bytes, mac, kChannelBps, cfg.cw_min);
+  const double eff = effective_packet_rate(cfg.payload_bytes, mac, cfg.cw_min);
   std::vector<double> pps;
   for (double s : shares) pps.push_back(s * eff);
   return pps;

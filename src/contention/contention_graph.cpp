@@ -203,10 +203,4 @@ std::vector<std::vector<FlowId>> ContentionGraph::flow_groups() const {
   return groups;
 }
 
-bool ContentionGraph::same_flow(int a, int b) const {
-  check_vertex(a);
-  check_vertex(b);
-  return flows_->subflow(a).flow == flows_->subflow(b).flow;
-}
-
 }  // namespace e2efa

@@ -78,9 +78,6 @@ class ContentionGraph {
   /// cover all flows.
   std::vector<std::vector<FlowId>> flow_groups() const;
 
-  /// True when subflows `a` and `b` belong to the same flow.
-  bool same_flow(int a, int b) const;
-
  private:
   void check_vertex(int v) const;
   void check_link(int l) const;

@@ -22,41 +22,6 @@ const char* to_string(AdmissionReason r) {
 
 namespace {
 
-// Worst candidate-touching clique load over `subset` with the basic-share
-// denominator summed over `denom_flows` (deduplicated FlowIds).
-double worst_load_impl(const FlowSet& flows, const ContentionGraph& g,
-                       const std::vector<int>& subset, FlowId candidate,
-                       std::vector<int>* worst_clique) {
-  // Denominator: flows visible in the subset.
-  std::vector<char> seen(static_cast<std::size_t>(flows.flow_count()), 0);
-  double denom = 0.0;
-  for (int s : subset) {
-    FlowId f = flows.subflow(s).flow;
-    if (!seen[static_cast<std::size_t>(f)]) {
-      seen[static_cast<std::size_t>(f)] = 1;
-      denom += flows.flow(f).weight * flows.virtual_length_of(f);
-    }
-  }
-  if (denom <= 0.0) return 0.0;
-  const double r0 = 1.0 / denom;
-
-  double worst = 0.0;
-  for (const std::vector<int>& clique : maximal_cliques_in_subset(g, subset)) {
-    bool touches = false;
-    double load = 0.0;
-    for (int s : clique) {
-      FlowId f = flows.subflow(s).flow;
-      if (f == candidate) touches = true;
-      load += flows.flow(f).weight * r0;
-    }
-    if (touches && load > worst) {
-      worst = load;
-      if (worst_clique) *worst_clique = clique;
-    }
-  }
-  return worst;
-}
-
 AdmissionDecision decide(double worst, std::vector<int> worst_clique) {
   AdmissionDecision d;
   d.worst_load = worst;
@@ -75,7 +40,34 @@ double admission_local_worst_load(const FlowSet& flows,
                                   const std::vector<int>& knowledge,
                                   FlowId candidate,
                                   std::vector<int>* worst_clique) {
-  return worst_load_impl(flows, g, knowledge, candidate, worst_clique);
+  // Denominator: flows visible in the knowledge set.
+  std::vector<char> seen(static_cast<std::size_t>(flows.flow_count()), 0);
+  double denom = 0.0;
+  for (int s : knowledge) {
+    FlowId f = flows.subflow(s).flow;
+    if (!seen[static_cast<std::size_t>(f)]) {
+      seen[static_cast<std::size_t>(f)] = 1;
+      denom += flows.flow(f).weight * flows.virtual_length_of(f);
+    }
+  }
+  if (denom <= 0.0) return 0.0;
+  const double r0 = 1.0 / denom;
+
+  double worst = 0.0;
+  for (const std::vector<int>& clique : maximal_cliques_in_subset(g, knowledge)) {
+    bool touches = false;
+    double load = 0.0;
+    for (int s : clique) {
+      FlowId f = flows.subflow(s).flow;
+      if (f == candidate) touches = true;
+      load += flows.flow(f).weight * r0;
+    }
+    if (touches && load > worst) {
+      worst = load;
+      if (worst_clique) *worst_clique = clique;
+    }
+  }
+  return worst;
 }
 
 AdmissionDecision admission_check_centralized(const FlowSet& flows,
@@ -90,7 +82,7 @@ AdmissionDecision admission_check_centralized(const FlowSet& flows,
     if (f == candidate || active[static_cast<std::size_t>(f)]) subset.push_back(s);
   }
   std::vector<int> worst_clique;
-  double worst = worst_load_impl(flows, g, subset, candidate, &worst_clique);
+  double worst = admission_local_worst_load(flows, g, subset, candidate, &worst_clique);
   return decide(worst, std::move(worst_clique));
 }
 
@@ -121,7 +113,8 @@ AdmissionDecision admission_check_distributed(const Topology& topo,
     cand_subs.push_back(flows.subflow_index(candidate, h));
   }
 
-  AdmissionDecision out;
+  double worst = 0.0;
+  std::vector<int> worst_clique;
   for (int h = 0; h < cand.length(); ++h) {
     const NodeId v = cand.path[static_cast<std::size_t>(h)];
     // K(v) ∪ candidate subflows (the ADMIT_REQ carries the candidate path).
@@ -130,18 +123,14 @@ AdmissionDecision admission_check_distributed(const Topology& topo,
     std::sort(kv.begin(), kv.end());
     kv.erase(std::unique(kv.begin(), kv.end()), kv.end());
 
-    std::vector<int> worst_clique;
-    double load = admission_local_worst_load(flows, g, kv, candidate, &worst_clique);
-    if (load > out.worst_load) {
-      out.worst_load = load;
-      out.worst_clique = std::move(worst_clique);
+    std::vector<int> clique;
+    const double load = admission_local_worst_load(flows, g, kv, candidate, &clique);
+    if (load > worst) {
+      worst = load;
+      worst_clique = std::move(clique);
     }
   }
-  if (out.worst_load > 1.0 + kAdmissionEps) {
-    out.admitted = false;
-    out.reason = AdmissionReason::kCliqueOverload;
-  }
-  return out;
+  return decide(worst, std::move(worst_clique));
 }
 
 }  // namespace e2efa

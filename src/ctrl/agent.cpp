@@ -182,11 +182,10 @@ void AllocAgent::refresh_knowledge(TimeNs now) {
   if (nk == knowledge_) return;
   knowledge_ = std::move(nk);
   local_cliques_ = maximal_cliques_in_subset(graph_, knowledge_);
-  for (auto& [f, fc] : flows_ctrl_) rebuild_acc(f, fc, now);
+  for (auto& [f, fc] : flows_ctrl_) rebuild_acc(fc, now);
 }
 
-bool AllocAgent::rebuild_acc(FlowId f, FlowCtrl& fc, TimeNs now) {
-  (void)f;
+bool AllocAgent::rebuild_acc(FlowCtrl& fc, TimeNs now) {
   std::set<std::vector<int>> acc(local_cliques_.begin(), local_cliques_.end());
   for (const std::vector<int>& c : fc.down_acc) acc.insert(c);
   if (acc == fc.acc) return false;
@@ -231,62 +230,43 @@ void AllocAgent::tick() {
           fc.ticks_since_rate >= kRefreshTicks)
         send_rate(f, fc);
     }
-    if (hardened_) {
-      // Bounded retransmission with exponential backoff: a directed send
-      // still unacknowledged (no overheard forward from the peer) after its
-      // backoff window is resent, at most kRetxLimit times — after that the
-      // periodic kRefreshTicks cadence is the safety net.
-      if (fc.ctr_await && fc.upstream != kInvalidNode &&
-          ++fc.ctr_timer >= fc.ctr_wait) {
-        if (fc.ctr_retx >= kRetxLimit) {
-          fc.ctr_await = false;
-        } else if (room) {
-          ++fc.ctr_retx;
-          fc.ctr_wait = std::min(fc.ctr_wait * 2, kRefreshTicks);
-          ++stats_.retransmits;
-          cause_ = trace_retransmit(now, CtrlMsg::Kind::kConstraint, f,
-                                    fc.ctr_retx, fc.ctr_wait, fc.ctr_span);
-          send_constraint(f, fc, /*retx=*/true);
-          cause_ = 0;
-        }
-      }
-      if (fc.rate_await && fc.have_rate && fc.downstream != kInvalidNode &&
-          ++fc.rate_timer >= fc.rate_wait) {
-        if (fc.rate_retx >= kRetxLimit) {
-          fc.rate_await = false;
-        } else if (room) {
-          ++fc.rate_retx;
-          fc.rate_wait = std::min(fc.rate_wait * 2, kRefreshTicks);
-          ++stats_.retransmits;
-          cause_ = trace_retransmit(now, CtrlMsg::Kind::kRate, f, fc.rate_retx,
-                                    fc.rate_wait, fc.rate_span);
-          send_rate(f, fc, /*retx=*/true);
-          cause_ = 0;
-        }
-      }
-    }
+    // Streams are armed only in hardened mode, so a lean run never resends.
+    if (retransmit_due(fc.ctr_tx, room, CtrlMsg::Kind::kConstraint, f, now))
+      send_constraint(f, fc, /*fresh=*/false);
+    if (retransmit_due(fc.rate_tx, room, CtrlMsg::Kind::kRate, f, now))
+      send_rate(f, fc, /*fresh=*/false);
+    cause_ = 0;
   }
-  if (hardened_) {
-    for (auto& [f, st] : admits_) {
-      if (st.done) continue;
-      if (++st.timer < st.wait) continue;
-      if (st.retx >= kRetxLimit) {
-        st.done = true;
-        st.timed_out = true;
-        continue;
-      }
-      if (!room) continue;
-      ++st.retx;
-      st.timer = 0;
-      st.wait = std::min(st.wait * 2, kRefreshTicks);
-      ++stats_.retransmits;
-      cause_ = trace_retransmit(now, CtrlMsg::Kind::kAdmitReq, f, st.retx,
-                                st.wait, st.span);
-      send_admit_req(f);
-      cause_ = 0;
-    }
-  }
+  for (auto& [f, st] : admits_)
+    if (retransmit_due(st.req_tx, room, CtrlMsg::Kind::kAdmitReq, f, now))
+      st.req_tx.span = send_admit(CtrlMsg::Kind::kAdmitReq, f, 1, true);
+  cause_ = 0;
   sim_.schedule_in(from_seconds(kHelloPeriodS), [this] { tick(); });
+}
+
+bool AllocAgent::retransmit_due(Retx& r, bool room, CtrlMsg::Kind kind, FlowId f,
+                                TimeNs now) {
+  if (!r.await || ++r.timer < r.wait) return false;
+  if (r.retx >= kRetxLimit) {
+    r.await = false;  // give up (an ADMIT round times out)
+    return false;
+  }
+  if (!room) return false;
+  ++r.retx;
+  r.timer = 0;
+  r.wait = std::min(r.wait * 2, kRefreshTicks);
+  ++stats_.retransmits;
+  cause_ = 0;
+  if (trace_ != nullptr && trace_->enabled<TraceCat::kCtrl>()) {
+    // Chained to the unacknowledged send; the resend chains to this record.
+    cause_ = trace_->new_span();
+    trace_->record<TraceCat::kCtrl>(now, TraceEvent::kCtrlRetransmit,
+                                    static_cast<std::int16_t>(self_),
+                                    static_cast<std::int32_t>(kind), f,
+                                    static_cast<double>(r.retx),
+                                    static_cast<double>(r.wait), cause_, r.span);
+  }
+  return true;
 }
 
 void AllocAgent::maybe_solve(FlowId f, FlowCtrl& fc, TimeNs now) {
@@ -352,9 +332,21 @@ void AllocAgent::set_lane(FlowId f, int hop, double share) {
 
 // ------------------------------------------------------------------ send
 
+std::shared_ptr<CtrlMsg> AllocAgent::directed(CtrlMsg::Kind kind, FlowId f, NodeId to,
+                                              std::uint32_t seq) const {
+  auto m = std::make_shared<CtrlMsg>();
+  m->kind = kind;
+  m->origin = self_;
+  m->to = to;
+  m->seq = seq;
+  m->flow = f;
+  m->gen = flow_gen_[static_cast<std::size_t>(f)];
+  return m;
+}
+
 std::uint32_t AllocAgent::send(std::shared_ptr<CtrlMsg> m) {
   const int bytes = m->wire_bytes();
-  stats_.ctrl_bytes_sent += static_cast<std::uint64_t>(bytes);
+  stats_.ctrl_bytes += static_cast<std::uint64_t>(bytes);
   std::uint32_t span = 0;
   if (trace_ != nullptr && trace_->enabled<TraceCat::kCtrl>()) {
     span = trace_->new_span();
@@ -379,55 +371,32 @@ void AllocAgent::send_hello() {
   send(std::move(m));
 }
 
-void AllocAgent::send_constraint(FlowId f, FlowCtrl& fc, bool retx) {
+void AllocAgent::send_constraint(FlowId f, FlowCtrl& fc, bool fresh) {
   E2EFA_ASSERT(fc.upstream != kInvalidNode);
-  auto m = std::make_shared<CtrlMsg>();
-  m->kind = CtrlMsg::Kind::kConstraint;
-  m->origin = self_;
-  m->to = fc.upstream;
-  m->seq = ++ctrl_seq_;
-  m->flow = f;
-  m->gen = flow_gen_[static_cast<std::size_t>(f)];
+  auto m = directed(CtrlMsg::Kind::kConstraint, f, fc.upstream, ++ctrl_seq_);
   m->cliques.assign(fc.acc.begin(), fc.acc.end());
   fc.acc_sent = true;
   fc.ticks_since_constraint = 0;
-  if (hardened_ && fc.hop >= 2) {
-    // The ack is overhearing the upstream hop forward its own CONSTRAINT —
-    // only possible when the upstream is not already the source.
-    fc.ctr_await = true;
-    fc.ctr_timer = 0;
-    if (!retx) {
-      fc.ctr_retx = 0;
-      fc.ctr_wait = 1;
-    }
-  }
   ++stats_.constraint_sent;
-  fc.ctr_span = send(std::move(m));
+  // The ack is overhearing the upstream hop forward its own CONSTRAINT —
+  // only possible when the upstream is not already the source.
+  send_stream(fc.ctr_tx, std::move(m), fresh && fc.hop >= 2);
 }
 
-void AllocAgent::send_rate(FlowId f, FlowCtrl& fc, bool retx) {
+void AllocAgent::send_rate(FlowId f, FlowCtrl& fc, bool fresh) {
   E2EFA_ASSERT(fc.downstream != kInvalidNode && fc.have_rate);
-  auto m = std::make_shared<CtrlMsg>();
-  m->kind = CtrlMsg::Kind::kRate;
-  m->origin = self_;
-  m->to = fc.downstream;
-  m->seq = fc.rate_seq;
-  m->flow = f;
-  m->gen = flow_gen_[static_cast<std::size_t>(f)];
+  auto m = directed(CtrlMsg::Kind::kRate, f, fc.downstream, fc.rate_seq);
   m->rate = fc.rate;
   fc.ticks_since_rate = 0;
-  if (hardened_ && fc.hop + 2 < flows_.flow(f).length()) {
-    // The ack is overhearing the downstream hop forward the RATE — only
-    // possible when the downstream is not already the last transmitter.
-    fc.rate_await = true;
-    fc.rate_timer = 0;
-    if (!retx) {
-      fc.rate_retx = 0;
-      fc.rate_wait = 1;
-    }
-  }
   ++stats_.rate_sent;
-  fc.rate_span = send(std::move(m));
+  // The ack is overhearing the downstream hop forward the RATE — only
+  // possible when the downstream is not already the last transmitter.
+  send_stream(fc.rate_tx, std::move(m), fresh && fc.hop + 2 < flows_.flow(f).length());
+}
+
+void AllocAgent::send_stream(Retx& tx, std::shared_ptr<CtrlMsg> m, bool ackable) {
+  if (ackable && hardened_) tx = Retx{.await = true};
+  tx.span = send(std::move(m));
 }
 
 // --------------------------------------------------------------- receive
@@ -456,18 +425,7 @@ void AllocAgent::on_ctrl(const Frame& fr) {
 
   switch (m.kind) {
     case CtrlMsg::Kind::kHello:
-      if (hardened_ && t.have_hello && m.seq > t.seq + 1 &&
-          t.gap_seq != m.seq) {
-        // We missed at least one whole advertisement generation.
-        ++stats_.seq_gaps;
-        t.gap_seq = m.seq;
-        if (trace_ != nullptr)
-          trace_->record<TraceCat::kCtrl>(
-              now, TraceEvent::kCtrlSeqGap, static_cast<std::int16_t>(self_),
-              m.origin, static_cast<std::int32_t>(m.seq - t.seq - 1),
-              static_cast<double>(t.seq + 1), static_cast<double>(m.seq), 0,
-              cause_);
-      }
+      count_gap(t, m, /*full=*/true, now);
       if (!t.have_hello || t.seq != m.seq || t.subflows != m.subflows) {
         if (t.subflows != m.subflows) {
           knowledge_dirty_ = true;
@@ -480,19 +438,7 @@ void AllocAgent::on_ctrl(const Frame& fr) {
       break;
 
     case CtrlMsg::Kind::kHelloDelta:
-      if (hardened_ && t.have_hello && m.seq > t.seq && t.gap_seq != m.seq) {
-        // A delta against a table generation we never received: the full
-        // HELLO carrying it was lost. The periodic re-advertisement heals
-        // the table; the counter records that the gap happened.
-        ++stats_.seq_gaps;
-        t.gap_seq = m.seq;
-        if (trace_ != nullptr)
-          trace_->record<TraceCat::kCtrl>(
-              now, TraceEvent::kCtrlSeqGap, static_cast<std::int16_t>(self_),
-              m.origin, static_cast<std::int32_t>(m.seq - t.seq),
-              static_cast<double>(t.seq), static_cast<double>(m.seq), 0,
-              cause_);
-      }
+      count_gap(t, m, /*full=*/false, now);
       // Additive merge, valid only against the matching full table.
       if (t.have_hello && t.seq == m.seq && !m.subflows.empty()) {
         bool changed = false;
@@ -511,57 +457,27 @@ void AllocAgent::on_ctrl(const Frame& fr) {
       break;
 
     case CtrlMsg::Kind::kConstraint: {
-      if (hardened_ && m.flow >= 0 && m.flow < flows_.flow_count() &&
-          m.gen != flow_gen_[static_cast<std::size_t>(m.flow)]) {
-        ++stats_.stale_dropped;  // composed before the flow's last toggle
-        break;
-      }
-      {
-        // Overhearing the upstream hop advertise its own accumulation
-        // implicitly acks the CONSTRAINT we sent it.
-        const auto ack = flows_ctrl_.find(m.flow);
-        if (ack != flows_ctrl_.end() && m.origin == ack->second.upstream)
-          ack->second.ctr_await = false;
-      }
-      if (m.to != self_) break;  // overheard someone else's accumulation
-      const auto it = flows_ctrl_.find(m.flow);
-      if (it == flows_ctrl_.end()) break;
-      FlowCtrl& fc = it->second;
-      if (fc.down_acc == m.cliques) break;
-      fc.down_acc = m.cliques;
+      FlowCtrl* const fc = addressed_flow(m);
+      if (fc == nullptr || fc->down_acc == m.cliques) break;
+      fc->down_acc = m.cliques;
       refresh_knowledge(now);  // local cliques must be current before the union
-      if (rebuild_acc(m.flow, fc, now) && fc.upstream != kInvalidNode &&
+      if (rebuild_acc(*fc, now) && fc->upstream != kInvalidNode &&
           mac_.ctrl_backlog() <= kMaxBacklog)
-        send_constraint(m.flow, fc);  // propagate upstream without a tick of delay
+        send_constraint(m.flow, *fc);  // propagate upstream without a tick of delay
       break;
     }
 
     case CtrlMsg::Kind::kRate: {
-      if (hardened_ && m.flow >= 0 && m.flow < flows_.flow_count() &&
-          m.gen != flow_gen_[static_cast<std::size_t>(m.flow)]) {
-        // The no-stale-rate guarantee: a RATE composed before the flow's
-        // latest departure/arrival can never resurrect its lanes.
-        ++stats_.stale_dropped;
-        break;
-      }
-      {
-        // Overhearing the downstream hop forward the RATE acks ours.
-        const auto ack = flows_ctrl_.find(m.flow);
-        if (ack != flows_ctrl_.end() && m.origin == ack->second.downstream)
-          ack->second.rate_await = false;
-      }
-      if (m.to != self_) break;
-      const auto it = flows_ctrl_.find(m.flow);
-      if (it == flows_ctrl_.end()) break;
-      FlowCtrl& fc = it->second;
-      fc.rate_seq = m.seq;
-      fc.rate = m.rate;
-      fc.have_rate = true;
-      if (m.rate > 0.0) set_lane(m.flow, fc.hop, m.rate);
+      FlowCtrl* const fc = addressed_flow(m);
+      if (fc == nullptr) break;
+      fc->rate_seq = m.seq;
+      fc->rate = m.rate;
+      fc->have_rate = true;
+      if (m.rate > 0.0) set_lane(m.flow, fc->hop, m.rate);
       // Forward even unchanged refreshes: the hop after us may have missed
       // an earlier copy, and loss healing relies on this relay chain.
-      if (fc.downstream != kInvalidNode && mac_.ctrl_backlog() <= kMaxBacklog)
-        send_rate(m.flow, fc);
+      if (fc->downstream != kInvalidNode && mac_.ctrl_backlog() <= kMaxBacklog)
+        send_rate(m.flow, *fc);
       break;
     }
 
@@ -574,6 +490,46 @@ void AllocAgent::on_ctrl(const Frame& fr) {
       break;  // dispatched to the AckPlane listener, never to agents
   }
   cause_ = 0;
+}
+
+void AllocAgent::count_gap(NeighborTable& t, const CtrlMsg& m, bool full, TimeNs now) {
+  // A HELLO should carry the table's next generation, a HELLO_DELTA the
+  // current one. Anything newer means we missed a whole advertisement
+  // generation (for a delta: the full HELLO carrying it was lost). The
+  // periodic re-advertisement heals the table; the counter records that
+  // the gap happened.
+  const std::uint32_t expected = t.seq + (full ? 1 : 0);
+  if (!hardened_ || !t.have_hello || m.seq <= expected || t.gap_seq == m.seq) return;
+  ++stats_.seq_gaps;
+  t.gap_seq = m.seq;
+  if (trace_ != nullptr)
+    trace_->record<TraceCat::kCtrl>(now, TraceEvent::kCtrlSeqGap,
+                                    static_cast<std::int16_t>(self_), m.origin,
+                                    static_cast<std::int32_t>(m.seq - expected),
+                                    static_cast<double>(expected),
+                                    static_cast<double>(m.seq), 0, cause_);
+}
+
+AllocAgent::FlowCtrl* AllocAgent::addressed_flow(const CtrlMsg& m) {
+  if (m.flow >= 0 && m.flow < flows_.flow_count() &&
+      m.gen != flow_gen_[static_cast<std::size_t>(m.flow)]) {
+    // Composed before the flow's latest arrival/departure: dropping it is
+    // the no-stale-rate guarantee (an old RATE can never resurrect lanes).
+    ++stats_.stale_dropped;
+    return nullptr;
+  }
+  const auto it = flows_ctrl_.find(m.flow);
+  if (it == flows_ctrl_.end()) return nullptr;
+  FlowCtrl& fc = it->second;
+  // The implicit ack: the upstream hop advertising its own accumulation
+  // acks the CONSTRAINT we sent it; the downstream hop forwarding the RATE
+  // acks ours.
+  if (m.kind == CtrlMsg::Kind::kConstraint) {
+    if (m.origin == fc.upstream) fc.ctr_tx.await = false;
+  } else if (m.origin == fc.downstream) {
+    fc.rate_tx.await = false;
+  }
+  return m.to == self_ ? &fc : nullptr;
 }
 
 // ------------------------------------------------------------- admission
@@ -607,57 +563,48 @@ bool AllocAgent::local_admit_ok(FlowId f, TimeNs now) {
 }
 
 void AllocAgent::request_admission(FlowId f) {
-  E2EFA_ASSERT_MSG(hardened_, "ADMIT rounds require hardened mode");
   E2EFA_ASSERT(flows_.flow(f).source() == self_);
-  AdmitState st;
-  const TimeNs now = sim_.now();
-  const bool ok = local_admit_ok(f, now);
+  AdmitState& st = admits_[f];
+  st = AdmitState{};
+  const bool ok = local_admit_ok(f, sim_.now());
   if (!ok || flows_.flow(f).length() < 2) {
     // A local rejection decides the round; so does a single-transmitter
     // flow (the source's verdict is the whole path's).
-    st.done = true;
-    st.verdict = ok;
-    admits_[f] = st;
+    st.verdict = ok ? 1 : 0;
     return;
   }
-  admits_[f] = st;
+  st.req_tx.await = true;
   // The request is a consequence of the local verdict just recorded.
   cause_ = admit_span_;
-  send_admit_req(f);
+  st.req_tx.span = send_admit(CtrlMsg::Kind::kAdmitReq, f, 1, true);
   cause_ = 0;
 }
 
 int AllocAgent::inband_admission(FlowId f) const {
   const auto it = admits_.find(f);
-  if (it == admits_.end() || !it->second.done || it->second.timed_out) return -1;
-  return it->second.verdict ? 1 : 0;
+  return it == admits_.end() ? -1 : it->second.verdict;
 }
 
-void AllocAgent::send_admit_req(FlowId f) {
+std::uint32_t AllocAgent::send_admit(CtrlMsg::Kind kind, FlowId f, int to_hop, bool ok) {
   const Flow& fl = flows_.flow(f);
-  auto m = std::make_shared<CtrlMsg>();
-  m->kind = CtrlMsg::Kind::kAdmitReq;
-  m->origin = self_;
-  m->to = fl.path[1];
-  m->seq = ++ctrl_seq_;
-  m->flow = f;
-  m->gen = flow_gen_[static_cast<std::size_t>(f)];
-  for (int h = 0; h < fl.length(); ++h)
-    m->subflows.push_back(flows_.subflow_index(f, h));
-  m->admit_ok = true;  // the source's own verdict held, or we wouldn't send
-  ++stats_.admit_req_sent;
-  const std::uint32_t span = send(std::move(m));
-  const auto it = admits_.find(f);
-  if (it != admits_.end()) it->second.span = span;
+  auto m = directed(kind, f, fl.path[static_cast<std::size_t>(to_hop)], ++ctrl_seq_);
+  if (kind == CtrlMsg::Kind::kAdmitReq) {
+    // The candidate's path travels with the request.
+    for (int h = 0; h < fl.length(); ++h) m->subflows.push_back(flows_.subflow_index(f, h));
+    ++stats_.admit_req_sent;
+  } else {
+    ++stats_.admit_rsp_sent;
+  }
+  m->admit_ok = ok;
+  return send(std::move(m));
 }
 
 void AllocAgent::handle_admit(const CtrlMsg& m, TimeNs now) {
-  if (!hardened_ || m.to != self_) return;
+  if (m.to != self_) return;
   if (m.flow < 0 || m.flow >= flows_.flow_count()) return;
   const FlowId f = m.flow;
   const int h = candidate_hop(f);
   if (h < 0) return;  // not on the candidate's path (stale/corrupt target)
-  const Flow& fl = flows_.flow(f);
 
   if (m.kind == CtrlMsg::Kind::kAdmitReq) {
     bool ok = m.admit_ok;
@@ -667,46 +614,25 @@ void AllocAgent::handle_admit(const CtrlMsg& m, TimeNs now) {
       // itself chains to the receipt).
       if (admit_span_ != 0) cause_ = admit_span_;
     }
-    if (h + 1 < fl.length()) {
-      // More transmitters downstream: AND our verdict in and pass it on.
-      auto fwd = std::make_shared<CtrlMsg>(m);
-      fwd->origin = self_;
-      fwd->to = fl.path[static_cast<std::size_t>(h + 1)];
-      fwd->seq = ++ctrl_seq_;
-      fwd->admit_ok = ok;
-      ++stats_.admit_req_sent;
-      send(std::move(fwd));
-    } else {
-      // Last transmitter: the verdict is final — return it upstream.
-      auto rsp = std::make_shared<CtrlMsg>();
-      rsp->kind = CtrlMsg::Kind::kAdmitRsp;
-      rsp->origin = self_;
-      rsp->to = fl.path[static_cast<std::size_t>(h - 1)];
-      rsp->seq = ++ctrl_seq_;
-      rsp->flow = f;
-      rsp->gen = m.gen;
-      rsp->admit_ok = ok;
-      ++stats_.admit_rsp_sent;
-      send(std::move(rsp));
-    }
+    // More transmitters downstream: AND our verdict in and pass it on. The
+    // last transmitter's verdict is final: return it upstream.
+    if (h + 1 < flows_.flow(f).length())
+      send_admit(CtrlMsg::Kind::kAdmitReq, f, h + 1, ok);
+    else
+      send_admit(CtrlMsg::Kind::kAdmitRsp, f, h - 1, ok);
     return;
   }
 
-  // kAdmitRsp
-  if (h == 0) {
-    const auto it = admits_.find(f);
-    if (it != admits_.end() && !it->second.done) {
-      it->second.done = true;
-      it->second.verdict = m.admit_ok;
-    }
+  // kAdmitRsp: relay it upstream; at the source it closes the round.
+  if (h > 0) {
+    send_admit(CtrlMsg::Kind::kAdmitRsp, f, h - 1, m.admit_ok);
     return;
   }
-  auto rsp = std::make_shared<CtrlMsg>(m);
-  rsp->origin = self_;
-  rsp->to = fl.path[static_cast<std::size_t>(h - 1)];
-  rsp->seq = ++ctrl_seq_;
-  ++stats_.admit_rsp_sent;
-  send(std::move(rsp));
+  const auto it = admits_.find(f);
+  if (it != admits_.end() && it->second.req_tx.await) {
+    it->second.req_tx.await = false;
+    it->second.verdict = m.admit_ok ? 1 : 0;
+  }
 }
 
 std::uint32_t AllocAgent::trace_recv(const Frame& fr, TimeNs now) const {
@@ -719,21 +645,6 @@ std::uint32_t AllocAgent::trace_recv(const Frame& fr, TimeNs now) const {
                                   static_cast<double>(m.wire_bytes()),
                                   fr.type == FrameType::kCtrl ? 0.0 : 1.0, span,
                                   m.span);
-  return span;
-}
-
-std::uint32_t AllocAgent::trace_retransmit(TimeNs now, CtrlMsg::Kind kind,
-                                           FlowId flow, int retx,
-                                           int wait_ticks,
-                                           std::uint32_t prev_span) const {
-  if (trace_ == nullptr || !trace_->enabled<TraceCat::kCtrl>()) return 0;
-  const std::uint32_t span = trace_->new_span();
-  trace_->record<TraceCat::kCtrl>(now, TraceEvent::kCtrlRetransmit,
-                                  static_cast<std::int16_t>(self_),
-                                  static_cast<std::int32_t>(kind), flow,
-                                  static_cast<double>(retx),
-                                  static_cast<double>(wait_ticks), span,
-                                  prev_span);
   return span;
 }
 

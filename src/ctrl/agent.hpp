@@ -47,25 +47,6 @@ namespace e2efa {
 
 class CheckContext;
 
-/// Final applied state and traffic counters of one agent (collected into
-/// RunResult::ctrl; all counters are queued-send side — the MAC's
-/// stats().ctrl_sent counts actual transmissions).
-struct CtrlAgentStats {
-  std::uint64_t hello_sent = 0;
-  std::uint64_t constraint_sent = 0;
-  std::uint64_t rate_sent = 0;
-  std::uint64_t msgs_received = 0;
-  std::uint64_t solves = 0;
-  std::uint64_t ctrl_bytes_sent = 0;  ///< Dedicated frames only (not piggybacks).
-  // Hardened-mode counters (all zero when the agent is not hardened).
-  std::uint64_t admit_req_sent = 0;
-  std::uint64_t admit_rsp_sent = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t seq_gaps = 0;
-  std::uint64_t stale_dropped = 0;
-  std::uint64_t forced_solves = 0;
-};
-
 class AllocAgent : public CtrlPiggyback {
  public:
   /// `graph` must be the contention graph of `flows` over `topo`; `sched`
@@ -74,15 +55,16 @@ class AllocAgent : public CtrlPiggyback {
   /// the MAC's control listener and piggyback source in start().
   ///
   /// `hardened` selects the loss-hardened mode. Off, the control plane is
-  /// the plain fire-and-forget protocol (bit-identical goldens); on — the
-  /// runner sets it for runs with faults, churn, or mobility — the agent
-  /// additionally (a) stamps CONSTRAINT/RATE with per-flow epoch
-  /// generations and drops stale ones, (b) retransmits unacknowledged
-  /// CONSTRAINT/RATE with exponential backoff (overhearing the peer's
-  /// forward acts as the ack), (c) counts HELLO sequence gaps, (d) forces a
-  /// degraded solve when quiescence is never reached within kMaxStalenessS,
-  /// and keeps last-known-good rates while every neighbor is timed out,
-  /// and (e) answers in-band ADMIT rounds.
+  /// the plain fire-and-forget protocol; on — the runner sets it for runs
+  /// with faults, churn, or mobility — the agent additionally (a) arms
+  /// retransmits of unacknowledged CONSTRAINT/RATE sends (overhearing the
+  /// peer's forward acts as the ack), (b) forces a degraded solve when
+  /// quiescence is never reached within kMaxStalenessS, and keeps
+  /// last-known-good rates while every neighbor is timed out, and (c)
+  /// counts HELLO sequence gaps. Everything else runs in both modes and
+  /// only acts under dynamics: stale-generation drops (generations move
+  /// only when the flow set does) and ADMIT rounds (the runner starts them
+  /// only for flow arrivals).
   AllocAgent(Simulator& sim, DcfMac& mac, const Topology& topo, const FlowSet& flows,
              const ContentionGraph& graph, TagScheduler* sched, bool hardened,
              Rng rng, TraceSink* trace);
@@ -104,12 +86,12 @@ class AllocAgent : public CtrlPiggyback {
   /// the lane is not local). Test/collection helper.
   double applied_share(std::int32_t subflow) const;
 
-  /// Starts an in-band ADMIT round for flow `f` (hardened mode; self must
-  /// be f's source). The request walks the candidate's transmitting nodes,
-  /// each ANDing its local clique-bound verdict (the shared
-  /// admission_local_worst_load kernel) into the message; the last hop's
-  /// ADMIT_RSP returns the verdict hop-by-hop. Lost legs are retransmitted
-  /// with backoff up to kRetxLimit, then the round times out.
+  /// Starts an in-band ADMIT round for flow `f` (self must be f's source).
+  /// The request walks the candidate's transmitting nodes, each ANDing its
+  /// local clique-bound verdict (the shared admission_local_worst_load
+  /// kernel) into the message; the last hop's ADMIT_RSP returns the verdict
+  /// hop-by-hop. Until it arrives the source resends the request with
+  /// backoff, up to kRetxLimit times, then the round times out.
   void request_admission(FlowId f);
 
   /// Outcome of the ADMIT round started for `f`: 1 admitted, 0 rejected,
@@ -142,6 +124,19 @@ class AllocAgent : public CtrlPiggyback {
     std::uint32_t gap_seq = 0;  ///< Last delta seq counted as a gap.
   };
 
+  /// Retransmit state of one directed stream: a flow's CONSTRAINT stream
+  /// upstream, its RATE stream downstream, or an ADMIT round's request.
+  /// Armed (`await`) by a fresh send whose ack can be observed; every tick
+  /// advances `timer`, and after `wait` ticks without the ack the stream is
+  /// resent with the wait doubled (capped at kRefreshTicks), at most
+  /// kRetxLimit times — after that the periodic kRefreshTicks cadence is
+  /// the safety net (an ADMIT round times out instead).
+  struct Retx {
+    bool await = false;
+    int retx = 0, wait = 1, timer = 0;
+    std::uint32_t span = 0;  ///< Span of the last send (0 = none / tracing off).
+  };
+
   /// Per managed flow (self is a transmitting node of an active flow).
   struct FlowCtrl {
     int hop = 0;
@@ -157,29 +152,23 @@ class AllocAgent : public CtrlPiggyback {
     bool have_rate = false;
     int ticks_since_constraint = 0;
     int ticks_since_rate = 0;
-    /// Hardened-mode retransmit state. A directed send arms the await flag
-    /// and an exponentially backed-off tick timer; overhearing the peer
-    /// forward the same stream (its own CONSTRAINT upstream / RATE
-    /// downstream) clears it. At most kRetxLimit resends per fresh send.
-    bool ctr_await = false;
-    int ctr_retx = 0, ctr_wait = 1, ctr_timer = 0;
-    bool rate_await = false;
-    int rate_retx = 0, rate_wait = 1, rate_timer = 0;
-    TimeNs solve_dirty_since = 0;  ///< When solve_dirty last went true.
-    /// Causal-span bookkeeping (0 when tracing is off/filtered): the spans
-    /// of the last CONSTRAINT/RATE sends (retransmit records chain to
-    /// them) and of the event that last dirtied the solve (the solve
-    /// record chains to it).
-    std::uint32_t ctr_span = 0, rate_span = 0, cause_span = 0;
+    /// The CONSTRAINT stream (acked by overhearing the upstream hop send
+    /// its own) and the RATE stream (acked by overhearing the downstream
+    /// hop forward it).
+    Retx ctr_tx, rate_tx;
+    /// When solve_dirty last went true — or the last reconfigure(), which
+    /// restarts it even for flows that are already dirty.
+    TimeNs solve_dirty_since = 0;
+    /// Span of the event that last dirtied the solve (the solve record
+    /// chains to it; 0 when tracing is off/filtered).
+    std::uint32_t cause_span = 0;
   };
 
-  /// One pending / completed in-band ADMIT round at the candidate's source.
+  /// One in-band ADMIT round at the candidate's source: open while
+  /// `req_tx.await` holds (the ADMIT_RSP is its ack).
   struct AdmitState {
-    bool done = false;
-    bool verdict = false;
-    bool timed_out = false;
-    int retx = 0, wait = 1, timer = 0;
-    std::uint32_t span = 0;  ///< Span of the last ADMIT_REQ send (0 = none).
+    Retx req_tx;
+    int verdict = -1;  ///< 1 admitted, 0 rejected, -1 open or timed out.
   };
 
   void tick();
@@ -188,17 +177,42 @@ class AllocAgent : public CtrlPiggyback {
   void rebuild_own(TimeNs now);
   bool flow_active(FlowId f) const;
   void refresh_knowledge(TimeNs now);  ///< Rebuilds K(v) + local cliques if dirty.
-  bool rebuild_acc(FlowId f, FlowCtrl& fc, TimeNs now);  ///< True if acc changed.
+  bool rebuild_acc(FlowCtrl& fc, TimeNs now);  ///< True if acc changed.
+  /// One tick of a stream's retransmit timer, in this order: advance the
+  /// timer, give up at kRetxLimit, skip while the MAC has no `room`. True
+  /// when the stream is due for a resend now; cause_ then holds the
+  /// kCtrlRetransmit span the resend chains to (the caller clears it).
+  bool retransmit_due(Retx& r, bool room, CtrlMsg::Kind kind, FlowId f, TimeNs now);
   void send_hello();
-  void send_constraint(FlowId f, FlowCtrl& fc, bool retx = false);
-  void send_rate(FlowId f, FlowCtrl& fc, bool retx = false);
+  /// `fresh` is false for a retransmit, which keeps the stream's backoff.
+  void send_constraint(FlowId f, FlowCtrl& fc, bool fresh = true);
+  void send_rate(FlowId f, FlowCtrl& fc, bool fresh = true);
+  /// Sends `m` as the next message of stream `tx`; `ackable` (a fresh send
+  /// whose ack can be overheard) re-arms the stream in hardened mode.
+  void send_stream(Retx& tx, std::shared_ptr<CtrlMsg> m, bool ackable);
   void maybe_solve(FlowId f, FlowCtrl& fc, TimeNs now);
   void set_lane(FlowId f, int hop, double share);
+  /// A directed message about flow `f`, stamped with origin, `to`, `seq`,
+  /// the flow and its current generation.
+  std::shared_ptr<CtrlMsg> directed(CtrlMsg::Kind kind, FlowId f, NodeId to,
+                                    std::uint32_t seq) const;
   /// Emits the kCtrlSend record (span = fresh id, parent = cause_), stamps
   /// the span onto the message, and hands it to the MAC. Returns the span.
   std::uint32_t send(std::shared_ptr<CtrlMsg> m);
-  void send_admit_req(FlowId f);
+  /// Sends an ADMIT_REQ (candidate `f`'s subflows attached) or ADMIT_RSP
+  /// to the transmitter at hop `to_hop` of f's path, carrying verdict `ok`.
+  /// Returns the send span.
+  std::uint32_t send_admit(CtrlMsg::Kind kind, FlowId f, int to_hop, bool ok);
   void handle_admit(const CtrlMsg& m, TimeNs now);
+  /// The receive filter shared by CONSTRAINT and RATE: drops a message
+  /// composed before its flow's latest toggle (stale generation), takes
+  /// overhearing the stream's peer forward it as the implicit ack, and
+  /// returns the addressed flow — null when the message is stale, not
+  /// addressed to self, or about a flow self does not manage.
+  FlowCtrl* addressed_flow(const CtrlMsg& m);
+  /// Counts a sequence gap: a HELLO (`full`) or HELLO_DELTA from `t`'s
+  /// origin numbered past what the table expects (hardened mode).
+  void count_gap(NeighborTable& t, const CtrlMsg& m, bool full, TimeNs now);
   bool local_admit_ok(FlowId f, TimeNs now);
   int candidate_hop(FlowId f) const;  ///< Self's hop on f's path, -1 if none.
   void rebuild_beacon();
@@ -206,11 +220,6 @@ class AllocAgent : public CtrlPiggyback {
   /// Emits the kCtrlRecv record (parent = the message's send span) and
   /// returns its fresh span id (0 when the ctrl category is off).
   std::uint32_t trace_recv(const Frame& f, TimeNs now) const;
-  /// Emits a kCtrlRetransmit record chained to the original send's span;
-  /// returns its span so the resend's kCtrlSend can chain to it.
-  std::uint32_t trace_retransmit(TimeNs now, CtrlMsg::Kind kind, FlowId flow,
-                                 int retx, int wait_ticks,
-                                 std::uint32_t prev_span) const;
 
   Simulator& sim_;
   DcfMac& mac_;
@@ -239,7 +248,7 @@ class AllocAgent : public CtrlPiggyback {
 
   /// Per-flow epoch generation: bumped on every activity toggle the runner
   /// announces. Deterministically identical across agents (every agent sees
-  /// the same note_active_set sequence), so a hardened receiver can drop a
+  /// the same note_active_set sequence), so a receiver can drop a
   /// CONSTRAINT/RATE composed before the flow's last arrival/departure.
   std::vector<std::uint16_t> flow_gen_;
   bool any_fresh_neighbor_ = true;  ///< False when every table is stale.

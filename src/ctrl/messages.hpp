@@ -20,9 +20,9 @@
 //               it starts: each transmitting hop evaluates the local
 //               clique-bound admission check (src/ctrl/admission.hpp) over
 //               its current knowledge, ANDs its verdict into the message,
-//               and forwards it. Hardened mode only.
+//               and forwards it. Flow arrivals (start_s > 0) only.
 //   ADMIT_RSP   the final hop's verdict returned upstream hop-by-hop to the
-//               candidate's source. Hardened mode only.
+//               candidate's source. Flow arrivals only.
 //
 // All messages are fire-and-forget (kCtrl broadcast frames carry no ACK);
 // robustness comes from periodic re-advertisement — plus, in hardened mode
@@ -32,8 +32,8 @@
 //
 // Directed flow-state messages additionally carry a *generation* stamp
 // (CtrlMsg::gen): every activity toggle of a flow bumps its generation, and
-// hardened receivers drop CONSTRAINT/RATE stamped with a stale generation —
-// a RATE composed before the flow departed can never resurrect its lanes.
+// receivers drop CONSTRAINT/RATE stamped with a stale generation — a RATE
+// composed before the flow departed can never resurrect its lanes.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +65,7 @@ struct CtrlMsg {
   std::uint32_t seq = 0;         ///< Origin-local sequence per message stream.
   FlowId flow = -1;              ///< kConstraint/kRate/kAdmit*: subject flow.
   /// Epoch generation of `flow` when the message was composed (bumped on
-  /// every activity toggle). Hardened receivers drop mismatches.
+  /// every activity toggle). CONSTRAINT/RATE receivers drop mismatches.
   std::uint16_t gen = 0;
   /// kHello: the full Own set; kHelloDelta: ids added since `seq` began;
   /// kAdmitReq: the candidate's subflow ids (its path travels with it).
@@ -94,5 +94,44 @@ struct CtrlMsg {
 };
 
 const char* to_string(CtrlMsg::Kind k);
+
+/// Traffic and solve counters of one AllocAgent (RunResult::ctrl sums them
+/// over every node). Send counters are queued-send side: the MAC's
+/// stats().ctrl_sent counts actual transmissions.
+struct CtrlAgentStats {
+  std::uint64_t hello_sent = 0;       ///< Queued HELLO broadcasts.
+  std::uint64_t constraint_sent = 0;  ///< Queued CONSTRAINT messages.
+  std::uint64_t rate_sent = 0;        ///< Queued RATE messages.
+  std::uint64_t msgs_received = 0;    ///< Decoded control payloads.
+  std::uint64_t solves = 0;           ///< Source-local LP solves.
+  std::uint64_t ctrl_bytes = 0;       ///< Wire bytes of queued dedicated frames
+                                      ///< (piggybacks not included).
+  // Hardened-mode counters (all zero unless the agents run hardened — i.e.
+  // unless the scenario has faults, churn, or mobility).
+  std::uint64_t admit_req_sent = 0;  ///< Queued ADMIT_REQ messages.
+  std::uint64_t admit_rsp_sent = 0;  ///< Queued ADMIT_RSP messages.
+  std::uint64_t retransmits = 0;     ///< CONSTRAINT/RATE/ADMIT_REQ resends (no ack).
+  std::uint64_t seq_gaps = 0;        ///< HELLO sequence gaps detected.
+  std::uint64_t stale_dropped = 0;   ///< Msgs dropped for a stale epoch gen.
+  std::uint64_t forced_solves = 0;   ///< Degraded solves (quiescence never
+                                     ///< reached within the 2 s staleness bound).
+
+  CtrlAgentStats& operator+=(const CtrlAgentStats& o) {
+    hello_sent += o.hello_sent;
+    constraint_sent += o.constraint_sent;
+    rate_sent += o.rate_sent;
+    msgs_received += o.msgs_received;
+    solves += o.solves;
+    ctrl_bytes += o.ctrl_bytes;
+    admit_req_sent += o.admit_req_sent;
+    admit_rsp_sent += o.admit_rsp_sent;
+    retransmits += o.retransmits;
+    seq_gaps += o.seq_gaps;
+    stale_dropped += o.stale_dropped;
+    forced_solves += o.forced_solves;
+    return *this;
+  }
+  bool operator==(const CtrlAgentStats&) const = default;
+};
 
 }  // namespace e2efa

@@ -26,8 +26,8 @@ int BebBackoff::draw_slots(Rng& rng, int retries, TimeNs) {
   return static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(cw) + 1));
 }
 
-TagBackoff::TagBackoff(int cw_min, int cw_max, TagAgent& agent)
-    : cw_min_(cw_min), cw_max_(cw_max), agent_(agent) {
+TagBackoff::TagBackoff(int cw_min, int cw_max, TagScheduler& tags)
+    : cw_min_(cw_min), cw_max_(cw_max), tags_(tags) {
   E2EFA_ASSERT(cw_min >= 1 && cw_max >= cw_min);
 }
 
@@ -48,7 +48,7 @@ int ScaledCwBackoff::draw_slots(Rng& rng, int retries, TimeNs) {
 int TagBackoff::draw_slots(Rng& rng, int retries, TimeNs now) {
   E2EFA_ASSERT(retries >= 0);
   const int base = escalated_window(cw_min_, cw_max_, retries);
-  const double lag = std::max({agent_.q_slots(now), agent_.head_last_r(), 0.0});
+  const double lag = std::max({tags_.q_slots(now), tags_.head_last_r(), 0.0});
   // Keep the stretched window finite even under extreme tag imbalance.
   const double cw = std::min(static_cast<double>(base) + lag, 16383.0);
   return static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(std::llround(cw)) + 1));

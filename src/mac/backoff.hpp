@@ -8,7 +8,7 @@
 // to resolve collisions.
 #pragma once
 
-#include "sched/tx_queue.hpp"
+#include "sched/tag_scheduler.hpp"
 #include "util/rng.hpp"
 
 namespace e2efa {
@@ -34,16 +34,16 @@ class BebBackoff : public BackoffPolicy {
 };
 
 /// 2PA: uniform over [0, base(retries) + max(Q, R, 0)], where base is the
-/// (retry-escalated) CWmin and Q/R come from the tag agent.
+/// (retry-escalated) CWmin and Q/R come from the node's tag scheduler.
 class TagBackoff : public BackoffPolicy {
  public:
-  TagBackoff(int cw_min, int cw_max, TagAgent& agent);
+  TagBackoff(int cw_min, int cw_max, TagScheduler& tags);
   int draw_slots(Rng& rng, int retries, TimeNs now) override;
 
  private:
   int cw_min_;
   int cw_max_;
-  TagAgent& agent_;
+  TagScheduler& tags_;
 };
 
 /// Naive share-proportional contention window (ablation baseline): the

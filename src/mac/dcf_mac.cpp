@@ -10,7 +10,7 @@ namespace e2efa {
 
 DcfMac::DcfMac(Simulator& sim, Channel& channel, NodeId self, const MacConfig& cfg,
                TxQueue& queue, BackoffPolicy& backoff, MacCallbacks& callbacks, Rng rng,
-               TagAgent* tags)
+               TagScheduler* tags)
     : sim_(sim),
       channel_(channel),
       self_(self),

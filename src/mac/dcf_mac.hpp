@@ -6,7 +6,7 @@
 // handshake with timeouts and a retry limit, and delegates *which* packet
 // to send to a TxQueue and *how long* to back off to a BackoffPolicy —
 // which is exactly where 2PA's phase-2 scheduler plugs in. Service tags are
-// piggybacked on every frame of an exchange when a TagAgent is present.
+// piggybacked on every frame of an exchange when a TagScheduler is present.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +16,7 @@
 
 #include "mac/backoff.hpp"
 #include "phy/channel.hpp"
-#include "sched/tx_queue.hpp"
+#include "sched/tag_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -58,7 +58,7 @@ class DcfMac : public PhyListener {
  public:
   DcfMac(Simulator& sim, Channel& channel, NodeId self, const MacConfig& cfg,
          TxQueue& queue, BackoffPolicy& backoff, MacCallbacks& callbacks, Rng rng,
-         TagAgent* tags = nullptr);
+         TagScheduler* tags = nullptr);
 
   /// The stack must call this after enqueueing into a previously empty (or
   /// idle) queue so the MAC starts contending.
@@ -159,7 +159,7 @@ class DcfMac : public PhyListener {
   BackoffPolicy& backoff_;
   MacCallbacks& callbacks_;
   Rng rng_;
-  TagAgent* tags_;
+  TagScheduler* tags_;
   TraceSink* trace_ = nullptr;
   CheckContext* check_ = nullptr;
 

@@ -6,10 +6,9 @@
 
 namespace e2efa {
 
-TimeNs per_packet_airtime(int payload_bytes, const MacConfig& mac, std::int64_t bps,
-                          int cw_min) {
-  E2EFA_ASSERT(payload_bytes > 0 && bps > 0 && cw_min >= 1);
-  auto dur = [&](int bytes) { return tx_duration(8LL * bytes, bps); };
+TimeNs per_packet_airtime(int payload_bytes, const MacConfig& mac, int cw_min) {
+  E2EFA_ASSERT(payload_bytes > 0 && cw_min >= 1);
+  auto dur = [](int bytes) { return tx_duration(8LL * bytes, kChannelBps); };
   const TimeNs data = dur(kDataHeaderBytes + payload_bytes);
   const TimeNs ack = dur(kAckBytes);
   const TimeNs mean_backoff = kSlot * cw_min / 2;
@@ -20,17 +19,16 @@ TimeNs per_packet_airtime(int payload_bytes, const MacConfig& mac, std::int64_t 
   return total;
 }
 
-double effective_packet_rate(int payload_bytes, const MacConfig& mac,
-                             std::int64_t bps, int cw_min) {
-  return 1e9 / static_cast<double>(per_packet_airtime(payload_bytes, mac, bps, cw_min));
+double effective_packet_rate(int payload_bytes, const MacConfig& mac, int cw_min) {
+  return 1e9 / static_cast<double>(per_packet_airtime(payload_bytes, mac, cw_min));
 }
 
 FluidPrediction fluid_predict(const FlowSet& flows, const Allocation& alloc,
                               double source_pps, int payload_bytes,
-                              const MacConfig& mac, std::int64_t bps, int cw_min) {
+                              const MacConfig& mac, int cw_min) {
   E2EFA_ASSERT(static_cast<int>(alloc.subflow_share.size()) == flows.subflow_count());
   E2EFA_ASSERT(source_pps > 0.0);
-  const double unit_rate = effective_packet_rate(payload_bytes, mac, bps, cw_min);
+  const double unit_rate = effective_packet_rate(payload_bytes, mac, cw_min);
 
   FluidPrediction out;
   out.subflow_rate.assign(static_cast<std::size_t>(flows.subflow_count()), 0.0);

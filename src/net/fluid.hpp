@@ -27,12 +27,10 @@ namespace e2efa {
 /// including the handshake, interframe spaces, and the mean initial
 /// backoff (collisions and retries are not modeled — this is the ideal
 /// case).
-TimeNs per_packet_airtime(int payload_bytes, const MacConfig& mac, std::int64_t bps,
-                          int cw_min);
+TimeNs per_packet_airtime(int payload_bytes, const MacConfig& mac, int cw_min);
 
 /// Packets per second one unit of share (B) sustains under the MAC model.
-double effective_packet_rate(int payload_bytes, const MacConfig& mac,
-                             std::int64_t bps, int cw_min);
+double effective_packet_rate(int payload_bytes, const MacConfig& mac, int cw_min);
 
 struct FluidPrediction {
   /// Served packet rate per subflow (pkt/s) — min(upstream arrival, own
@@ -49,6 +47,6 @@ struct FluidPrediction {
 /// `source_pps` and the given MAC parameters.
 FluidPrediction fluid_predict(const FlowSet& flows, const Allocation& alloc,
                               double source_pps, int payload_bytes,
-                              const MacConfig& mac, std::int64_t bps, int cw_min);
+                              const MacConfig& mac, int cw_min);
 
 }  // namespace e2efa

@@ -10,7 +10,7 @@ namespace e2efa {
 NodeStack::NodeStack(Simulator& sim, Channel& channel, NodeId self, const FlowSet& flows,
                      TrafficStats& stats, const MacConfig& mac_cfg,
                      std::unique_ptr<TxQueue> queue, std::unique_ptr<BackoffPolicy> backoff,
-                     Rng mac_rng, TagAgent* tags)
+                     Rng mac_rng, TagScheduler* tags)
     : sim_(sim),
       self_(self),
       flows_(flows),

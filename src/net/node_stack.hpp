@@ -18,7 +18,7 @@ class NodeStack : public MacCallbacks {
   NodeStack(Simulator& sim, Channel& channel, NodeId self, const FlowSet& flows,
             TrafficStats& stats, const MacConfig& mac_cfg,
             std::unique_ptr<TxQueue> queue, std::unique_ptr<BackoffPolicy> backoff,
-            Rng mac_rng, TagAgent* tags);
+            Rng mac_rng, TagScheduler* tags);
 
   /// Entry point for locally generated (source) packets; stamps the first
   /// hop and enqueues. Forwarded packets arrive via on_packet_delivered.

@@ -42,12 +42,12 @@ const char* to_string(Protocol p) {
   return "?";
 }
 
-double RunResult::measured_subflow_share(int s, std::int64_t bps, int payload_bytes) const {
+double RunResult::measured_subflow_share(int s, int payload_bytes) const {
   E2EFA_ASSERT(s >= 0 && s < static_cast<int>(delivered_per_subflow.size()));
   const double bits =
       static_cast<double>(delivered_per_subflow[static_cast<std::size_t>(s)]) * 8.0 *
       payload_bytes;
-  return bits / (sim_seconds * static_cast<double>(bps));
+  return bits / (sim_seconds * static_cast<double>(kChannelBps));
 }
 
 namespace {
@@ -536,6 +536,12 @@ struct Network {
   void start_sources();
   /// Closes the running epoch's goodput window.
   void close_epoch() { epoch_e2e.push_back(epoch_delta.take(plan, stats)); }
+  /// Every node's AllocAgent counters, summed.
+  CtrlAgentStats ctrl_totals() const {
+    CtrlAgentStats sum;
+    for (const auto& agent : agents) sum += agent->stats();
+    return sum;
+  }
 
   const Scenario& sc;
   const RunPlan& plan;
@@ -546,7 +552,7 @@ struct Network {
   CheckContext* const check = cfg.check;
 
   Simulator sim;
-  Channel channel{sim, sc.topo, kChannelBps};
+  Channel channel{sim, sc.topo};
   TrafficStats stats{plan.flows};
   Rng master{cfg.seed};
   std::unique_ptr<FaultRuntime> faults;
@@ -618,7 +624,7 @@ void Network::build_stacks() {
   for (NodeId n = 0; n < sc.topo.node_count(); ++n) {
     std::unique_ptr<TxQueue> queue;
     std::unique_ptr<BackoffPolicy> backoff;
-    TagAgent* tags = nullptr;
+    TagScheduler* tags = nullptr;
     if (!allocates(proto)) {
       auto fifo = std::make_unique<FifoQueue>(cfg.queue_capacity);
       fifo->set_check(check, n);
@@ -631,8 +637,8 @@ void Network::build_stacks() {
       for (int s : plan.flows.sourced_at(n))
         lanes.push_back({s, in_band(proto) ? TagScheduler::kInactiveShare
                                            : epochs[0].subflow_share[static_cast<size_t>(s)]});
-      auto sched = std::make_unique<TagScheduler>(std::move(lanes), cfg.queue_capacity,
-                                                  kChannelBps, cfg.alpha);
+      auto sched =
+          std::make_unique<TagScheduler>(std::move(lanes), cfg.queue_capacity, cfg.alpha);
       sched->set_trace(trace, static_cast<std::int16_t>(n));
       sched->set_check(check, n);
       tag_scheds[static_cast<size_t>(n)] = sched.get();
@@ -946,20 +952,14 @@ void Observers::sample_metrics() {
   samp.channel_utilization = airtime_(static_cast<double>(net_.channel.stats().airtime_ns)) /
                              static_cast<double>(from_seconds(period_s));
   if (in_band(net_.proto)) {
-    std::uint64_t ctrl_bytes = 0, retransmits = 0, seq_gaps = 0;
-    for (const auto& agent : net_.agents) {
-      const CtrlAgentStats& as = agent->stats();
-      ctrl_bytes += as.ctrl_bytes_sent;
-      retransmits += as.retransmits;
-      seq_gaps += as.seq_gaps;
-    }
-    const double cbytes = static_cast<double>(ctrl_bytes);
+    const CtrlAgentStats ctrl = net_.ctrl_totals();
+    const double cbytes = static_cast<double>(ctrl.ctrl_bytes);
     samp.ctrl_bytes = ctrl_bytes_(cbytes);
     const double data_bytes =
         static_cast<double>(data_sent) * static_cast<double>(cfg.payload_bytes);
     samp.ctrl_overhead = data_bytes > 0.0 ? cbytes / data_bytes : 0.0;
-    samp.ctrl_retransmits = retransmits_(static_cast<double>(retransmits));
-    samp.ctrl_seq_gaps = seq_gaps_(static_cast<double>(seq_gaps));
+    samp.ctrl_retransmits = retransmits_(static_cast<double>(ctrl.retransmits));
+    samp.ctrl_seq_gaps = seq_gaps_(static_cast<double>(ctrl.seq_gaps));
   }
   if (net_.elastic) {
     for (const auto& src : net_.sources) {
@@ -1006,22 +1006,8 @@ void collect_targets(const RunPlan& plan, const std::vector<EpochAllocation>& ep
 }
 
 void collect_ctrl(const Network& net, RunResult& out) {
-  for (size_t n = 0; n < net.agents.size(); ++n) {
-    const CtrlAgentStats& as = net.agents[n]->stats();
-    out.ctrl.hello_sent += as.hello_sent;
-    out.ctrl.constraint_sent += as.constraint_sent;
-    out.ctrl.rate_sent += as.rate_sent;
-    out.ctrl.msgs_received += as.msgs_received;
-    out.ctrl.solves += as.solves;
-    out.ctrl.ctrl_bytes += as.ctrl_bytes_sent;
-    out.ctrl.admit_req_sent += as.admit_req_sent;
-    out.ctrl.admit_rsp_sent += as.admit_rsp_sent;
-    out.ctrl.retransmits += as.retransmits;
-    out.ctrl.seq_gaps += as.seq_gaps;
-    out.ctrl.stale_dropped += as.stale_dropped;
-    out.ctrl.forced_solves += as.forced_solves;
-    out.ctrl.ctrl_frames += net.stacks[n]->mac().stats().ctrl_sent;
-  }
+  static_cast<CtrlAgentStats&>(out.ctrl) = net.ctrl_totals();
+  for (const auto& stack : net.stacks) out.ctrl.ctrl_frames += stack->mac().stats().ctrl_sent;
   const FlowSet& flows = net.plan.flows;
   for (const Network::InbandRound& r : net.inband_rounds)
     out.admissions[r.admission].inband =

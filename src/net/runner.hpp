@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "alloc/allocation.hpp"
+#include "ctrl/messages.hpp"
 #include "lp/simplex.hpp"
 #include "net/scenarios.hpp"
 #include "obs/metrics.hpp"
@@ -160,23 +161,8 @@ struct RunResult {
   /// applied shares are what actually sits in the TagSchedulers when the
   /// run ends — i.e. the state the network converged to, as opposed to the
   /// oracle targets in target_subflow_share / epoch_flow_share.
-  struct CtrlSummary {
-    std::uint64_t hello_sent = 0;       ///< Queued HELLO broadcasts.
-    std::uint64_t constraint_sent = 0;  ///< Queued CONSTRAINT messages.
-    std::uint64_t rate_sent = 0;        ///< Queued RATE messages.
-    std::uint64_t msgs_received = 0;    ///< Decoded control payloads.
-    std::uint64_t solves = 0;           ///< Source-local LP solves.
-    std::uint64_t ctrl_bytes = 0;       ///< Wire bytes of queued dedicated frames.
-    std::uint64_t ctrl_frames = 0;      ///< kCtrl frames actually transmitted.
-    // Hardened-mode counters (all zero unless the agents run hardened —
-    // i.e. unless the scenario has faults, churn, or mobility).
-    std::uint64_t admit_req_sent = 0;   ///< Queued ADMIT_REQ messages.
-    std::uint64_t admit_rsp_sent = 0;   ///< Queued ADMIT_RSP messages.
-    std::uint64_t retransmits = 0;      ///< CONSTRAINT/RATE resends (no ack).
-    std::uint64_t seq_gaps = 0;         ///< HELLO sequence gaps detected.
-    std::uint64_t stale_dropped = 0;    ///< Msgs dropped for a stale epoch gen.
-    std::uint64_t forced_solves = 0;    ///< Degraded solves (quiescence never
-                                        ///< reached within the 2 s staleness bound).
+  struct CtrlSummary : CtrlAgentStats {
+    std::uint64_t ctrl_frames = 0;  ///< kCtrl frames actually transmitted.
     std::vector<double> applied_subflow_share;  ///< Final lane shares (sim ids).
     bool operator==(const CtrlSummary&) const = default;
   };
@@ -230,9 +216,9 @@ struct RunResult {
   /// differentials and the parity tests rely on it.
   bool operator==(const RunResult&) const = default;
 
-  /// Measured share of subflow s in units of B:
+  /// Measured share of subflow s in units of B = kChannelBps:
   /// delivered · payload_bits / (T · B).
-  double measured_subflow_share(int s, std::int64_t bps, int payload_bytes) const;
+  double measured_subflow_share(int s, int payload_bytes) const;
 };
 
 /// Runs phase 1 + phase 2 on the scenario. Deterministic given cfg.seed —

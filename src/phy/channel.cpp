@@ -6,9 +6,7 @@
 
 namespace e2efa {
 
-Channel::Channel(Simulator& sim, const Topology& topo, std::int64_t bits_per_second)
-    : sim_(sim), topo_(topo), bps_(bits_per_second) {
-  E2EFA_ASSERT(bps_ > 0);
+Channel::Channel(Simulator& sim, const Topology& topo) : sim_(sim), topo_(topo) {
   nodes_.resize(static_cast<std::size_t>(topo.node_count()));
 }
 

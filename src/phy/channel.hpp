@@ -86,7 +86,8 @@ struct ChannelStats {
 
 class Channel {
  public:
-  Channel(Simulator& sim, const Topology& topo, std::int64_t bits_per_second);
+  /// The channel runs at the paper's fixed rate, kChannelBps.
+  Channel(Simulator& sim, const Topology& topo);
 
   /// Registers the MAC of node n. Must be called once per node before any
   /// transmission reaches it.
@@ -109,10 +110,8 @@ class Channel {
   /// accrue to its phy phase. Not owned; pure observation.
   void set_profiler(Profiler* profiler) { profiler_ = profiler; }
 
-  std::int64_t bps() const { return bps_; }
-
   /// Airtime of a frame of `bytes` bytes at the channel rate.
-  TimeNs frame_duration(int bytes) const { return tx_duration(8LL * bytes, bps_); }
+  TimeNs frame_duration(int bytes) const { return tx_duration(8LL * bytes, kChannelBps); }
 
   /// Starts transmitting `frame` from `sender` now; returns the end time.
   /// The sender must not already be transmitting. A node that transmits
@@ -178,7 +177,6 @@ class Channel {
   TraceSink* trace_ = nullptr;
   CheckContext* check_ = nullptr;
   Profiler* profiler_ = nullptr;
-  std::int64_t bps_;
   std::vector<NodeState> nodes_;
   std::uint64_t next_tx_id_ = 1;
   std::vector<Transmission> tx_pool_;

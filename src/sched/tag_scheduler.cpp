@@ -3,19 +3,17 @@
 #include <algorithm>
 
 #include "check/check.hpp"
+#include "phy/frame.hpp"
 #include "util/assert.hpp"
 
 namespace e2efa {
 
 TagScheduler::TagScheduler(std::vector<SubflowConfig> subflows, int per_queue_capacity,
-                           std::int64_t bits_per_second, double alpha,
-                           TimeNs tag_horizon)
+                           double alpha, TimeNs tag_horizon)
     : capacity_(per_queue_capacity),
-      bps_(bits_per_second),
       alpha_(alpha),
       tag_horizon_(tag_horizon) {
   E2EFA_ASSERT(per_queue_capacity >= 1);
-  E2EFA_ASSERT(bits_per_second > 0);
   E2EFA_ASSERT(alpha >= 0.0);
   E2EFA_ASSERT(tag_horizon > 0);
   for (const SubflowConfig& cfg : subflows) {
@@ -29,7 +27,7 @@ TagScheduler::TagScheduler(std::vector<SubflowConfig> subflows, int per_queue_ca
 
 double TagScheduler::packet_vtime(const Packet& p) const {
   // Payload airtime at full channel rate, in µs.
-  return 8.0 * static_cast<double>(p.payload_bytes) / static_cast<double>(bps_) * 1e6;
+  return 8.0 * static_cast<double>(p.payload_bytes) / static_cast<double>(kChannelBps) * 1e6;
 }
 
 TagScheduler::Lane& TagScheduler::lane_of(std::int32_t subflow) {

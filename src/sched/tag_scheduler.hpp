@@ -33,7 +33,7 @@ namespace e2efa {
 
 class CheckContext;
 
-class TagScheduler : public TxQueue, public TagAgent {
+class TagScheduler : public TxQueue {
  public:
   struct SubflowConfig {
     std::int32_t subflow = -1;  ///< Global subflow id.
@@ -49,13 +49,12 @@ class TagScheduler : public TxQueue, public TagAgent {
   /// its routes comes back.
   static constexpr double kInactiveShare = 1e-6;
 
-  /// `bits_per_second` is the channel rate B (tag units are µs of airtime
-  /// at B); `alpha` is the paper's short-term fairness strictness knob;
+  /// Tag units are µs of airtime at the channel rate B = kChannelBps;
+  /// `alpha` is the paper's short-term fairness strictness knob;
   /// `tag_horizon` ages neighbor-table entries (a flow-churn extension:
   /// tags not refreshed within the horizon no longer enter Q/R, so departed
   /// flows stop throttling survivors).
-  TagScheduler(std::vector<SubflowConfig> subflows, int per_queue_capacity,
-               std::int64_t bits_per_second, double alpha,
+  TagScheduler(std::vector<SubflowConfig> subflows, int per_queue_capacity, double alpha,
                TimeNs tag_horizon = 2 * kSecond);
 
   // --- TxQueue ---
@@ -66,14 +65,25 @@ class TagScheduler : public TxQueue, public TagAgent {
   Packet pop_drop(TimeNs now) override;
   int backlog() const override;
 
-  // --- TagAgent ---
-  double head_tag() const override;
-  std::int32_t head_subflow() const override;
-  void observe_tag(std::int32_t subflow, double tag, TimeNs now) override;
-  double q_slots(TimeNs now) const override;
-  double r_slots_for(std::int32_t data_subflow, TimeNs now) const override;
-  void store_ack_r(std::int32_t subflow, double r) override;
-  double head_last_r() const override;
+  // --- Hooks the MAC uses to drive the tag machinery (Sec. IV-C). The
+  // time-taking ones age out stale neighbor entries, so departed flows do
+  // not throttle survivors. ---
+  /// Start tag S of the current head packet (virtual-time µs).
+  double head_tag() const;
+  /// Global subflow id of the current head packet.
+  std::int32_t head_subflow() const;
+  /// Records an overheard (subflow, tag) pair into the local table.
+  void observe_tag(std::int32_t subflow, double tag, TimeNs now);
+  /// Sender-side extra backoff Q = α·Σ_m (S − r_m) in slots (may be < 0),
+  /// over the non-stale table entries.
+  double q_slots(TimeNs now) const;
+  /// Receiver-side estimate R = α·Σ_{m≠i} (r_i − r_m) for the subflow whose
+  /// DATA was just received; carried back in the ACK.
+  double r_slots_for(std::int32_t data_subflow, TimeNs now) const;
+  /// Sender stores the R delivered by an ACK for the given subflow.
+  void store_ack_r(std::int32_t subflow, double r);
+  /// Last stored R for the current head's subflow (0 if none).
+  double head_last_r() const;
 
   /// Updates the allocated share of one lane (phase-1 re-allocation after
   /// flow churn). Node share is recomputed and the lane's head tags are
@@ -143,7 +153,6 @@ class TagScheduler : public TxQueue, public TagAgent {
   std::vector<Lane> lanes_;
   std::unordered_map<std::int32_t, std::size_t> lane_index_;
   int capacity_;
-  std::int64_t bps_;
   double alpha_;
   TimeNs tag_horizon_;
   double node_share_ = 0.0;

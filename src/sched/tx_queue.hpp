@@ -32,34 +32,4 @@ class TxQueue {
   virtual int backlog() const = 0;
 };
 
-/// Hooks the MAC uses to drive the 2PA tag machinery (Sec. IV-C). Null for
-/// protocols without tags (plain 802.11). Time-taking methods age out
-/// stale neighbor entries (departed flows must not throttle survivors).
-class TagAgent {
- public:
-  virtual ~TagAgent() = default;
-
-  /// Start tag S of the current head packet (virtual-time µs).
-  virtual double head_tag() const = 0;
-  /// Global subflow id of the current head packet.
-  virtual std::int32_t head_subflow() const = 0;
-
-  /// Records an overheard (subflow, tag) pair into the local table.
-  virtual void observe_tag(std::int32_t subflow, double tag, TimeNs now) = 0;
-
-  /// Sender-side extra backoff Q = α·Σ_m (S − r_m) in slots (may be < 0),
-  /// over the non-stale table entries.
-  virtual double q_slots(TimeNs now) const = 0;
-
-  /// Receiver-side estimate R = α·Σ_{m≠i} (r_i − r_m) for the subflow whose
-  /// DATA was just received; carried back in the ACK.
-  virtual double r_slots_for(std::int32_t data_subflow, TimeNs now) const = 0;
-
-  /// Sender stores the R delivered by an ACK for the given subflow.
-  virtual void store_ack_r(std::int32_t subflow, double r) = 0;
-
-  /// Last stored R for the current head's subflow (0 if none).
-  virtual double head_last_r() const = 0;
-};
-
 }  // namespace e2efa

@@ -20,12 +20,6 @@ std::int64_t TrafficStats::suspended(FlowId f) const {
   return suspended_[static_cast<std::size_t>(f)];
 }
 
-std::int64_t TrafficStats::total_suspended() const {
-  std::int64_t sum = 0;
-  for (std::int64_t s : suspended_) sum += s;
-  return sum;
-}
-
 void TrafficStats::notify_end_to_end(FlowId f, TimeNs now, TimeNs delay) {
   if (on_delivery_) on_delivery_(f, now, delay);
 }
@@ -62,12 +56,6 @@ std::int64_t TrafficStats::end_to_end(FlowId f) const {
 std::int64_t TrafficStats::total_end_to_end() const {
   std::int64_t sum = 0;
   for (FlowId f = 0; f < flows_->flow_count(); ++f) sum += end_to_end(f);
-  return sum;
-}
-
-std::int64_t TrafficStats::total_dropped() const {
-  std::int64_t sum = 0;
-  for (const SubflowCounters& c : counters_) sum += c.dropped_queue + c.dropped_mac;
   return sum;
 }
 

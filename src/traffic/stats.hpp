@@ -46,8 +46,6 @@ class TrafficStats {
   void count_suspended(FlowId f);
   /// Packets of flow f suppressed while suspended.
   std::int64_t suspended(FlowId f) const;
-  /// Σ_i suspended(i).
-  std::int64_t total_suspended() const;
 
   /// Observer invoked on every deduplicated end-to-end delivery of flow f
   /// (warm-up included) — the hook recovery-time measurement and delivery
@@ -66,10 +64,6 @@ class TrafficStats {
 
   /// Σ_i end_to_end(i) — the measured total effective throughput × T.
   std::int64_t total_end_to_end() const;
-
-  /// All packets lost anywhere (queue overflow + retry-limit drops),
-  /// including source-side drops.
-  std::int64_t total_dropped() const;
 
   /// The paper's "lost packets": in-network losses — packets that consumed
   /// upstream airtime but never reached the destination,

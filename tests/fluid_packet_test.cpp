@@ -20,8 +20,7 @@ FluidPrediction predict(const Scenario& sc, const RunResult& r,
   const Allocation alloc = make_subflow_allocation(flows, r.target_subflow_share);
   MacConfig mac;
   mac.use_rts_cts = cfg.use_rts_cts;
-  return fluid_predict(flows, alloc, cfg.cbr_pps, cfg.payload_bytes, mac,
-                       kChannelBps, cfg.cw_min);
+  return fluid_predict(flows, alloc, cfg.cbr_pps, cfg.payload_bytes, mac, cfg.cw_min);
 }
 
 TEST(FluidVsPacket, SaturatedPaperScenariosLandInsideTheEnvelope) {

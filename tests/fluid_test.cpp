@@ -8,7 +8,6 @@
 namespace e2efa {
 namespace {
 
-constexpr std::int64_t kBps = 2'000'000;
 constexpr int kCwMin = 31;
 constexpr int kPayload = 512;
 
@@ -16,19 +15,19 @@ TEST(Fluid, PerPacketAirtimeRtsCts) {
   MacConfig mac;
   // DIFS 50 + mean backoff 310 + RTS 80 + SIFS 10 + CTS 56 + SIFS 10 +
   // DATA (564 B = 2256) + SIFS 10 + ACK 56 = 2838 µs.
-  EXPECT_EQ(per_packet_airtime(kPayload, mac, kBps, kCwMin), 2838 * kMicrosecond);
+  EXPECT_EQ(per_packet_airtime(kPayload, mac, kCwMin), 2838 * kMicrosecond);
 }
 
 TEST(Fluid, PerPacketAirtimeBasicAccess) {
   MacConfig mac;
   mac.use_rts_cts = false;
   // Drops RTS + CTS + 2 SIFS = 156 µs.
-  EXPECT_EQ(per_packet_airtime(kPayload, mac, kBps, kCwMin), 2682 * kMicrosecond);
+  EXPECT_EQ(per_packet_airtime(kPayload, mac, kCwMin), 2682 * kMicrosecond);
 }
 
 TEST(Fluid, EffectiveRateInverse) {
   MacConfig mac;
-  EXPECT_NEAR(effective_packet_rate(kPayload, mac, kBps, kCwMin), 1e6 / 2838.0, 0.1);
+  EXPECT_NEAR(effective_packet_rate(kPayload, mac, kCwMin), 1e6 / 2838.0, 0.1);
 }
 
 TEST(Fluid, BottleneckPropagatesDownstream) {
@@ -37,7 +36,7 @@ TEST(Fluid, BottleneckPropagatesDownstream) {
   ContentionGraph graph(sc.topo, flows);
   const auto alloc = centralized_allocate(graph).allocation;
   MacConfig mac;
-  const auto p = fluid_predict(flows, alloc, /*pps=*/200.0, kPayload, mac, kBps, kCwMin);
+  const auto p = fluid_predict(flows, alloc, /*pps=*/200.0, kPayload, mac, kCwMin);
   // Both hops of each flow have equal shares: no internal loss at all.
   EXPECT_NEAR(p.loss_rate, 0.0, 1e-9);
   // F1 at share 1/2: 176 pkt/s < 200 offered.
@@ -52,7 +51,7 @@ TEST(Fluid, SourceLimitedFlowServesOfferedLoad) {
   const auto alloc = centralized_allocate(graph).allocation;
   MacConfig mac;
   // Offered 100 pkt/s < both capacities: everything delivered.
-  const auto p = fluid_predict(flows, alloc, 100.0, kPayload, mac, kBps, kCwMin);
+  const auto p = fluid_predict(flows, alloc, 100.0, kPayload, mac, kCwMin);
   EXPECT_NEAR(p.flow_rate[0], 100.0, 1e-9);
   EXPECT_NEAR(p.loss_rate, 0.0, 1e-9);
 }
@@ -64,7 +63,7 @@ TEST(Fluid, ImbalancedSharesPredictRelayLoss) {
   const Allocation alloc =
       make_subflow_allocation(flows, {0.75, 0.25, 0.375, 0.375});
   MacConfig mac;
-  const auto p = fluid_predict(flows, alloc, 200.0, kPayload, mac, kBps, kCwMin);
+  const auto p = fluid_predict(flows, alloc, 200.0, kPayload, mac, kCwMin);
   // First hop serves min(200, 264) = 200; second min(200, 88) = 88.
   EXPECT_NEAR(p.subflow_rate[0], 200.0, 0.5);
   EXPECT_NEAR(p.subflow_rate[1], 0.25 * 1e6 / 2838.0, 0.1);
@@ -81,8 +80,7 @@ TEST(Fluid, PacketSimTracksPredictionRatios) {
   const RunResult r = run_scenario(sc, Protocol::k2paCentralized, cfg);
   const Allocation alloc = make_subflow_allocation(flows, r.target_subflow_share);
   MacConfig mac;
-  const auto p = fluid_predict(flows, alloc, cfg.cbr_pps, cfg.payload_bytes, mac,
-                               kChannelBps, cfg.cw_min);
+  const auto p = fluid_predict(flows, alloc, cfg.cbr_pps, cfg.payload_bytes, mac, cfg.cw_min);
   for (FlowId f = 0; f < flows.flow_count(); ++f) {
     const double measured = static_cast<double>(r.end_to_end_per_flow[f]) / 60.0;
     const double frac = measured / p.flow_rate[f];
@@ -97,19 +95,18 @@ TEST(Fluid, PacketSimTracksPredictionRatios) {
 TEST(Fluid, BasicAccessRaisesIdealRate) {
   MacConfig rts, basic;
   basic.use_rts_cts = false;
-  EXPECT_GT(effective_packet_rate(kPayload, basic, kBps, kCwMin),
-            effective_packet_rate(kPayload, rts, kBps, kCwMin));
+  EXPECT_GT(effective_packet_rate(kPayload, basic, kCwMin),
+            effective_packet_rate(kPayload, rts, kCwMin));
 }
 
 TEST(Fluid, RejectsBadInputs) {
   MacConfig mac;
-  EXPECT_THROW(per_packet_airtime(0, mac, kBps, kCwMin), ContractViolation);
-  EXPECT_THROW(per_packet_airtime(512, mac, 0, kCwMin), ContractViolation);
+  EXPECT_THROW(per_packet_airtime(0, mac, kCwMin), ContractViolation);
   const Scenario sc = scenario1();
   FlowSet flows(sc.topo, sc.flow_specs);
   ContentionGraph graph(sc.topo, flows);
   const auto alloc = centralized_allocate(graph).allocation;
-  EXPECT_THROW(fluid_predict(flows, alloc, 0.0, 512, mac, kBps, kCwMin),
+  EXPECT_THROW(fluid_predict(flows, alloc, 0.0, 512, mac, kCwMin),
                ContractViolation);
 }
 

@@ -62,7 +62,7 @@ TEST(BebBackoff, RejectsBadConfig) {
 TEST(TagBackoff, StretchesWithLag) {
   // Scheduler far ahead of its neighbor => Q large => draws reach past
   // CWmin.
-  TagScheduler sched({{0, 0.5}}, 10, 2'000'000, /*alpha=*/0.01);
+  TagScheduler sched({{0, 0.5}}, 10, /*alpha=*/0.01);
   for (int i = 0; i < 20; ++i) {
     Packet p;
     p.subflow = 0;
@@ -86,7 +86,7 @@ TEST(TagBackoff, StretchesWithLag) {
 }
 
 TEST(TagBackoff, NoLagBehavesLikeCwMin) {
-  TagScheduler sched({{0, 0.5}}, 10, 2'000'000, 0.01);
+  TagScheduler sched({{0, 0.5}}, 10, 0.01);
   Rng rng(5);
   TagBackoff b(31, 1023, sched);
   for (int i = 0; i < 300; ++i) EXPECT_LE(b.draw_slots(rng, 0, 0), 31);
@@ -97,7 +97,7 @@ TEST(TagBackoff, NoLagBehavesLikeCwMin) {
 TEST(BasicAccess, DeliversWithoutRtsCts) {
   Simulator sim;
   Topology topo = make_chain(2);
-  Channel channel(sim, topo, 2'000'000);
+  Channel channel(sim, topo);
   Rng master(7);
   FifoQueue q0(50), q1(50);
   BebBackoff b0(31, 1023), b1(31, 1023);
@@ -167,7 +167,7 @@ struct StackFixture {
       : topo(make_chain(3)),
         flows(topo, make_specs()),
         sim(),
-        channel(sim, topo, 2'000'000),
+        channel(sim, topo),
         stats(flows) {
     Rng master(1);
     // Node 1 is the relay under test.

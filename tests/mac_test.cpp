@@ -23,7 +23,7 @@ class RecordingCallbacks : public MacCallbacks {
 /// A small harness: one DcfMac + FifoQueue + BEB per node on a topology.
 struct MacNet {
   explicit MacNet(Topology t, std::uint64_t seed = 42, int queue_capacity = 100)
-      : topo(std::move(t)), channel(sim, topo, 2'000'000) {
+      : topo(std::move(t)), channel(sim, topo) {
     Rng master(seed);
     for (NodeId n = 0; n < topo.node_count(); ++n) {
       queues.push_back(std::make_unique<FifoQueue>(queue_capacity));
@@ -164,11 +164,11 @@ TEST(DcfMac, TagPiggybackRoundTrip) {
   // sender's subflow tag from the exchange.
   Simulator sim;
   Topology topo = make_chain(2);
-  Channel channel(sim, topo, 2'000'000);
+  Channel channel(sim, topo);
   Rng master(7);
 
-  TagScheduler sched0({{5, 0.5}}, 50, 2'000'000, 1e-4);
-  TagScheduler sched1({{6, 0.5}}, 50, 2'000'000, 1e-4);
+  TagScheduler sched0({{5, 0.5}}, 50, 1e-4);
+  TagScheduler sched1({{6, 0.5}}, 50, 1e-4);
   BebBackoff beb0(31, 1023), beb1(31, 1023);
   RecordingCallbacks cb0, cb1;
   DcfMac mac0(sim, channel, 0, MacConfig{}, sched0, beb0, cb0, master.split(), &sched0);

@@ -206,7 +206,7 @@ TEST(Scenario2, FlowCountsConsistent) {
 TEST(Scenario2, MeasuredShareHelperConsistent) {
   const RunResult& r = s2(Protocol::k2paCentralized);
   const SimConfig cfg = quick_cfg();
-  const double share = r.measured_subflow_share(5, kChannelBps, cfg.payload_bytes);
+  const double share = r.measured_subflow_share(5, cfg.payload_bytes);
   // F3's measured share should be positive and below its 2/3 target.
   EXPECT_GT(share, 0.1);
   EXPECT_LT(share, 0.67);

@@ -33,7 +33,7 @@ Frame make_frame(FrameType t, NodeId rx, int bytes) {
 
 struct ChannelFixture {
   // Chain 0-1-2-3: adjacent nodes in range, two-apart out of range.
-  ChannelFixture() : topo(make_chain(4)), ch(sim, topo, 2'000'000) {
+  ChannelFixture() : topo(make_chain(4)), ch(sim, topo) {
     for (NodeId n = 0; n < 4; ++n) ch.attach(n, &listeners[static_cast<std::size_t>(n)]);
   }
   Simulator sim;
@@ -186,7 +186,7 @@ TEST(Channel, InterferenceOnlyNodeSensesButCannotDecode) {
   // energy but never receives.
   Simulator sim;
   Topology topo({{0, 0}, {200, 0}, {400, 0}}, 250.0, 450.0);
-  Channel ch(sim, topo, 2'000'000);
+  Channel ch(sim, topo);
   RecordingListener l[3];
   for (NodeId n = 0; n < 3; ++n) ch.attach(n, &l[n]);
   ch.transmit(0, make_frame(FrameType::kData, 1, 500));
@@ -202,7 +202,7 @@ TEST(Channel, InterferenceOnlyEnergyCorruptsDecode) {
   // range) transmits mid-flight and ruins it.
   Simulator sim;
   Topology topo({{0, 0}, {200, 0}, {600, 0}, {800, 0}}, 250.0, 450.0);
-  Channel ch(sim, topo, 2'000'000);
+  Channel ch(sim, topo);
   RecordingListener l[4];
   for (NodeId n = 0; n < 4; ++n) ch.attach(n, &l[n]);
   ch.transmit(0, make_frame(FrameType::kData, 1, 500));

@@ -147,7 +147,7 @@ TEST_P(MaxMinProperty, FluidPredictionInternallyConsistent) {
   const auto ce = centralized_allocate(*c.graph);
   ASSERT_EQ(ce.status, LpStatus::kOptimal);
   MacConfig mac;
-  const auto p = fluid_predict(*c.flows, ce.allocation, 150.0, 512, mac, 2'000'000, 31);
+  const auto p = fluid_predict(*c.flows, ce.allocation, 150.0, 512, mac, 31);
   double total = 0.0;
   for (FlowId f = 0; f < c.flows->flow_count(); ++f) {
     // Flow rate equals its last subflow's rate and is the min over hops.

@@ -274,7 +274,7 @@ class TagShareProperty
 
 TEST_P(TagShareProperty, ServiceProportionalToShares) {
   const auto [c0, c1] = GetParam();
-  TagScheduler s({{0, c0}, {1, c1}}, 600, 2'000'000, 1e-4);
+  TagScheduler s({{0, c0}, {1, c1}}, 600, 1e-4);
   for (int i = 0; i < 600; ++i) {
     Packet p;
     p.payload_bytes = 512;

@@ -44,26 +44,24 @@ TEST(FifoQueue, PopEmptyThrows) {
 
 // ---------- TagScheduler ----------
 
-constexpr std::int64_t kBps = 2'000'000;
-
 TEST(TagScheduler, RejectsBadConfig) {
-  EXPECT_THROW(TagScheduler({{0, 0.0}}, 10, kBps, 1e-4), ContractViolation);
-  EXPECT_THROW(TagScheduler({{0, 0.5}, {0, 0.25}}, 10, kBps, 1e-4), ContractViolation);
-  EXPECT_THROW(TagScheduler({{0, 0.5}}, 0, kBps, 1e-4), ContractViolation);
+  EXPECT_THROW(TagScheduler({{0, 0.0}}, 10, 1e-4), ContractViolation);
+  EXPECT_THROW(TagScheduler({{0, 0.5}, {0, 0.25}}, 10, 1e-4), ContractViolation);
+  EXPECT_THROW(TagScheduler({{0, 0.5}}, 0, 1e-4), ContractViolation);
 }
 
 TEST(TagScheduler, NodeShareIsSum) {
-  TagScheduler s({{0, 0.3}, {1, 0.2}}, 10, kBps, 1e-4);
+  TagScheduler s({{0, 0.3}, {1, 0.2}}, 10, 1e-4);
   EXPECT_DOUBLE_EQ(s.node_share(), 0.5);
 }
 
 TEST(TagScheduler, RejectsForeignSubflow) {
-  TagScheduler s({{0, 0.5}}, 10, kBps, 1e-4);
+  TagScheduler s({{0, 0.5}}, 10, 1e-4);
   EXPECT_THROW(s.enqueue(make_packet(7, 1), 0), ContractViolation);
 }
 
 TEST(TagScheduler, PerLaneCapacity) {
-  TagScheduler s({{0, 0.5}, {1, 0.5}}, 2, kBps, 1e-4);
+  TagScheduler s({{0, 0.5}, {1, 0.5}}, 2, 1e-4);
   EXPECT_TRUE(s.enqueue(make_packet(0, 1), 0));
   EXPECT_TRUE(s.enqueue(make_packet(0, 2), 0));
   EXPECT_FALSE(s.enqueue(make_packet(0, 3), 0));
@@ -74,7 +72,7 @@ TEST(TagScheduler, PerLaneCapacity) {
 TEST(TagScheduler, SelectsSmallestInternalFinishTag) {
   // Shares 0.5 vs 0.25: lane 0's internal finish tag is half of lane 1's,
   // so with equal backlogs lane 0 sends ~2 packets per lane-1 packet.
-  TagScheduler s({{0, 0.5}, {1, 0.25}}, 50, kBps, 1e-4);
+  TagScheduler s({{0, 0.5}, {1, 0.25}}, 50, 1e-4);
   for (int i = 0; i < 12; ++i) {
     s.enqueue(make_packet(0, i), 0);
     s.enqueue(make_packet(1, i), 0);
@@ -90,7 +88,7 @@ TEST(TagScheduler, SelectsSmallestInternalFinishTag) {
 
 TEST(TagScheduler, WeightedServiceRatioLongRun) {
   // Shares 3:1 over many packets -> service counts within 5% of 3:1.
-  TagScheduler s({{0, 0.6}, {1, 0.2}}, 400, kBps, 1e-4);
+  TagScheduler s({{0, 0.6}, {1, 0.2}}, 400, 1e-4);
   for (int i = 0; i < 400; ++i) {
     s.enqueue(make_packet(0, i), 0);
     s.enqueue(make_packet(1, i), 0);
@@ -102,7 +100,7 @@ TEST(TagScheduler, WeightedServiceRatioLongRun) {
 
 TEST(TagScheduler, HeadStableAcrossEnqueues) {
   // An arrival with a smaller tag must not displace the latched head.
-  TagScheduler s({{0, 0.1}, {1, 0.9}}, 10, kBps, 1e-4);
+  TagScheduler s({{0, 0.1}, {1, 0.9}}, 10, 1e-4);
   s.enqueue(make_packet(0, 1), 0);
   const Packet head = s.head();
   EXPECT_EQ(head.subflow, 0);
@@ -113,7 +111,7 @@ TEST(TagScheduler, HeadStableAcrossEnqueues) {
 }
 
 TEST(TagScheduler, VirtualClockAdvancesByExternalFinishTag) {
-  TagScheduler s({{0, 0.5}}, 10, kBps, 1e-4);
+  TagScheduler s({{0, 0.5}}, 10, 1e-4);
   s.enqueue(make_packet(0, 1), 0);
   EXPECT_DOUBLE_EQ(s.virtual_clock(), 0.0);
   s.pop_success(0);
@@ -126,7 +124,7 @@ TEST(TagScheduler, VirtualClockAdvancesByExternalFinishTag) {
 TEST(TagScheduler, ParkedNodeDrainsWithoutAdvancingVirtualClock) {
   // Every lane at the inactive floor: stranded packets still drain, but
   // each would otherwise cost L/kInactiveShare (~2e9 µs) of virtual time.
-  TagScheduler s({{0, 0.5}, {1, 0.25}}, 10, kBps, 1e-4);
+  TagScheduler s({{0, 0.5}, {1, 0.25}}, 10, 1e-4);
   s.enqueue(make_packet(0, 1), 0);
   s.pop_success(0);
   const double before = s.virtual_clock();
@@ -146,7 +144,7 @@ TEST(TagScheduler, ParkedNodeDrainsWithoutAdvancingVirtualClock) {
 }
 
 TEST(TagScheduler, DropDoesNotAdvanceClock) {
-  TagScheduler s({{0, 0.5}}, 10, kBps, 1e-4);
+  TagScheduler s({{0, 0.5}}, 10, 1e-4);
   s.enqueue(make_packet(0, 1), 0);
   s.pop_drop(0);
   EXPECT_DOUBLE_EQ(s.virtual_clock(), 0.0);
@@ -155,14 +153,14 @@ TEST(TagScheduler, DropDoesNotAdvanceClock) {
 TEST(TagScheduler, InternalVsExternalTags) {
   // Two lanes 0.25 each -> node share 0.5. For lane 0's head:
   // I = S + 2048/0.25 = 8192, E = S + 2048/0.5 = 4096.
-  TagScheduler s({{0, 0.25}, {1, 0.25}}, 10, kBps, 1e-4);
+  TagScheduler s({{0, 0.25}, {1, 0.25}}, 10, 1e-4);
   s.enqueue(make_packet(0, 1), 0);
   s.pop_success(0);
   EXPECT_DOUBLE_EQ(s.virtual_clock(), 4096.0);
 }
 
 TEST(TagScheduler, ObserveTagIgnoresOwnSubflows) {
-  TagScheduler s({{3, 0.5}}, 10, kBps, 1e-4);
+  TagScheduler s({{3, 0.5}}, 10, 1e-4);
   s.observe_tag(3, 100.0, 0);  // own subflow: not a neighbor entry
   EXPECT_EQ(s.tag_table_size(), 0);
   s.observe_tag(7, 100.0, 0);
@@ -173,7 +171,7 @@ TEST(TagScheduler, ObserveTagIgnoresOwnSubflows) {
 
 TEST(TagScheduler, QSlotsFollowsPaperFormula) {
   const double alpha = 1e-3;
-  TagScheduler s({{0, 0.5}}, 10, kBps, alpha);
+  TagScheduler s({{0, 0.5}}, 10, alpha);
   // Enqueue first (empty table => no join synchronization), then learn the
   // neighbors' tags after the grace window: our head keeps S = 0.
   s.enqueue(make_packet(0, 1), 0);
@@ -188,7 +186,7 @@ TEST(TagScheduler, JoinSynchronizationAdoptsFreshTags) {
   // A node that starts sending after overhearing established neighbors
   // fast-forwards its virtual clock instead of entering with tag 0 (which
   // would throttle the incumbents via their Q estimates).
-  TagScheduler s({{0, 0.5}}, 10, kBps, 1e-3);
+  TagScheduler s({{0, 0.5}}, 10, 1e-3);
   s.observe_tag(5, 50'000.0, 0);
   s.observe_tag(6, 80'000.0, 0);
   s.enqueue(make_packet(0, 1), kSecond);
@@ -197,7 +195,7 @@ TEST(TagScheduler, JoinSynchronizationAdoptsFreshTags) {
 }
 
 TEST(TagScheduler, JoinSynchronizationIgnoresStaleTags) {
-  TagScheduler s({{0, 0.5}}, 10, kBps, 1e-3, /*tag_horizon=*/kSecond);
+  TagScheduler s({{0, 0.5}}, 10, 1e-3, /*tag_horizon=*/kSecond);
   s.observe_tag(5, 50'000.0, 0);
   // Entry is 3 s old at enqueue time: too stale to adopt.
   s.enqueue(make_packet(0, 1), 3 * kSecond);
@@ -208,7 +206,7 @@ TEST(TagScheduler, NoResyncWhileContinuouslyBusy) {
   // Past its join grace, a backlogged node must NOT keep jumping its clock
   // to neighbors' tags — that would erase the relative-lag signal fairness
   // relies on.
-  TagScheduler s({{0, 0.5}}, 10, kBps, 1e-3);
+  TagScheduler s({{0, 0.5}}, 10, 1e-3);
   s.enqueue(make_packet(0, 1), 0);
   const TimeNs t = kSecond;  // past the grace window
   s.observe_tag(5, 99'000.0, t);
@@ -224,7 +222,7 @@ TEST(TagScheduler, NoResyncWhileContinuouslyBusy) {
 TEST(TagScheduler, GraceWindowSyncsEmptyTableJoiner) {
   // A joiner whose table was empty at its first enqueue adopts the first
   // (much larger) overheard clock during the short grace window.
-  TagScheduler s({{0, 0.5}}, 10, kBps, 1e-3, /*tag_horizon=*/2 * kSecond);
+  TagScheduler s({{0, 0.5}}, 10, 1e-3, /*tag_horizon=*/2 * kSecond);
   s.enqueue(make_packet(0, 1), 0);  // join with empty table; grace 250 ms
   s.observe_tag(5, 5'000'000.0, 100 * kMillisecond);
   EXPECT_DOUBLE_EQ(s.virtual_clock(), 5'000'000.0);
@@ -236,7 +234,7 @@ TEST(TagScheduler, GraceWindowSyncsEmptyTableJoiner) {
 
 TEST(TagScheduler, StaleEntriesLeaveQ) {
   const double alpha = 1e-3;
-  TagScheduler s({{0, 0.5}}, 10, kBps, alpha, /*tag_horizon=*/kSecond);
+  TagScheduler s({{0, 0.5}}, 10, alpha, /*tag_horizon=*/kSecond);
   s.enqueue(make_packet(0, 1), 0);
   const TimeNs t = kSecond / 2;  // past the grace (125 ms), entry fresh
   s.observe_tag(5, 1000.0, t);
@@ -249,7 +247,7 @@ TEST(TagScheduler, StaleEntriesLeaveQ) {
 
 TEST(TagScheduler, QSlotsPositiveWhenAhead) {
   const double alpha = 1e-3;
-  TagScheduler s({{0, 0.5}}, 10, kBps, alpha);
+  TagScheduler s({{0, 0.5}}, 10, alpha);
   // Drain a few packets to advance our clock.
   for (int i = 0; i < 3; ++i) {
     s.enqueue(make_packet(0, i), 0);
@@ -262,7 +260,7 @@ TEST(TagScheduler, QSlotsPositiveWhenAhead) {
 }
 
 TEST(TagScheduler, QZeroWithEmptyTableOrQueue) {
-  TagScheduler s({{0, 0.5}}, 10, kBps, 1e-3);
+  TagScheduler s({{0, 0.5}}, 10, 1e-3);
   EXPECT_DOUBLE_EQ(s.q_slots(0), 0.0);  // empty queue
   s.enqueue(make_packet(0, 1), 0);
   EXPECT_DOUBLE_EQ(s.q_slots(0), 0.0);  // empty table
@@ -270,7 +268,7 @@ TEST(TagScheduler, QZeroWithEmptyTableOrQueue) {
 
 TEST(TagScheduler, RSlotsFollowsPaperFormula) {
   const double alpha = 1e-3;
-  TagScheduler s({{0, 0.5}}, 10, kBps, alpha);
+  TagScheduler s({{0, 0.5}}, 10, alpha);
   s.observe_tag(5, 5000.0, 0);  // the data sender's subflow
   s.observe_tag(6, 1000.0, 0);
   s.observe_tag(7, 2000.0, 0);
@@ -279,12 +277,12 @@ TEST(TagScheduler, RSlotsFollowsPaperFormula) {
 }
 
 TEST(TagScheduler, RUnknownSubflowZero) {
-  TagScheduler s({{0, 0.5}}, 10, kBps, 1e-3);
+  TagScheduler s({{0, 0.5}}, 10, 1e-3);
   EXPECT_DOUBLE_EQ(s.r_slots_for(42, 0), 0.0);
 }
 
 TEST(TagScheduler, StoresAckR) {
-  TagScheduler s({{0, 0.5}, {1, 0.5}}, 10, kBps, 1e-3);
+  TagScheduler s({{0, 0.5}, {1, 0.5}}, 10, 1e-3);
   s.enqueue(make_packet(0, 1), 0);
   EXPECT_DOUBLE_EQ(s.head_last_r(), 0.0);
   s.store_ack_r(0, 2.5);
@@ -294,7 +292,7 @@ TEST(TagScheduler, StoresAckR) {
 }
 
 TEST(TagScheduler, HeadTagMatchesStartTag) {
-  TagScheduler s({{0, 0.5}}, 10, kBps, 1e-4);
+  TagScheduler s({{0, 0.5}}, 10, 1e-4);
   s.enqueue(make_packet(0, 1), 0);
   EXPECT_DOUBLE_EQ(s.head_tag(), 0.0);
   EXPECT_EQ(s.head_subflow(), 0);

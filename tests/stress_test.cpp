@@ -83,7 +83,7 @@ TEST_P(PayloadSweep, RunnerHandlesPayloadSizes) {
   // Throughput in bytes should be higher for larger payloads (less
   // per-packet overhead), measured at the bottleneck subflow F1.2.
   // (Only sanity-checked: positive measured share below the target.)
-  const double share = r.measured_subflow_share(1, kChannelBps, cfg.payload_bytes);
+  const double share = r.measured_subflow_share(1, cfg.payload_bytes);
   EXPECT_GT(share, 0.05);
   EXPECT_LT(share, 0.55);
 }
