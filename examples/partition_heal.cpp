@@ -18,10 +18,10 @@
 // through B, then through C, then silence, then service again — and the
 // recovery records measure fault-to-first-delivery for each disruption.
 //
-// Pass `--trace PATH` to also write a structured trace of the run (binary
-// unless PATH ends in .jsonl); inspect it with `tools/trace-tool`, e.g.
-// `trace-tool convergence PATH --window 2` to see the per-epoch
-// re-convergence times.
+// Pass `--trace PATH` to also write a binary structured trace of the run;
+// inspect it with `tools/trace-tool`, e.g. `trace-tool convergence PATH
+// --window 2` to see the per-epoch re-convergence times, or `trace-tool
+// jsonl PATH` for one JSON line per record.
 #include <iostream>
 #include <string>
 
@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
   std::string trace_path;
   OptionTable("partition_heal", "usage: partition_heal [options]\n")
       .text("--trace", "PATH",
-            "also write a structured trace of the run\n"
-            "(binary unless PATH ends in .jsonl)",
+            "also write a binary structured trace of the run\n"
+            "(read it with trace-tool)",
             &trace_path)
       .parse_or_exit(argc, argv);
   Scenario sc{"partition-heal",
@@ -60,12 +60,8 @@ int main(int argc, char** argv) {
 
   TraceSink trace;
   if (!trace_path.empty()) {
-    const bool jsonl = trace_path.size() >= 6 &&
-                       trace_path.compare(trace_path.size() - 6, 6, ".jsonl") == 0;
     std::string error;
-    if (!trace.open(trace_path,
-                    jsonl ? TraceSink::Format::kJsonl : TraceSink::Format::kBinary,
-                    &error)) {
+    if (!trace.open(trace_path, &error)) {
       std::cerr << "cannot open trace file: " << error << "\n";
       return 1;
     }

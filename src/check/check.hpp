@@ -216,7 +216,8 @@ class CheckContext {
   /// Arms the flight recorder: at the *first* violation, the sink's recent
   /// records (its ring contents — see TraceSink::set_ring) are snapshotted
   /// into flight_records(), preserving the window leading up to the
-  /// failure. The sink is borrowed, not owned, and must outlive the run.
+  /// failure. The sink is borrowed, not owned, and must outlive the run; a
+  /// streaming sink cannot serve (TraceSink::recent_records).
   void arm_flight_recorder(const TraceSink* sink) { flight_sink_ = sink; }
   /// Records captured at the first violation (empty when none fired or the
   /// recorder was never armed). Dump with write_trace_file().

@@ -16,7 +16,6 @@ CliqueStore::CliqueStore(const ContentionGraph& g, std::vector<char> active)
   link_on_.assign(links, 0);
   for (int v = 0; v < g.vertex_count(); ++v) {
     if (!is_active(v)) continue;
-    ++active_count_;
     ++link_active_[static_cast<std::size_t>(g.link_of(v))];
   }
   link_cliques_.resize(links);
@@ -97,13 +96,11 @@ CliqueStore::UpdateStats CliqueStore::update(const std::vector<int>& activate,
   for (int v : deactivate) {
     E2EFA_ASSERT_MSG(is_active(v), "deactivating an inactive vertex");
     active_[static_cast<std::size_t>(v)] = 0;
-    --active_count_;
     --link_active_[static_cast<std::size_t>(g_->link_of(v))];
   }
   for (int v : activate) {
     E2EFA_ASSERT_MSG(!is_active(v), "activating an active vertex");
     active_[static_cast<std::size_t>(v)] = 1;
-    ++active_count_;
     ++link_active_[static_cast<std::size_t>(g_->link_of(v))];
   }
   // A link toggles when its active-member count crossed zero over the

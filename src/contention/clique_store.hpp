@@ -54,7 +54,6 @@ class CliqueStore {
 
   const ContentionGraph& graph() const { return *g_; }
   bool is_active(int v) const { return active_[static_cast<std::size_t>(v)] != 0; }
-  int active_count() const { return active_count_; }
   /// Number of maximal cliques of the active subgraph.
   int clique_count() const { return live_count_; }
 
@@ -87,7 +86,6 @@ class CliqueStore {
 
   const ContentionGraph* g_;
   std::vector<char> active_;  // per subflow
-  int active_count_ = 0;
   std::vector<int> link_active_;  // per link: active member count
   std::vector<char> link_on_;     // per link: on, as the cliques reflect it
 

@@ -257,14 +257,14 @@ bool AllocAgent::retransmit_due(Retx& r, bool room, CtrlMsg::Kind kind, FlowId f
   r.wait = std::min(r.wait * 2, kRefreshTicks);
   ++stats_.retransmits;
   cause_ = 0;
-  if (trace_ != nullptr && trace_->enabled<TraceCat::kCtrl>()) {
+  if (trace_ != nullptr && trace_->enabled(TraceEvent::kCtrlRetransmit)) {
     // Chained to the unacknowledged send; the resend chains to this record.
     cause_ = trace_->new_span();
-    trace_->record<TraceCat::kCtrl>(now, TraceEvent::kCtrlRetransmit,
-                                    static_cast<std::int16_t>(self_),
-                                    static_cast<std::int32_t>(kind), f,
-                                    static_cast<double>(r.retx),
-                                    static_cast<double>(r.wait), cause_, r.span);
+    trace_->record(now, TraceEvent::kCtrlRetransmit,
+                   static_cast<std::int16_t>(self_),
+                   static_cast<std::int32_t>(kind), f,
+                   static_cast<double>(r.retx),
+                   static_cast<double>(r.wait), cause_, r.span);
   }
   return true;
 }
@@ -294,13 +294,13 @@ void AllocAgent::maybe_solve(FlowId f, FlowCtrl& fc, TimeNs now) {
   }
   ++stats_.solves;
   std::uint32_t solve_span = 0;
-  if (trace_ != nullptr && trace_->enabled<TraceCat::kCtrl>()) {
+  if (trace_ != nullptr && trace_->enabled(TraceEvent::kCtrlSolve)) {
     solve_span = trace_->new_span();
-    trace_->record<TraceCat::kCtrl>(now, TraceEvent::kCtrlSolve,
-                                    static_cast<std::int16_t>(self_), f,
-                                    static_cast<std::int32_t>(lp.status),
-                                    lp.flow_share, static_cast<double>(fc.acc.size()),
-                                    solve_span, fc.cause_span);
+    trace_->record(now, TraceEvent::kCtrlSolve,
+                   static_cast<std::int16_t>(self_), f,
+                   static_cast<std::int32_t>(lp.status),
+                   lp.flow_share, static_cast<double>(fc.acc.size()),
+                   solve_span, fc.cause_span);
   }
   if (!fc.have_rate || lp.flow_share != fc.rate) {
     fc.rate = lp.flow_share;
@@ -325,9 +325,9 @@ void AllocAgent::set_lane(FlowId f, int hop, double share) {
   if (check_ != nullptr)
     check_->on_rate_applied(self_, sf, share, sim_.now());
   if (trace_ != nullptr)
-    trace_->record<TraceCat::kCtrl>(sim_.now(), TraceEvent::kCtrlRate,
-                                    static_cast<std::int16_t>(self_), sf, f, share,
-                                    0.0, 0, cause_);
+    trace_->record(sim_.now(), TraceEvent::kCtrlRate,
+                   static_cast<std::int16_t>(self_), sf, f, share,
+                   0.0, 0, cause_);
 }
 
 // ------------------------------------------------------------------ send
@@ -348,14 +348,14 @@ std::uint32_t AllocAgent::send(std::shared_ptr<CtrlMsg> m) {
   const int bytes = m->wire_bytes();
   stats_.ctrl_bytes += static_cast<std::uint64_t>(bytes);
   std::uint32_t span = 0;
-  if (trace_ != nullptr && trace_->enabled<TraceCat::kCtrl>()) {
+  if (trace_ != nullptr && trace_->enabled(TraceEvent::kCtrlSend)) {
     span = trace_->new_span();
     m->span = span;
-    trace_->record<TraceCat::kCtrl>(sim_.now(), TraceEvent::kCtrlSend,
-                                    static_cast<std::int16_t>(self_),
-                                    static_cast<std::int32_t>(m->kind), m->to,
-                                    static_cast<double>(bytes), m->seq, span,
-                                    cause_);
+    trace_->record(sim_.now(), TraceEvent::kCtrlSend,
+                   static_cast<std::int16_t>(self_),
+                   static_cast<std::int32_t>(m->kind), m->to,
+                   static_cast<double>(bytes), m->seq, span,
+                   cause_);
   }
   mac_.send_ctrl(std::move(m), bytes);
   return span;
@@ -503,11 +503,11 @@ void AllocAgent::count_gap(NeighborTable& t, const CtrlMsg& m, bool full, TimeNs
   ++stats_.seq_gaps;
   t.gap_seq = m.seq;
   if (trace_ != nullptr)
-    trace_->record<TraceCat::kCtrl>(now, TraceEvent::kCtrlSeqGap,
-                                    static_cast<std::int16_t>(self_), m.origin,
-                                    static_cast<std::int32_t>(m.seq - expected),
-                                    static_cast<double>(expected),
-                                    static_cast<double>(m.seq), 0, cause_);
+    trace_->record(now, TraceEvent::kCtrlSeqGap,
+                   static_cast<std::int16_t>(self_), m.origin,
+                   static_cast<std::int32_t>(m.seq - expected),
+                   static_cast<double>(expected),
+                   static_cast<double>(m.seq), 0, cause_);
 }
 
 AllocAgent::FlowCtrl* AllocAgent::addressed_flow(const CtrlMsg& m) {
@@ -553,11 +553,11 @@ bool AllocAgent::local_admit_ok(FlowId f, TimeNs now) {
   const double load = admission_local_worst_load(flows_, graph_, kv, f);
   const bool ok = load <= 1.0 + kAdmissionEps;
   admit_span_ = 0;
-  if (trace_ != nullptr && trace_->enabled<TraceCat::kCtrl>()) {
+  if (trace_ != nullptr && trace_->enabled(TraceEvent::kCtrlAdmit)) {
     admit_span_ = trace_->new_span();
-    trace_->record<TraceCat::kCtrl>(now, TraceEvent::kCtrlAdmit,
-                                    static_cast<std::int16_t>(self_), f,
-                                    ok ? 1 : 0, load, 0.0, admit_span_, cause_);
+    trace_->record(now, TraceEvent::kCtrlAdmit,
+                   static_cast<std::int16_t>(self_), f,
+                   ok ? 1 : 0, load, 0.0, admit_span_, cause_);
   }
   return ok;
 }
@@ -636,15 +636,15 @@ void AllocAgent::handle_admit(const CtrlMsg& m, TimeNs now) {
 }
 
 std::uint32_t AllocAgent::trace_recv(const Frame& fr, TimeNs now) const {
-  if (trace_ == nullptr || !trace_->enabled<TraceCat::kCtrl>()) return 0;
+  if (trace_ == nullptr || !trace_->enabled(TraceEvent::kCtrlRecv)) return 0;
   const CtrlMsg& m = *fr.ctrl;
   const std::uint32_t span = trace_->new_span();
-  trace_->record<TraceCat::kCtrl>(now, TraceEvent::kCtrlRecv,
-                                  static_cast<std::int16_t>(self_),
-                                  static_cast<std::int32_t>(m.kind), m.origin,
-                                  static_cast<double>(m.wire_bytes()),
-                                  fr.type == FrameType::kCtrl ? 0.0 : 1.0, span,
-                                  m.span);
+  trace_->record(now, TraceEvent::kCtrlRecv,
+                 static_cast<std::int16_t>(self_),
+                 static_cast<std::int32_t>(m.kind), m.origin,
+                 static_cast<double>(m.wire_bytes()),
+                 fr.type == FrameType::kCtrl ? 0.0 : 1.0, span,
+                 m.span);
   return span;
 }
 

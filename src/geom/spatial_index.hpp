@@ -38,19 +38,12 @@ class SpatialGrid {
     for (int j : scratch_) fn(j);
   }
 
-  /// Same, for an arbitrary query point; no index is excluded.
-  template <typename Fn>
-  void for_each_in_range(const Point& p, double range, Fn&& fn) const {
-    gather(p, range, -1);
-    for (int j : scratch_) fn(j);
-  }
-
   /// Ascending ids of all points within `range` of point i, excluding i.
   std::vector<int> in_range_of(int i, double range) const;
 
  private:
   /// Fills scratch_ with the ascending ids of points within `range` of p,
-  /// excluding `exclude` (-1 = keep everything).
+  /// excluding the point `exclude`.
   void gather(const Point& p, double range, int exclude) const;
 
   int cell_of(const Point& p) const;

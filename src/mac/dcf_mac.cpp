@@ -69,8 +69,8 @@ void DcfMac::start_access(bool redraw) {
       backoff_remaining_ = backoff_.draw_slots(rng_, retries_, sim_.now());
       // The Q/R arguments walk the tag table — gate on the category, not
       // just the sink, so a filtered trace costs nothing here.
-      if (trace_ != nullptr && trace_->enabled<TraceCat::kBackoff>())
-        trace_->record<TraceCat::kBackoff>(
+      if (trace_ != nullptr && trace_->enabled(TraceEvent::kBackoffDraw))
+        trace_->record(
             sim_.now(), TraceEvent::kBackoffDraw,
             static_cast<std::int16_t>(self_), backoff_remaining_, retries_,
             tags_ != nullptr ? tags_->q_slots(sim_.now()) : 0.0,
@@ -232,15 +232,15 @@ void DcfMac::on_timeout() {
   ++stats_.timeouts;
   ++retries_;
   if (trace_ != nullptr)
-    trace_->record<TraceCat::kMac>(sim_.now(), TraceEvent::kMacRetry,
-                                   static_cast<std::int16_t>(self_), retries_, -1);
+    trace_->record(sim_.now(), TraceEvent::kMacRetry,
+                   static_cast<std::int16_t>(self_), retries_, -1);
   if (retries_ > kRetryLimit) {
     const Packet p = queue_.pop_drop(sim_.now());
     ++stats_.retry_drops;
     if (trace_ != nullptr)
-      trace_->record<TraceCat::kMac>(sim_.now(), TraceEvent::kMacDrop,
-                                     static_cast<std::int16_t>(self_), p.subflow,
-                                     retries_);
+      trace_->record(sim_.now(), TraceEvent::kMacDrop,
+                     static_cast<std::int16_t>(self_), p.subflow,
+                     retries_);
     callbacks_.on_packet_dropped(p);
     finish_attempt(/*success=*/true);  // fresh packet, fresh attempt
     return;

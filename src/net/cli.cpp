@@ -67,15 +67,28 @@ void add_run_options(OptionTable& t, CliOptions* opt) {
          &opt->check);
 }
 
+/// The --trace-filter help: the category table's names, wrapped to the
+/// help column.
+std::string trace_filter_help() {
+  std::string help, line = "comma-separated trace categories (";
+  for (const char* name : kTraceCategoryNames) {
+    const std::string item = std::string(name) + ",";
+    if (line.size() + 1 + item.size() > 50) {
+      help += line + "\n";
+      line = item;
+    } else {
+      line += (line.back() == '(' ? "" : " ") + item;
+    }
+  }
+  return help + line + " all);\nrequires --trace; ctrl needs --protocol 2pa-dctrl";
+}
+
 void add_observability_options(OptionTable& t, CliOptions* opt) {
   t.text("--trace", "PATH",
-         "write a structured event trace (.jsonl suffix = text,\n"
-         "anything else = compact binary for trace-tool)",
+         "write a binary structured event trace (read it with\n"
+         "trace-tool; `trace-tool jsonl PATH` prints JSONL)",
          &opt->trace_path);
-  t.add("--trace-filter", "C",
-        "comma-separated trace categories (meta, phy, mac,\n"
-        "backoff, tag, vclock, queue, fault, lp, flow, ctrl,\n"
-        "all); requires --trace; ctrl needs --protocol 2pa-dctrl",
+  t.add("--trace-filter", "C", trace_filter_help(),
         [opt](const std::string& v) {
           std::uint32_t mask = 0;
           std::string error;
@@ -94,8 +107,9 @@ void add_observability_options(OptionTable& t, CliOptions* opt) {
          "(setup/clique/solve/sim/phy/ctrl wall seconds)",
          &opt->profile_out);
   t.text("--flight-out", "PATH",
-         "with --check: dump the flight recorder (recent\n"
-         "trace records, binary) when a violation trips",
+         "with --check, without --trace: dump the flight\n"
+         "recorder (recent trace records, binary) when a\n"
+         "violation trips",
          &opt->flight_out);
 }
 
@@ -160,6 +174,9 @@ std::string check_cli(const CliOptions& opt) {
     return "--metrics-period requires --metrics-out";
   if (!opt.flight_out.empty() && !opt.check)
     return "--flight-out requires --check (the dump triggers on a violation)";
+  if (!opt.flight_out.empty() && !opt.trace_path.empty())
+    return "--flight-out cannot be combined with --trace (the streamed trace "
+           "already holds the history)";
   return "";
 }
 

@@ -24,8 +24,8 @@ struct CliOptions {
   /// --loss P: default packet-error rate applied to every link of the
   /// scenario (on top of any loss/fault directives a scenario file sets).
   double default_loss = 0.0;
-  /// --trace PATH: structured-event trace output. A ".jsonl" suffix selects
-  /// the text format; anything else writes the compact binary format.
+  /// --trace PATH: binary structured-event trace output (`trace-tool jsonl`
+  /// renders it as text).
   std::string trace_path;
   /// --trace-filter CATS: comma-separated category list (parse_trace_filter
   /// syntax). Only meaningful with --trace; rejected without it.
@@ -41,9 +41,10 @@ struct CliOptions {
   /// --profile PATH: self-profiler JSON (wall-clock phase accounting in the
   /// BENCH_scale.json row schema).
   std::string profile_out;
-  /// --flight-out PATH: flight-recorder dump target. Requires --check; when
-  /// no --trace sink is streaming, a bounded in-memory ring is armed so a
-  /// violation still yields the recent event history as a binary trace.
+  /// --flight-out PATH: flight-recorder dump target. Requires --check and
+  /// excludes --trace (a streamed trace already holds the history): a
+  /// bounded in-memory ring is armed so a violation still yields the recent
+  /// event history as a binary trace.
   std::string flight_out;
   /// --churn RATE:LIFE: open-loop flow churn over the scenario's flows.
   /// Flow 0 founds the network at t = 0; every later flow arrives after a

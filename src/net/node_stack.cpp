@@ -32,18 +32,18 @@ void NodeStack::enqueue_and_notify(Packet p) {
   if (queue_->enqueue(p, sim_.now())) {
     if (measuring) ++c.enqueued;
     if (check_ != nullptr) check_->on_accepted(subflow);
-    if (trace_ != nullptr && trace_->enabled<TraceCat::kQueue>())
-      trace_->record<TraceCat::kQueue>(sim_.now(), TraceEvent::kQueueEnqueue,
-                                       static_cast<std::int16_t>(self_), subflow,
-                                       queue_->backlog());
+    if (trace_ != nullptr && trace_->enabled(TraceEvent::kQueueEnqueue))
+      trace_->record(sim_.now(), TraceEvent::kQueueEnqueue,
+                     static_cast<std::int16_t>(self_), subflow,
+                     queue_->backlog());
     mac_->notify_queue_nonempty();
   } else {
     if (measuring) ++c.dropped_queue;
     if (check_ != nullptr) check_->on_rejected(subflow);
-    if (trace_ != nullptr && trace_->enabled<TraceCat::kQueue>())
-      trace_->record<TraceCat::kQueue>(sim_.now(), TraceEvent::kQueueDrop,
-                                       static_cast<std::int16_t>(self_), subflow,
-                                       queue_->backlog());
+    if (trace_ != nullptr && trace_->enabled(TraceEvent::kQueueDrop))
+      trace_->record(sim_.now(), TraceEvent::kQueueDrop,
+                     static_cast<std::int16_t>(self_), subflow,
+                     queue_->backlog());
   }
 }
 

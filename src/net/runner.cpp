@@ -588,12 +588,12 @@ void Network::wire_channel() {
   channel.set_check(check);
   channel.set_profiler(cfg.profile);
   if (trace != nullptr) {
-    trace->record<TraceCat::kMeta>(
+    trace->record(
         0, TraceEvent::kRunMeta, -1, sc.topo.node_count(), plan.F,
         static_cast<double>(kChannelBps), static_cast<double>(cfg.payload_bytes));
     for (int s = 0; s < plan.flows.subflow_count(); ++s) {
       const Subflow& sf = plan.flows.subflow(s);
-      trace->record<TraceCat::kMeta>(
+      trace->record(
           0, TraceEvent::kSubflowMeta, static_cast<std::int16_t>(sf.src), s,
           plan.logical_of[static_cast<size_t>(sf.flow)], static_cast<double>(sf.hop));
     }
@@ -609,13 +609,13 @@ void Network::wire_channel() {
 /// per-logical-flow targets.
 void Network::trace_epoch(size_t e) {
   if (trace == nullptr) return;
-  trace->record<TraceCat::kLp>(sim.now(), TraceEvent::kLpResolve, -1,
-                               static_cast<std::int32_t>(e),
-                               static_cast<std::int32_t>(epochs[e].status), plan.boundaries[e]);
+  trace->record(sim.now(), TraceEvent::kLpResolve, -1,
+                static_cast<std::int32_t>(e),
+                static_cast<std::int32_t>(epochs[e].status), plan.boundaries[e]);
   const std::vector<double> share = logical_shares(plan, epochs, e);
   for (FlowId f = 0; f < plan.F; ++f)
-    trace->record<TraceCat::kLp>(sim.now(), TraceEvent::kFlowTarget, -1, f, -1,
-                                 share[static_cast<size_t>(f)]);
+    trace->record(sim.now(), TraceEvent::kFlowTarget, -1, f, -1,
+                  share[static_cast<size_t>(f)]);
 }
 
 void Network::build_stacks() {
@@ -708,7 +708,7 @@ void Network::track_deliveries() {
   stats.set_delivery_listener([this, want_recovery](FlowId g, TimeNs now, TimeNs delay) {
     const FlowId f = plan.logical_of[static_cast<size_t>(g)];
     if (trace != nullptr)
-      trace->record<TraceCat::kFlow>(
+      trace->record(
           now, TraceEvent::kDelivery,
           static_cast<std::int16_t>(plan.flows.flow(g).destination()), f, g,
           to_seconds(delay));
@@ -726,8 +726,8 @@ void Network::enter_epoch(size_t e) {
   if (plan.multi()) close_epoch();
   if (faults) faults->apply(plan.masks[e]);
   if (trace != nullptr && !plan.faults.empty())
-    trace->record<TraceCat::kFault>(sim.now(), TraceEvent::kFaultEpoch, -1,
-                                    static_cast<std::int32_t>(e), -1, plan.boundaries[e]);
+    trace->record(sim.now(), TraceEvent::kFaultEpoch, -1,
+                  static_cast<std::int32_t>(e), -1, plan.boundaries[e]);
   trace_epoch(e);
   // The admission/stale-rate oracle learns the new population before the
   // control plane reacts, so every lane update at or after the boundary is
@@ -907,9 +907,9 @@ void Observers::probe_reconvergence() {
   }
   reconv_[e] = now_s - plan.boundaries[e];
   if (net_.trace != nullptr)
-    net_.trace->record<TraceCat::kCtrl>(net_.sim.now(), TraceEvent::kCtrlReconv, -1,
-                                        static_cast<std::int32_t>(e), -1, reconv_[e],
-                                        plan.boundaries[e]);
+    net_.trace->record(net_.sim.now(), TraceEvent::kCtrlReconv, -1,
+                       static_cast<std::int32_t>(e), -1, reconv_[e],
+                       plan.boundaries[e]);
 }
 
 void Observers::sample_metrics() {

@@ -1,6 +1,6 @@
 #include "obs/trace.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 #include "util/assert.hpp"
 #include "util/strings.hpp"
@@ -37,63 +37,6 @@ void write_trace_header(std::FILE* f) {
 
 }  // namespace
 
-const char* to_string(TraceEvent e) {
-  switch (e) {
-    case TraceEvent::kRunMeta: return "run_meta";
-    case TraceEvent::kSubflowMeta: return "subflow_meta";
-    case TraceEvent::kFrameTx: return "frame_tx";
-    case TraceEvent::kFrameRx: return "frame_rx";
-    case TraceEvent::kFrameCollision: return "frame_collision";
-    case TraceEvent::kFrameFaulted: return "frame_faulted";
-    case TraceEvent::kMacRetry: return "mac_retry";
-    case TraceEvent::kMacDrop: return "mac_drop";
-    case TraceEvent::kBackoffDraw: return "backoff_draw";
-    case TraceEvent::kTagStart: return "tag_start";
-    case TraceEvent::kTagInternalFinish: return "tag_internal_finish";
-    case TraceEvent::kTagExternalFinish: return "tag_external_finish";
-    case TraceEvent::kVClockUpdate: return "vclock_update";
-    case TraceEvent::kQueueEnqueue: return "queue_enqueue";
-    case TraceEvent::kQueueDrop: return "queue_drop";
-    case TraceEvent::kFaultEpoch: return "fault_epoch";
-    case TraceEvent::kLpResolve: return "lp_resolve";
-    case TraceEvent::kFlowTarget: return "flow_target";
-    case TraceEvent::kDelivery: return "delivery";
-    case TraceEvent::kCtrlSend: return "ctrl_send";
-    case TraceEvent::kCtrlRecv: return "ctrl_recv";
-    case TraceEvent::kCtrlSolve: return "ctrl_solve";
-    case TraceEvent::kCtrlRate: return "ctrl_rate";
-    case TraceEvent::kCtrlAdmit: return "ctrl_admit";
-    case TraceEvent::kCtrlRetransmit: return "ctrl_retransmit";
-    case TraceEvent::kCtrlSeqGap: return "ctrl_seq_gap";
-    case TraceEvent::kCtrlReconv: return "ctrl_reconv";
-    case TraceEvent::kTransSend: return "trans_send";
-    case TraceEvent::kTransAckTx: return "trans_ack_tx";
-    case TraceEvent::kTransAckRx: return "trans_ack_rx";
-    case TraceEvent::kTransRetransmit: return "trans_retransmit";
-    case TraceEvent::kTransTimeout: return "trans_timeout";
-    case TraceEvent::kTransCwnd: return "trans_cwnd";
-  }
-  return "unknown";
-}
-
-const char* to_string(TraceCat c) {
-  switch (c) {
-    case TraceCat::kMeta: return "meta";
-    case TraceCat::kPhy: return "phy";
-    case TraceCat::kMac: return "mac";
-    case TraceCat::kBackoff: return "backoff";
-    case TraceCat::kTag: return "tag";
-    case TraceCat::kVClock: return "vclock";
-    case TraceCat::kQueue: return "queue";
-    case TraceCat::kFault: return "fault";
-    case TraceCat::kLp: return "lp";
-    case TraceCat::kFlow: return "flow";
-    case TraceCat::kCtrl: return "ctrl";
-    case TraceCat::kTransport: return "transport";
-  }
-  return "unknown";
-}
-
 bool parse_trace_filter(const std::string& spec, std::uint32_t* mask,
                         std::string* error) {
   E2EFA_ASSERT(mask != nullptr && error != nullptr);
@@ -113,21 +56,15 @@ bool parse_trace_filter(const std::string& spec, std::uint32_t* mask,
       m = kTraceAllCategories;
       continue;
     }
-    bool found = false;
-    for (std::uint32_t bit = 0; bit < kTraceCategoryCount; ++bit) {
-      const TraceCat c = static_cast<TraceCat>(bit);
-      if (name == to_string(c)) {
-        m |= trace_bit(c);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      *error = "unknown trace category: " + name +
-               " (expected meta|phy|mac|backoff|tag|vclock|queue|fault|lp|flow|"
-               "ctrl|transport|all)";
+    const auto* const it = std::find(std::begin(kTraceCategoryNames),
+                                     std::end(kTraceCategoryNames), name);
+    if (it == std::end(kTraceCategoryNames)) {
+      *error = "unknown trace category: " + name + " (expected ";
+      for (const char* c : kTraceCategoryNames) *error += std::string(c) + "|";
+      *error += "all)";
       return false;
     }
+    m |= 1u << (it - std::begin(kTraceCategoryNames));
   }
   *mask = m;
   return true;
@@ -140,7 +77,7 @@ TraceSink::TraceSink(std::size_t buffer_records)
 
 TraceSink::~TraceSink() { close(); }
 
-bool TraceSink::open(const std::string& path, Format format, std::string* error) {
+bool TraceSink::open(const std::string& path, std::string* error) {
   E2EFA_ASSERT(error != nullptr);
   E2EFA_ASSERT_MSG(file_ == nullptr, "trace sink already streaming");
   E2EFA_ASSERT_MSG(ring_capacity_ == 0, "trace sink is a flight-recorder ring");
@@ -150,16 +87,15 @@ bool TraceSink::open(const std::string& path, Format format, std::string* error)
     return false;
   }
   file_ = f;
-  format_ = format;
   written_ = 0;
-  if (format_ == Format::kBinary) write_trace_header(file_);
+  write_trace_header(file_);
   return true;
 }
 
 void TraceSink::close() {
   if (file_ == nullptr) return;
   flush();
-  if (format_ == Format::kBinary && written_ < kTraceCountUnknown &&
+  if (written_ < kTraceCountUnknown &&
       std::fseek(file_, kTraceCountOffset, SEEK_SET) == 0) {
     const std::uint32_t count = static_cast<std::uint32_t>(written_);
     std::fwrite(&count, sizeof(count), 1, file_);
@@ -178,6 +114,8 @@ void TraceSink::set_ring(std::size_t capacity) {
 }
 
 std::vector<TraceRecord> TraceSink::recent_records() const {
+  E2EFA_ASSERT_MSG(file_ == nullptr,
+                   "a streaming trace sink keeps its history in the file");
   if (ring_capacity_ == 0 || buf_.size() < ring_capacity_)
     return buf_;  // Not wrapped yet (or not a ring): already chronological.
   std::vector<TraceRecord> out;
@@ -206,22 +144,14 @@ void TraceSink::push(const TraceRecord& r) {
 
 void TraceSink::flush() {
   if (file_ == nullptr || buf_.empty()) return;
-  if (format_ == Format::kBinary) {
-    std::fwrite(buf_.data(), sizeof(TraceRecord), buf_.size(), file_);
-  } else {
-    for (const TraceRecord& r : buf_) {
-      const std::string line = trace_record_jsonl(r);
-      std::fwrite(line.data(), 1, line.size(), file_);
-      std::fputc('\n', file_);
-    }
-  }
+  std::fwrite(buf_.data(), sizeof(TraceRecord), buf_.size(), file_);
   written_ += buf_.size();
   buf_.clear();
 }
 
 std::string trace_record_jsonl(const TraceRecord& r) {
   // %.17g round-trips doubles exactly, keeping JSONL output as deterministic
-  // as the binary format.
+  // as the binary file it renders.
   return strformat(
       "{\"t_ns\":%lld,\"ev\":\"%s\",\"node\":%d,\"a\":%d,\"b\":%d,"
       "\"span\":%u,\"parent\":%u,\"v0\":%.17g,\"v1\":%.17g}",
@@ -231,29 +161,20 @@ std::string trace_record_jsonl(const TraceRecord& r) {
 }
 
 bool write_trace_file(const std::vector<TraceRecord>& records,
-                      const std::string& path, TraceSink::Format format,
-                      std::string* error) {
+                      const std::string& path, std::string* error) {
   E2EFA_ASSERT(error != nullptr);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     *error = "cannot open trace file: " + path;
     return false;
   }
-  if (format == TraceSink::Format::kBinary) {
-    TraceHeader h;
-    h.record_count = records.size() < kTraceCountUnknown
-                         ? static_cast<std::uint32_t>(records.size())
-                         : kTraceCountUnknown;
-    std::fwrite(&h, sizeof(h), 1, f);
-    if (!records.empty())
-      std::fwrite(records.data(), sizeof(TraceRecord), records.size(), f);
-  } else {
-    for (const TraceRecord& r : records) {
-      const std::string line = trace_record_jsonl(r);
-      std::fwrite(line.data(), 1, line.size(), f);
-      std::fputc('\n', f);
-    }
-  }
+  TraceHeader h;
+  h.record_count = records.size() < kTraceCountUnknown
+                       ? static_cast<std::uint32_t>(records.size())
+                       : kTraceCountUnknown;
+  std::fwrite(&h, sizeof(h), 1, f);
+  if (!records.empty())
+    std::fwrite(records.data(), sizeof(TraceRecord), records.size(), f);
   std::fclose(f);
   return true;
 }

@@ -16,9 +16,9 @@
 //
 // Records are fixed-size 48-byte POD rows (nanosecond timestamp, typed
 // event, node, two int arguments, a causal span/parent id pair, two double
-// arguments); the binary file is a 16-byte header followed by raw records,
-// and every record can also be rendered as one JSON line (JSONL) for
-// ad-hoc tooling.
+// arguments); the binary file is a 16-byte header followed by raw records.
+// `trace-tool jsonl` renders a file as one JSON line per record for ad-hoc
+// tooling.
 //
 // Causal spans (observability v2): a record may carry a nonzero `span` id
 // (this record is a node in a causal chain) and a nonzero `parent` id (the
@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -44,7 +45,7 @@
 namespace e2efa {
 
 /// Trace categories: one bit each, used by the runtime filter
-/// (--trace-filter).
+/// (--trace-filter). kTraceCategoryNames holds their filter names.
 enum class TraceCat : std::uint32_t {
   kMeta = 0,     ///< Run/flow/subflow structure (always useful; see below).
   kPhy = 1,      ///< Frame tx / rx / collision / fault at the channel.
@@ -60,14 +61,19 @@ enum class TraceCat : std::uint32_t {
   kTransport = 11,  ///< Elastic transport: sends, ACK path, retransmits, cwnd.
 };
 
+/// Filter names, indexed by TraceCat.
+inline constexpr const char* kTraceCategoryNames[] = {
+    "meta",  "phy",   "mac", "backoff", "tag",  "vclock",
+    "queue", "fault", "lp",  "flow",    "ctrl", "transport"};
+
 constexpr std::uint32_t trace_bit(TraceCat c) {
   return 1u << static_cast<std::uint32_t>(c);
 }
-constexpr std::uint32_t kTraceCategoryCount = 12;
+constexpr std::uint32_t kTraceCategoryCount = std::size(kTraceCategoryNames);
 constexpr std::uint32_t kTraceAllCategories = (1u << kTraceCategoryCount) - 1u;
 
 /// Typed trace events. The (a, b, v0, v1) payload meaning is per type and
-/// documented here once; to_string gives the JSONL name.
+/// documented here once; kTraceEvents gives each its name and category.
 enum class TraceEvent : std::uint16_t {
   kRunMeta = 0,         ///< t=0. a=node count, b=flow count, v0=channel bps, v1=payload bytes.
   kSubflowMeta = 1,     ///< t=0. node=source, a=subflow, b=flow, v0=hop index.
@@ -104,53 +110,70 @@ enum class TraceEvent : std::uint16_t {
   kTransCwnd = 32,        ///< node=source, a=flow, v0=cwnd (pkts), v1=srtt (s); emitted when floor(cwnd) moves.
 };
 
-/// Category an event belongs to (drives filtering).
-constexpr TraceCat trace_category(TraceEvent e) {
-  switch (e) {
-    case TraceEvent::kRunMeta:
-    case TraceEvent::kSubflowMeta: return TraceCat::kMeta;
-    case TraceEvent::kFrameTx:
-    case TraceEvent::kFrameRx:
-    case TraceEvent::kFrameCollision:
-    case TraceEvent::kFrameFaulted: return TraceCat::kPhy;
-    case TraceEvent::kMacRetry:
-    case TraceEvent::kMacDrop: return TraceCat::kMac;
-    case TraceEvent::kBackoffDraw: return TraceCat::kBackoff;
-    case TraceEvent::kTagStart:
-    case TraceEvent::kTagInternalFinish:
-    case TraceEvent::kTagExternalFinish: return TraceCat::kTag;
-    case TraceEvent::kVClockUpdate: return TraceCat::kVClock;
-    case TraceEvent::kQueueEnqueue:
-    case TraceEvent::kQueueDrop: return TraceCat::kQueue;
-    case TraceEvent::kFaultEpoch: return TraceCat::kFault;
-    case TraceEvent::kLpResolve:
-    case TraceEvent::kFlowTarget: return TraceCat::kLp;
-    case TraceEvent::kDelivery: return TraceCat::kFlow;
-    case TraceEvent::kCtrlSend:
-    case TraceEvent::kCtrlRecv:
-    case TraceEvent::kCtrlSolve:
-    case TraceEvent::kCtrlRate:
-    case TraceEvent::kCtrlAdmit:
-    case TraceEvent::kCtrlRetransmit:
-    case TraceEvent::kCtrlSeqGap:
-    case TraceEvent::kCtrlReconv: return TraceCat::kCtrl;
-    case TraceEvent::kTransSend:
-    case TraceEvent::kTransAckTx:
-    case TraceEvent::kTransAckRx:
-    case TraceEvent::kTransRetransmit:
-    case TraceEvent::kTransTimeout:
-    case TraceEvent::kTransCwnd: return TraceCat::kTransport;
-  }
-  return TraceCat::kMeta;
-}
+struct TraceEventInfo {
+  TraceEvent event;
+  const char* name;  ///< JSONL and report name.
+  TraceCat cat;      ///< Drives filtering.
+};
+
+/// The event table: one row per TraceEvent, in enum order.
+inline constexpr TraceEventInfo kTraceEvents[] = {
+    {TraceEvent::kRunMeta, "run_meta", TraceCat::kMeta},
+    {TraceEvent::kSubflowMeta, "subflow_meta", TraceCat::kMeta},
+    {TraceEvent::kFrameTx, "frame_tx", TraceCat::kPhy},
+    {TraceEvent::kFrameRx, "frame_rx", TraceCat::kPhy},
+    {TraceEvent::kFrameCollision, "frame_collision", TraceCat::kPhy},
+    {TraceEvent::kFrameFaulted, "frame_faulted", TraceCat::kPhy},
+    {TraceEvent::kMacRetry, "mac_retry", TraceCat::kMac},
+    {TraceEvent::kMacDrop, "mac_drop", TraceCat::kMac},
+    {TraceEvent::kBackoffDraw, "backoff_draw", TraceCat::kBackoff},
+    {TraceEvent::kTagStart, "tag_start", TraceCat::kTag},
+    {TraceEvent::kTagInternalFinish, "tag_internal_finish", TraceCat::kTag},
+    {TraceEvent::kTagExternalFinish, "tag_external_finish", TraceCat::kTag},
+    {TraceEvent::kVClockUpdate, "vclock_update", TraceCat::kVClock},
+    {TraceEvent::kQueueEnqueue, "queue_enqueue", TraceCat::kQueue},
+    {TraceEvent::kQueueDrop, "queue_drop", TraceCat::kQueue},
+    {TraceEvent::kFaultEpoch, "fault_epoch", TraceCat::kFault},
+    {TraceEvent::kLpResolve, "lp_resolve", TraceCat::kLp},
+    {TraceEvent::kFlowTarget, "flow_target", TraceCat::kLp},
+    {TraceEvent::kDelivery, "delivery", TraceCat::kFlow},
+    {TraceEvent::kCtrlSend, "ctrl_send", TraceCat::kCtrl},
+    {TraceEvent::kCtrlRecv, "ctrl_recv", TraceCat::kCtrl},
+    {TraceEvent::kCtrlSolve, "ctrl_solve", TraceCat::kCtrl},
+    {TraceEvent::kCtrlRate, "ctrl_rate", TraceCat::kCtrl},
+    {TraceEvent::kCtrlAdmit, "ctrl_admit", TraceCat::kCtrl},
+    {TraceEvent::kCtrlRetransmit, "ctrl_retransmit", TraceCat::kCtrl},
+    {TraceEvent::kCtrlSeqGap, "ctrl_seq_gap", TraceCat::kCtrl},
+    {TraceEvent::kCtrlReconv, "ctrl_reconv", TraceCat::kCtrl},
+    {TraceEvent::kTransSend, "trans_send", TraceCat::kTransport},
+    {TraceEvent::kTransAckTx, "trans_ack_tx", TraceCat::kTransport},
+    {TraceEvent::kTransAckRx, "trans_ack_rx", TraceCat::kTransport},
+    {TraceEvent::kTransRetransmit, "trans_retransmit", TraceCat::kTransport},
+    {TraceEvent::kTransTimeout, "trans_timeout", TraceCat::kTransport},
+    {TraceEvent::kTransCwnd, "trans_cwnd", TraceCat::kTransport},
+};
 
 /// Number of defined TraceEvent values; readers reject anything >= this
 /// (a corrupt record, not a format they should silently accept).
-constexpr std::uint16_t kTraceEventCount =
-    static_cast<std::uint16_t>(TraceEvent::kTransCwnd) + 1;
+constexpr std::uint16_t kTraceEventCount = std::size(kTraceEvents);
 
-const char* to_string(TraceEvent e);
-const char* to_string(TraceCat c);
+static_assert(
+    [] {
+      for (std::uint16_t i = 0; i < kTraceEventCount; ++i)
+        if (static_cast<std::uint16_t>(kTraceEvents[i].event) != i) return false;
+      return true;
+    }(),
+    "kTraceEvents rows must follow TraceEvent order");
+
+constexpr TraceCat trace_category(TraceEvent e) {
+  return kTraceEvents[static_cast<std::uint16_t>(e)].cat;
+}
+
+/// Table name of an event ("unknown" outside the table).
+constexpr const char* to_string(TraceEvent e) {
+  const auto i = static_cast<std::uint16_t>(e);
+  return i < kTraceEventCount ? kTraceEvents[i].name : "unknown";
+}
 
 /// One fixed-size trace row. The explicit `pad` keeps the on-disk bytes
 /// fully determined (fwrite of the struct must not leak uninitialized
@@ -181,8 +204,6 @@ bool parse_trace_filter(const std::string& spec, std::uint32_t* mask,
 
 class TraceSink {
  public:
-  enum class Format { kBinary, kJsonl };
-
   /// `buffer_records` bounds memory in streaming mode (the buffer flushes
   /// to the file whenever it fills). In in-memory mode (no open()) the
   /// buffer simply grows.
@@ -191,11 +212,11 @@ class TraceSink {
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
 
-  /// Starts streaming records to `path`. Returns false and fills *error if
-  /// the file cannot be created. Call before the run; close() finalizes
-  /// (binary format: patches the header's record count). Mutually
+  /// Starts streaming records to the binary trace file `path`. Returns
+  /// false and fills *error if the file cannot be created. Call before the
+  /// run; close() finalizes (patches the header's record count). Mutually
   /// exclusive with set_ring().
-  bool open(const std::string& path, Format format, std::string* error);
+  bool open(const std::string& path, std::string* error);
   /// Flushes buffered records and closes the file (no-op in memory mode).
   void close();
 
@@ -206,38 +227,37 @@ class TraceSink {
   bool ring_mode() const { return ring_capacity_ != 0; }
 
   /// The most recent records in chronological order: the ring contents in
-  /// ring mode, otherwise a copy of the in-memory/unflushed buffer. This is
-  /// what the flight-recorder dump contains.
+  /// ring mode, otherwise every record of an in-memory sink. This is what
+  /// the flight-recorder dump contains. A streaming sink has flushed its
+  /// history to the file, so asking it is a contract violation.
   std::vector<TraceRecord> recent_records() const;
 
   /// Runtime category filter (default: everything).
   void set_filter(std::uint32_t mask) { mask_ = mask | trace_bit(TraceCat::kMeta); }
   std::uint32_t filter() const { return mask_; }
 
-  /// True when the category passes the runtime filter. Call sites whose
-  /// record() *arguments* are expensive to compute (e.g. the Q/R tag-lag
-  /// sums) must test this first, so a filtered-out category costs no more
-  /// than a mask test.
-  template <TraceCat Cat>
-  bool enabled() const {
-    return (mask_ & trace_bit(Cat)) != 0u;
+  /// True when the event's category passes the runtime filter. Call sites
+  /// whose record() *arguments* are expensive to compute (e.g. the Q/R
+  /// tag-lag sums) must test this first, so a filtered-out category costs
+  /// no more than a mask test.
+  bool enabled(TraceEvent type) const {
+    return (mask_ & trace_bit(trace_category(type))) != 0u;
   }
 
-  /// Emits one record of category `Cat` if the filter passes it.
-  /// `span`/`parent` thread the causal chain (0 = none); call sites that
-  /// don't participate simply omit them.
-  template <TraceCat Cat>
+  /// Emits one record if the filter passes its category. `span`/`parent`
+  /// thread the causal chain (0 = none); call sites that don't participate
+  /// simply omit them.
   void record(TimeNs t, TraceEvent type, std::int16_t node, std::int32_t a,
               std::int32_t b, double v0 = 0.0, double v1 = 0.0,
               std::uint32_t span = 0, std::uint32_t parent = 0) {
-    if (!enabled<Cat>()) return;
+    if (!enabled(type)) return;
     push(TraceRecord{t, static_cast<std::uint16_t>(type), node, a, b, span,
                      parent, 0, v0, v1});
   }
 
   /// Allocates a fresh causal span id (never 0). Ids are handed out in
   /// call order, so they are deterministic per (seed, filter) — callers
-  /// must gate allocation on enabled<Cat>() exactly like record().
+  /// must gate allocation on enabled() exactly like record().
   std::uint32_t new_span() { return ++next_span_; }
 
   /// Records seen (post-filter) over the sink's lifetime.
@@ -257,21 +277,20 @@ class TraceSink {
   std::uint64_t recorded_ = 0;
   std::uint32_t next_span_ = 0;
   std::FILE* file_ = nullptr;
-  Format format_ = Format::kBinary;
   std::size_t ring_capacity_ = 0;  ///< 0 = not in ring mode.
   std::size_t ring_next_ = 0;      ///< Slot the next ring record overwrites.
   std::uint64_t written_ = 0;      ///< Records flushed to the file so far.
 };
 
-/// Renders one record as a single JSON line (no trailing newline).
+/// Renders one record as a single JSON line (no trailing newline); what
+/// `trace-tool jsonl` prints.
 std::string trace_record_jsonl(const TraceRecord& r);
 
 /// Writes `records` as a complete trace file (header with the exact record
 /// count, then the records) — the flight-recorder dump path. Returns false
 /// and fills *error if the file cannot be created.
 bool write_trace_file(const std::vector<TraceRecord>& records,
-                      const std::string& path, TraceSink::Format format,
-                      std::string* error);
+                      const std::string& path, std::string* error);
 
 /// Reads a binary trace file. Returns false and fills *error on a missing
 /// file, a bad/unknown header, a record-count mismatch, an unknown event

@@ -6,11 +6,26 @@
 #include <map>
 #include <sstream>
 
+#include "ctrl/messages.hpp"
+#include "phy/frame.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/time.hpp"
 
 namespace e2efa {
+
+namespace {
+
+// Report names come from the enums' owners.
+const char* ctrl_kind_name(int kind) {
+  return to_string(static_cast<CtrlMsg::Kind>(kind));
+}
+
+const char* frame_type_name(int type) {
+  return to_string(static_cast<FrameType>(type));
+}
+
+}  // namespace
 
 std::vector<std::size_t> ConvergenceReport::epoch_windows(int epoch) const {
   std::vector<std::size_t> out;
@@ -328,46 +343,19 @@ SpanGraph build_span_graph(const std::vector<TraceRecord>& records) {
 
 namespace {
 
-/// CtrlMsg::Kind names for report text (kept in sync with ctrl/messages.hpp
-/// by the obs tests; analysis must not link the control plane).
-const char* ctrl_kind_name_impl(int kind) {
-  switch (kind) {
-    case 0: return "HELLO";
-    case 1: return "HELLO_DELTA";
-    case 2: return "CONSTRAINT";
-    case 3: return "RATE";
-    case 4: return "ADMIT_REQ";
-    case 5: return "ADMIT_RSP";
-    case 6: return "TRANS_ACK";
-    default: return "CTRL?";
-  }
-}
-
-/// Frame-type names (phy/frame.hpp FrameType order; same sync rule).
-const char* frame_type_name(int t) {
-  switch (t) {
-    case 0: return "RTS";
-    case 1: return "CTS";
-    case 2: return "DATA";
-    case 3: return "ACK";
-    case 4: return "CTRL";
-    default: return "FRAME?";
-  }
-}
-
 /// One-line human description of a record for the follow report.
 std::string describe_record(const TraceRecord& r) {
   switch (r.event()) {
     case TraceEvent::kCtrlSend:
       return r.b < 0 ? strformat("node %d broadcasts %s seq %.0f (%g B)",
-                                 static_cast<int>(r.node), ctrl_kind_name_impl(r.a),
+                                 static_cast<int>(r.node), ctrl_kind_name(r.a),
                                  r.v1, r.v0)
                      : strformat("node %d sends %s to node %d seq %.0f (%g B)",
-                                 static_cast<int>(r.node), ctrl_kind_name_impl(r.a),
+                                 static_cast<int>(r.node), ctrl_kind_name(r.a),
                                  r.b, r.v1, r.v0);
     case TraceEvent::kCtrlRecv:
       return strformat("node %d receives %s from node %d%s",
-                       static_cast<int>(r.node), ctrl_kind_name_impl(r.a), r.b,
+                       static_cast<int>(r.node), ctrl_kind_name(r.a), r.b,
                        r.v1 != 0.0 ? " (piggybacked)" : "");
     case TraceEvent::kCtrlSolve:
       return strformat("node %d solves flow %d -> %.4fB (lp status %d)",
@@ -381,7 +369,7 @@ std::string describe_record(const TraceRecord& r) {
                        r.b != 0 ? "admit" : "reject", r.v0);
     case TraceEvent::kCtrlRetransmit:
       return strformat("node %d retransmits %s (flow %d), attempt %.0f, backoff %.0f ticks",
-                       static_cast<int>(r.node), ctrl_kind_name_impl(r.a), r.b,
+                       static_cast<int>(r.node), ctrl_kind_name(r.a), r.b,
                        r.v0, r.v1);
     case TraceEvent::kCtrlSeqGap:
       return strformat("node %d sequence gap from node %d: %d missed (expected %.0f, got %.0f)",
@@ -419,8 +407,6 @@ bool touches_flow(const TraceRecord& r, int flow) {
 }
 
 }  // namespace
-
-const char* ctrl_kind_name(int kind) { return ctrl_kind_name_impl(kind); }
 
 std::string format_follow(const std::vector<TraceRecord>& records, int flow,
                           std::size_t limit) {

@@ -80,10 +80,6 @@ std::string format_flow_timeline(const std::vector<TraceRecord>& records,
 /// gaps, per-epoch re-convergence samples) when ctrl records are present.
 std::string format_trace_summary(const std::vector<TraceRecord>& records);
 
-/// CtrlMsg::Kind value -> report name ("HELLO", "CONSTRAINT", ...); kept in
-/// sync with ctrl/messages.hpp by test (analysis never links the ctrl code).
-const char* ctrl_kind_name(int kind);
-
 /// Causal span graph rebuilt from (span, parent) ids alone. A record that
 /// carries a nonzero `span` *owns* that span; any record whose `parent`
 /// names a span (whether or not it owns one itself) is that span's child.

@@ -98,9 +98,9 @@ TimeNs Channel::transmit(NodeId sender, Frame frame) {
   // end-of-frame chain to it, and for control frames it chains onward to
   // the kCtrlSend record riding the message.
   std::uint32_t tx_span = 0;
-  if (trace_ != nullptr && trace_->enabled<TraceCat::kPhy>()) {
+  if (trace_ != nullptr && trace_->enabled(TraceEvent::kFrameTx)) {
     tx_span = trace_->new_span();
-    trace_->record<TraceCat::kPhy>(
+    trace_->record(
         now, TraceEvent::kFrameTx, static_cast<std::int16_t>(sender),
         static_cast<std::int32_t>(frame.type), frame.rx,
         static_cast<double>(frame.bytes), silent ? 1.0 : 0.0, tx_span,
@@ -129,9 +129,9 @@ TimeNs Channel::transmit(NodeId sender, Frame frame) {
         bump(stats_.frames_faulted);
         bump(stats_.faulted_dead);
         if (trace_ != nullptr)
-          trace_->record<TraceCat::kPhy>(now, TraceEvent::kFrameFaulted,
-                                         static_cast<std::int16_t>(r), 0, sender,
-                                         0.0, 0.0, 0, tx_span);
+          trace_->record(now, TraceEvent::kFrameFaulted,
+                         static_cast<std::int16_t>(r), 0, sender,
+                         0.0, 0.0, 0, tx_span);
       }
       if (s.interferers == 0 && !transmitting(r) && !s.decoding && decodable) {
         s.decoding = true;
@@ -187,9 +187,9 @@ void Channel::finish_transmission(std::uint32_t slot) {
           bump(stats_.frames_faulted);
           bump(stats_.faulted_dead);
           if (trace_ != nullptr)
-            trace_->record<TraceCat::kPhy>(end, TraceEvent::kFrameFaulted,
-                                           static_cast<std::int16_t>(r), 0,
-                                           sender, 0.0, 0.0, 0, tx_span);
+            trace_->record(end, TraceEvent::kFrameFaulted,
+                           static_cast<std::int16_t>(r), 0,
+                           sender, 0.0, 0.0, 0, tx_span);
           update_busy(r);
           continue;  // deaf: the crashed/cut receiver sees nothing at all
         }
@@ -199,9 +199,9 @@ void Channel::finish_transmission(std::uint32_t slot) {
           bump(stats_.frames_faulted);
           bump(stats_.faulted_loss);
           if (trace_ != nullptr)
-            trace_->record<TraceCat::kPhy>(end, TraceEvent::kFrameFaulted,
-                                           static_cast<std::int16_t>(r), 1,
-                                           sender, 0.0, 0.0, 0, tx_span);
+            trace_->record(end, TraceEvent::kFrameFaulted,
+                           static_cast<std::int16_t>(r), 1,
+                           sender, 0.0, 0.0, 0, tx_span);
           if (s.listener) s.listener->on_frame_corrupted(end);
           update_busy(r);
           continue;
@@ -210,7 +210,7 @@ void Channel::finish_transmission(std::uint32_t slot) {
       if (ok) {
         bump(stats_.frames_delivered);
         if (trace_ != nullptr)
-          trace_->record<TraceCat::kPhy>(
+          trace_->record(
               end, TraceEvent::kFrameRx, static_cast<std::int16_t>(r),
               static_cast<std::int32_t>(frame.type), sender,
               static_cast<double>(frame.bytes), 0.0, 0, tx_span);
@@ -220,10 +220,10 @@ void Channel::finish_transmission(std::uint32_t slot) {
         bump(stats_.frames_corrupted);
         bump(stats_.bytes_corrupted, static_cast<std::uint64_t>(frame.bytes));
         if (trace_ != nullptr)
-          trace_->record<TraceCat::kPhy>(end, TraceEvent::kFrameCollision,
-                                         static_cast<std::int16_t>(r), -1,
-                                         sender, static_cast<double>(frame.bytes),
-                                         0.0, 0, tx_span);
+          trace_->record(end, TraceEvent::kFrameCollision,
+                         static_cast<std::int16_t>(r), -1,
+                         sender, static_cast<double>(frame.bytes),
+                         0.0, 0, tx_span);
         if (s.listener) s.listener->on_frame_corrupted(end);
       }
     }

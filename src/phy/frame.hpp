@@ -21,8 +21,7 @@ enum class FrameType { kRts, kCts, kData, kAck, kCtrl };
 const char* to_string(FrameType t);
 
 // The paper's fixed 802.11 DSSS parameters. DcfMac, the fluid model and the
-// invariant oracles (src/check, which consumes this header without linking
-// phy) all read these one definitions.
+// invariant oracles (src/check) all read these one definitions.
 
 inline constexpr std::int64_t kChannelBps = 2'000'000;  ///< Paper: 2 Mbps.
 inline constexpr TimeNs kSlot = 20 * kMicrosecond;

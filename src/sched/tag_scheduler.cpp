@@ -44,22 +44,22 @@ void TagScheduler::assign_head_tags(Lane& lane) {
       std::max(lane.start_tag, lane.last_internal_finish) + vt / lane.cfg.share;
   lane.external_finish = lane.start_tag + vt / node_share_;
   if (trace_ != nullptr) {
-    trace_->record<TraceCat::kTag>(trace_now_, TraceEvent::kTagStart, trace_node_,
-                                   lane.cfg.subflow, -1, lane.start_tag);
-    trace_->record<TraceCat::kTag>(trace_now_, TraceEvent::kTagInternalFinish,
-                                   trace_node_, lane.cfg.subflow, -1,
-                                   lane.internal_finish);
-    trace_->record<TraceCat::kTag>(trace_now_, TraceEvent::kTagExternalFinish,
-                                   trace_node_, lane.cfg.subflow, -1,
-                                   lane.external_finish);
+    trace_->record(trace_now_, TraceEvent::kTagStart, trace_node_,
+                   lane.cfg.subflow, -1, lane.start_tag);
+    trace_->record(trace_now_, TraceEvent::kTagInternalFinish,
+                   trace_node_, lane.cfg.subflow, -1,
+                   lane.internal_finish);
+    trace_->record(trace_now_, TraceEvent::kTagExternalFinish,
+                   trace_node_, lane.cfg.subflow, -1,
+                   lane.external_finish);
   }
 }
 
 void TagScheduler::set_vclock(double v) {
   if (v == vclock_) return;
   if (trace_ != nullptr)
-    trace_->record<TraceCat::kVClock>(trace_now_, TraceEvent::kVClockUpdate,
-                                      trace_node_, -1, -1, v, vclock_);
+    trace_->record(trace_now_, TraceEvent::kVClockUpdate,
+                   trace_node_, -1, -1, v, vclock_);
   if (check_ != nullptr) check_->on_vclock(check_node_, vclock_, v, trace_now_);
   vclock_ = v;
 }

@@ -78,9 +78,9 @@ void AckPlane::emit_ack(FlowState& s, std::int32_t flow, std::int64_t echo,
   msg->flow = flow;
   msg->cumack = s.cumack;
   msg->echo_seq = echo;
-  if (trace_ != nullptr && trace_->enabled<TraceCat::kTransport>()) {
+  if (trace_ != nullptr && trace_->enabled(TraceEvent::kTransAckTx)) {
     msg->span = trace_->new_span();
-    trace_->record<TraceCat::kTransport>(
+    trace_->record(
         now, TraceEvent::kTransAckTx, static_cast<std::int16_t>(sink), flow,
         msg->to, static_cast<double>(s.cumack), static_cast<double>(echo),
         msg->span, 0);
@@ -110,9 +110,9 @@ void AckPlane::on_ctrl_frame(NodeId self, const Frame& f) {
   if (pos == 0) {
     // Reached the source: hand the ACK clock to the controller.
     std::uint32_t span = 0;
-    if (trace_ != nullptr && trace_->enabled<TraceCat::kTransport>()) {
+    if (trace_ != nullptr && trace_->enabled(TraceEvent::kTransAckRx)) {
       span = trace_->new_span();
-      trace_->record<TraceCat::kTransport>(
+      trace_->record(
           now, TraceEvent::kTransAckRx, static_cast<std::int16_t>(self),
           m.flow, m.origin, static_cast<double>(m.cumack),
           static_cast<double>(m.echo_seq), span, m.span);
@@ -125,9 +125,9 @@ void AckPlane::on_ctrl_frame(NodeId self, const Frame& f) {
   auto fwd = std::make_shared<CtrlMsg>(m);
   fwd->to = s.path[pos - 1];
   fwd->span = 0;
-  if (trace_ != nullptr && trace_->enabled<TraceCat::kTransport>()) {
+  if (trace_ != nullptr && trace_->enabled(TraceEvent::kTransAckTx)) {
     fwd->span = trace_->new_span();
-    trace_->record<TraceCat::kTransport>(
+    trace_->record(
         now, TraceEvent::kTransAckTx, static_cast<std::int16_t>(self), m.flow,
         fwd->to, static_cast<double>(m.cumack),
         static_cast<double>(m.echo_seq), fwd->span, m.span);

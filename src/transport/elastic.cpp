@@ -94,8 +94,8 @@ void ElasticTransport::send_new(TimeNs now) {
   if (check_ != nullptr)
     check_->on_transport_send(node_, flow_, seq, /*retransmit=*/false, cwnd(),
                               now);
-  if (trace_ != nullptr && trace_->enabled<TraceCat::kTransport>())
-    trace_->record<TraceCat::kTransport>(
+  if (trace_ != nullptr && trace_->enabled(TraceEvent::kTransSend))
+    trace_->record(
         now, TraceEvent::kTransSend, static_cast<std::int16_t>(node_), flow_, 0,
         static_cast<double>(seq), cwnd(), 0, last_ack_span_);
   Packet p;
@@ -118,8 +118,8 @@ void ElasticTransport::retransmit(std::int64_t seq, bool timeout, TimeNs now) {
   if (check_ != nullptr)
     check_->on_transport_send(node_, flow_, seq, /*retransmit=*/true, cwnd(),
                               now);
-  if (trace_ != nullptr && trace_->enabled<TraceCat::kTransport>())
-    trace_->record<TraceCat::kTransport>(
+  if (trace_ != nullptr && trace_->enabled(TraceEvent::kTransRetransmit))
+    trace_->record(
         now, TraceEvent::kTransRetransmit, static_cast<std::int16_t>(node_),
         flow_, timeout ? 1 : 0, static_cast<double>(seq), cwnd(), 0,
         last_ack_span_);
@@ -206,8 +206,8 @@ void ElasticTransport::on_rto_fire() {
   const TimeNs now = sim_.now();
   if (outstanding_.empty() || now >= until_) return;
   ++timeouts_;
-  if (trace_ != nullptr && trace_->enabled<TraceCat::kTransport>())
-    trace_->record<TraceCat::kTransport>(
+  if (trace_ != nullptr && trace_->enabled(TraceEvent::kTransTimeout))
+    trace_->record(
         now, TraceEvent::kTransTimeout, static_cast<std::int16_t>(node_), flow_,
         rto_backoff_, current_rto_s(), srtt_s_);
   if (rto_backoff_ < 16) ++rto_backoff_;
@@ -221,14 +221,14 @@ void ElasticTransport::on_rto_fire() {
 }
 
 void ElasticTransport::trace_cwnd(TimeNs now) {
-  if (trace_ == nullptr || !trace_->enabled<TraceCat::kTransport>()) return;
+  if (trace_ == nullptr || !trace_->enabled(TraceEvent::kTransCwnd)) return;
   const double w = cwnd();
   if (last_traced_cwnd_ >= 0.0 && std::floor(w) == std::floor(last_traced_cwnd_))
     return;
   last_traced_cwnd_ = w;
-  trace_->record<TraceCat::kTransport>(now, TraceEvent::kTransCwnd,
-                                       static_cast<std::int16_t>(node_), flow_,
-                                       0, w, srtt_s_);
+  trace_->record(now, TraceEvent::kTransCwnd,
+                 static_cast<std::int16_t>(node_), flow_,
+                 0, w, srtt_s_);
 }
 
 }  // namespace e2efa

@@ -95,8 +95,6 @@ class ElasticTransport : public TransportSource {
   std::int64_t max_sent() const { return next_seq_ - 1; }
   std::int64_t delivered() const { return delivered_; }
   double inflight() const { return static_cast<double>(outstanding_.size()); }
-  bool has_srtt() const { return has_srtt_; }
-  double srtt_value_s() const { return srtt_s_; }
   /// Most recent delivery-rate sample (pkts/s; 0 before the first).
   double last_delivery_rate_pps() const { return delivery_rate_pps_; }
   /// Raw phase draw (also seeds BBR's initial gain-cycle offset).

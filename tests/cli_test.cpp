@@ -87,11 +87,11 @@ TEST(Cli, RejectsBadValues) {
 
 TEST(Cli, ParsesObservabilityOptions) {
   std::string err;
-  const auto opt = parse({"--trace", "run.jsonl", "--trace-filter", "phy,backoff",
+  const auto opt = parse({"--trace", "run.trace", "--trace-filter", "phy,backoff",
                           "--metrics-out", "m.jsonl", "--metrics-period", "0.5"},
                          &err);
   ASSERT_TRUE(opt.has_value()) << err;
-  EXPECT_EQ(opt->trace_path, "run.jsonl");
+  EXPECT_EQ(opt->trace_path, "run.trace");
   EXPECT_EQ(opt->trace_filter, "phy,backoff");
   EXPECT_EQ(opt->metrics_out, "m.jsonl");
   EXPECT_DOUBLE_EQ(opt->config.metrics_period_seconds, 0.5);
@@ -117,6 +117,18 @@ TEST(Cli, RejectsTraceFilterWithoutTrace) {
   std::string err;
   EXPECT_FALSE(parse({"--trace-filter", "phy"}, &err).has_value());
   EXPECT_NE(err.find("--trace-filter requires --trace"), std::string::npos);
+}
+
+TEST(Cli, FlightOutExcludesTrace) {
+  std::string err;
+  EXPECT_TRUE(parse({"--check", "--flight-out", "f.trace"}, &err).has_value())
+      << err;
+  EXPECT_FALSE(parse({"--check", "--trace", "t.trace", "--flight-out", "f.trace"},
+                     &err)
+                   .has_value());
+  EXPECT_NE(err.find("--flight-out cannot be combined with --trace"),
+            std::string::npos)
+      << err;
 }
 
 TEST(Cli, ParsesInBandControlProtocol) {

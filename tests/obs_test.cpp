@@ -1,5 +1,5 @@
-// Observability layer: trace sink (filtering, binary/JSONL round-trips,
-// byte-determinism), metrics registry + time series, the offline
+// Observability layer: trace sink (filtering, binary round-trips, JSONL
+// rendering, byte-determinism), metrics registry + time series, the offline
 // convergence analysis, and the no-perturbation guarantee (tracing must not
 // change the simulated trajectory).
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "obs/trace_analysis.hpp"
 #include "route/routing.hpp"
+#include "util/assert.hpp"
 #include "util/time.hpp"
 
 namespace e2efa {
@@ -42,8 +43,8 @@ std::string file_bytes(const std::string& path) {
 
 TEST(Trace, RecordsInMemory) {
   TraceSink sink;
-  sink.record<TraceCat::kPhy>(from_seconds(1.5), TraceEvent::kFrameTx, 3, 1, 2,
-                              512.0, 0.0);
+  sink.record(from_seconds(1.5), TraceEvent::kFrameTx, 3, 1, 2,
+              512.0, 0.0);
   ASSERT_EQ(sink.records().size(), 1u);
   const TraceRecord& r = sink.records()[0];
   EXPECT_EQ(r.t, from_seconds(1.5));
@@ -58,11 +59,11 @@ TEST(Trace, RecordsInMemory) {
 TEST(Trace, RuntimeFilterDropsExcludedCategories) {
   TraceSink sink;
   sink.set_filter(trace_bit(TraceCat::kQueue));
-  sink.record<TraceCat::kPhy>(0, TraceEvent::kFrameTx, 0, 0, 0);
-  sink.record<TraceCat::kQueue>(0, TraceEvent::kQueueEnqueue, 0, 0, 1);
+  sink.record(0, TraceEvent::kFrameTx, 0, 0, 0);
+  sink.record(0, TraceEvent::kQueueEnqueue, 0, 0, 1);
   // kMeta is always kept: structural records are cheap and every tool
   // needs them.
-  sink.record<TraceCat::kMeta>(0, TraceEvent::kRunMeta, -1, 2, 2);
+  sink.record(0, TraceEvent::kRunMeta, -1, 2, 2);
   ASSERT_EQ(sink.records().size(), 2u);
   EXPECT_EQ(sink.records()[0].event(), TraceEvent::kQueueEnqueue);
   EXPECT_EQ(sink.records()[1].event(), TraceEvent::kRunMeta);
@@ -97,11 +98,11 @@ TEST(Trace, BinaryRoundTrip) {
   {
     TraceSink sink(/*buffer_records=*/4);  // force mid-run flushes
     std::string err;
-    ASSERT_TRUE(sink.open(path, TraceSink::Format::kBinary, &err)) << err;
+    ASSERT_TRUE(sink.open(path, &err)) << err;
     for (int i = 0; i < 11; ++i) {
-      sink.record<TraceCat::kPhy>(1000 * i, TraceEvent::kFrameRx,
-                                  static_cast<std::int16_t>(i), i, i + 1,
-                                  0.5 * i, -1.25 * i);
+      sink.record(1000 * i, TraceEvent::kFrameRx,
+                  static_cast<std::int16_t>(i), i, i + 1,
+                  0.5 * i, -1.25 * i);
       written.push_back(TraceRecord{1000 * i, static_cast<std::uint16_t>(TraceEvent::kFrameRx),
                                     static_cast<std::int16_t>(i), i, i + 1, 0, 0,
                                     0, 0.5 * i, -1.25 * i});
@@ -129,8 +130,8 @@ TEST(Trace, ReadRejectsGarbageAndTruncation) {
 
   {
     TraceSink sink;
-    ASSERT_TRUE(sink.open(path, TraceSink::Format::kBinary, &err)) << err;
-    sink.record<TraceCat::kPhy>(1, TraceEvent::kFrameTx, 0, 0, 0);
+    ASSERT_TRUE(sink.open(path, &err)) << err;
+    sink.record(1, TraceEvent::kFrameTx, 0, 0, 0);
     sink.close();
     // Chop mid-record.
     std::string bytes = file_bytes(path);
@@ -215,7 +216,7 @@ TEST(ObsIntegration, SameSeedWritesByteIdenticalTraceFiles) {
   for (const std::string& path : {p1, p2}) {
     TraceSink sink;
     std::string err;
-    ASSERT_TRUE(sink.open(path, TraceSink::Format::kBinary, &err)) << err;
+    ASSERT_TRUE(sink.open(path, &err)) << err;
     SimConfig cfg = obs_config(1.0);
     cfg.trace = &sink;
     run_scenario(sc, Protocol::k2paCentralized, cfg);
@@ -378,8 +379,7 @@ TEST(Span, RoundTripsThroughBinaryFiles) {
   written.push_back(TraceRecord{30, static_cast<std::uint16_t>(TraceEvent::kFrameRx),
                                 1, 4, 0, 0, 8, 0, 64.0, 0.0});
   std::string err;
-  ASSERT_TRUE(write_trace_file(written, path, TraceSink::Format::kBinary, &err))
-      << err;
+  ASSERT_TRUE(write_trace_file(written, path, &err)) << err;
   std::vector<TraceRecord> read;
   ASSERT_TRUE(read_trace(path, &read, &err)) << err;
   EXPECT_EQ(read, written);  // TraceRecord == covers span/parent fields
@@ -413,19 +413,6 @@ TEST(Span, GraphRebuildsParentChildEdges) {
   EXPECT_EQ(g.children.at(2u), (std::vector<std::size_t>{2}));
 }
 
-TEST(Span, CtrlKindNamesMatchTheProtocolEnum) {
-  EXPECT_STREQ(ctrl_kind_name(static_cast<int>(CtrlMsg::Kind::kHello)), "HELLO");
-  EXPECT_STREQ(ctrl_kind_name(static_cast<int>(CtrlMsg::Kind::kHelloDelta)),
-               "HELLO_DELTA");
-  EXPECT_STREQ(ctrl_kind_name(static_cast<int>(CtrlMsg::Kind::kConstraint)),
-               "CONSTRAINT");
-  EXPECT_STREQ(ctrl_kind_name(static_cast<int>(CtrlMsg::Kind::kRate)), "RATE");
-  EXPECT_STREQ(ctrl_kind_name(static_cast<int>(CtrlMsg::Kind::kAdmitReq)),
-               "ADMIT_REQ");
-  EXPECT_STREQ(ctrl_kind_name(static_cast<int>(CtrlMsg::Kind::kAdmitRsp)),
-               "ADMIT_RSP");
-}
-
 // ---------- trace read errors ----------
 
 TEST(Trace, ReadErrorsNameTheRecordAndByteOffset) {
@@ -438,7 +425,7 @@ TEST(Trace, ReadErrorsNameTheRecordAndByteOffset) {
     std::vector<TraceRecord> rec(2);
     rec[0].type = static_cast<std::uint16_t>(TraceEvent::kFrameTx);
     rec[1].type = static_cast<std::uint16_t>(TraceEvent::kFrameRx);
-    ASSERT_TRUE(write_trace_file(rec, path, TraceSink::Format::kBinary, &err));
+    ASSERT_TRUE(write_trace_file(rec, path, &err));
     std::string bytes = file_bytes(path);
     std::ofstream f(path, std::ios::binary | std::ios::trunc);
     f.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 7));
@@ -450,7 +437,7 @@ TEST(Trace, ReadErrorsNameTheRecordAndByteOffset) {
   {
     std::vector<TraceRecord> rec(1);
     rec[0].type = kTraceEventCount;  // first undefined value
-    ASSERT_TRUE(write_trace_file(rec, path, TraceSink::Format::kBinary, &err));
+    ASSERT_TRUE(write_trace_file(rec, path, &err));
   }
   ASSERT_FALSE(read_trace(path, &out, &err));
   EXPECT_NE(err.find("unknown event type"), std::string::npos) << err;
@@ -461,7 +448,7 @@ TEST(Trace, ReadErrorsNameTheRecordAndByteOffset) {
     std::vector<TraceRecord> rec(3);
     rec[0].type = rec[1].type = rec[2].type =
         static_cast<std::uint16_t>(TraceEvent::kFrameTx);
-    ASSERT_TRUE(write_trace_file(rec, path, TraceSink::Format::kBinary, &err));
+    ASSERT_TRUE(write_trace_file(rec, path, &err));
     std::string bytes = file_bytes(path);
     std::ofstream f(path, std::ios::binary | std::ios::trunc);
     f.write(bytes.data(),
@@ -479,8 +466,8 @@ TEST(FlightRecorder, RingKeepsTheMostRecentRecords) {
   sink.set_ring(4);
   EXPECT_TRUE(sink.ring_mode());
   for (int i = 0; i < 10; ++i)
-    sink.record<TraceCat::kPhy>(100 * i, TraceEvent::kFrameTx,
-                                static_cast<std::int16_t>(i), i, -1);
+    sink.record(100 * i, TraceEvent::kFrameTx,
+                static_cast<std::int16_t>(i), i, -1);
   EXPECT_EQ(sink.recorded(), 10u);
   const std::vector<TraceRecord> recent = sink.recent_records();
   ASSERT_EQ(recent.size(), 4u);
@@ -488,6 +475,26 @@ TEST(FlightRecorder, RingKeepsTheMostRecentRecords) {
     EXPECT_EQ(recent[static_cast<std::size_t>(i)].t, 100 * (6 + i));
     EXPECT_EQ(recent[static_cast<std::size_t>(i)].a, 6 + i);
   }
+}
+
+TEST(FlightRecorder, OnlyRingAndInMemorySinksKeepRecentRecords) {
+  // A streaming TraceSink(4) flushes every fourth record, so its buffer
+  // holds 1, 2, 3, 0, ... of them: never the history, which is in the
+  // file. Asking it is a contract violation; an in-memory sink keeps all.
+  const std::string path = tmp_path("streaming_recent.trace");
+  TraceSink streaming(4), memory(4);
+  std::string err;
+  ASSERT_TRUE(streaming.open(path, &err)) << err;
+  for (int i = 0; i < 8; ++i) {
+    streaming.record(100 * i, TraceEvent::kFrameTx, 0, i, -1);
+    memory.record(100 * i, TraceEvent::kFrameTx, 0, i, -1);
+    EXPECT_THROW(streaming.recent_records(), ContractViolation);
+    const std::vector<TraceRecord> recent = memory.recent_records();
+    ASSERT_EQ(recent.size(), static_cast<std::size_t>(i + 1));
+    EXPECT_EQ(recent.back().a, i);
+  }
+  streaming.close();
+  std::remove(path.c_str());
 }
 
 TEST(FlightRecorder, ViolationSnapshotDumpIsByteDeterministic) {
@@ -511,8 +518,7 @@ TEST(FlightRecorder, ViolationSnapshotDumpIsByteDeterministic) {
     EXPECT_FALSE(check.ok());
     EXPECT_FALSE(check.flight_records().empty());
     std::string err;
-    ASSERT_TRUE(write_trace_file(check.flight_records(), dump_path,
-                                 TraceSink::Format::kBinary, &err))
+    ASSERT_TRUE(write_trace_file(check.flight_records(), dump_path, &err))
         << err;
   };
   const std::string p1 = tmp_path("flight1.trace"), p2 = tmp_path("flight2.trace");

@@ -19,11 +19,13 @@
 #include <vector>
 
 #include "check/check.hpp"
+#include "ctrl/messages.hpp"
 #include "net/batch.hpp"
 #include "net/cli.hpp"
 #include "net/runner.hpp"
 #include "net/scenario_file.hpp"
 #include "net/scenarios.hpp"
+#include "obs/trace.hpp"
 #include "obs/trace_analysis.hpp"
 #include "run_result_testing.hpp"
 #include "transport/transport.hpp"
@@ -163,7 +165,12 @@ TEST(TransportKindNames, RoundTripAndCtrlKindInSync) {
     EXPECT_EQ(parse_transport_kind(to_string(k)), k);
   EXPECT_FALSE(parse_transport_kind("reno").has_value());
   // The trace tool must label the new control-frame kind.
-  EXPECT_EQ(std::string(ctrl_kind_name(6)), "TRANS_ACK");
+  const std::vector<TraceRecord> rec{
+      TraceRecord{0, static_cast<std::uint16_t>(TraceEvent::kCtrlSend), 2,
+                  static_cast<int>(CtrlMsg::Kind::kTransAck), 1, 1, 0, 0, 40.0,
+                  3.0}};
+  EXPECT_NE(format_follow(rec, -1, 0).find("node 2 sends TRANS_ACK to node 1"),
+            std::string::npos);
 }
 
 TEST(TransportCli, FlagParsesAndOverridesScenario) {

@@ -17,13 +17,6 @@
 
 using namespace e2efa;
 
-namespace {
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-}  // namespace
-
 int main(int argc, char** argv) {
   std::string error;
   const auto opt = parse_cli(argc, argv, &error);
@@ -52,10 +45,7 @@ int main(int argc, char** argv) {
         }
         trace.set_filter(mask);
       }
-      const TraceSink::Format format = ends_with(opt->trace_path, ".jsonl")
-                                           ? TraceSink::Format::kJsonl
-                                           : TraceSink::Format::kBinary;
-      if (!trace.open(opt->trace_path, format, &error)) {
+      if (!trace.open(opt->trace_path, &error)) {
         std::cerr << "error: " << error << "\n";
         return 1;
       }
@@ -65,15 +55,13 @@ int main(int argc, char** argv) {
     CheckContext check;
     if (opt->check) cfg.check = &check;
 
-    // Flight recorder: when a dump target is named but no trace is
-    // streaming, arm a bounded ring so recent history exists to dump.
+    // Flight recorder: a bounded ring of recent history to dump (the CLI
+    // rejects --flight-out with --trace, so no trace is streaming here).
     TraceSink flight_ring;
     if (!opt->flight_out.empty()) {
-      if (cfg.trace == nullptr) {
-        flight_ring.set_ring(1u << 14);
-        cfg.trace = &flight_ring;
-      }
-      check.arm_flight_recorder(cfg.trace);
+      flight_ring.set_ring(1u << 14);
+      cfg.trace = &flight_ring;
+      check.arm_flight_recorder(&flight_ring);
     }
 
     Profiler profiler;
@@ -96,8 +84,7 @@ int main(int argc, char** argv) {
     }
     if (!opt->flight_out.empty() && !check.ok()) {
       const auto& dump = check.flight_records();
-      if (!write_trace_file(dump, opt->flight_out,
-                            TraceSink::Format::kBinary, &error)) {
+      if (!write_trace_file(dump, opt->flight_out, &error)) {
         std::cerr << "error: " << error << "\n";
         return 1;
       }

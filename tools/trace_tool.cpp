@@ -1,8 +1,8 @@
-// trace-tool — offline analysis over binary traces written by e2efa-sim
-// (--trace PATH without a .jsonl suffix).
+// trace-tool — offline analysis over the binary traces e2efa-sim writes
+// (--trace PATH; the one trace file format).
 //
 //   trace-tool summary run.trace
-//   trace-tool jsonl run.trace                # binary -> JSONL on stdout
+//   trace-tool jsonl run.trace                # one JSON line per record
 //   trace-tool timeline run.trace --flow 0 --limit 40
 //   trace-tool convergence run.trace --window 1 --eps 0.2
 //   trace-tool follow run.trace --flow 0      # causal-chain report
