@@ -16,8 +16,7 @@
 using namespace e2efa;
 
 int main(int argc, char** argv) {
-  auto args = benchutil::parse_args(argc, argv);
-  if (args.seconds == 1000.0) args.seconds = 200.0;
+  const auto args = benchutil::parse_args(argc, argv, 200.0);
 
   SimConfig cfg;
   cfg.sim_seconds = args.seconds;

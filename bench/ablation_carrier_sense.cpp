@@ -36,8 +36,7 @@ Scenario scenario1_with_irange(double irange) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto args = benchutil::parse_args(argc, argv);
-  if (args.seconds == 1000.0) args.seconds = 150.0;
+  const auto args = benchutil::parse_args(argc, argv, 150.0);
 
   std::cout << "Ablation — carrier-sense/interference range (Fig. 1 geometry, T = "
             << args.seconds << " s)\n\n";

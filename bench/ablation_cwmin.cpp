@@ -9,8 +9,7 @@
 using namespace e2efa;
 
 int main(int argc, char** argv) {
-  auto args = benchutil::parse_args(argc, argv);
-  if (args.seconds == 1000.0) args.seconds = 120.0;
+  const auto args = benchutil::parse_args(argc, argv, 120.0);
   const Scenario sc = scenario2();
 
   std::cout << "Ablation — CW_min (scenario 2, 2PA-C, T = " << args.seconds << " s)\n\n";

@@ -14,8 +14,7 @@
 using namespace e2efa;
 
 int main(int argc, char** argv) {
-  auto args = benchutil::parse_args(argc, argv);
-  if (args.seconds == 1000.0) args.seconds = 120.0;
+  const auto args = benchutil::parse_args(argc, argv, 120.0);
 
   std::cout << "Ablation — single-flow chain length (T = " << args.seconds << " s)\n\n";
   TextTable t({"hops", "allocated r^", "2PA e2e pkts", "802.11 e2e pkts",

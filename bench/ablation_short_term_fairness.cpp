@@ -16,8 +16,7 @@
 using namespace e2efa;
 
 int main(int argc, char** argv) {
-  auto args = benchutil::parse_args(argc, argv);
-  if (args.seconds == 1000.0) args.seconds = 120.0;
+  const auto args = benchutil::parse_args(argc, argv, 120.0);
   const Scenario sc = scenario1();
 
   std::cout << "Ablation — short-term fairness vs alpha (scenario 1, 2-s windows, T = "

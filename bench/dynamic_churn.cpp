@@ -11,8 +11,7 @@
 using namespace e2efa;
 
 int main(int argc, char** argv) {
-  auto args = benchutil::parse_args(argc, argv);
-  if (args.seconds == 1000.0) args.seconds = 180.0;
+  const auto args = benchutil::parse_args(argc, argv, 180.0);
   Scenario sc = scenario1();
 
   SimConfig cfg;

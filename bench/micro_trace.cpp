@@ -9,17 +9,23 @@
 //   on        a sink is attached with every category enabled, recording to
 //             memory — the full record cost minus disk I/O noise.
 //
-// Modes alternate within every round and the best round per mode is kept,
-// so unrelated machine load hits all modes alike. The run *guards* the
-// zero-overhead claim: `filtered` must be within --tolerance (default 1%)
-// of `off`, else exit 1. The enabled cost is recorded (not guarded) in the
-// JSON output (default BENCH_trace.json). Only runs as long as the default
-// --seconds 60 should be read: at a few simulated seconds the best-of-rounds
-// timings are noise-dominated.
+// Each round simulates --seconds per mode as back-to-back slices of at most
+// one simulated second: every slice is run once per mode in a row,
+// rotating which mode goes first. The run *guards* the zero-overhead claim
+// on the median of the per-slice filtered/off ratios: `filtered` must be
+// within --tolerance (default 1%) of `off`, else exit 1. On a shared host
+// the machine's speed wanders by 10-30% within a 150-ms run, so whole
+// 60-s runs per mode cannot resolve 1% (best-of-rounds read -6% to +20% on
+// one unchanged build; medians of 300 whole-run pairs still spread by
+// +-2%). Millisecond slices see nearly the same machine state in both
+// modes, and the median of thousands of them ignores the slices a burst of
+// machine load hits. The enabled cost is recorded (not guarded) in the
+// JSON output (default BENCH_trace.json).
 #include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -39,7 +45,7 @@ using Clock = std::chrono::steady_clock;
 
 struct Options {
   double seconds = 60.0;
-  int rounds = 12;  // best-of-12: rides out bursty machine load
+  int rounds = 50;
   double tolerance = 0.01;
   std::string out = "BENCH_trace.json";
 };
@@ -48,12 +54,11 @@ Options parse_options(int argc, char** argv) {
   Options o;
   OptionTable t("micro_trace", "usage: micro_trace [options]\n");
   t.positive("--seconds", "T",
-             "simulated seconds per run (default 60, the length CI\n"
-             "guards; shorter runs are noise-dominated: best-of-rounds\n"
-             "timings of a few seconds can even show tracing as faster\n"
-             "than off)",
+             "simulated seconds per mode and round, run as 1-s slices\n"
+             "(default 60, the length CI guards)",
              &o.seconds)
-      .integer("--rounds", "N", "A/B rounds, best kept per mode (default 12)",
+      .integer("--rounds", "N",
+               "rounds; the median per-slice ratio is guarded (default 50)",
                &o.rounds, 1, INT_MAX)
       .positive("--tolerance", "F",
                 "max allowed filtered-vs-off slowdown (default 0.01)", &o.tolerance)
@@ -65,8 +70,7 @@ Options parse_options(int argc, char** argv) {
 enum class Mode { kOff, kFiltered, kOn };
 
 /// One timed run; returns (wall seconds, records emitted).
-std::pair<double, std::uint64_t> timed_run(const Scenario& sc, double seconds,
-                                           Mode mode) {
+std::pair<double, std::uint64_t> timed_run(const Scenario& sc, double seconds, Mode mode) {
   SimConfig cfg;
   cfg.sim_seconds = seconds;
   cfg.seed = 1;
@@ -79,6 +83,12 @@ std::pair<double, std::uint64_t> timed_run(const Scenario& sc, double seconds,
   return {dt, sink.recorded()};
 }
 
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -88,24 +98,40 @@ int main(int argc, char** argv) {
   // Warm-up run (page-in, allocator steady state) before any timing.
   timed_run(sc, std::min(opt.seconds, 1.0), Mode::kOff);
 
-  double best_off = 1e300, best_filtered = 1e300, best_on = 1e300;
+  const int slices = std::max(1, static_cast<int>(std::lround(opt.seconds)));
+  const double slice_s = opt.seconds / slices;
+  std::vector<double> off, filtered_ratio, on_ratio;
   std::uint64_t on_records = 0;
   for (int r = 0; r < opt.rounds; ++r) {
-    best_off = std::min(best_off, timed_run(sc, opt.seconds, Mode::kOff).first);
-    best_filtered =
-        std::min(best_filtered, timed_run(sc, opt.seconds, Mode::kFiltered).first);
-    const auto [dt, n] = timed_run(sc, opt.seconds, Mode::kOn);
-    best_on = std::min(best_on, dt);
-    on_records = n;
+    double off_round = 0.0;
+    on_records = 0;
+    for (int i = 0; i < slices; ++i) {
+      double t[3];
+      for (int k = 0; k < 3; ++k) {
+        const int m = (r * slices + i + k) % 3;
+        const auto [dt, records] = timed_run(sc, slice_s, static_cast<Mode>(m));
+        t[m] = dt;
+        if (static_cast<Mode>(m) == Mode::kOn) on_records += records;
+      }
+      off_round += t[0];
+      filtered_ratio.push_back(t[1] / t[0]);
+      on_ratio.push_back(t[2] / t[0]);
+    }
+    off.push_back(off_round);
   }
 
-  const double filtered_overhead = best_filtered / best_off - 1.0;
-  const double on_overhead = best_on / best_off - 1.0;
-  std::printf("off       %8.2f ms\n", best_off * 1e3);
+  // Times per --seconds: the median off round, the others through their
+  // ratios.
+  const double filtered_overhead = median(filtered_ratio) - 1.0;
+  const double on_overhead = median(on_ratio) - 1.0;
+  const double off_s = median(off);
+  const double filtered_s = off_s * (1.0 + filtered_overhead);
+  const double on_s = off_s * (1.0 + on_overhead);
+  std::printf("off       %8.2f ms\n", off_s * 1e3);
   std::printf("filtered  %8.2f ms  (%+.2f%% vs off, guarded < %.2f%%)\n",
-              best_filtered * 1e3, filtered_overhead * 1e2, opt.tolerance * 1e2);
+              filtered_s * 1e3, filtered_overhead * 1e2, opt.tolerance * 1e2);
   std::printf("on        %8.2f ms  (%+.2f%% vs off, %llu records)\n",
-              best_on * 1e3, on_overhead * 1e2,
+              on_s * 1e3, on_overhead * 1e2,
               static_cast<unsigned long long>(on_records));
 
   std::FILE* f = std::fopen(opt.out.c_str(), "w");
@@ -122,7 +148,7 @@ int main(int argc, char** argv) {
                "  {\"name\": \"trace_on\", \"seconds\": %.6f, "
                "\"overhead_vs_off\": %.4f, \"records\": %llu}\n"
                "]\n",
-               best_off, best_filtered, filtered_overhead, best_on, on_overhead,
+               off_s, filtered_s, filtered_overhead, on_s, on_overhead,
                static_cast<unsigned long long>(on_records));
   std::fclose(f);
   std::printf("wrote %s\n", opt.out.c_str());

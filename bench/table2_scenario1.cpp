@@ -11,10 +11,10 @@
 //   lost packets     20111    5666       689
 //   loss ratio       0.132    0.045      0.004
 //
-// Absolute counts depend on the substrate; the shapes to check are:
-// 802.11 starves F1.2 and loses the most; two-tier serves F1.1 > F1.2 and
-// overflows the relay; 2PA tracks 1/2:1/2:1/4:1/4 with the highest total
-// effective throughput and minimal loss.
+// Absolute counts depend on the substrate; the footer checks the paper's
+// shapes against the table it prints: 802.11 starves F1 end to end; two-tier
+// serves F1.1 > F1.2 and overflows the relay; 2PA tracks 1/2:1/2:1/4:1/4
+// with the highest total effective throughput and the lowest loss.
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -63,8 +63,30 @@ int main(int argc, char** argv) {
       shares.push_back(format_share_of_b(s));
     std::cout << join(shares, ", ") << "\n";
   }
-  std::cout << "\nPaper shapes: 802.11 starves F1.2; two-tier r1.1 > r1.2 "
-               "(relay overflow); 2PA ~ 1/2:1/2:1/4:1/4, highest total, "
-               "lowest loss.\n";
+  const RunResult& dcf = results[0];
+  const RunResult& two_tier = results[1];
+  const RunResult& tpa = results[2];
+  const auto vs = [](std::int64_t a, std::int64_t b) {
+    return benchutil::fmt_count(a) + " vs " + benchutil::fmt_count(b);
+  };
+  std::cout << "\nPaper shapes, checked against this table:\n";
+  benchutil::print_claim(10 * dcf.end_to_end_per_flow[0] < dcf.end_to_end_per_flow[1],
+                         "802.11 starves F1 (r1^ < r2^/10)",
+                         vs(dcf.end_to_end_per_flow[0], dcf.end_to_end_per_flow[1]));
+  benchutil::print_claim(two_tier.delivered_per_subflow[0] > two_tier.delivered_per_subflow[1],
+                         "two-tier overflows the relay (r1.1 > r1.2)",
+                         vs(two_tier.delivered_per_subflow[0], two_tier.delivered_per_subflow[1]));
+  const double err = benchutil::tracking_error(tpa.delivered_per_subflow, tpa.target_subflow_share);
+  benchutil::print_claim(err <= 0.05, "2PA tracks 1/2:1/2:1/4:1/4 within 5%",
+                         strformat("largest gap %.1f%%", err * 100));
+  benchutil::print_claim(tpa.total_end_to_end > two_tier.total_end_to_end,
+                         "2PA total > two-tier total",
+                         vs(tpa.total_end_to_end, two_tier.total_end_to_end));
+  benchutil::print_claim(tpa.total_end_to_end > dcf.total_end_to_end, "2PA total > 802.11 total",
+                         vs(tpa.total_end_to_end, dcf.total_end_to_end));
+  benchutil::print_claim(
+      tpa.loss_ratio < std::min(dcf.loss_ratio, two_tier.loss_ratio), "2PA loses least",
+      strformat("loss ratio %.3f vs %.3f (802.11), %.3f (two-tier)", tpa.loss_ratio,
+                dcf.loss_ratio, two_tier.loss_ratio));
   return 0;
 }

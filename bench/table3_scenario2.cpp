@@ -19,6 +19,13 @@
 //
 // Phase-1 targets: 2PA-C = (1/3, 1/3, 2/3, 1/8, 3/4)·B,
 //                  2PA-D = (1/3, 1/5, 1/4, 1/4, 1/2)·B.
+//
+// The footer checks the paper's shapes against the table it prints:
+// 802.11 starves F2 while F3 and F5 dominate; 2PA-C restores the shares
+// and beats two-tier's total; 2PA-D is more conservative (lower total,
+// lowest loss); loss ordering 802.11 > two-tier > 2PA-C >= 2PA-D.
+#include <algorithm>
+#include <functional>
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -75,9 +82,46 @@ int main(int argc, char** argv) {
     for (double s : results[i].target_flow_share) shares.push_back(format_share_of_b(s));
     std::cout << join(shares, ", ") << "\n";
   }
-  std::cout << "\nPaper shapes: 802.11 starves F2.1, F3/F5 dominate; 2PA-C "
-               "restores F2's share and surpasses two-tier's total; 2PA-D is "
-               "more conservative (lower total, lowest loss); loss ordering "
-               "802.11 >> two-tier >> 2PA-C >= 2PA-D.\n";
+  const RunResult& dcf = results[0];
+  const RunResult& two_tier = results[1];
+  const RunResult& c2pa = results[2];
+  const RunResult& d2pa = results[3];
+  const std::vector<std::int64_t>& dcf_e2e = dcf.end_to_end_per_flow;
+  std::vector<std::int64_t> ranked = dcf_e2e;
+  std::sort(ranked.begin(), ranked.end(), std::greater<>());
+  const auto vs = [](std::int64_t a, std::int64_t b) {
+    return benchutil::fmt_count(a) + " vs " + benchutil::fmt_count(b);
+  };
+  const auto loss = [](const RunResult& a, const RunResult& b) {
+    return strformat("loss ratio %.3f vs %.3f", a.loss_ratio, b.loss_ratio);
+  };
+  std::cout << "\nPaper shapes, checked against this table:\n";
+  benchutil::print_claim(10 * dcf_e2e[1] < ranked[0], "802.11 starves F2 (r2^ < max ri^/10)",
+                         vs(dcf_e2e[1], ranked[0]));
+  benchutil::print_claim(std::min(dcf_e2e[2], dcf_e2e[4]) >= ranked[1],
+                         "802.11: F3 and F5 are the two largest flows",
+                         strformat("r3^ %lld, r5^ %lld, top two %lld, %lld",
+                                   static_cast<long long>(dcf_e2e[2]),
+                                   static_cast<long long>(dcf_e2e[4]),
+                                   static_cast<long long>(ranked[0]),
+                                   static_cast<long long>(ranked[1])));
+  for (const RunResult* r : {&c2pa, &d2pa}) {
+    const double err = benchutil::tracking_error(r->end_to_end_per_flow, r->target_flow_share);
+    benchutil::print_claim(err <= 0.05, std::string(to_string(r->protocol)) +
+                                            " tracks its flow targets within 5%",
+                           strformat("largest gap %.1f%%", err * 100));
+  }
+  benchutil::print_claim(c2pa.total_end_to_end > two_tier.total_end_to_end,
+                         "2PA-C total > two-tier total",
+                         vs(c2pa.total_end_to_end, two_tier.total_end_to_end));
+  benchutil::print_claim(d2pa.total_end_to_end < c2pa.total_end_to_end,
+                         "2PA-D total < 2PA-C total",
+                         vs(d2pa.total_end_to_end, c2pa.total_end_to_end));
+  benchutil::print_claim(dcf.loss_ratio > two_tier.loss_ratio, "loss 802.11 > two-tier",
+                         loss(dcf, two_tier));
+  benchutil::print_claim(two_tier.loss_ratio > c2pa.loss_ratio, "loss two-tier > 2PA-C",
+                         loss(two_tier, c2pa));
+  benchutil::print_claim(c2pa.loss_ratio >= d2pa.loss_ratio, "loss 2PA-C >= 2PA-D",
+                         loss(c2pa, d2pa));
   return 0;
 }

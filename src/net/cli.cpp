@@ -19,17 +19,26 @@
 namespace e2efa {
 
 std::optional<Protocol> parse_protocol(const std::string& s) {
-  if (s == "802.11" || s == "80211" || s == "dcf") return Protocol::k80211;
-  if (s == "two-tier" || s == "twotier") return Protocol::kTwoTier;
-  if (s == "two-tier-mm" || s == "twotier-mm") return Protocol::kTwoTierBalanced;
-  if (s == "2pa-c" || s == "2pa" || s == "2PA-C") return Protocol::k2paCentralized;
-  if (s == "2pa-d" || s == "2PA-D") return Protocol::k2paDistributed;
-  if (s == "2pa-dctrl" || s == "2PA-Dctrl") return Protocol::k2paDistributedCtrl;
-  if (s == "maxmin" || s == "max-min") return Protocol::kMaxMin;
+  for (const ProtocolInfo& row : kProtocolTable)
+    for (std::string_view spelling : row.spellings)
+      if (!spelling.empty() && spelling == s) return row.protocol;
   return std::nullopt;
 }
 
 namespace {
+
+/// The --protocol help: every table row's first spelling, an in-band row's
+/// on a line of its own.
+std::string protocol_help() {
+  std::string help;
+  for (const ProtocolInfo& row : kProtocolTable) {
+    if (row.spellings[0].empty()) continue;
+    if (!help.empty()) help += row.in_band ? " |\n" : " | ";
+    help += row.spellings[0];
+    if (row.in_band) help += " (phase 1 in-band over control frames)";
+  }
+  return help;
+}
 
 // The e2efa-sim option table in three groups, bound to the fields of *opt.
 
@@ -38,9 +47,7 @@ void add_run_options(OptionTable& t, CliOptions* opt) {
   t.text("--scenario", "S",
          "1 | 2 | chain:N | grid:RxC | random:N | file:PATH (default 1)",
          &opt->scenario);
-  t.add("--protocol", "P",
-        "802.11 | two-tier | two-tier-mm | 2pa-c | 2pa-d |\n"
-        "2pa-dctrl (phase 1 in-band over control frames) | maxmin",
+  t.add("--protocol", "P", protocol_help(),
         [opt](const std::string& v) {
           const auto p = parse_protocol(v);
           if (!p) return "unknown protocol: " + v;
@@ -166,8 +173,7 @@ std::string check_cli(const CliOptions& opt) {
   // Naming the ctrl category without the in-band protocol would produce a
   // silently-empty trace/metrics stream — no agent ever emits; fail loudly.
   // (Token scan is exact: no other category name contains "ctrl".)
-  if (opt.trace_filter.find("ctrl") != std::string::npos &&
-      opt.protocol != Protocol::k2paDistributedCtrl)
+  if (opt.trace_filter.find("ctrl") != std::string::npos && !protocol_info(opt.protocol).in_band)
     return std::string("--trace-filter names the ctrl category, but --protocol ") +
            to_string(opt.protocol) + " has no control plane (use --protocol 2pa-dctrl)";
   if (opt.config.metrics_period_seconds > 0 && opt.metrics_out.empty())
@@ -327,7 +333,8 @@ std::string format_run_result(const Scenario& sc, const RunResult& r,
      << r.channel.frames_corrupted << " corrupted, " << r.events_processed
      << " events\n";
 
-  if (r.protocol == Protocol::k2paDistributedCtrl) {
+  const bool in_band = protocol_info(r.protocol).in_band;
+  if (in_band) {
     os << "\nin-band control plane: " << r.ctrl.ctrl_frames << " ctrl frames ("
        << r.ctrl.ctrl_bytes << " wire bytes), queued " << r.ctrl.hello_sent
        << " HELLO / " << r.ctrl.constraint_sent << " CONSTRAINT / "
@@ -378,7 +385,7 @@ std::string format_run_result(const Scenario& sc, const RunResult& r,
       os << ", worst clique load " << strformat("%.3f", a.worst_load);
       if (a.inband >= 0)
         os << ", in-band verdict: " << (a.inband == 1 ? "admit" : "reject");
-      else if (r.protocol == Protocol::k2paDistributedCtrl)
+      else if (in_band)
         os << ", in-band round incomplete";
       os << "\n";
     }

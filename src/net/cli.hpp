@@ -3,8 +3,7 @@
 // Scenario specs:  "1" | "2" (the paper's topologies), "chain:N" (one flow
 // across an N-hop chain), "grid:RxC" (four corner-to-corner flows on an
 // RxC grid), "random:N" (N nodes, N/3 random flows).
-// Protocol specs:  "802.11" | "two-tier" | "two-tier-mm" | "2pa-c" |
-//                  "2pa-d" | "2pa-dctrl" | "maxmin".
+// Protocol specs:  the spellings in kProtocolTable (net/runner.hpp).
 #pragma once
 
 #include <optional>

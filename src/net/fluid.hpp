@@ -32,6 +32,15 @@ TimeNs per_packet_airtime(int payload_bytes, const MacConfig& mac, int cw_min);
 /// Packets per second one unit of share (B) sustains under the MAC model.
 double effective_packet_rate(int payload_bytes, const MacConfig& mac, int cw_min);
 
+/// Bianchi's saturation model of DCF (IEEE JSAC 2000) with the retry limit:
+/// total packets per second that n always-backlogged senders in one
+/// collision domain deliver. Each sender transmits in a slot with
+/// probability τ and collides with probability p = 1 − (1 − τ)^(n−1), where
+/// τ follows from p through the backoff stages W_j = min((cw_min + 1)·2^j,
+/// kCwMax + 1), j = 0..kRetryLimit. Ts and Tc are the success and collision
+/// times built from frame.hpp's sizes and interframe spaces.
+double bianchi_saturation(int n, int payload_bytes, const MacConfig& mac, int cw_min);
+
 struct FluidPrediction {
   /// Served packet rate per subflow (pkt/s) — min(upstream arrival, own
   /// service capacity).

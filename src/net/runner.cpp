@@ -28,20 +28,6 @@
 
 namespace e2efa {
 
-const char* to_string(Protocol p) {
-  switch (p) {
-    case Protocol::k80211: return "802.11";
-    case Protocol::kTwoTier: return "two-tier";
-    case Protocol::kTwoTierBalanced: return "two-tier-mm";
-    case Protocol::k2paCentralized: return "2PA-C";
-    case Protocol::k2paDistributed: return "2PA-D";
-    case Protocol::kMaxMin: return "maxmin";
-    case Protocol::k2paStaticCw: return "2PA-staticCW";
-    case Protocol::k2paDistributedCtrl: return "2PA-Dctrl";
-  }
-  return "?";
-}
-
 double RunResult::measured_subflow_share(int s, int payload_bytes) const {
   E2EFA_ASSERT(s >= 0 && s < static_cast<int>(delivered_per_subflow.size()));
   const double bits =
@@ -53,26 +39,6 @@ double RunResult::measured_subflow_share(int s, int payload_bytes) const {
 namespace {
 
 using std::size_t;
-
-// ---- Protocol predicates. ----
-
-/// Every protocol but plain 802.11 runs phase 1 and schedules by tags.
-bool allocates(Protocol p) { return p != Protocol::k80211; }
-/// Phase 1 runs in-band over control frames; the runner's own solve is
-/// only the oracle the per-node agents are measured against.
-bool in_band(Protocol p) { return p == Protocol::k2paDistributedCtrl; }
-/// Phase 1 runs per source over neighborhood knowledge.
-bool distributed(Protocol p) {
-  return p == Protocol::k2paDistributed || p == Protocol::k2paDistributedCtrl;
-}
-/// Phase 1 runs over the global cliques.
-bool centralized(Protocol p) { return allocates(p) && !distributed(p); }
-/// Only centralized 2PA rejects solves whose flow-level basic-share floors
-/// had to be relaxed, so only it promises the floor (two-tier floors
-/// per-subflow shares — the end-to-end gap is the paper's critique of it).
-bool keeps_flow_floor(Protocol p) {
-  return p == Protocol::k2paCentralized || p == Protocol::k2paStaticCw;
-}
 
 /// Running difference of a monotone counter: each call returns how far the
 /// counter moved since the previous call.
@@ -245,14 +211,14 @@ FlowSet route_flows(const Topology& topo, RunPlan& plan) {
 
 /// Latches the run parameters into the invariant oracles before any hook
 /// can fire (the phase-1 post-solve checks and every packet-sim hook).
-void begin_check_run(CheckContext* check, const Scenario& sc, Protocol proto,
+void begin_check_run(CheckContext* check, const Scenario& sc, const ProtocolInfo& proto,
                      const SimConfig& cfg, const FlowSet& flows) {
   if (check == nullptr) return;
   CheckRunInfo info;
   info.node_count = sc.topo.node_count();
   info.cw_min = cfg.cw_min;
   info.use_rts_cts = cfg.use_rts_cts;
-  info.scaled_cw = proto == Protocol::k2paStaticCw;
+  info.scaled_cw = proto.access == AccessRule::kStaticScaledCw;
   info.queue_capacity = cfg.queue_capacity;
   for (const Subflow& sf : flows.subflows())
     info.subflows.push_back({sf.flow, sf.hop, sf.src, sf.dst,
@@ -266,15 +232,15 @@ void begin_check_run(CheckContext* check, const Scenario& sc, Protocol proto,
 /// touch keeps all admitted flows' basic shares feasible (Ganesan's clique
 /// bound). The founding population (start_s == 0) is the scenario's own
 /// responsibility. Decisions are made in arrival order against the flows
-/// admitted so far, on provisioned routes; the distributed protocols use
-/// the distributed gate (per-node partial knowledge under the arrival
-/// instant's mask — as strict or stricter than the oracle), the centralized
-/// family the centralized twin, and plain 802.11 admits everything (it
-/// allocates nothing).
-void admit_arrivals(const Topology& topo, Protocol proto, CheckContext* check,
+/// admitted so far, on provisioned routes; the distributed solver uses the
+/// distributed gate (per-node partial knowledge under the arrival instant's
+/// mask — as strict or stricter than the oracle), every other solver the
+/// centralized twin, and a protocol without a solver admits everything.
+void admit_arrivals(const Topology& topo, Phase1Solver solver, CheckContext* check,
                     RunPlan& plan) {
   plan.admitted.assign(static_cast<size_t>(plan.F), 1);
-  if (!allocates(proto)) return;
+  if (solver == Phase1Solver::kNone) return;
+  const bool distributed = solver == Phase1Solver::k2paLocalLps;
   std::vector<std::pair<double, FlowId>> arrivals;
   for (FlowId f = 0; f < plan.F; ++f) {
     const double t = plan.windows[static_cast<size_t>(f)].start_s;
@@ -289,7 +255,7 @@ void admit_arrivals(const Topology& topo, Protocol proto, CheckContext* check,
       present[static_cast<size_t>(j)] =
           j != f && plan.admitted[static_cast<size_t>(j)] && plan.active_at(j, t);
     AdmissionDecision d;
-    if (distributed(proto)) {
+    if (distributed) {
       const TopologyMask gate_mask = plan.faults.mask_at(t, topo.node_count());
       d = admission_check_distributed(topo, plan.logical, gate_graph, present, f,
                                       gate_mask.all_up() ? nullptr : &gate_mask);
@@ -299,11 +265,11 @@ void admit_arrivals(const Topology& topo, Protocol proto, CheckContext* check,
     plan.admitted[static_cast<size_t>(f)] = d.admitted ? 1 : 0;
     plan.admissions.push_back({f, t, d.admitted, static_cast<int>(d.reason), d.worst_load, -1});
     if (check != nullptr)
-      check->on_admission(f, d.admitted, d.worst_load, distributed(proto), from_seconds(t));
+      check->on_admission(f, d.admitted, d.worst_load, distributed, from_seconds(t));
   }
 }
 
-RunPlan plan_run(const Scenario& sc, Protocol proto, const SimConfig& cfg) {
+RunPlan plan_run(const Scenario& sc, const ProtocolInfo& proto, const SimConfig& cfg) {
   // Structural validation up front, with messages naming the actual defect
   // (FlowSet would reject these too, but less helpfully).
   for (const Flow& spec : sc.flow_specs) {
@@ -334,7 +300,7 @@ RunPlan plan_run(const Scenario& sc, Protocol proto, const SimConfig& cfg) {
   plan.flows = route_flows(sc.topo, plan);
 
   begin_check_run(cfg.check, sc, proto, cfg, plan.flows);
-  admit_arrivals(sc.topo, proto, cfg.check, plan);
+  admit_arrivals(sc.topo, proto.phase1, cfg.check, plan);
 
   const size_t E = plan.boundaries.size();
   plan.active_of.assign(E, std::vector<FlowId>(static_cast<size_t>(plan.F)));
@@ -385,31 +351,29 @@ LpStatus accept_unrelaxed(const Result& r, Allocation* out) {
   return LpStatus::kOptimal;
 }
 
-/// Phase-1 dispatch over an arbitrary flow set. The centralized LP family
-/// rejects relaxed solves; the distributed form keeps its by-design local
+/// Phase-1 dispatch over an arbitrary flow set. The LP solvers reject
+/// relaxed solves; the distributed one keeps its by-design local
 /// relaxations.
-LpStatus compute_allocation(Protocol proto, const FlowSet& flows, const ContentionGraph& graph,
-                            const TopologyMask* mask,
+LpStatus compute_allocation(Phase1Solver solver, const FlowSet& flows,
+                            const ContentionGraph& graph, const TopologyMask* mask,
                             const std::vector<std::vector<int>>* cliques, Allocation* out) {
-  switch (proto) {
-    case Protocol::kTwoTier:
+  switch (solver) {
+    case Phase1Solver::kTwoTierLp:
       return accept_unrelaxed(two_tier_allocate(graph, cliques), out);
-    case Protocol::k2paCentralized:
-    case Protocol::k2paStaticCw:
+    case Phase1Solver::k2paLp:
       return accept_unrelaxed(centralized_allocate(graph, cliques), out);
-    case Protocol::kTwoTierBalanced:
+    case Phase1Solver::kTwoTierMaxMin:
       *out = maxmin_allocate_subflows(graph, {}, cliques).allocation;
       break;
-    case Protocol::kMaxMin:
+    case Phase1Solver::kFlowMaxMin:
       *out = maxmin_allocate(graph, {}, cliques).allocation;
       break;
-    case Protocol::k2paDistributed:
-    case Protocol::k2paDistributedCtrl:
+    case Phase1Solver::k2paLocalLps:
       // The in-band oracle restricts the neighbor exchange to the epoch's
       // surviving topology (a dead neighbor's HELLOs go unheard).
       *out = distributed_allocate(flows.topology(), flows, graph, mask).allocation;
       break;
-    case Protocol::k80211:
+    case Phase1Solver::kNone:
       break;
   }
   return LpStatus::kOptimal;
@@ -442,7 +406,7 @@ std::vector<std::vector<int>> epoch_cliques(CliqueStore& store, const FlowSet& a
   return cliques;
 }
 
-EpochAllocation allocate_epoch(const RunPlan& plan, size_t e, Protocol proto,
+EpochAllocation allocate_epoch(const RunPlan& plan, size_t e, const ProtocolInfo& proto,
                                const SimConfig& cfg, CliqueStore* store) {
   const FlowSet& all_flows = plan.flows;
   const std::vector<FlowId>& active = plan.active_flows[e];
@@ -450,7 +414,7 @@ EpochAllocation allocate_epoch(const RunPlan& plan, size_t e, Protocol proto,
   out.flow_share.assign(static_cast<size_t>(all_flows.flow_count()), 0.0);
   out.subflow_share.assign(static_cast<size_t>(all_flows.subflow_count()),
                            TagScheduler::kInactiveShare);
-  if (active.empty() || !allocates(proto)) return out;
+  if (active.empty() || proto.phase1 == Phase1Solver::kNone) return out;
 
   std::vector<Flow> specs;
   for (FlowId f : active) specs.push_back(all_flows.flow(f));
@@ -465,17 +429,18 @@ EpochAllocation allocate_epoch(const RunPlan& plan, size_t e, Protocol proto,
   {
     Profiler::Scope prof(cfg.profile, Profiler::Phase::kSolve);
     graph.emplace(all_flows.topology(), sub);
-    out.status = compute_allocation(proto, sub, *graph, in_band(proto) ? &plan.masks[e] : nullptr,
+    out.status = compute_allocation(proto.phase1, sub, *graph,
+                                    proto.in_band ? &plan.masks[e] : nullptr,
                                     cliques ? &*cliques : nullptr, &a);
   }
   E2EFA_ASSERT_MSG(out.status == LpStatus::kOptimal,
                    "phase-1 allocation infeasible: basic shares exceed clique capacity");
-  // Post-solve oracle: the floor only where the protocol promises it; the
-  // distributed family's per-source local solves may mildly oversubscribe
-  // a clique (partial knowledge) and get the documented envelope instead
-  // of the strict bound.
+  // Post-solve oracle: the flow floor only where the solver promises it;
+  // the local LPs may mildly oversubscribe a clique (partial knowledge) and
+  // get the documented envelope instead of the strict bound.
   if (cfg.check != nullptr)
-    cfg.check->check_allocation(*graph, a, keeps_flow_floor(proto), !distributed(proto),
+    cfg.check->check_allocation(*graph, a, proto.phase1 == Phase1Solver::k2paLp,
+                                proto.phase1 != Phase1Solver::k2paLocalLps,
                                 plan.boundaries[e]);
   for (size_t i = 0; i < active.size(); ++i) {
     const FlowId g = active[i];
@@ -491,15 +456,15 @@ EpochAllocation allocate_epoch(const RunPlan& plan, size_t e, Protocol proto,
 /// protocol this is the *oracle*: the AllocAgents must converge to it on
 /// their own, so it is solved against the epoch's surviving topology but
 /// never pushed into the schedulers.
-std::vector<EpochAllocation> allocate_epochs(const RunPlan& plan, Protocol proto,
+std::vector<EpochAllocation> allocate_epochs(const RunPlan& plan, const ProtocolInfo& proto,
                                              const SimConfig& cfg) {
-  // The centralized family maintains its global cliques incrementally
-  // across epochs, so a boundary re-derives only the cliques around the
-  // flows that toggled (the distributed variants enumerate
-  // neighborhood-sized local cliques instead).
+  // The solvers over global cliques maintain them incrementally across
+  // epochs, so a boundary re-derives only the cliques around the flows
+  // that toggled (the distributed solver enumerates neighborhood-sized
+  // local cliques instead).
   std::unique_ptr<ContentionGraph> graph;
   std::unique_ptr<CliqueStore> store;
-  if (centralized(proto)) {
+  if (proto.phase1 != Phase1Solver::kNone && proto.phase1 != Phase1Solver::k2paLocalLps) {
     graph = std::make_unique<ContentionGraph>(plan.flows.topology(), plan.flows);
     // Start all-inactive: epoch 0's set_active seeds the first enumeration.
     store = std::make_unique<CliqueStore>(
@@ -518,7 +483,7 @@ std::vector<EpochAllocation> allocate_epochs(const RunPlan& plan, Protocol proto
 /// is never moved.
 struct Network {
   Network(const Scenario& s, const RunPlan& p, const std::vector<EpochAllocation>& a,
-          Protocol pr, const SimConfig& c)
+          const ProtocolInfo& pr, const SimConfig& c)
       : sc(s), plan(p), epochs(a), proto(pr), cfg(c) {
     stats.set_warmup(from_seconds(cfg.warmup_seconds));
     for (size_t f = 0; f < active_now.size(); ++f)
@@ -546,7 +511,7 @@ struct Network {
   const Scenario& sc;
   const RunPlan& plan;
   const std::vector<EpochAllocation>& epochs;
-  const Protocol proto;
+  const ProtocolInfo& proto;
   const SimConfig& cfg;
   TraceSink* const trace = cfg.trace;
   CheckContext* const check = cfg.check;
@@ -557,7 +522,7 @@ struct Network {
   Rng master{cfg.seed};
   std::unique_ptr<FaultRuntime> faults;
   std::vector<std::unique_ptr<NodeStack>> stacks;
-  std::vector<TagScheduler*> tag_scheds =  // per node; null under 802.11
+  std::vector<TagScheduler*> tag_scheds =  // per node; null under kBebFifo
       std::vector<TagScheduler*>(static_cast<size_t>(sc.topo.node_count()), nullptr);
   std::int64_t link_failures = 0;
   std::unique_ptr<ContentionGraph> ctrl_graph;
@@ -625,7 +590,7 @@ void Network::build_stacks() {
     std::unique_ptr<TxQueue> queue;
     std::unique_ptr<BackoffPolicy> backoff;
     TagScheduler* tags = nullptr;
-    if (!allocates(proto)) {
+    if (proto.access == AccessRule::kBebFifo) {
       auto fifo = std::make_unique<FifoQueue>(cfg.queue_capacity);
       fifo->set_check(check, n);
       queue = std::move(fifo);
@@ -635,15 +600,14 @@ void Network::build_stacks() {
       // In-band runs must not start from the oracle's answer: lanes begin
       // at the inactive floor and the agents bootstrap them locally.
       for (int s : plan.flows.sourced_at(n))
-        lanes.push_back({s, in_band(proto) ? TagScheduler::kInactiveShare
-                                           : epochs[0].subflow_share[static_cast<size_t>(s)]});
+        lanes.push_back({s, proto.in_band ? TagScheduler::kInactiveShare
+                                          : epochs[0].subflow_share[static_cast<size_t>(s)]});
       auto sched =
           std::make_unique<TagScheduler>(std::move(lanes), cfg.queue_capacity, cfg.alpha);
       sched->set_trace(trace, static_cast<std::int16_t>(n));
       sched->set_check(check, n);
       tag_scheds[static_cast<size_t>(n)] = sched.get();
-      if (proto == Protocol::k2paStaticCw) {
-        // Ablation: weighted queueing, but no tag feedback over the air.
+      if (proto.access == AccessRule::kStaticScaledCw) {
         backoff = std::make_unique<ScaledCwBackoff>(
             cfg.cw_min, kCwMax, std::min(1.0, std::max(sched->node_share(), 1e-3)));
       } else {
@@ -663,7 +627,7 @@ void Network::build_stacks() {
 }
 
 /// In-band control plane: one AllocAgent per node, wired into its MAC.
-/// Only k2paDistributedCtrl gets here (including the extra RNG splits), so
+/// Only an in-band protocol gets here (including the extra RNG splits), so
 /// every other protocol's trajectory is untouched.
 void Network::start_control_plane() {
   // Any dynamics — scripted faults, churn windows, or mobility — turn on
@@ -733,7 +697,7 @@ void Network::enter_epoch(size_t e) {
   // control plane reacts, so every lane update at or after the boundary is
   // judged against the current flow set.
   if (check != nullptr) check->note_active_flows(plan.active_bitmap(e, false), sim.now());
-  if (in_band(proto)) {
+  if (proto.in_band) {
     // No oracle push: tell the agents what went (in)active and let the
     // network re-converge through its own HELLO/CONSTRAINT/RATE cycle.
     const std::vector<char> b = plan.active_bitmap(e, true);
@@ -830,12 +794,12 @@ void Network::start_sources() {
 /// in flow order; epoch events are scheduled before the source starts.
 std::unique_ptr<Network> build_network(const Scenario& sc, const RunPlan& plan,
                                        const std::vector<EpochAllocation>& epochs,
-                                       Protocol proto, const SimConfig& cfg) {
+                                       const ProtocolInfo& proto, const SimConfig& cfg) {
   auto net = std::make_unique<Network>(sc, plan, epochs, proto, cfg);
   net->wire_channel();
   net->build_stacks();
   if (net->check != nullptr) net->check->note_active_flows(plan.active_bitmap(0, false), 0);
-  if (in_band(proto)) net->start_control_plane();
+  if (proto.in_band) net->start_control_plane();
   net->track_deliveries();
   // Scheduled at setup, so each boundary precedes all same-instant packet
   // events.
@@ -877,7 +841,7 @@ Observers::Observers(Network& net)
       metrics_delta_(net.plan.F) {
   const SimConfig& cfg = net.cfg;
   const TimeNs horizon = net.plan.horizon;
-  if (in_band(net.proto) && net.plan.epochs() > 1) {
+  if (net.proto.in_band && net.plan.epochs() > 1) {
     const TimeNs period = from_seconds(0.1);
     run_every(net.sim, period, period, horizon, [this] { probe_reconvergence(); });
   }
@@ -951,7 +915,7 @@ void Observers::sample_metrics() {
   samp.mac_retry_rate = d_attempts > 0.0 ? d_timeouts / d_attempts : 0.0;
   samp.channel_utilization = airtime_(static_cast<double>(net_.channel.stats().airtime_ns)) /
                              static_cast<double>(from_seconds(period_s));
-  if (in_band(net_.proto)) {
+  if (net_.proto.in_band) {
     const CtrlAgentStats ctrl = net_.ctrl_totals();
     const double cbytes = static_cast<double>(ctrl.ctrl_bytes);
     samp.ctrl_bytes = ctrl_bytes_(cbytes);
@@ -974,7 +938,7 @@ void Observers::sample_metrics() {
 
 void Observers::collect(RunResult& out) {
   out.metrics = std::move(metrics_);
-  if (in_band(net_.proto) && net_.plan.epochs() > 1) {
+  if (net_.proto.in_band && net_.plan.epochs() > 1) {
     out.reconv_s = std::move(reconv_);
     // Surface the per-epoch samples in the metrics artifact as well, so a
     // JSONL dump carries the control-plane health story on its own.
@@ -989,8 +953,8 @@ void Observers::collect(RunResult& out) {
 /// Phase-1 targets: RunResult::target_* reflect the first epoch; epoch_*
 /// record the full history of multi-epoch runs.
 void collect_targets(const RunPlan& plan, const std::vector<EpochAllocation>& epochs,
-                     Protocol proto, RunResult& out) {
-  out.has_target = allocates(proto) && !plan.active_flows[0].empty();
+                     Phase1Solver solver, RunResult& out) {
+  out.has_target = solver != Phase1Solver::kNone && !plan.active_flows[0].empty();
   if (out.has_target) {
     out.target_subflow_share = epochs[0].subflow_share;
     out.target_flow_share = logical_shares(plan, epochs, 0);
@@ -1000,7 +964,7 @@ void collect_targets(const RunPlan& plan, const std::vector<EpochAllocation>& ep
     for (size_t e = 0; e < epochs.size(); ++e)
       out.epoch_flow_share.push_back(logical_shares(plan, epochs, e));
   }
-  if (allocates(proto))
+  if (solver != Phase1Solver::kNone)
     for (const EpochAllocation& epoch : epochs) out.epoch_lp_status.push_back(epoch.status);
   out.admissions = plan.admissions;
 }
@@ -1032,9 +996,9 @@ RunResult collect(Network& net, Observers& observers) {
   }
 
   RunResult out;
-  out.protocol = net.proto;
+  out.protocol = net.proto.protocol;
   out.sim_seconds = net.cfg.sim_seconds;
-  collect_targets(plan, net.epochs, net.proto, out);
+  collect_targets(plan, net.epochs, net.proto.phase1, out);
   for (int s = 0; s < plan.flows.subflow_count(); ++s) {
     out.delivered_per_subflow.push_back(stats.subflow(s).delivered);
     out.dropped_queue += stats.subflow(s).dropped_queue;
@@ -1076,13 +1040,14 @@ RunResult collect(Network& net, Observers& observers) {
   out.epoch_end_to_end = std::move(net.epoch_e2e);
   out.recoveries = std::move(net.recoveries);
   observers.collect(out);
-  if (in_band(net.proto)) collect_ctrl(net, out);
+  if (net.proto.in_band) collect_ctrl(net, out);
   return out;
 }
 
 }  // namespace
 
-RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg) {
+RunResult run_scenario(const Scenario& sc, Protocol protocol, const SimConfig& cfg) {
+  const ProtocolInfo& proto = protocol_info(protocol);
   // Everything before the event loop — planning, clique enumeration, the
   // phase-1 solves, stack wiring — accrues to the setup phase; the scope is
   // released just before the simulator starts running.

@@ -3,8 +3,10 @@
 // two-tier, 2PA-C and 2PA-D, plus variants and extensions.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "alloc/allocation.hpp"
@@ -20,25 +22,78 @@
 
 namespace e2efa {
 
+/// Each protocol pairs one phase-1 solver with one phase-2 access rule: one
+/// row of kProtocolTable below.
 enum class Protocol {
-  k80211,            ///< Plain IEEE 802.11 DCF, single FIFO per node.
-  kTwoTier,          ///< Two-tier [1]: per-subflow LP shares + tag scheduler.
-  kTwoTierBalanced,  ///< Two-tier variant: per-subflow *max-min* shares —
-                     ///< models the near-equal services [1]'s scheduler
-                     ///< actually measured in the paper's Table II.
-  k2paCentralized,   ///< 2PA, phase 1 solved centrally (Sec. IV-A).
-  k2paDistributed,   ///< 2PA, phase 1 solved distributedly (Sec. IV-B).
-  kMaxMin,           ///< Flow-level weighted max-min (footnote-3 extension).
-  k2paStaticCw,      ///< Ablation: 2PA phase-1 shares + intra-node weighted
-                     ///< queueing, but a static 1/node-share contention
-                     ///< window instead of the tag/backoff feedback loop.
-  k2paDistributedCtrl,  ///< 2PA, phase 1 run *in-band* by per-node AllocAgents
-                        ///< over real control frames (src/ctrl): no oracle
-                        ///< pushes shares; the network converges on its own,
-                        ///< and re-converges after faults the same way.
+  k80211,               ///< Plain IEEE 802.11 DCF.
+  kTwoTier,             ///< Two-tier [1].
+  kTwoTierBalanced,     ///< Two-tier with max-min shares: Table II's near-equal services.
+  k2paCentralized,      ///< 2PA, phase 1 solved centrally (Sec. IV-A).
+  k2paDistributed,      ///< 2PA, phase 1 solved distributedly (Sec. IV-B).
+  kMaxMin,              ///< Flow-level weighted max-min (footnote-3 extension).
+  k2paStaticCw,         ///< Ablation: 2PA without the tag/backoff feedback loop.
+  k2paDistributedCtrl,  ///< 2PA-D run in-band by per-node agents (src/ctrl).
 };
 
-const char* to_string(Protocol p);
+/// Phase 1 (src/alloc). The two LP solvers reject a solve whose basic-share
+/// floors had to be relaxed, and only 2PA's promises every flow its floor.
+/// All but the local LPs work over the global cliques and gate arrivals with
+/// the centralized admission check; the local LPs use the distributed one.
+enum class Phase1Solver {
+  kNone,           ///< No shares, no admission gate.
+  kTwoTierLp,      ///< two_tier_allocate.
+  kTwoTierMaxMin,  ///< maxmin_allocate_subflows.
+  k2paLp,          ///< centralized_allocate.
+  kFlowMaxMin,     ///< maxmin_allocate.
+  k2paLocalLps,    ///< distributed_allocate: one local LP per source.
+};
+
+/// Phase 2: each node's queue and backoff.
+enum class AccessRule {
+  kBebFifo,         ///< One FIFO, binary exponential backoff.
+  kTagFeedback,     ///< TagScheduler lanes, TagBackoff (Sec. IV-C).
+  kStaticScaledCw,  ///< TagScheduler lanes, a fixed 1/node-share window.
+};
+
+struct ProtocolInfo {
+  Protocol protocol;
+  const char* name;                           ///< Report name.
+  std::array<std::string_view, 3> spellings;  ///< --protocol values; none = bench only.
+  Phase1Solver phase1;
+  bool in_band;  ///< Agents run phase 1 over the air; the runner's solve is their oracle.
+  AccessRule access;
+};
+
+inline constexpr auto kProtocolTable = [] {
+  using enum Protocol;
+  using enum Phase1Solver;
+  using enum AccessRule;
+  return std::to_array<ProtocolInfo>({
+      {k80211, "802.11", {"802.11", "80211", "dcf"}, kNone, false, kBebFifo},
+      {kTwoTier, "two-tier", {"two-tier", "twotier"}, kTwoTierLp, false, kTagFeedback},
+      {kTwoTierBalanced, "two-tier-mm", {"two-tier-mm", "twotier-mm"}, kTwoTierMaxMin, false,
+       kTagFeedback},
+      {k2paCentralized, "2PA-C", {"2pa-c", "2pa", "2PA-C"}, k2paLp, false, kTagFeedback},
+      {k2paDistributed, "2PA-D", {"2pa-d", "2PA-D"}, k2paLocalLps, false, kTagFeedback},
+      {kMaxMin, "maxmin", {"maxmin", "max-min"}, kFlowMaxMin, false, kTagFeedback},
+      {k2paStaticCw, "2PA-staticCW", {}, k2paLp, false, kStaticScaledCw},
+      {k2paDistributedCtrl, "2PA-Dctrl", {"2pa-dctrl", "2PA-Dctrl"}, k2paLocalLps, true,
+       kTagFeedback},
+  });
+}();
+
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kProtocolTable.size(); ++i)
+        if (static_cast<std::size_t>(kProtocolTable[i].protocol) != i) return false;
+      return true;
+    }(),
+    "kProtocolTable rows must follow Protocol order");
+
+constexpr const ProtocolInfo& protocol_info(Protocol p) {
+  return kProtocolTable[static_cast<std::size_t>(p)];
+}
+constexpr const char* to_string(Protocol p) { return protocol_info(p).name; }
 
 /// Per-run settings. The channel rate, the 802.11 timing, CW_max and the
 /// retry limit are the fixed constants in phy/frame.hpp (kChannelBps, …).

@@ -18,9 +18,8 @@ TagScheduler::TagScheduler(std::vector<SubflowConfig> subflows, int per_queue_ca
   E2EFA_ASSERT(tag_horizon > 0);
   for (const SubflowConfig& cfg : subflows) {
     E2EFA_ASSERT_MSG(cfg.share > 0.0, "subflow share must be positive");
-    E2EFA_ASSERT_MSG(!lane_index_.contains(cfg.subflow), "duplicate subflow");
-    lane_index_[cfg.subflow] = lanes_.size();
-    lanes_.push_back(Lane{cfg, {}, 0.0, 0.0, 0.0, 0.0});
+    E2EFA_ASSERT_MSG(lane_index(cfg.subflow) < 0, "duplicate subflow");
+    lanes_.push_back(Lane{cfg, {}});
     node_share_ += cfg.share;
   }
 }
@@ -30,10 +29,16 @@ double TagScheduler::packet_vtime(const Packet& p) const {
   return 8.0 * static_cast<double>(p.payload_bytes) / static_cast<double>(kChannelBps) * 1e6;
 }
 
+int TagScheduler::lane_index(std::int32_t subflow) const {
+  for (std::size_t i = 0; i < lanes_.size(); ++i)
+    if (lanes_[i].cfg.subflow == subflow) return static_cast<int>(i);
+  return -1;
+}
+
 TagScheduler::Lane& TagScheduler::lane_of(std::int32_t subflow) {
-  const auto it = lane_index_.find(subflow);
-  E2EFA_ASSERT_MSG(it != lane_index_.end(), "packet for a subflow this node does not originate");
-  return lanes_[it->second];
+  const int i = lane_index(subflow);
+  E2EFA_ASSERT_MSG(i >= 0, "packet for a subflow this node does not originate");
+  return lanes_[static_cast<std::size_t>(i)];
 }
 
 void TagScheduler::assign_head_tags(Lane& lane) {
@@ -187,9 +192,9 @@ void TagScheduler::update_share(std::int32_t subflow, double share) {
 }
 
 double TagScheduler::share_of(std::int32_t subflow) const {
-  const auto it = lane_index_.find(subflow);
-  E2EFA_ASSERT_MSG(it != lane_index_.end(), "share_of: subflow has no lane at this node");
-  return lanes_[it->second].cfg.share;
+  const int i = lane_index(subflow);
+  E2EFA_ASSERT_MSG(i >= 0, "share_of: subflow has no lane at this node");
+  return lanes_[static_cast<std::size_t>(i)].cfg.share;
 }
 
 double TagScheduler::head_tag() const {
@@ -204,7 +209,7 @@ std::int32_t TagScheduler::head_subflow() const {
 
 void TagScheduler::observe_tag(std::int32_t subflow, double tag, TimeNs now) {
   // Only neighbor subflows belong in the table.
-  if (lane_index_.contains(subflow)) return;
+  if (lane_index(subflow) >= 0) return;
   tag_table_[subflow] = TableEntry{tag, now};
   // Inside the join grace window, adopt larger overheard clocks (see the
   // header for why this cannot erase a legitimate fairness advantage).
@@ -241,12 +246,12 @@ double TagScheduler::r_slots_for(std::int32_t data_subflow, TimeNs now) const {
   return alpha_ * sum;
 }
 
-void TagScheduler::store_ack_r(std::int32_t subflow, double r) { last_r_[subflow] = r; }
+void TagScheduler::store_ack_r(std::int32_t subflow, double r) { lane_of(subflow).last_r = r; }
 
 double TagScheduler::head_last_r() const {
   if (!has_packet()) return 0.0;
-  const auto it = last_r_.find(head_subflow());
-  return it == last_r_.end() ? 0.0 : it->second;
+  select_head();
+  return lanes_[static_cast<std::size_t>(selected_)].last_r;
 }
 
 }  // namespace e2efa

@@ -132,6 +132,7 @@ class TagScheduler : public TxQueue {
     // Internal finish tag of the lane's previously served packet (SFQ
     // continuation for backlogged proportional service).
     double last_internal_finish = 0.0;
+    double last_r = 0.0;  ///< R from the lane's last ACK (0 before any).
   };
 
   /// Virtual transmission time of a packet: payload airtime at B, in µs.
@@ -139,6 +140,9 @@ class TagScheduler : public TxQueue {
   void assign_head_tags(Lane& lane);
   void set_vclock(double v);  ///< vclock_ = v, tracing the change.
   void select_head() const;
+  /// Index of `subflow`'s lane in lanes_, or -1 when this node does not
+  /// originate it.
+  int lane_index(std::int32_t subflow) const;
   Lane& lane_of(std::int32_t subflow);
   Packet pop_selected();
 
@@ -150,8 +154,7 @@ class TagScheduler : public TxQueue {
     return now - e.updated <= tag_horizon_;
   }
 
-  std::vector<Lane> lanes_;
-  std::unordered_map<std::int32_t, std::size_t> lane_index_;
+  std::vector<Lane> lanes_;  ///< A handful per node: found by linear scan.
   int capacity_;
   double alpha_;
   TimeNs tag_horizon_;
@@ -159,7 +162,6 @@ class TagScheduler : public TxQueue {
   double vclock_ = 0.0;
   mutable int selected_ = -1;  ///< Lane chosen for the current head; -1 = none.
   std::unordered_map<std::int32_t, TableEntry> tag_table_;  ///< neighbor subflow -> r_m
-  std::unordered_map<std::int32_t, double> last_r_;         ///< own subflow -> last ACK R
   /// Join synchronization: after an idle gap longer than the tag horizon,
   /// the virtual clock fast-forwards to the largest recently heard tag so a
   /// (re)joining node does not start with an enormous apparent lag — and

@@ -200,6 +200,26 @@ TEST(Cli, ProtocolAliases) {
   EXPECT_FALSE(parse_protocol("csma").has_value());
 }
 
+TEST(Cli, ProtocolTableDrivesNamesParsingAndHelp) {
+  const std::string usage = cli_usage();
+  int spellings = 0;
+  for (const ProtocolInfo& row : kProtocolTable) {
+    EXPECT_STREQ(to_string(row.protocol), row.name);
+    for (std::string_view s : row.spellings) {
+      if (s.empty()) continue;
+      ++spellings;
+      EXPECT_EQ(parse_protocol(std::string(s)), row.protocol) << s;
+    }
+    if (!row.spellings[0].empty()) {
+      EXPECT_NE(usage.find(std::string(row.spellings[0]) + ' '), std::string::npos)
+          << row.name;
+    }
+  }
+  EXPECT_EQ(spellings, 16);  // 802.11/80211/dcf, ..., 2pa-dctrl/2PA-Dctrl
+  EXPECT_FALSE(parse_protocol("").has_value());
+  EXPECT_NE(usage.find("2pa-dctrl (phase 1 in-band"), std::string::npos);
+}
+
 TEST(NamedScenario, PaperScenarios) {
   Rng rng(1);
   EXPECT_EQ(make_named_scenario("1", rng).topo.node_count(), 6);
