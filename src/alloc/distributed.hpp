@@ -44,6 +44,12 @@ struct LocalProblem {
   double flow_share = 0.0;                  ///< Solution entry for `flow`.
   double min_relaxation = 1.0;              ///< See ShareLpResult.
   int refine_failures = 0;                  ///< See ShareLpResult.
+
+  /// This problem's fallbacks: the basic share on a non-optimal solve,
+  /// relaxed floors, failed refinement LPs.
+  Phase1Fallbacks fallbacks() const {
+    return {status != LpStatus::kOptimal, e2efa::relaxed(min_relaxation), refine_failures};
+  }
 };
 
 struct DistributedResult {

@@ -41,6 +41,7 @@
 //   sum, in the tableau's order, so min_relaxation keeps every bit.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -82,6 +83,26 @@ struct ShareLpResult {
   /// cause is tolerance: fixed values w_j·t* can overfill a tight clique
   /// row by ~1e-9, which phase 1 then calls infeasible.
   int refine_failures = 0;
+};
+
+/// True when a solve relaxed its basic-share floors (min_relaxation < 1,
+/// beyond the phase-1 tolerance).
+inline bool relaxed(double min_relaxation) { return min_relaxation < 1.0 - 1e-9; }
+
+/// Phase-1 answers that fell short of the exact program, summed over a
+/// run's solves (RunResult::phase1_fallbacks) so that none passes silently.
+struct Phase1Fallbacks {
+  std::int64_t basic_share = 0;      ///< 2PA-D local problems answered with w·r̂₀.
+  std::int64_t relaxed = 0;          ///< 2PA-D local problems with relaxed floors.
+  std::int64_t refine_failures = 0;  ///< ShareLpResult::refine_failures, summed.
+
+  Phase1Fallbacks& operator+=(const Phase1Fallbacks& o) {
+    basic_share += o.basic_share;
+    relaxed += o.relaxed;
+    refine_failures += o.refine_failures;
+    return *this;
+  }
+  bool operator==(const Phase1Fallbacks&) const = default;
 };
 
 /// Maximizes total share, then applies the balanced refinement. If the

@@ -293,6 +293,7 @@ void AllocAgent::maybe_solve(FlowId f, FlowCtrl& fc, TimeNs now) {
                              knowledge_);
   }
   ++stats_.solves;
+  fallbacks_ += lp.fallbacks();
   std::uint32_t solve_span = 0;
   if (trace_ != nullptr && trace_->enabled(TraceEvent::kCtrlSolve)) {
     solve_span = trace_->new_span();

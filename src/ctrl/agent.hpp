@@ -81,6 +81,8 @@ class AllocAgent : public CtrlPiggyback {
   void note_active_set(const std::vector<char>& subflow_active);
 
   const CtrlAgentStats& stats() const { return stats_; }
+  /// Fallbacks of this node's own local solves.
+  const Phase1Fallbacks& fallbacks() const { return fallbacks_; }
 
   /// Share currently applied to this node's lane of `subflow` (asserts if
   /// the lane is not local). Test/collection helper.
@@ -260,6 +262,7 @@ class AllocAgent : public CtrlPiggyback {
 
   bool started_ = false;
   CtrlAgentStats stats_;
+  Phase1Fallbacks fallbacks_;
   CheckContext* check_ = nullptr;
   Profiler* profiler_ = nullptr;
 

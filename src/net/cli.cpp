@@ -74,6 +74,13 @@ void add_run_options(OptionTable& t, CliOptions* opt) {
          &opt->check);
 }
 
+/// The --protocol spelling of the in-band row.
+std::string in_band_spelling() {
+  for (const ProtocolInfo& row : kProtocolTable)
+    if (row.in_band) return std::string(row.spellings[0]);
+  return "";
+}
+
 /// The --trace-filter help: the category table's names, wrapped to the
 /// help column.
 std::string trace_filter_help() {
@@ -87,7 +94,8 @@ std::string trace_filter_help() {
       line += (line.back() == '(' ? "" : " ") + item;
     }
   }
-  return help + line + " all);\nrequires --trace; ctrl needs --protocol 2pa-dctrl";
+  return help + line + " all);\nrequires --trace; ctrl needs --protocol " +
+         in_band_spelling();
 }
 
 void add_observability_options(OptionTable& t, CliOptions* opt) {
@@ -97,11 +105,8 @@ void add_observability_options(OptionTable& t, CliOptions* opt) {
          &opt->trace_path);
   t.add("--trace-filter", "C", trace_filter_help(),
         [opt](const std::string& v) {
-          std::uint32_t mask = 0;
           std::string error;
-          if (!parse_trace_filter(v, &mask, &error)) return error;
-          opt->trace_filter = v;
-          return std::string();
+          return parse_trace_filter(v, &opt->trace_filter, &error) ? std::string() : error;
         });
   t.text("--metrics-out", "PATH", "write periodic metrics samples as JSONL",
          &opt->metrics_out);
@@ -168,14 +173,17 @@ OptionTable cli_table(CliOptions* opt) {
 
 /// Cross-option rules the table cannot see one option at a time; "" = ok.
 std::string check_cli(const CliOptions& opt) {
-  if (!opt.trace_filter.empty() && opt.trace_path.empty())
+  if (opt.trace_filter != 0 && opt.trace_path.empty())
     return "--trace-filter requires --trace";
   // Naming the ctrl category without the in-band protocol would produce a
   // silently-empty trace/metrics stream — no agent ever emits; fail loudly.
-  // (Token scan is exact: no other category name contains "ctrl".)
-  if (opt.trace_filter.find("ctrl") != std::string::npos && !protocol_info(opt.protocol).in_band)
+  // ("all" names every category, the ctrl one included, and is still
+  // accepted: it asks for whatever the run emits.)
+  if ((opt.trace_filter & trace_bit(TraceCat::kCtrl)) != 0 &&
+      opt.trace_filter != kTraceAllCategories && !protocol_info(opt.protocol).in_band)
     return std::string("--trace-filter names the ctrl category, but --protocol ") +
-           to_string(opt.protocol) + " has no control plane (use --protocol 2pa-dctrl)";
+           to_string(opt.protocol) + " has no control plane (use --protocol " +
+           in_band_spelling() + ")";
   if (opt.config.metrics_period_seconds > 0 && opt.metrics_out.empty())
     return "--metrics-period requires --metrics-out";
   if (!opt.flight_out.empty() && !opt.check)
@@ -332,6 +340,12 @@ std::string format_run_result(const Scenario& sc, const RunResult& r,
      << r.channel.frames_transmitted << " frames on air, "
      << r.channel.frames_corrupted << " corrupted, " << r.events_processed
      << " events\n";
+
+  const Phase1Fallbacks& fb = r.phase1_fallbacks;
+  if (fb != Phase1Fallbacks{})
+    os << "phase-1 fallbacks: " << fb.basic_share << " local LPs at the basic share, "
+       << fb.relaxed << " with relaxed floors, " << fb.refine_failures
+       << " refinement LP failures\n";
 
   const bool in_band = protocol_info(r.protocol).in_band;
   if (in_band) {

@@ -6,6 +6,7 @@
 // Protocol specs:  the spellings in kProtocolTable (net/runner.hpp).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -26,9 +27,10 @@ struct CliOptions {
   /// --trace PATH: binary structured-event trace output (`trace-tool jsonl`
   /// renders it as text).
   std::string trace_path;
-  /// --trace-filter CATS: comma-separated category list (parse_trace_filter
-  /// syntax). Only meaningful with --trace; rejected without it.
-  std::string trace_filter;
+  /// --trace-filter CATS: the category mask parse_trace_filter made of the
+  /// comma-separated list (0 = no filter; a parsed mask always carries the
+  /// meta bit). Only meaningful with --trace; rejected without it.
+  std::uint32_t trace_filter = 0;
   /// --metrics-out PATH: periodic metrics JSONL. --metrics-period T sets
   /// SimConfig::metrics_period_seconds and is rejected without a path;
   /// a path alone defaults the period to 1 s.

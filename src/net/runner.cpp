@@ -102,11 +102,6 @@ struct RunPlan {
     const FlowActivity& w = windows[static_cast<size_t>(f)];
     return w.start_s <= t && t < w.stop_s;
   }
-  /// Epoch in force at time t_s.
-  size_t epoch_at(double t_s) const {
-    const auto it = std::upper_bound(boundaries.begin(), boundaries.end(), t_s + 1e-12);
-    return static_cast<size_t>(it - boundaries.begin()) - 1;
-  }
   /// Epoch e's activity bitmap over sim flows, or over sim subflows.
   std::vector<char> active_bitmap(size_t e, bool over_subflows) const {
     std::vector<char> b(static_cast<size_t>(over_subflows ? flows.subflow_count()
@@ -326,6 +321,7 @@ struct EpochAllocation {
   LpStatus status = LpStatus::kOptimal;
   std::vector<double> flow_share;     ///< Per sim flow.
   std::vector<double> subflow_share;  ///< Per sim subflow.
+  Phase1Fallbacks fallbacks;
 };
 
 /// Epoch e's sim-flow shares folded onto logical flows (0 = inactive or
@@ -342,37 +338,45 @@ std::vector<double> logical_shares(const RunPlan& plan,
 
 /// Accepts a solve only when it kept every basic-share floor: a relaxed one
 /// (min_relaxation < 1: the clique rows cannot carry every flow's basic
-/// share) reports kInfeasible.
+/// share) reports kInfeasible. Counts the solve's refinement failures.
 template <class Result>
-LpStatus accept_unrelaxed(const Result& r, Allocation* out) {
+LpStatus accept_unrelaxed(const Result& r, Allocation* out, Phase1Fallbacks* fallbacks) {
+  fallbacks->refine_failures += r.refine_failures;
   if (r.status != LpStatus::kOptimal) return r.status;
-  if (r.min_relaxation < 1.0 - 1e-9) return LpStatus::kInfeasible;
+  if (relaxed(r.min_relaxation)) return LpStatus::kInfeasible;
   *out = r.allocation;
   return LpStatus::kOptimal;
 }
 
 /// Phase-1 dispatch over an arbitrary flow set. The LP solvers reject
 /// relaxed solves; the distributed one keeps its by-design local
-/// relaxations.
+/// relaxations, and counts them with its other fallbacks.
 LpStatus compute_allocation(Phase1Solver solver, const FlowSet& flows,
                             const ContentionGraph& graph, const TopologyMask* mask,
-                            const std::vector<std::vector<int>>* cliques, Allocation* out) {
+                            const std::vector<std::vector<int>>* cliques, Allocation* out,
+                            Phase1Fallbacks* fallbacks) {
   switch (solver) {
     case Phase1Solver::kTwoTierLp:
-      return accept_unrelaxed(two_tier_allocate(graph, cliques), out);
+      return accept_unrelaxed(two_tier_allocate(graph, cliques), out, fallbacks);
     case Phase1Solver::k2paLp:
-      return accept_unrelaxed(centralized_allocate(graph, cliques), out);
+      return accept_unrelaxed(centralized_allocate(graph, cliques), out, fallbacks);
     case Phase1Solver::kTwoTierMaxMin:
-      *out = maxmin_allocate_subflows(graph, {}, cliques).allocation;
+    case Phase1Solver::kFlowMaxMin: {
+      MaxMinResult r = solver == Phase1Solver::kFlowMaxMin
+                           ? maxmin_allocate(graph, {}, cliques)
+                           : maxmin_allocate_subflows(graph, {}, cliques);
+      fallbacks->refine_failures += r.refine_failures;
+      *out = std::move(r.allocation);
       break;
-    case Phase1Solver::kFlowMaxMin:
-      *out = maxmin_allocate(graph, {}, cliques).allocation;
-      break;
-    case Phase1Solver::k2paLocalLps:
+    }
+    case Phase1Solver::k2paLocalLps: {
       // The in-band oracle restricts the neighbor exchange to the epoch's
       // surviving topology (a dead neighbor's HELLOs go unheard).
-      *out = distributed_allocate(flows.topology(), flows, graph, mask).allocation;
+      DistributedResult d = distributed_allocate(flows.topology(), flows, graph, mask);
+      for (const LocalProblem& lp : d.locals) *fallbacks += lp.fallbacks();
+      *out = std::move(d.allocation);
       break;
+    }
     case Phase1Solver::kNone:
       break;
   }
@@ -431,7 +435,7 @@ EpochAllocation allocate_epoch(const RunPlan& plan, size_t e, const ProtocolInfo
     graph.emplace(all_flows.topology(), sub);
     out.status = compute_allocation(proto.phase1, sub, *graph,
                                     proto.in_band ? &plan.masks[e] : nullptr,
-                                    cliques ? &*cliques : nullptr, &a);
+                                    cliques ? &*cliques : nullptr, &a, &out.fallbacks);
   }
   E2EFA_ASSERT_MSG(out.status == LpStatus::kOptimal,
                    "phase-1 allocation infeasible: basic shares exceed clique capacity");
@@ -858,7 +862,7 @@ Observers::Observers(Network& net)
 void Observers::probe_reconvergence() {
   const RunPlan& plan = net_.plan;
   const double now_s = to_seconds(net_.sim.now());
-  const size_t e = plan.epoch_at(now_s);
+  const size_t e = epoch_at(plan.boundaries, now_s);
   if (reconv_[e] >= 0.0) return;
   for (FlowId g : plan.active_flows[e]) {
     for (int h = 0; h < plan.flows.flow(g).length(); ++h) {
@@ -883,19 +887,11 @@ void Observers::sample_metrics() {
   MetricsSample samp;
   samp.t_s = to_seconds(net_.sim.now());
   samp.flow_delivered = metrics_delta_.take(plan, net_.stats);
-  const size_t flows = samp.flow_delivered.size();
-  std::vector<double> rate(flows), share(flows);
-  for (size_t f = 0; f < flows; ++f) {
-    const double delivered = static_cast<double>(samp.flow_delivered[f]);
-    rate[f] = delivered / period_s;
-    share[f] = delivered * 8.0 * cfg.payload_bytes /
-               (period_s * static_cast<double>(kChannelBps));
-  }
-  // Share-normalized fairness against the epoch targets in force at the
-  // window midpoint; raw rates when there is no allocation (802.11).
-  const std::vector<double> normalized = normalized_by(
-      share, logical_shares(plan, net_.epochs, plan.epoch_at(samp.t_s - 0.5 * period_s)));
-  samp.jain = jain_fairness_index(normalized.empty() ? rate : normalized);
+  samp.jain = score_window(samp.flow_delivered, period_s, cfg.payload_bytes,
+                           static_cast<double>(kChannelBps),
+                           logical_shares(plan, net_.epochs,
+                                          window_epoch(plan.boundaries, samp.t_s, period_s)))
+                  .jain;
   // Counters are read straight from the components; each sum is an
   // integer below 2^53, so it is exact as a double.
   std::vector<double> depths;
@@ -966,11 +962,13 @@ void collect_targets(const RunPlan& plan, const std::vector<EpochAllocation>& ep
   }
   if (solver != Phase1Solver::kNone)
     for (const EpochAllocation& epoch : epochs) out.epoch_lp_status.push_back(epoch.status);
+  for (const EpochAllocation& epoch : epochs) out.phase1_fallbacks += epoch.fallbacks;
   out.admissions = plan.admissions;
 }
 
 void collect_ctrl(const Network& net, RunResult& out) {
   static_cast<CtrlAgentStats&>(out.ctrl) = net.ctrl_totals();
+  for (const auto& agent : net.agents) out.phase1_fallbacks += agent->fallbacks();
   for (const auto& stack : net.stacks) out.ctrl.ctrl_frames += stack->mac().stats().ctrl_sent;
   const FlowSet& flows = net.plan.flows;
   for (const Network::InbandRound& r : net.inband_rounds)

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "alloc/allocation.hpp"
+#include "alloc/refine.hpp"
 #include "ctrl/messages.hpp"
 #include "lp/simplex.hpp"
 #include "net/scenarios.hpp"
@@ -181,6 +182,9 @@ struct RunResult {
   /// throws ContractViolation instead of completing the run, so surfaced
   /// entries are an audit trail of successful solves.
   std::vector<LpStatus> epoch_lp_status;
+  /// Phase-1 fallbacks over every epoch's solve and, under 2PA-Dctrl, every
+  /// AllocAgent's own local solves (all zero when nothing fell back).
+  Phase1Fallbacks phase1_fallbacks;
 
   // ---- Fault injection (populated when the scenario has a FaultPlan). ----
   /// Source packets suppressed per flow while the flow was suspended

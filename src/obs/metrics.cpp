@@ -1,8 +1,10 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "util/assert.hpp"
+#include "util/stats.hpp"
 #include "util/strings.hpp"
 
 namespace e2efa {
@@ -47,6 +49,30 @@ std::string metrics_sample_jsonl(const MetricsSample& s, double period_s) {
 }
 
 }  // namespace
+
+WindowScore score_window(const std::vector<std::int64_t>& delivered, double period_s,
+                         double payload_bytes, double channel_bps,
+                         const std::vector<double>& targets) {
+  WindowScore out;
+  std::vector<double> rate;
+  for (std::int64_t d : delivered) {
+    const double count = static_cast<double>(d);
+    rate.push_back(count / period_s);
+    out.share.push_back(count * 8.0 * payload_bytes / (period_s * channel_bps));
+  }
+  const std::vector<double> normalized = normalized_by(out.share, targets);
+  out.jain = jain_fairness_index(normalized.empty() ? rate : normalized);
+  return out;
+}
+
+std::size_t epoch_at(const std::vector<double>& starts, double t_s) {
+  const auto it = std::upper_bound(starts.begin(), starts.end(), t_s + 1e-12);
+  return it == starts.begin() ? 0 : static_cast<std::size_t>(it - starts.begin()) - 1;
+}
+
+std::size_t window_epoch(const std::vector<double>& starts, double end_s, double period_s) {
+  return epoch_at(starts, end_s - 0.5 * period_s);
+}
 
 bool write_metrics_jsonl(const MetricsTimeSeries& ts, const std::string& path,
                          std::string* error) {

@@ -9,8 +9,11 @@
 // series is identical across reruns and BatchRunner thread counts. It is
 // the only periodic per-flow sampler: short-term fairness studies read
 // their windows from it.
+// Its window definition (score_window, window_epoch) is also the trace
+// analysis's, so `trace-tool convergence` rebuilds its Jain series exactly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -63,6 +66,24 @@ struct MetricsTimeSeries {
 
   bool operator==(const MetricsTimeSeries&) const = default;
 };
+
+/// One window's end-to-end deliveries, scored. Window k of period P covers
+/// [k·P, (k+1)·P) in integer nanoseconds, P = from_seconds(period_s).
+struct WindowScore {
+  std::vector<double> share;  ///< Per flow: delivered bits / (period_s · channel_bps).
+  /// Jain over share / target where the target is positive; over the raw
+  /// rates (delivered / period_s) when no flow has one (802.11).
+  double jain = 1.0;
+};
+/// Scores a window against the targets (units of B) of its window_epoch.
+WindowScore score_window(const std::vector<std::int64_t>& delivered, double period_s,
+                         double payload_bytes, double channel_bps,
+                         const std::vector<double>& targets);
+/// Index of the last of the ascending epoch starts at or before t_s (1e-12 s
+/// tolerance; 0 when none is): the epoch in force at t_s.
+std::size_t epoch_at(const std::vector<double>& starts, double t_s);
+/// The epoch scoring the window that ends at end_s: the one at its midpoint.
+std::size_t window_epoch(const std::vector<double>& starts, double end_s, double period_s);
 
 /// Writes the series as JSONL (one header line, one line per sample, %.17g
 /// doubles: byte-deterministic for identical inputs). Each sample's

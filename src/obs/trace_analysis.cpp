@@ -4,9 +4,11 @@
 #include <cmath>
 #include <cstddef>
 #include <map>
+#include <numeric>
 #include <sstream>
 
 #include "ctrl/messages.hpp"
+#include "obs/metrics.hpp"
 #include "phy/frame.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -30,17 +32,8 @@ const char* frame_type_name(int type) {
 std::vector<std::size_t> ConvergenceReport::epoch_windows(int epoch) const {
   std::vector<std::size_t> out;
   if (epoch < 0 || static_cast<std::size_t>(epoch) >= epochs.size()) return out;
-  const double start = epochs[static_cast<std::size_t>(epoch)].start_s;
-  const double end = static_cast<std::size_t>(epoch) + 1 < epochs.size()
-                         ? epochs[static_cast<std::size_t>(epoch) + 1].start_s
-                         : std::numeric_limits<double>::infinity();
-  for (std::size_t w = 0; w < window_end_s.size(); ++w) {
-    const double w_start = window_end_s[w] - window_s;
-    // Half-window slack on the epoch start absorbs boundaries that fall
-    // mid-window; the window must end before the next epoch begins.
-    if (w_start >= start - 0.5 * window_s && window_end_s[w] <= end + 1e-9)
-      out.push_back(w);
-  }
+  for (std::size_t w = 0; w < window_epoch.size(); ++w)
+    if (window_epoch[w] == static_cast<std::size_t>(epoch)) out.push_back(w);
   return out;
 }
 
@@ -59,6 +52,7 @@ ConvergenceReport analyze_convergence(const std::vector<TraceRecord>& records,
   rep.window_s = window_s;
 
   TimeNs t_max = 0;
+  std::vector<double> starts;
   for (const TraceRecord& r : records) {
     t_max = std::max(t_max, r.t);
     switch (r.event()) {
@@ -67,14 +61,10 @@ ConvergenceReport analyze_convergence(const std::vector<TraceRecord>& records,
         rep.channel_bps = r.v0;
         rep.payload_bytes = r.v1;
         break;
-      case TraceEvent::kLpResolve: {
-        ConvergenceReport::Epoch e;
-        e.index = r.a;
-        e.start_s = r.v0;
-        e.lp_status = r.b;
-        rep.epochs.push_back(std::move(e));
+      case TraceEvent::kLpResolve:
+        rep.epochs.push_back({r.a, r.v0, {}});
+        starts.push_back(r.v0);
         break;
-      }
       case TraceEvent::kFlowTarget:
         // Targets follow their epoch's kLpResolve record in emission order.
         if (!rep.epochs.empty()) {
@@ -88,48 +78,29 @@ ConvergenceReport analyze_convergence(const std::vector<TraceRecord>& records,
         break;
     }
   }
-  if (rep.flow_count <= 0 || window_s <= 0.0) return rep;
+  const TimeNs period = from_seconds(window_s);
+  if (rep.flow_count <= 0 || period <= 0) return rep;
 
-  const std::size_t windows =
-      static_cast<std::size_t>(std::ceil(to_seconds(t_max) / window_s));
-  if (windows == 0) return rep;
-  std::vector<std::vector<std::int64_t>> counts(
+  const std::size_t windows = static_cast<std::size_t>((t_max + period - 1) / period);
+  rep.window_delivered.assign(
       windows, std::vector<std::int64_t>(static_cast<std::size_t>(rep.flow_count), 0));
   for (const TraceRecord& r : records) {
-    if (r.event() != TraceEvent::kDelivery) continue;
-    const std::size_t w = std::min(
-        windows - 1,
-        static_cast<std::size_t>(to_seconds(r.t) / window_s));
-    if (r.a >= 0 && r.a < rep.flow_count)
-      counts[w][static_cast<std::size_t>(r.a)]++;
+    const std::size_t w = static_cast<std::size_t>(r.t / period);
+    if (r.event() == TraceEvent::kDelivery && w < windows && r.a >= 0 &&
+        r.a < rep.flow_count)
+      rep.window_delivered[w][static_cast<std::size_t>(r.a)]++;
   }
 
-  const double window_bits = window_s * rep.channel_bps;
   for (std::size_t w = 0; w < windows; ++w) {
-    rep.window_end_s.push_back(static_cast<double>(w + 1) * window_s);
-    std::vector<double> share;
-    for (std::int64_t c : counts[w])
-      share.push_back(window_bits > 0.0
-                          ? static_cast<double>(c) * 8.0 * rep.payload_bytes /
-                                window_bits
-                          : 0.0);
-    rep.window_share.push_back(std::move(share));
-  }
-
-  // Per-window Jain: normalize by the targets of the epoch active at the
-  // window's end when targets exist; raw rates otherwise.
-  for (std::size_t w = 0; w < windows; ++w) {
-    const std::vector<double>* targets = nullptr;
-    for (const auto& e : rep.epochs)
-      if (e.start_s <= rep.window_end_s[w] - 0.5 * window_s + 1e-9 &&
-          !e.target_share.empty())
-        targets = &e.target_share;
-    if (targets != nullptr) {
-      rep.jain.push_back(
-          jain_fairness_index(normalized_by(rep.window_share[w], *targets)));
-    } else {
-      rep.jain.push_back(jain_fairness_index(rep.window_share[w]));
-    }
+    const double end_s = to_seconds(static_cast<TimeNs>(w + 1) * period);
+    const std::size_t e = window_epoch(starts, end_s, window_s);
+    WindowScore score =
+        score_window(rep.window_delivered[w], window_s, rep.payload_bytes, rep.channel_bps,
+                     rep.epochs.empty() ? std::vector<double>{} : rep.epochs[e].target_share);
+    rep.window_end_s.push_back(end_s);
+    rep.window_share.push_back(std::move(score.share));
+    rep.jain.push_back(score.jain);
+    rep.window_epoch.push_back(e);
   }
 
   for (std::size_t ei = 0; ei < rep.epochs.size(); ++ei) {
@@ -142,22 +113,13 @@ ConvergenceReport analyze_convergence(const std::vector<TraceRecord>& records,
       // goodput well below its nominal share of B, so compare the
       // *normalized* rates u_f = measured/target against their cross-flow
       // mean — converged when the allocation's proportions match phase 1.
-      std::vector<double> u;
-      for (std::size_t f = 0; f < e.target_share.size(); ++f) {
-        const double target = e.target_share[f];
-        if (target <= 0.0) continue;  // suspended/inactive flow
-        const double got =
-            f < rep.window_share[w].size() ? rep.window_share[w][f] : 0.0;
-        u.push_back(got / target);
-      }
-      bool ok = !u.empty();
-      double mean = 0.0;
-      for (double x : u) mean += x;
-      if (ok) mean /= static_cast<double>(u.size());
-      if (mean <= 0.0) ok = false;
-      for (std::size_t f = 0; f < u.size() && ok; ++f)
-        if (std::abs(u[f] - mean) > eps * mean) ok = false;
-      if (ok) {
+      const std::vector<double> u = normalized_by(rep.window_share[w], e.target_share);
+      const double mean = u.empty() ? 0.0
+                                    : std::accumulate(u.begin(), u.end(), 0.0) /
+                                          static_cast<double>(u.size());
+      if (mean > 0.0 && std::all_of(u.begin(), u.end(), [&](double x) {
+            return std::abs(x - mean) <= eps * mean;
+          })) {
         c.converged = true;
         c.converged_s = rep.window_end_s[w];
         c.time_to_converge_s = c.converged_s - e.start_s;

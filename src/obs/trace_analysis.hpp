@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -22,26 +23,24 @@ struct ConvergenceReport {
   double channel_bps = 0.0;
   double payload_bytes = 0.0;
 
-  /// Window end times; window w covers [w*window_s, (w+1)*window_s).
+  /// The metrics sampler's windows (obs/metrics.hpp), w < ⌈last record t / P⌉:
+  /// end times, kDelivery counts per flow (warm-up included), score_window.
   std::vector<double> window_end_s;
-  /// Measured end-to-end share of B per window per flow (bits delivered in
-  /// the window divided by window_s * channel_bps).
+  std::vector<std::vector<std::int64_t>> window_delivered;
   std::vector<std::vector<double>> window_share;
-  /// Jain's index per window over share-normalized rates (flows with a zero
-  /// target — suspended or inactive — are excluded from that window).
   std::vector<double> jain;
+  std::vector<std::size_t> window_epoch;  ///< Into `epochs`; 0 when it is empty.
 
   /// One entry per LP (re-)solve, in time order.
   struct Epoch {
     int index = 0;
     double start_s = 0.0;
-    int lp_status = 0;
     std::vector<double> target_share;  ///< Per logical flow, units of B.
   };
   std::vector<Epoch> epochs;
 
-  /// Convergence of each epoch: the end time of the first window fully
-  /// inside the epoch where every flow's *normalized* rate (measured share
+  /// Convergence of each epoch: the end time of the first of its windows
+  /// where every flow's *normalized* rate (measured share
   /// over target share) is within eps (relative) of the cross-flow mean
   /// normalized rate — i.e. the allocation's proportions match the Phase-1
   /// targets. (Absolute shares sit well below the nominal targets because
@@ -57,9 +56,9 @@ struct ConvergenceReport {
   std::vector<EpochConvergence> convergence;
 
   /// Steady-state Jain estimate for an epoch: the mean over the last half
-  /// of the windows fully inside it (0 when the epoch has no windows).
+  /// of its windows (0 when the epoch has no windows).
   double steady_jain(int epoch) const;
-  /// Windows (indices into `jain`) fully inside the given epoch.
+  /// Windows (indices into `jain`) whose window_epoch is the given epoch.
   std::vector<std::size_t> epoch_windows(int epoch) const;
 };
 

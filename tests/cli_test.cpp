@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "net/cli.hpp"
+#include "obs/trace.hpp"
 #include "util/assert.hpp"
 
 namespace e2efa {
@@ -92,7 +93,8 @@ TEST(Cli, ParsesObservabilityOptions) {
                          &err);
   ASSERT_TRUE(opt.has_value()) << err;
   EXPECT_EQ(opt->trace_path, "run.trace");
-  EXPECT_EQ(opt->trace_filter, "phy,backoff");
+  EXPECT_EQ(opt->trace_filter, trace_bit(TraceCat::kMeta) | trace_bit(TraceCat::kPhy) |
+                                   trace_bit(TraceCat::kBackoff));
   EXPECT_EQ(opt->metrics_out, "m.jsonl");
   EXPECT_DOUBLE_EQ(opt->config.metrics_period_seconds, 0.5);
 }
@@ -170,6 +172,20 @@ TEST(Cli, RejectsCtrlTraceCategoryWithoutControlPlane) {
       << err;
 }
 
+// parse_cli keeps the mask its option setter computed (0 when no filter is
+// given); the tool installs it as is, and check_cli tests its ctrl bit
+// (RejectsCtrlTraceCategoryWithoutControlPlane).
+TEST(Cli, TraceFilterIsParsedOnceIntoAMask) {
+  std::string err;
+  const auto opt = parse({"--trace", "t.bin", "--trace-filter", "lp,flow"}, &err);
+  ASSERT_TRUE(opt.has_value()) << err;
+  EXPECT_EQ(opt->trace_filter, trace_bit(TraceCat::kMeta) | trace_bit(TraceCat::kLp) |
+                                   trace_bit(TraceCat::kFlow));
+  const auto plain = parse({"--trace", "t.bin"}, &err);
+  ASSERT_TRUE(plain.has_value()) << err;
+  EXPECT_EQ(plain->trace_filter, 0u);
+}
+
 TEST(Cli, RejectsMetricsPeriodWithoutMetricsOut) {
   std::string err;
   EXPECT_FALSE(parse({"--metrics-period", "1"}, &err).has_value());
@@ -218,6 +234,23 @@ TEST(Cli, ProtocolTableDrivesNamesParsingAndHelp) {
   EXPECT_EQ(spellings, 16);  // 802.11/80211/dcf, ..., 2pa-dctrl/2PA-Dctrl
   EXPECT_FALSE(parse_protocol("").has_value());
   EXPECT_NE(usage.find("2pa-dctrl (phase 1 in-band"), std::string::npos);
+
+  // The --trace-filter help and the ctrl rejection name the in-band
+  // protocol by a spelling that parses to it.
+  const auto spelling_after = [](const std::string& text, const std::string& key) {
+    const std::size_t at = text.find(key);
+    if (at == std::string::npos) return std::string();
+    const std::size_t from = at + key.size();
+    return text.substr(from, text.find_first_of(" )\n", from) - from);
+  };
+  std::string err;
+  EXPECT_FALSE(parse({"--trace", "t.bin", "--trace-filter", "ctrl"}, &err).has_value());
+  for (const std::string& named : {spelling_after(usage, "ctrl needs --protocol "),
+                                   spelling_after(err, "(use --protocol ")}) {
+    const auto p = parse_protocol(named);
+    ASSERT_TRUE(p.has_value()) << "'" << named << "'";
+    EXPECT_TRUE(protocol_info(*p).in_band) << named;
+  }
 }
 
 TEST(NamedScenario, PaperScenarios) {

@@ -4,6 +4,7 @@
 // change the simulated trajectory).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -365,6 +366,52 @@ TEST(Convergence, ReconvergesAfterFaultEpochs) {
   EXPECT_TRUE(rep.convergence[3].converged);
   EXPECT_GE(rep.convergence[3].converged_s, 12.0);
   EXPECT_GT(rep.convergence[3].time_to_converge_s, 0.0);
+}
+
+// The sampler (RunResult::metrics) and the trace analysis share one window
+// definition: on churn runs traced with the meta, lp and flow categories and
+// sampled at the same period, every window both cover carries the same
+// per-flow deliveries and the same Jain index, bit for bit. The arrivals and
+// departures fall mid-window, so the midpoint epoch rule is exercised; the
+// 802.11 run takes the no-target (raw-rate) path.
+TEST(Convergence, TraceSeriesEqualsTheSamplerBitForBit) {
+  Scenario sc = scenario2();
+  sc.activity.assign(sc.flow_specs.size(), FlowActivity{});
+  sc.activity[1] = {0.0, 4.3};
+  sc.activity[2] = {1.7, 6.2};
+  sc.activity[4] = {3.1, kFlowNeverStops};
+  std::uint32_t filter = 0;
+  std::string err;
+  ASSERT_TRUE(parse_trace_filter("meta,lp,flow", &filter, &err)) << err;
+  for (Protocol proto :
+       {Protocol::k2paCentralized, Protocol::k2paDistributedCtrl, Protocol::k80211}) {
+    SCOPED_TRACE(to_string(proto));
+    TraceSink sink;
+    sink.set_filter(filter);
+    SimConfig cfg = obs_config(8.0);
+    cfg.trace = &sink;
+    cfg.metrics_period_seconds = 0.4;
+    const RunResult r = run_scenario(sc, proto, cfg);
+    const ConvergenceReport rep =
+        analyze_convergence(sink.records(), cfg.metrics_period_seconds, 0.2);
+    const std::vector<MetricsSample>& samples = r.metrics.samples;
+    ASSERT_EQ(samples.size(), 20u);
+    ASSERT_GE(rep.jain.size(), samples.size());
+    ASSERT_EQ(rep.epochs.size(), 5u);  // boundaries 0, 1.7, 3.1, 4.3, 6.2
+    for (std::size_t w = 0; w < samples.size(); ++w) {
+      SCOPED_TRACE(w);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(rep.window_end_s[w]),
+                std::bit_cast<std::uint64_t>(samples[w].t_s));
+      EXPECT_EQ(rep.window_delivered[w], samples[w].flow_delivered);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(rep.jain[w]),
+                std::bit_cast<std::uint64_t>(samples[w].jain));
+    }
+    // The phase-1 protocols score against their targets; 802.11 has none.
+    double targets = 0.0;
+    for (const ConvergenceReport::Epoch& e : rep.epochs)
+      for (double t : e.target_share) targets += t;
+    EXPECT_EQ(targets > 0.0, proto != Protocol::k80211);
+  }
 }
 
 // ---------- causal spans (observability v2) ----------

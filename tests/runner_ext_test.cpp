@@ -1,7 +1,11 @@
-// Tests for runner extensions: warm-up windows, delay metrics, and the
-// additional protocols (two-tier-mm, maxmin).
+// Tests for runner extensions: warm-up windows, delay metrics, the
+// additional protocols (two-tier-mm, maxmin) and the phase-1 fallback
+// counts.
 #include <gtest/gtest.h>
 
+#include "alloc/distributed.hpp"
+#include "contention/contention_graph.hpp"
+#include "net/cli.hpp"
 #include "net/runner.hpp"
 #include "net/scenarios.hpp"
 
@@ -125,6 +129,33 @@ TEST(MaxMinProtocol, LowerAnalyticTotalThan2paOnFig1) {
                      static_cast<double>(tpa.total_end_to_end);
   EXPECT_GT(rel, 0.7);
   EXPECT_LT(rel, 1.3);
+}
+
+// On Fig. 1, F1's source sees only F1 and relaxes its local floors, and
+// two of its refinement LPs fail (Distributed.Scenario1IsConservative): the
+// run reports exactly the sums over the local problems, and the report
+// prints them, while a run where nothing falls back prints no such line.
+TEST(Phase1Fallbacks, CountedOverTheDistributedLocalProblems) {
+  const Scenario sc = scenario1();
+  const FlowSet flows(sc.topo, sc.flow_specs);
+  const ContentionGraph graph(sc.topo, flows);
+  Phase1Fallbacks expected;
+  for (const LocalProblem& lp : distributed_allocate(sc.topo, flows, graph).locals)
+    expected += lp.fallbacks();
+  EXPECT_EQ(expected, (Phase1Fallbacks{0, 1, 2}));
+
+  SimConfig cfg;
+  cfg.sim_seconds = 1.0;
+  const RunResult d = run_scenario(sc, Protocol::k2paDistributed, cfg);
+  EXPECT_EQ(d.phase1_fallbacks, expected);
+  EXPECT_NE(format_run_result(sc, d, cfg, false)
+                .find("phase-1 fallbacks: 0 local LPs at the basic share, 1 with relaxed "
+                      "floors, 2 refinement LP failures\n"),
+            std::string::npos);
+
+  const RunResult c = run_scenario(sc, Protocol::k2paCentralized, cfg);
+  EXPECT_EQ(c.phase1_fallbacks, Phase1Fallbacks{});
+  EXPECT_EQ(format_run_result(sc, c, cfg, false).find("fallbacks"), std::string::npos);
 }
 
 }  // namespace

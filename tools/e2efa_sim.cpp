@@ -5,7 +5,6 @@
 //   e2efa_sim --scenario random:20 --protocol maxmin --seed 7
 //   e2efa_sim --scenario 1 --trace run.trace --trace-filter lp,flow
 //             --metrics-out metrics.jsonl --metrics-period 0.5  (one line)
-#include <cstdint>
 #include <iostream>
 #include <string>
 
@@ -37,14 +36,7 @@ int main(int argc, char** argv) {
     SimConfig cfg = opt->config;
     TraceSink trace;
     if (!opt->trace_path.empty()) {
-      if (!opt->trace_filter.empty()) {
-        std::uint32_t mask = 0;
-        if (!parse_trace_filter(opt->trace_filter, &mask, &error)) {
-          std::cerr << "error: " << error << "\n";
-          return 2;
-        }
-        trace.set_filter(mask);
-      }
+      if (opt->trace_filter != 0) trace.set_filter(opt->trace_filter);
       if (!trace.open(opt->trace_path, &error)) {
         std::cerr << "error: " << error << "\n";
         return 1;
