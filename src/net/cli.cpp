@@ -106,7 +106,17 @@ void add_observability_options(OptionTable& t, CliOptions* opt) {
   t.add("--trace-filter", "C", trace_filter_help(),
         [opt](const std::string& v) {
           std::string error;
-          return parse_trace_filter(v, &opt->trace_filter, &error) ? std::string() : error;
+          std::uint32_t mask = 0, named = 0;
+          if (!parse_trace_filter(v, &mask, &error, &named)) return error;
+          // An empty list sets no filter; ctrl reached only through "all"
+          // keeps every bit (kTraceFilterAll).
+          const std::uint32_t ctrl = trace_bit(TraceCat::kCtrl);
+          if (v.empty())
+            mask = 0;
+          else if ((mask & ctrl) != 0 && (named & ctrl) == 0)
+            mask = kTraceFilterAll;
+          opt->trace_filter = mask;
+          return std::string();
         });
   t.text("--metrics-out", "PATH", "write periodic metrics samples as JSONL",
          &opt->metrics_out);
@@ -177,10 +187,9 @@ std::string check_cli(const CliOptions& opt) {
     return "--trace-filter requires --trace";
   // Naming the ctrl category without the in-band protocol would produce a
   // silently-empty trace/metrics stream — no agent ever emits; fail loudly.
-  // ("all" names every category, the ctrl one included, and is still
-  // accepted: it asks for whatever the run emits.)
+  // ("all" alone asks for whatever the run emits and is accepted.)
   if ((opt.trace_filter & trace_bit(TraceCat::kCtrl)) != 0 &&
-      opt.trace_filter != kTraceAllCategories && !protocol_info(opt.protocol).in_band)
+      opt.trace_filter != kTraceFilterAll && !protocol_info(opt.protocol).in_band)
     return std::string("--trace-filter names the ctrl category, but --protocol ") +
            to_string(opt.protocol) + " has no control plane (use --protocol " +
            in_band_spelling() + ")";

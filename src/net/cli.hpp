@@ -16,6 +16,11 @@
 
 namespace e2efa {
 
+/// CliOptions::trace_filter for a list that reaches the ctrl category only
+/// through "all": every bit, so the trace keeps whatever the run emits and
+/// check_cli holds only a ctrl category named as such to the protocol.
+inline constexpr std::uint32_t kTraceFilterAll = ~0u;
+
 struct CliOptions {
   std::string scenario = "1";
   Protocol protocol = Protocol::k2paCentralized;
@@ -28,8 +33,9 @@ struct CliOptions {
   /// renders it as text).
   std::string trace_path;
   /// --trace-filter CATS: the category mask parse_trace_filter made of the
-  /// comma-separated list (0 = no filter; a parsed mask always carries the
-  /// meta bit). Only meaningful with --trace; rejected without it.
+  /// comma-separated list (0 = no filter, also for an empty list; a parsed
+  /// mask always carries the meta bit), or kTraceFilterAll. Only meaningful
+  /// with --trace; rejected without it.
   std::uint32_t trace_filter = 0;
   /// --metrics-out PATH: periodic metrics JSONL. --metrics-period T sets
   /// SimConfig::metrics_period_seconds and is rejected without a path;

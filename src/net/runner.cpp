@@ -949,7 +949,8 @@ void Observers::collect(RunResult& out) {
 /// Phase-1 targets: RunResult::target_* reflect the first epoch; epoch_*
 /// record the full history of multi-epoch runs.
 void collect_targets(const RunPlan& plan, const std::vector<EpochAllocation>& epochs,
-                     Phase1Solver solver, RunResult& out) {
+                     const ProtocolInfo& proto, RunResult& out) {
+  const Phase1Solver solver = proto.phase1;
   out.has_target = solver != Phase1Solver::kNone && !plan.active_flows[0].empty();
   if (out.has_target) {
     out.target_subflow_share = epochs[0].subflow_share;
@@ -962,7 +963,10 @@ void collect_targets(const RunPlan& plan, const std::vector<EpochAllocation>& ep
   }
   if (solver != Phase1Solver::kNone)
     for (const EpochAllocation& epoch : epochs) out.epoch_lp_status.push_back(epoch.status);
-  for (const EpochAllocation& epoch : epochs) out.phase1_fallbacks += epoch.fallbacks;
+  // In-band, the runner's solve is only the agents' oracle: collect_ctrl
+  // counts the agents' own solves, which set the rates.
+  if (!proto.in_band)
+    for (const EpochAllocation& epoch : epochs) out.phase1_fallbacks += epoch.fallbacks;
   out.admissions = plan.admissions;
 }
 
@@ -996,7 +1000,7 @@ RunResult collect(Network& net, Observers& observers) {
   RunResult out;
   out.protocol = net.proto.protocol;
   out.sim_seconds = net.cfg.sim_seconds;
-  collect_targets(plan, net.epochs, net.proto.phase1, out);
+  collect_targets(plan, net.epochs, net.proto, out);
   for (int s = 0; s < plan.flows.subflow_count(); ++s) {
     out.delivered_per_subflow.push_back(stats.subflow(s).delivered);
     out.dropped_queue += stats.subflow(s).dropped_queue;

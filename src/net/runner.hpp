@@ -182,8 +182,10 @@ struct RunResult {
   /// throws ContractViolation instead of completing the run, so surfaced
   /// entries are an audit trail of successful solves.
   std::vector<LpStatus> epoch_lp_status;
-  /// Phase-1 fallbacks over every epoch's solve and, under 2PA-Dctrl, every
-  /// AllocAgent's own local solves (all zero when nothing fell back).
+  /// Phase-1 fallbacks over the solves that set the rates: every epoch's
+  /// solve, or under 2PA-Dctrl every AllocAgent's own local solves (the
+  /// runner's solve is then only their oracle). All zero when nothing fell
+  /// back.
   Phase1Fallbacks phase1_fallbacks;
 
   // ---- Fault injection (populated when the scenario has a FaultPlan). ----

@@ -38,9 +38,9 @@ void write_trace_header(std::FILE* f) {
 }  // namespace
 
 bool parse_trace_filter(const std::string& spec, std::uint32_t* mask,
-                        std::string* error) {
+                        std::string* error, std::uint32_t* named) {
   E2EFA_ASSERT(mask != nullptr && error != nullptr);
-  std::uint32_t m = trace_bit(TraceCat::kMeta);
+  std::uint32_t m = trace_bit(TraceCat::kMeta), n = 0;
   std::size_t pos = 0;
   while (pos <= spec.size()) {
     std::size_t comma = spec.find(',', pos);
@@ -64,9 +64,10 @@ bool parse_trace_filter(const std::string& spec, std::uint32_t* mask,
       *error += "all)";
       return false;
     }
-    m |= 1u << (it - std::begin(kTraceCategoryNames));
+    n |= 1u << (it - std::begin(kTraceCategoryNames));
   }
-  *mask = m;
+  *mask = m | n;
+  if (named != nullptr) *named = n;
   return true;
 }
 

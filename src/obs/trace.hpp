@@ -198,9 +198,10 @@ static_assert(sizeof(TraceRecord) == 48, "trace record layout is part of the fil
 /// Parses a comma-separated category list ("phy,backoff,queue"; "all" for
 /// everything) into a filter mask. kMeta is always included — structural
 /// records cost a handful of rows and every tool needs them. Returns false
-/// and fills *error on an unknown category name.
+/// and fills *error on an unknown category name. `named`, when given,
+/// receives the categories the list names one by one ("all" names none).
 bool parse_trace_filter(const std::string& spec, std::uint32_t* mask,
-                        std::string* error);
+                        std::string* error, std::uint32_t* named = nullptr);
 
 class TraceSink {
  public:

@@ -109,6 +109,8 @@ ConvergenceReport analyze_convergence(const std::vector<TraceRecord>& records,
     c.epoch = e.index;
     c.epoch_start_s = e.start_s;
     for (std::size_t w : rep.epoch_windows(static_cast<int>(ei))) {
+      // A window begun under an earlier epoch's targets cannot converge this one.
+      if (to_seconds(static_cast<TimeNs>(w) * period) + 1e-12 < e.start_s) continue;
       // Proportional test: MAC/RTS overhead scales every flow's absolute
       // goodput well below its nominal share of B, so compare the
       // *normalized* rates u_f = measured/target against their cross-flow

@@ -40,7 +40,7 @@ struct ConvergenceReport {
   std::vector<Epoch> epochs;
 
   /// Convergence of each epoch: the end time of the first of its windows
-  /// where every flow's *normalized* rate (measured share
+  /// begun in the epoch where every flow's *normalized* rate (measured share
   /// over target share) is within eps (relative) of the cross-flow mean
   /// normalized rate — i.e. the allocation's proportions match the Phase-1
   /// targets. (Absolute shares sit well below the nominal targets because

@@ -170,6 +170,26 @@ TEST(Cli, RejectsCtrlTraceCategoryWithoutControlPlane) {
   EXPECT_TRUE(
       parse({"--trace", "t.bin", "--trace-filter", "all"}, &err).has_value())
       << err;
+  EXPECT_TRUE(
+      parse({"--trace", "t.bin", "--trace-filter", "all,phy"}, &err).has_value())
+      << err;
+  // Naming ctrl beside "all", or in a list of every category, names it.
+  std::string every;
+  for (const char* name : kTraceCategoryNames) {
+    if (!every.empty()) every += ',';
+    every += name;
+  }
+  for (const std::string& list : {std::string("all,ctrl"), every}) {
+    SCOPED_TRACE(list);
+    EXPECT_FALSE(
+        parse({"--trace", "t.bin", "--trace-filter", list.c_str()}, &err).has_value());
+    EXPECT_NE(err.find("no control plane"), std::string::npos);
+    EXPECT_TRUE(parse({"--protocol", "2pa-dctrl", "--trace", "t.bin", "--trace-filter",
+                       list.c_str()},
+                      &err)
+                    .has_value())
+        << err;
+  }
 }
 
 // parse_cli keeps the mask its option setter computed (0 when no filter is
@@ -184,6 +204,13 @@ TEST(Cli, TraceFilterIsParsedOnceIntoAMask) {
   const auto plain = parse({"--trace", "t.bin"}, &err);
   ASSERT_TRUE(plain.has_value()) << err;
   EXPECT_EQ(plain->trace_filter, 0u);
+  // An empty list sets no filter, as if the option were not given.
+  const auto empty = parse({"--trace", "t.bin", "--trace-filter", ""}, &err);
+  ASSERT_TRUE(empty.has_value()) << err;
+  EXPECT_EQ(empty->trace_filter, 0u);
+  const auto all = parse({"--trace", "t.bin", "--trace-filter", "all"}, &err);
+  ASSERT_TRUE(all.has_value()) << err;
+  EXPECT_EQ(all->trace_filter, kTraceFilterAll);
 }
 
 TEST(Cli, RejectsMetricsPeriodWithoutMetricsOut) {

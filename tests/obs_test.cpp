@@ -312,6 +312,41 @@ TEST(Convergence, SyntheticTraceConvergesWhenProportionsMatch) {
   EXPECT_GT(rep.steady_jain(0), 0.99);
 }
 
+// An epoch shorter than a window owns the window whose midpoint it holds
+// (for Jain scoring) but cannot converge on it: that window began, and
+// mostly ran, under its neighbours' targets.
+TEST(Convergence, SubWindowEpochDoesNotConverge) {
+  std::vector<TraceRecord> rec;
+  auto push = [&rec](double t_s, TraceEvent e, int a, double v0) {
+    rec.push_back(TraceRecord{from_seconds(t_s), static_cast<std::uint16_t>(e), -1, a, 2, 0,
+                              0, 0, v0, e == TraceEvent::kRunMeta ? 125.0 : 0.0});
+  };
+  push(0, TraceEvent::kRunMeta, 2, 1e6);
+  // Epochs at 0, 1.47 (0.1 s long) and 1.57 s, all with a 2:1 target split.
+  const double starts[] = {0.0, 1.47, 1.57};
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    const double start = starts[epoch];
+    push(start, TraceEvent::kLpResolve, epoch, start);
+    push(start, TraceEvent::kFlowTarget, 0, 0.5);
+    push(start, TraceEvent::kFlowTarget, 1, 0.25);
+  }
+  // Every 1-s window delivers in the target proportions.
+  for (int w = 0; w < 4; ++w)
+    for (int i = 0; i < 300; ++i)
+      push(w + 1e-3 * (i + 1), TraceEvent::kDelivery, i % 3 == 0 ? 1 : 0, 0.01);
+
+  const ConvergenceReport rep = analyze_convergence(rec, 1.0, 0.1);
+  ASSERT_EQ(rep.epochs.size(), 3u);
+  ASSERT_EQ(rep.window_epoch, (std::vector<std::size_t>{0, 1, 2, 2}));
+  ASSERT_EQ(rep.convergence.size(), 3u);
+  EXPECT_TRUE(rep.convergence[0].converged);
+  EXPECT_DOUBLE_EQ(rep.convergence[0].converged_s, 1.0);
+  EXPECT_FALSE(rep.convergence[1].converged);  // [1, 2) began in epoch 0
+  EXPECT_TRUE(rep.convergence[2].converged);
+  EXPECT_DOUBLE_EQ(rep.convergence[2].converged_s, 3.0);  // [2, 3) is the first inside
+  EXPECT_NEAR(rep.steady_jain(1), 1.0, 1e-9);  // still scored against its targets
+}
+
 TEST(Convergence, RealRunConvergesAndJainReachesSteadyState) {
   const Scenario sc = scenario1();
   TraceSink sink;

@@ -135,6 +135,8 @@ TEST(MaxMinProtocol, LowerAnalyticTotalThan2paOnFig1) {
 // two of its refinement LPs fail (Distributed.Scenario1IsConservative): the
 // run reports exactly the sums over the local problems, and the report
 // prints them, while a run where nothing falls back prints no such line.
+// Under 2PA-Dctrl the agents' own solves set the rates and are counted, not
+// the runner's oracle solve on top of them.
 TEST(Phase1Fallbacks, CountedOverTheDistributedLocalProblems) {
   const Scenario sc = scenario1();
   const FlowSet flows(sc.topo, sc.flow_specs);
@@ -152,6 +154,7 @@ TEST(Phase1Fallbacks, CountedOverTheDistributedLocalProblems) {
                 .find("phase-1 fallbacks: 0 local LPs at the basic share, 1 with relaxed "
                       "floors, 2 refinement LP failures\n"),
             std::string::npos);
+  EXPECT_EQ(run_scenario(sc, Protocol::k2paDistributedCtrl, cfg).phase1_fallbacks, expected);
 
   const RunResult c = run_scenario(sc, Protocol::k2paCentralized, cfg);
   EXPECT_EQ(c.phase1_fallbacks, Phase1Fallbacks{});

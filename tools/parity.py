@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest a build's deterministic outputs, to show two builds bit-identical.
 
-    python3 tools/parity.py run BUILD OUT [--jobs N]
+    python3 tools/parity.py run BUILD OUT
     python3 tools/parity.py diff A B
 
 `run` drives one fixed manifest against the CMake build directory BUILD and
@@ -9,8 +9,10 @@ writes OUT, one "<entry> <sha256>" line per output, sorted by entry:
 
   - fig1-fig6 and table1 stdout; table2_scenario1 and table3_scenario2 at
     --seconds 20;
-  - stdout, trace and metrics of CI's three e2efa-sim sample commands, and
-    the trace-tool summary, convergence, chrome and follow outputs on each
+  - stdout, trace and metrics of three scenario-1 e2efa-sim runs (SIM_SAMPLES:
+    2pa-c with metrics; 2pa-dctrl traced with ctrl,lp,flow and metrics;
+    2pa-dctrl with loss, churn and --profile), and the trace-tool summary,
+    convergence --window 2, chrome and follow --limit 200 outputs on each
     of their traces;
   - `fuzz --repro` on every tests/repros/*.scn;
   - `e2efa_perf --record-golden` for paper_s2, cold_start and churn_ctrl at
@@ -42,8 +44,7 @@ FIGURES = ("fig1_motivating_example", "fig2_fairness_definitions",
            "fig5_pentagon_bound", "fig6_first_phase",
            "table1_distributed_local_lp")
 TABLES = ("table2_scenario1", "table3_scenario2")
-# CI's sample e2efa-sim commands (.github/workflows/ci.yml): name, flags,
-# and the trace-tool flags per command.
+# e2efa-sim runs: name and flags. Every TRACE_TOOL command runs on each trace.
 SIM_SAMPLES = (
     ("sample", ["--scenario", "1", "--protocol", "2pa-c", "--seconds", "30",
                 "--metrics-out", "sample.metrics", "--metrics-period", "1"]),
@@ -121,15 +122,14 @@ def cmd_run(args):
         os.makedirs(os.path.join(work, "repros"))
         for path in repros:
             shutil.copy(path, os.path.join(work, "repros"))
-        rows = digest_all(exe, [os.path.basename(p) for p in repros], work,
-                          args.jobs)
+        rows = digest_all(exe, [os.path.basename(p) for p in repros], work)
     with open(args.out, "w") as f:
         for entry, digest in sorted(rows):
             f.write("%s %s\n" % (entry, digest))
     print("parity.py: %d entries -> %s" % (len(rows), args.out))
 
 
-def digest_all(exe, repros, work, jobs_at_once):
+def digest_all(exe, repros, work):
     """(entry, sha256) for the whole manifest, run in `work`."""
     # Independent jobs: (entry, argv).
     jobs = [("bench/%s stdout" % b, [exe[b]]) for b in FIGURES]
@@ -160,7 +160,9 @@ def digest_all(exe, repros, work, jobs_at_once):
                                     work)))
         return rows
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs_at_once)) as pool:
+    # Every digest is independent of the order, so only wall time depends
+    # on the pool size (perfbench/run.py's build uses the same one).
+    with ThreadPoolExecutor(max_workers=max(1, min(4, os.cpu_count() or 1))) as pool:
         futures = [pool.submit(lambda e=e, c=c: [(e, run_digest(c, work))])
                    for e, c in jobs]
         futures += [pool.submit(sample, n, f) for n, f in SIM_SAMPLES]
@@ -195,8 +197,6 @@ def main():
     run = sub.add_parser("run", help="digest BUILD's outputs into OUT")
     run.add_argument("build")
     run.add_argument("out")
-    run.add_argument("--jobs", type=int, default=2,
-                     help="commands run at once (default 2)")
     diff = sub.add_parser("diff", help="list the entries that differ")
     diff.add_argument("a")
     diff.add_argument("b")
