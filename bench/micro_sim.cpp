@@ -1,41 +1,12 @@
-// Microbenchmarks: discrete-event engine throughput and packet-level
-// simulation speed (simulated seconds per wall second).
+// Microbenchmarks: packet-level simulation speed (simulated seconds per
+// wall second); the event engine alone is timed in micro_events.cpp.
 #include <benchmark/benchmark.h>
-
-#include <functional>
 
 #include "net/runner.hpp"
 #include "net/scenarios.hpp"
-#include "sim/simulator.hpp"
 
 namespace e2efa {
 namespace {
-
-void BM_EventEngineSchedule(benchmark::State& state) {
-  for (auto _ : state) {
-    Simulator sim;
-    for (int i = 0; i < 10'000; ++i) sim.schedule_at(i, [] {});
-    sim.run();
-    benchmark::DoNotOptimize(sim.events_processed());
-  }
-  state.SetItemsProcessed(state.iterations() * 10'000);
-}
-BENCHMARK(BM_EventEngineSchedule);
-
-void BM_EventEngineCascade(benchmark::State& state) {
-  for (auto _ : state) {
-    Simulator sim;
-    int count = 0;
-    std::function<void()> chain = [&] {
-      if (++count < 10'000) sim.schedule_in(1, chain);
-    };
-    sim.schedule_in(1, chain);
-    sim.run();
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetItemsProcessed(state.iterations() * 10'000);
-}
-BENCHMARK(BM_EventEngineCascade);
 
 void BM_Scenario1SimulatedSecond(benchmark::State& state) {
   const Scenario sc = scenario1();

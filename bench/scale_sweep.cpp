@@ -50,7 +50,7 @@
 //   peak_rss_mb   VmHWM from /proc/self/status (high-water mark, so the
 //                 figure is cumulative across earlier sizes).
 //
-// Guard (same idiom as micro_events / micro_ctrl): at the default sizes,
+// Guard (same idiom as micro_transport): at the default sizes,
 // the 1k-node point's scalable-path total (neighbor_s + contention_s +
 // clique_s + delta_total_s — the layers the scaling rework owns) must
 // stay within --tolerance (default 10%) of the recorded baseline. A single

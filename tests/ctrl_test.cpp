@@ -3,7 +3,8 @@
 // agents — exchanging real HELLO / CONSTRAINT / RATE frames over the
 // simulated MAC — converge to the distributed_allocate() oracle allocation
 // within the acceptance tolerance, with sensible control-overhead
-// accounting along the way.
+// accounting along the way — and convergence time, overhead and
+// re-convergence after an arrival stay within 10% of recorded baselines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,9 +18,11 @@
 #include "net/runner.hpp"
 #include "net/scenario_gen.hpp"
 #include "net/scenarios.hpp"
+#include "obs/trace.hpp"
 #include "route/routing.hpp"
 #include "topology/builders.hpp"
 #include "util/rng.hpp"
+#include "util/time.hpp"
 
 namespace e2efa {
 namespace {
@@ -115,15 +118,9 @@ TEST(CtrlMessages, WireBytesCountPayload) {
   EXPECT_EQ(constraint.wire_bytes(), base + (1 + 2 * 2) + (1 + 3 * 2));
 }
 
-// Runs the in-band protocol and asserts the final applied lane shares are
-// within `tol` (relative) of the oracle targets for every subflow.
-void expect_converged(const Scenario& sc, double seconds, double tol,
-                      std::uint64_t seed) {
-  SimConfig cfg;
-  cfg.sim_seconds = seconds;
-  cfg.seed = seed;
-  const RunResult r = run_scenario(sc, Protocol::k2paDistributedCtrl, cfg);
-
+// Asserts the final applied lane shares are within `tol` (relative) of the
+// oracle targets for every subflow.
+void expect_shares_at_oracle(const RunResult& r, double tol) {
   ASSERT_TRUE(r.has_target);
   ASSERT_EQ(r.ctrl.applied_subflow_share.size(), r.target_subflow_share.size());
   for (std::size_t s = 0; s < r.target_subflow_share.size(); ++s) {
@@ -131,6 +128,17 @@ void expect_converged(const Scenario& sc, double seconds, double tol,
     EXPECT_NEAR(r.ctrl.applied_subflow_share[s], r.target_subflow_share[s],
                 tol * r.target_subflow_share[s]);
   }
+}
+
+// Runs the in-band protocol and asserts it converged to the oracle shares.
+void expect_converged(const Scenario& sc, double seconds, double tol,
+                      std::uint64_t seed) {
+  SimConfig cfg;
+  cfg.sim_seconds = seconds;
+  cfg.seed = seed;
+  const RunResult r = run_scenario(sc, Protocol::k2paDistributedCtrl, cfg);
+
+  expect_shares_at_oracle(r, tol);
   // The allocation actually travelled the channel: every source solved at
   // least once, frames went on air, payloads were decoded.
   EXPECT_GE(r.ctrl.solves, static_cast<std::uint64_t>(sc.flow_specs.size()));
@@ -166,6 +174,76 @@ TEST(CtrlInBand, ConvergenceIsSeedRobust) {
   for (std::uint64_t seed : {2ull, 7ull, 23ull}) {
     SCOPED_TRACE(seed);
     expect_converged(scenario1(), 10.0, 0.05, seed);
+  }
+}
+
+// scenario1 with F2 (D -> E -> F) arriving at t = 3 s through the admission
+// gate: the smallest topology where an arrival forces the hardened control
+// plane to re-solve and re-converge mid-run.
+Scenario scenario1_churn() {
+  Scenario sc = scenario1();
+  sc.name = "scenario1-churn";
+  sc.activity.assign(sc.flow_specs.size(), FlowActivity{});
+  sc.activity[1].start_s = 3.0;
+  return sc;
+}
+
+// Recorded figures at 12 s, seed 1 — simulation-deterministic, so each
+// bound only moves when the protocol does. convergence_s is the last
+// instant any lane share changed (kCtrlRate records); overhead_ratio is
+// control wire bytes over delivered per-hop payload bytes; reconv_s is the
+// worst post-arrival re-convergence time (0 for the static cases).
+struct CtrlBaseline {
+  Scenario sc;
+  double convergence_s;
+  double overhead_ratio;
+  double reconv_s;
+};
+
+TEST(CtrlInBand, ConvergenceOverheadAndReconvergenceWithinBaselines) {
+  const CtrlBaseline kBaselines[] = {
+      {scenario1(), 0.82, 0.0024, 0.0},
+      {scenario2(), 1.42, 0.0028, 0.0},
+      {scenario1_churn(), 3.82, 0.0024, 0.90},
+  };
+  constexpr double kTolerance = 0.10;
+  for (const CtrlBaseline& base : kBaselines) {
+    SCOPED_TRACE(base.sc.name);
+    SimConfig cfg;
+    cfg.sim_seconds = 12.0;
+    cfg.seed = 1;
+    TraceSink sink;  // in-memory
+    sink.set_filter(trace_bit(TraceCat::kCtrl));
+    cfg.trace = &sink;
+    const RunResult r = run_scenario(base.sc, Protocol::k2paDistributedCtrl, cfg);
+
+    double convergence_s = 0.0;
+    for (const TraceRecord& rec : sink.records())
+      if (rec.event() == TraceEvent::kCtrlRate)
+        convergence_s = std::max(convergence_s, to_seconds(rec.t));
+    std::int64_t delivered = 0;
+    for (std::int64_t d : r.delivered_per_subflow) delivered += d;
+    ASSERT_GT(delivered, 0);
+    const double overhead_ratio =
+        static_cast<double>(r.ctrl.ctrl_bytes) /
+        static_cast<double>(delivered * cfg.payload_bytes);
+    EXPECT_LE(convergence_s, base.convergence_s * (1.0 + kTolerance));
+    EXPECT_LE(overhead_ratio, base.overhead_ratio * (1.0 + kTolerance));
+
+    // A static run ends on its only epoch's oracle; a churn run's in-run
+    // sampler checked every epoch against that epoch's own oracle.
+    ASSERT_EQ(r.reconv_s.empty(), base.reconv_s == 0.0);
+    if (r.reconv_s.empty()) {
+      expect_shares_at_oracle(r, 0.05);
+    } else {
+      for (std::size_t e = 0; e < r.reconv_s.size(); ++e) {
+        EXPECT_GE(r.reconv_s[e], 0.0) << "epoch " << e << " never re-converged";
+        if (e > 0) {
+          EXPECT_LE(r.reconv_s[e], base.reconv_s * (1.0 + kTolerance))
+              << "epoch " << e;
+        }
+      }
+    }
   }
 }
 

@@ -238,7 +238,7 @@ std::vector<int> iota_labels(int first, int count) {
 }
 
 TEST(EventEngineTiers, StrictlyIncreasingPushesFireInOrder) {
-  // The micro_events schedule_drain shape: the first kCap entries fill the
+  // The BM_EngineScheduleDrain shape: the first kCap entries fill the
   // run, every later one goes to the heap behind it.
   Simulator sim;
   std::vector<int> order;

@@ -4,7 +4,8 @@
 // exactly, across reruns and BatchRunner pool sizes. This is the single
 // definition; determinism_test, fault_test, churn_test and transport_test
 // all assert through it, so a field added to RunResult only needs one new
-// EXPECT_EQ.
+// EXPECT_EQ. The closing whole-result comparison still fails on a field
+// the list forgets; the per-field lines say which field differs.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -39,6 +40,7 @@ inline void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.epoch_starts_s, b.epoch_starts_s);
   EXPECT_EQ(a.epoch_flow_share, b.epoch_flow_share);
   EXPECT_EQ(a.epoch_lp_status, b.epoch_lp_status);
+  EXPECT_EQ(a.phase1_fallbacks, b.phase1_fallbacks);
   EXPECT_EQ(a.suspended_per_flow, b.suspended_per_flow);
   EXPECT_EQ(a.suspended_packets, b.suspended_packets);
   EXPECT_EQ(a.link_failures, b.link_failures);
@@ -62,6 +64,7 @@ inline void expect_identical(const RunResult& a, const RunResult& b) {
     EXPECT_EQ(a.transport.flows[f].timeouts, b.transport.flows[f].timeouts);
   }
   EXPECT_EQ(a.reconv_s, b.reconv_s);
+  EXPECT_TRUE(a == b);
 }
 
 }  // namespace e2efa
