@@ -144,12 +144,17 @@ struct MacSlotsCtx {
   Simulator* sim;
   int steps = 0;
   int n;
+  Simulator::LaneId lane = 0;  ///< The kSlot lane (BM_EngineLaneSlots).
   struct Step {
     MacSlotsCtx* c;
     void operator()() const {
       if (++c->steps < c->n) c->sim->schedule_in(kSlot, Step{c});
     }
   };
+  static void lane_step(void* ctx) {
+    auto* c = static_cast<MacSlotsCtx*>(ctx);
+    if (++c->steps < c->n) c->sim->schedule_on(c->lane, c);
+  }
   struct Far {
     MacSlotsCtx* c;
     TimeNs period;
@@ -157,6 +162,12 @@ struct MacSlotsCtx {
       if (c->steps < c->n) c->sim->schedule_in(period, Far{c, period});
     }
   };
+  void start_far_timers() {
+    for (int k = 0; k < kFarTimers; ++k) {
+      const TimeNs period = 1'000'000 + k * 173'000;
+      sim->schedule_at(period, Far{this, period});
+    }
+  }
 };
 
 void BM_EngineMacSlots(benchmark::State& state) {
@@ -164,14 +175,24 @@ void BM_EngineMacSlots(benchmark::State& state) {
     MacSlotsCtx ctx{&sim, 0, count};
     for (int k = 0; k < MacSlotsCtx::kSlotTimers; ++k)
       sim.schedule_at(MacSlotsCtx::kSlot, MacSlotsCtx::Step{&ctx});
-    for (int k = 0; k < MacSlotsCtx::kFarTimers; ++k) {
-      const TimeNs period = 1'000'000 + k * 173'000;
-      sim.schedule_at(period, MacSlotsCtx::Far{&ctx, period});
-    }
+    ctx.start_far_timers();
     sim.run();
   });
 }
 BENCHMARK(BM_EngineMacSlots);
+
+/// The same regime with the slot steps on a fixed-delay lane, as DcfMac
+/// arms them: the far timers still take the queue.
+void BM_EngineLaneSlots(benchmark::State& state) {
+  run_engine(state, [](Simulator& sim, int count) {
+    MacSlotsCtx ctx{&sim, 0, count};
+    ctx.lane = sim.lane(MacSlotsCtx::kSlot, &MacSlotsCtx::lane_step);
+    for (int k = 0; k < MacSlotsCtx::kSlotTimers; ++k) sim.schedule_on(ctx.lane, &ctx);
+    ctx.start_far_timers();
+    sim.run();
+  });
+}
+BENCHMARK(BM_EngineLaneSlots);
 
 /// The overflow path (the classic hold model): 1024 self-rescheduling
 /// events, each re-arming a pseudo-random 1 ns – 1 ms ahead, keep eight

@@ -19,7 +19,9 @@ DcfMac::DcfMac(Simulator& sim, Channel& channel, NodeId self, const MacConfig& c
       backoff_(backoff),
       callbacks_(callbacks),
       rng_(rng),
-      tags_(tags) {
+      tags_(tags),
+      slot_lane_(sim.lane(kSlot, &DcfMac::fire_step)),
+      difs_slot_lane_(sim.lane(kDifs + kSlot, &DcfMac::fire_step)) {
   channel_.attach(self_, this);
 }
 
@@ -120,7 +122,10 @@ void DcfMac::arm_step() {
   if (start > sim_.now()) step_is_first_ = true;
   const TimeNs required = step_is_first_ ? kDifs + kSlot : kSlot;
   step_time_ = start + required;
-  step_event_ = sim_.schedule_at(step_time_, [this] { on_step(); });
+  if (start == sim_.now())
+    step_event_ = sim_.schedule_on(step_is_first_ ? difs_slot_lane_ : slot_lane_, this);
+  else
+    step_event_ = sim_.schedule_at(step_time_, [this] { on_step(); });
 }
 
 void DcfMac::on_step() {
@@ -336,7 +341,9 @@ void DcfMac::on_data(const Frame& f) {
   }
   callbacks_.on_packet_delivered(*f.packet);
 
-  Frame ack;
+  E2EFA_ASSERT_MSG(!rx_ack_pending_, "a second ACK while one is pending");
+  Frame& ack = rx_ack_;
+  ack = Frame{};
   ack.type = FrameType::kAck;
   ack.rx = f.tx;
   ack.bytes = kAckBytes;
@@ -347,9 +354,11 @@ void DcfMac::on_data(const Frame& f) {
     ack.has_service_tag = true;
   }
   if (tags_ != nullptr) ack.ack_backoff_r = tags_->r_slots_for(f.packet->subflow, sim_.now());
-  sim_.schedule_in(kSifs, [this, ack] {
+  rx_ack_pending_ = true;
+  sim_.schedule_in(kSifs, [this] {
+    rx_ack_pending_ = false;
     if (state_ != State::kRxExchange) return;
-    const TimeNs end = channel_.transmit(self_, ack);
+    const TimeNs end = channel_.transmit(self_, rx_ack_);
     ++stats_.ack_sent;
     sim_.schedule_at(end, [this] { end_rx_exchange(); });
   });

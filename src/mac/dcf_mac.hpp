@@ -126,6 +126,7 @@ class DcfMac : public PhyListener {
   void start_access(bool redraw);
   void arm_step();
   void on_step();
+  static void fire_step(void* mac) { static_cast<DcfMac*>(mac)->on_step(); }
   bool virtual_busy() const;  ///< NAV or EIFS active.
   void cancel_step();
 
@@ -178,6 +179,9 @@ class DcfMac : public PhyListener {
   int retries_ = 0;
   TimeNs nav_until_ = 0;
   TimeNs eifs_until_ = 0;
+  /// Engine lanes for steps armed exactly kSlot / kDifs + kSlot from now.
+  Simulator::LaneId slot_lane_;
+  Simulator::LaneId difs_slot_lane_;
   Simulator::EventId step_event_ = Simulator::kInvalidEvent;
   TimeNs step_time_ = -1;      ///< Fire time of the pending step.
   bool step_is_first_ = true;  ///< Pending step needs DIFS+slot (vs slot).
@@ -189,6 +193,9 @@ class DcfMac : public PhyListener {
   std::int32_t rx_tag_subflow_ = -1;
   bool rx_has_tag_ = false;
   TimeNs rx_nav_remaining_ = 0;
+  /// The ACK a delivered DATA frame owes, sent a SIFS after it.
+  Frame rx_ack_;
+  bool rx_ack_pending_ = false;
 
   Stats stats_;
 };

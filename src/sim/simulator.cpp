@@ -14,7 +14,7 @@ std::uint32_t Simulator::acquire_slot() {
     slab_[slot].next_free = kNilSlot;
     return slot;
   }
-  E2EFA_ASSERT_MSG(slab_.size() < kNilSlot, "event slab exhausted");
+  E2EFA_ASSERT_MSG(slab_.size() < kMaxSlots, "event slab exhausted");
   slab_.emplace_back();
   return static_cast<std::uint32_t>(slab_.size() - 1);
 }
@@ -120,12 +120,48 @@ std::uint32_t Simulator::prepare(TimeNs t) {
   return slot;
 }
 
+Simulator::LaneId Simulator::lane(TimeNs delay, LaneHandler fn) {
+  check_delay(delay);
+  E2EFA_ASSERT(fn != nullptr);
+  for (LaneId i = 0; i < lane_count_; ++i)
+    if (lanes_[i].delay == delay && lanes_[i].fn == fn) return i;
+  E2EFA_ASSERT_MSG(lane_count_ < kMaxLanes, "too many event lanes");
+  lanes_[lane_count_].delay = delay;
+  lanes_[lane_count_].fn = fn;
+  return lane_count_++;
+}
+
+void Simulator::grow_lane(Lane& l) {
+  const std::uint64_t cap = l.cap == 0 ? kLaneInitCap : 2 * l.cap;
+  std::unique_ptr<LaneEntry[]> grown(new LaneEntry[cap]);
+  for (std::uint64_t i = l.head; i != l.tail; ++i)
+    grown[i & (cap - 1)] = l.ring[i & (l.cap - 1)];
+  l.ring = std::move(grown);
+  l.cap = cap;
+}
+
 void Simulator::check_delay(TimeNs delay) const {
   E2EFA_ASSERT_MSG(delay >= 0, "negative delay");
 }
 
+bool Simulator::cancel_lane(EventId id) {
+  const std::uint64_t payload = ((id >> 32) << 31) | (id & (kLaneBit - 1));
+  const LaneId lane = static_cast<LaneId>(payload % kMaxLanes);
+  const std::uint64_t index = payload / kMaxLanes;
+  if (lane >= lane_count_) return false;
+  Lane& l = lanes_[lane];
+  if (index < l.head || index >= l.tail) return false;  // popped or never pushed
+  LaneEntry& e = l.ring[index & (l.cap - 1)];
+  if (e.ctx == nullptr) return false;  // already cancelled
+  // Lazy, as for slab events: the entry is skipped when it reaches the head.
+  e.ctx = nullptr;
+  --live_;
+  return true;
+}
+
 bool Simulator::cancel(EventId id) {
   if (id == kInvalidEvent) return false;
+  if (is_lane_id(id)) return cancel_lane(id);
   const std::uint64_t slot64 = (id & 0xffffffffu) - 1;
   if (slot64 >= slab_.size()) return false;
   Event& ev = slab_[static_cast<std::uint32_t>(slot64)];
@@ -141,8 +177,33 @@ bool Simulator::cancel(EventId id) {
 
 std::uint64_t Simulator::drain(TimeNs t_end) {
   std::uint64_t count = 0;
-  for (const QueueEntry* next;
-       (next = front()) != nullptr && next->time <= t_end;) {
+  for (;;) {
+    // The earliest of the run/heap front and the lane heads.
+    const QueueEntry* next = front();
+    Lane* from = nullptr;
+    const LaneEntry* head = nullptr;
+    for (LaneId i = 0; i < lane_count_; ++i) {
+      Lane& l = lanes_[i];
+      if (l.head == l.tail) continue;
+      const LaneEntry& h = l.ring[l.head & (l.cap - 1)];
+      if (head != nullptr ? earlier(h, *head) : next == nullptr || earlier(h, *next)) {
+        from = &l;
+        head = &h;
+      }
+    }
+    if (from != nullptr) {
+      if (head->time > t_end) break;
+      const LaneEntry e = *head;
+      ++from->head;
+      if (e.ctx == nullptr) continue;  // lazily cancelled
+      --live_;
+      now_ = e.time;
+      from->fn(e.ctx);
+      ++count;
+      ++processed_;
+      continue;
+    }
+    if (next == nullptr || next->time > t_end) break;
     __builtin_prefetch(&slab_[next->slot]);
     const QueueEntry e = pop();
     Event& ev = slab_[e.slot];

@@ -1,12 +1,14 @@
 // Unit and stress coverage for the pooled event engine: FIFO ordering at
 // equal timestamps, generation-tagged handle safety across slot reuse,
 // exact pending() under lazy cancellation, both queue tiers (the sorted run
-// and the heap behind it) against a reference model, and the Callback
-// small-buffer machinery (inline vs heap storage, move-only semantics).
+// and the heap behind it) and the fixed-delay lanes against a reference
+// model, and the Callback small-buffer machinery (inline vs heap storage,
+// move-only semantics).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -478,6 +480,394 @@ TEST(EventEngineTiers, MatchesReferenceModelOverSeededMixes) {
     }
     EXPECT_GE(max_pending, 4u * Simulator::kRunCap);
     EXPECT_EQ(sim.events_processed(), fired);
+  }
+}
+
+// ---- Fixed-delay lanes ----
+//
+// A lane entry takes its seq from the same counter as schedule_at, so lane
+// and queue events interleave in one (time, seq) order. Lane handlers get
+// a context pointer; the cases below point it at a Label that appends its
+// value to a shared order vector.
+
+struct Label {
+  std::vector<int>* order;
+  int value;
+};
+
+void fire_label(void* ctx) {
+  const auto* l = static_cast<const Label*>(ctx);
+  l->order->push_back(l->value);
+}
+
+/// A second handler, so that one delay can carry two distinct lanes.
+void fire_label_twice(void* ctx) {
+  fire_label(ctx);
+  fire_label(ctx);
+}
+
+TEST(EventEngineLanes, RegistrationIsSharedAndBounded) {
+  Simulator sim;
+  const auto a = sim.lane(10, &fire_label);
+  EXPECT_EQ(sim.lane(10, &fire_label), a);  // same pair: same lane
+  const auto b = sim.lane(10, &fire_label_twice);
+  const auto c = sim.lane(20, &fire_label);
+  EXPECT_NE(a, b);
+  EXPECT_NE(a, c);
+  EXPECT_NE(b, c);
+  sim.lane(30, &fire_label);  // the fourth lane: the bound
+  EXPECT_THROW(sim.lane(40, &fire_label), ContractViolation);
+  EXPECT_THROW(sim.lane(-1, &fire_label), ContractViolation);
+  EXPECT_EQ(sim.lane(20, &fire_label), c);  // lookups still work when full
+
+  int dummy = 0;
+  EXPECT_THROW(sim.schedule_on(a, nullptr), ContractViolation);
+  Simulator fresh;
+  EXPECT_THROW(fresh.schedule_on(0, &dummy), ContractViolation);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(EventEngineLanes, SameInstantLaneAndQueueEventsFireInSeqOrder) {
+  std::vector<int> order;
+  std::vector<Label> labels;
+  for (int i = 0; i < 8; ++i) labels.push_back({&order, i});
+
+  // Queue first, then lane, alternating; all fire at t = 10.
+  Simulator sim;
+  const auto lane = sim.lane(10, &fire_label);
+  schedule_label(sim, order, 10, 0);
+  sim.schedule_on(lane, &labels[1]);
+  schedule_label(sim, order, 10, 2);
+  sim.schedule_on(lane, &labels[3]);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(sim.now(), 10);
+
+  // Lane first, then queue.
+  Simulator rev;
+  const auto rev_lane = rev.lane(10, &fire_label);
+  order.clear();
+  rev.schedule_on(rev_lane, &labels[0]);
+  schedule_label(rev, order, 10, 1);
+  rev.schedule_on(rev_lane, &labels[2]);
+  schedule_label(rev, order, 10, 3);
+  rev.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+
+  // Two lanes meeting at one instant from different push times: the
+  // earlier push (the longer delay) fires first, in either lane order.
+  for (const bool long_first : {true, false}) {
+    Simulator two;
+    const auto lng = two.lane(long_first ? 10 : 5, &fire_label);
+    const auto shrt = two.lane(long_first ? 5 : 10, &fire_label);
+    const auto first = long_first ? lng : shrt;   // delay 10
+    const auto second = long_first ? shrt : lng;  // delay 5
+    order.clear();
+    two.schedule_on(first, &labels[0]);           // t = 10
+    two.run_until(5);
+    two.schedule_on(second, &labels[1]);          // t = 10
+    schedule_label(two, order, 10, 2);
+    two.schedule_on(second, &labels[3]);          // t = 10
+    two.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  }
+
+  // A handler pushing onto a lane of delay 0 and the queue at its own
+  // instant: both fire after it, in push order.
+  Simulator nested;
+  const auto zero = nested.lane(0, &fire_label);
+  order.clear();
+  nested.schedule_at(4, [&] {
+    order.push_back(0);
+    nested.schedule_at(4, [&] { order.push_back(1); });
+    nested.schedule_on(zero, &labels[2]);
+    nested.schedule_at(4, [&] { order.push_back(3); });
+  });
+  nested.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(nested.now(), 4);
+}
+
+TEST(EventEngineLanes, CancelledLaneTailDoesNotMoveTheClock) {
+  std::vector<int> order;
+  Label label{&order, 7};
+  Simulator sim;
+  const auto lane = sim.lane(100, &fire_label);
+  schedule_label(sim, order, 30, 1);
+  const auto id = sim.schedule_on(lane, &label);  // t = 100, the tail
+  EXPECT_TRUE(sim.cancel(id));
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sim.now(), 30);  // the last executed event, not the dead tail
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_FALSE(sim.cancel(id));
+
+  // Only cancelled lane entries: run() executes nothing and leaves the
+  // clock alone; run_until still finishes at t_end.
+  const auto a = sim.schedule_on(lane, &label);  // t = 130
+  const auto b = sim.schedule_on(lane, &label);
+  EXPECT_TRUE(sim.cancel(b));
+  EXPECT_TRUE(sim.cancel(a));
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(sim.now(), 30);
+  sim.schedule_on(lane, &label);  // t = 130
+  EXPECT_EQ(sim.run_until(129), 0u);
+  EXPECT_EQ(sim.now(), 129);
+  EXPECT_EQ(sim.run_until(500), 1u);
+  EXPECT_EQ(sim.now(), 500);
+  EXPECT_EQ(order, (std::vector<int>{1, 7}));
+}
+
+TEST(EventEngineLanes, PendingIsExactAcrossLaneCancels) {
+  std::vector<int> order;
+  std::vector<Label> labels;
+  for (int i = 0; i < 20; ++i) labels.push_back({&order, i});
+  Simulator sim;
+  const auto lane = sim.lane(50, &fire_label);
+  std::vector<Simulator::EventId> ids;
+  for (int i = 0; i < 20; ++i) {
+    ids.push_back(sim.schedule_on(lane, &labels[i]));  // t = 50 + i
+    schedule_label(sim, order, 1000 + i, 100 + i);
+    sim.run_until(sim.now() + 1);
+  }
+  EXPECT_EQ(sim.pending(), 40u);
+  for (int i = 0; i < 20; i += 2) EXPECT_TRUE(sim.cancel(ids[i]));
+  for (int i = 0; i < 20; i += 2) EXPECT_FALSE(sim.cancel(ids[i]));
+  EXPECT_EQ(sim.pending(), 30u);
+  sim.run_until(53);  // 51 and 53 fire; 50 and 52 were cancelled
+  EXPECT_EQ(sim.pending(), 28u);
+  EXPECT_FALSE(sim.cancel(ids[1]));  // fired
+  EXPECT_TRUE(sim.cancel(ids[5]));
+  EXPECT_EQ(sim.pending(), 27u);
+  sim.run();
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.events_processed(), 29u);  // 51, 53 and the 27 pending
+  std::vector<int> expected;
+  for (int i = 1; i < 20; i += 2)
+    if (i != 5) expected.push_back(i);
+  const std::vector<int> queued = iota_labels(100, 20);
+  expected.insert(expected.end(), queued.begin(), queued.end());
+  EXPECT_EQ(order, expected);
+}
+
+TEST(EventEngineLanes, StaleLaneIdFailsAfterItsRingSlotIsReused) {
+  std::vector<int> order;
+  std::vector<Label> labels;
+  for (int i = 0; i < 200; ++i) labels.push_back({&order, i});
+  Simulator sim;
+  const auto lane = sim.lane(3, &fire_label);
+  const auto fired = sim.schedule_on(lane, &labels[0]);
+  const auto cancelled = sim.schedule_on(lane, &labels[1]);
+  EXPECT_TRUE(sim.cancel(cancelled));
+  sim.run();
+  // Refill the ring well past its first capacity, one step at a time and
+  // all at once, so every ring slot (and the slots of the grown rings) is
+  // reused many times over.
+  std::vector<Simulator::EventId> later;
+  for (int i = 2; i < 100; ++i) {
+    later.push_back(sim.schedule_on(lane, &labels[i]));
+    if (i % 3 == 0) sim.run_until(sim.now() + 1);
+  }
+  for (int i = 100; i < 200; ++i) later.push_back(sim.schedule_on(lane, &labels[i]));
+  EXPECT_FALSE(sim.cancel(fired));
+  EXPECT_FALSE(sim.cancel(cancelled));
+  // `order` holds label 0 and whatever the loop's run_until calls fired.
+  EXPECT_EQ(sim.pending(), 198u - (order.size() - 1));
+  sim.run();
+  for (const auto id : later) EXPECT_FALSE(sim.cancel(id));
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.events_processed(), 199u);
+}
+
+TEST(EventEngineLanes, LaneAndSlabIdsNeverCollide) {
+  // The encoding at its extremes: every slab id, whatever its (possibly
+  // wrapped) generation, has bit 31 clear; every lane id has it set.
+  const std::uint32_t gens[] = {0u, 1u, 2u, 0x7fffffffu, 0x80000000u,
+                                0xfffffffeu, 0xffffffffu};
+  const std::uint32_t slots[] = {0u, 1u, 0x7ffffffdu, Simulator::kMaxSlots - 1};
+  std::set<Simulator::EventId> slab_ids;
+  for (const auto gen : gens)
+    for (const auto slot : slots) {
+      const auto id = Simulator::slab_event_id(slot, gen);
+      EXPECT_FALSE(Simulator::is_lane_id(id));
+      EXPECT_NE(id, Simulator::kInvalidEvent);
+      slab_ids.insert(id);
+    }
+  const std::uint64_t indices[] = {0u, 1u, 0x7fffffffu, 0x80000000u, 0xffffffffu,
+                                   0x100000000u, (std::uint64_t{1} << 61) - 1};
+  std::set<Simulator::EventId> lane_ids;
+  for (Simulator::LaneId lane = 0; lane < Simulator::kMaxLanes; ++lane)
+    for (const auto index : indices) {
+      const auto id = Simulator::lane_event_id(lane, index);
+      EXPECT_TRUE(Simulator::is_lane_id(id));
+      EXPECT_EQ(slab_ids.count(id), 0u);
+      EXPECT_TRUE(lane_ids.insert(id).second);  // distinct per (lane, index)
+    }
+
+  // Live ids: cancelling one kind never touches the other. A slab slot
+  // cycling through generations and a lane position counter advancing in
+  // step produce disjoint id sets.
+  std::vector<int> order;
+  Label label{&order, 1};
+  Simulator sim;
+  const auto lane = sim.lane(1, &fire_label);
+  std::set<Simulator::EventId> seen;
+  for (int i = 0; i < 1000; ++i) {
+    const auto slab = sim.schedule_at(sim.now() + 1, [] {});
+    const auto on_lane = sim.schedule_on(lane, &label);
+    EXPECT_FALSE(Simulator::is_lane_id(slab));
+    EXPECT_TRUE(Simulator::is_lane_id(on_lane));
+    EXPECT_TRUE(seen.insert(slab).second);
+    EXPECT_TRUE(seen.insert(on_lane).second);
+    if (i % 2 == 0) {
+      EXPECT_TRUE(sim.cancel(slab));
+      EXPECT_EQ(sim.pending(), 1u);
+      EXPECT_TRUE(sim.cancel(on_lane));
+    } else {
+      EXPECT_TRUE(sim.cancel(on_lane));
+      EXPECT_EQ(sim.pending(), 1u);
+      EXPECT_TRUE(sim.cancel(slab));
+    }
+    EXPECT_EQ(sim.pending(), 0u);
+    sim.run_until(sim.now() + 1);
+  }
+  EXPECT_TRUE(order.empty());
+}
+
+// Differential test for lanes: a reference (time, seq) model must match
+// the engine's firing order over seeded mixes of queue events and three
+// lanes (two delays, one with a second handler), with handlers that
+// schedule children on either path and cancel pending events of either
+// kind from inside.
+TEST(EventEngineLanes, MatchesReferenceModelOverSeededMixes) {
+  constexpr TimeNs kDelays[] = {20, 70, 20};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Simulator sim;
+    std::uint64_t rng = 0x9e3779b97f4a7c15ull * seed;
+    auto next = [&rng] {
+      rng ^= rng << 13;
+      rng ^= rng >> 7;
+      rng ^= rng << 17;
+      return rng;
+    };
+    using Key = std::pair<TimeNs, std::uint64_t>;  // (time, seq)
+    std::set<Key> model;
+    std::map<std::uint64_t, std::pair<Simulator::EventId, TimeNs>> ids;
+    std::uint64_t seq = 0;
+    std::uint64_t fired = 0;
+    std::uint64_t lane_fired = 0;
+
+    // A lane entry's context: its key, its lane, how often it fired, and
+    // a back pointer to the harness.
+    struct Entry {
+      std::function<void(TimeNs, std::uint64_t)>* on_fire;
+      TimeNs time;
+      std::uint64_t seq;
+      int lane;
+      int calls;
+    };
+    std::deque<Entry> entries;  // stable addresses
+    std::function<void(TimeNs, std::uint64_t)> on_fire;
+    // Lanes 0 and 2 share a delay; each must call its own handler.
+    struct Fire {
+      static void first(void* ctx) {
+        auto* e = static_cast<Entry*>(ctx);
+        EXPECT_NE(e->lane, 2);
+        ++e->calls;
+        (*e->on_fire)(e->time, e->seq);
+      }
+      static void second(void* ctx) {
+        auto* e = static_cast<Entry*>(ctx);
+        EXPECT_EQ(e->lane, 2);
+        ++e->calls;
+        (*e->on_fire)(e->time, e->seq);
+      }
+    };
+    Simulator::LaneId lanes[3];
+    lanes[0] = sim.lane(kDelays[0], &Fire::first);
+    lanes[1] = sim.lane(kDelays[1], &Fire::first);
+    lanes[2] = sim.lane(kDelays[2], &Fire::second);
+    ASSERT_NE(lanes[0], lanes[2]);
+
+    auto offset = [&next]() -> TimeNs {
+      const std::uint64_t r = next();
+      switch (r % 4) {
+        case 0: return 0;
+        case 1: return static_cast<TimeNs>((r >> 8) % 8);
+        case 2: return 20;  // ties lane 0's entries
+        default: return static_cast<TimeNs>((r >> 8) % 200);
+      }
+    };
+    auto schedule_queue = [&](TimeNs t) {
+      const std::uint64_t s = seq++;
+      ids[s] = {sim.schedule_at(t, [&on_fire, t, s] { on_fire(t, s); }), t};
+      model.insert({t, s});
+    };
+    auto schedule_lane = [&](int k) {
+      const std::uint64_t s = seq++;
+      const TimeNs t = sim.now() + kDelays[k];
+      entries.push_back({&on_fire, t, s, k, 0});
+      ids[s] = {sim.schedule_on(lanes[k], &entries.back()), t};
+      model.insert({t, s});
+    };
+    auto schedule_any = [&] {
+      const int k = static_cast<int>(next() % 5);
+      if (k < 3) {
+        schedule_lane(k);
+      } else {
+        schedule_queue(sim.now() + offset());
+      }
+    };
+    auto cancel_some = [&] {
+      if (ids.empty()) return;
+      auto it = ids.lower_bound(next() % seq);
+      if (it == ids.end()) it = ids.begin();
+      EXPECT_TRUE(sim.cancel(it->second.first));
+      EXPECT_FALSE(sim.cancel(it->second.first));
+      model.erase(Key(it->second.second, it->first));
+      ids.erase(it);
+    };
+    on_fire = [&](TimeNs t, std::uint64_t s) {
+      ASSERT_FALSE(model.empty());
+      EXPECT_EQ(*model.begin(), Key(t, s));
+      EXPECT_EQ(sim.now(), t);
+      const auto id = ids.at(s).first;
+      model.erase(Key(t, s));
+      ids.erase(s);
+      EXPECT_FALSE(sim.cancel(id));  // its own id is already retired
+      ++fired;
+      if (Simulator::is_lane_id(id)) ++lane_fired;
+      const std::uint64_t r = next() % 8;
+      if (r < 3) schedule_any();        // a child on either path
+      if (r == 3) schedule_lane(0);     // a self-stepping timer
+      if (r >= 6) cancel_some();        // cancel from inside a handler
+    };
+
+    for (int cycle = 0; cycle < 3; ++cycle) {
+      for (int step = 0; step < 4000; ++step) {
+        const int op = static_cast<int>(next() % 100);
+        if (op < 50) {
+          schedule_any();
+        } else if (op < 65) {
+          cancel_some();
+        } else {
+          const TimeNs t_end = sim.now() + static_cast<TimeNs>(next() % 30);
+          sim.run_until(t_end);
+          EXPECT_EQ(sim.now(), t_end);
+          if (!model.empty()) {
+            EXPECT_GT(model.begin()->first, t_end);
+          }
+        }
+        ASSERT_EQ(sim.pending(), model.size());
+      }
+      sim.run();
+      EXPECT_TRUE(model.empty());
+      EXPECT_EQ(sim.pending(), 0u);
+    }
+    EXPECT_EQ(sim.events_processed(), fired);
+    EXPECT_GT(lane_fired, fired / 4);
+    for (const Entry& e : entries) EXPECT_LE(e.calls, 1);
   }
 }
 
